@@ -10,6 +10,7 @@ endpoint. Integrals of 1/log^m t reduce to li by integrating by parts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,13 +151,15 @@ def panaitopol_coefficients(m: int) -> list[int]:
     return ks
 
 
+@functools.lru_cache(maxsize=None)
 def constants(precision: int = 28) -> tuple[Enclosure, Enclosure, Enclosure]:
     """Enclosures of (gamma, B, E) from stored decimal digits.
 
     gamma is the Euler constant, B the constant of the reciprocal-prime sum
     (sum 1/p - log log x -> B), and E the constant of the log-weighted sum
     (sum log p / p - log x -> E). precision counts fractional decimal digits
-    and is capped at 28, the shortest stored expansion.
+    and is capped at 28, the shortest stored expansion. Results are cached
+    per precision; an Enclosure is immutable, so callers share them.
     """
     if precision < 1 or precision > 28:
         raise PrecisionUnsupportedError("precision must be within 1..28 digits")

@@ -1,6 +1,6 @@
 """Exact accumulation of float64 arrays as scaled integers.
 
-Every normal float64 with |v| >= 2**(53 - SCALE_BITS) is an integer multiple
+Every normal float64 with |v| >= 2**(52 - SCALE_BITS) is an integer multiple
 of 2**-SCALE_BITS, so a sum of such values is represented exactly by a Python
 integer carrying the multiple. Integer addition is associative, which is what
 makes accumulator results independent of how a range was cut into segments.
@@ -14,16 +14,22 @@ that produced the terms (np.log, division, np.log1p).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapacityError
 
-# Unit of the scaled integers: 2**-SCALE_BITS. Covers terms down to 2**-67,
+# Unit of the scaled integers: 2**-SCALE_BITS. Covers terms down to 2**-68,
 # i.e. 1/p and |log1p(-1/p)| for p beyond 2**63.
 SCALE_BITS = 120
 
-_TWO53 = 9007199254740992.0  # 2**53, exact
-_LOW32 = np.int64(0xFFFFFFFF)
+_MIN_TERM = 2.0 ** (52 - SCALE_BITS)  # least term whose ulp is a whole unit
+# A band of binades [e, e + _BAND] scaled by 2**(53 - e) holds integers below
+# 2**63, the int64 range.
+_BAND = 10
+# Terms per call: the 32-bit halves of fewer than 2**31 terms sum below 2**63.
+_MAX_TERMS = 1 << 31
 
 
 def scaled_sum(values: np.ndarray) -> tuple[int, int]:
@@ -33,48 +39,51 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
     of the array entries; ``budget * 2**-SCALE_BITS`` is the exact sum of the
     per-term binade units 2**(e_i - 53) described in the module docstring.
 
-    Entries must be positive, finite and >= 2**(53 - SCALE_BITS). Sums stay
-    exact for any array length (intermediate 32-bit splits cap partial sums
-    below 2**53, where float64 addition of integers is exact).
+    Entries must be positive, finite and >= 2**(52 - SCALE_BITS), and there
+    must be fewer than 2**31 of them; otherwise CapacityError is raised.
+    Values spanning at most 11 binades are summed in one band: scaled by a
+    power of two to int64 integers below 2**63, which two int64 reductions
+    add exactly (the high 32-bit halves, and the whole values modulo
+    2**64). Wider arrays are cut into such bands by value.
     """
     if values.size == 0:
         return 0, 0
-    mant, exp = np.frexp(values)
-    shift = exp.astype(np.int64) + (SCALE_BITS - 53)
-    if not (values > 0.0).all() or int(shift.min()) < 0 or not np.isfinite(values).all():
-        raise CapacityError("values must be positive, finite and >= 2**%d" % (53 - SCALE_BITS))
-    m = (mant * _TWO53).astype(np.int64)  # exact: mant * 2**53 is an integer
-    nbins = int(shift.max()) + 1
-    lo_sums = np.bincount(shift, weights=(m & _LOW32).astype(np.float64), minlength=nbins)
-    hi_sums = np.bincount(shift, weights=(m >> 32).astype(np.float64), minlength=nbins)
-    counts = np.bincount(shift, minlength=nbins)
-    total = 0
-    budget = 0
-    for s in range(nbins):
-        c = int(counts[s])
-        if c:
-            total += (((int(hi_sums[s]) << 32) + int(lo_sums[s])) << s)
-            budget += c << s
-    return total, budget
+    if values.size >= _MAX_TERMS:
+        raise CapacityError("scaled_sum takes fewer than 2**31 terms")
+    lo, hi = float(values.min()), float(values.max())
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (lo >= _MIN_TERM and hi < math.inf):
+        raise CapacityError("values must be positive, finite and >= 2**%d" % (52 - SCALE_BITS))
+    total = budget = 0
+    e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
+    while e_hi - e_lo > _BAND:
+        below = values < math.ldexp(1.0, e_lo + _BAND)
+        t, b = _band_sum(values[below], e_lo, e_lo + _BAND)
+        total, budget = total + t, budget + b
+        values = values[~below]
+        e_lo = math.frexp(float(values.min()))[1]
+    t, b = _band_sum(values, e_lo, e_hi)
+    return total + t, budget + b
 
 
-def scaled_from_float(v: float) -> int:
-    """Exact scaled integer for one float64 value (may be negative)."""
-    m, e = np.frexp(v)
-    shift = int(e) + (SCALE_BITS - 53)
-    if shift < 0:
-        raise CapacityError("value below 2**%d" % (53 - SCALE_BITS))
-    return int(m * _TWO53) << shift
-
-
-def float_down(scaled: int) -> float:
-    """Largest float64 <= scaled * 2**-SCALE_BITS."""
-    f = np.ldexp(np.float64(scaled), -SCALE_BITS)  # conversion rounds, ldexp exact
-    if int(np.ldexp(f, SCALE_BITS)) > scaled:
-        f = np.nextafter(f, -np.inf)
-    return float(f)
-
-
-def float_up(scaled: int) -> float:
-    """Smallest float64 >= scaled * 2**-SCALE_BITS."""
-    return -float_down(-scaled)
+def _band_sum(values: np.ndarray, e_lo: int, e_hi: int) -> tuple[int, int]:
+    """scaled_sum of values whose frexp exponents lie in [e_lo, e_hi]."""
+    # exact: a power-of-two scaling, and each value is a multiple of
+    # 2**(e_lo - 53), so the products are integers below 2**(53 + _BAND)
+    m = np.empty(values.size, dtype=np.int64)
+    np.multiply(values, math.ldexp(1.0, 53 - e_lo), out=m, casting="unsafe")
+    # the int64 sum wraps to the exact sum modulo 2**64; with the exact sum
+    # of the high halves (each below 2**31) that fixes the sum of the low
+    # halves, which lies in [0, 2**63)
+    low64 = int(np.add.reduce(m))
+    m >>= 32
+    high = int(np.add.reduce(m)) << 32
+    exact = high + (low64 - high) % (1 << 64)
+    shift = e_lo + SCALE_BITS - 53
+    # a term of exponent e has unit 2**(e - e_lo) << shift, and
+    # 2**(e - e_lo) = 1 + 1 + 2 + ... + 2**(e - e_lo - 1): count each term
+    # once, then 2**(k - e_lo - 1) more for each edge 2**(k - 1) it reaches
+    budget = values.size
+    for k in range(e_lo + 1, e_hi + 1):
+        budget += int(np.count_nonzero(values >= math.ldexp(1.0, k - 1))) << (k - e_lo - 1)
+    return exact << shift, budget << shift

@@ -296,10 +296,11 @@ def accumulate(state: AccumulatorState, segment: PrimeSegment) -> AccumulatorSta
         return replace(state, x=segment.hi, pi=state.pi + npinc)
     pf = segment.primes.astype(np.float64)
     logs = np.log(pf)
+    r = 1.0 / pf
     tv, tb = dyadic.scaled_sum(logs)
-    rv, rb = dyadic.scaled_sum(1.0 / pf)
+    rv, rb = dyadic.scaled_sum(r)
     qv, qb = dyadic.scaled_sum(logs / pf)
-    mv, mb = dyadic.scaled_sum(-np.log1p(-1.0 / pf))
+    mv, mb = dyadic.scaled_sum(-np.log1p(-r))
     pv, pb = _power_terms(segment.lo, segment.hi, base_primes(math.isqrt(segment.hi)))
     return replace(
         state,

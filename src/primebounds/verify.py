@@ -46,7 +46,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp
 
-from . import analytic, dyadic, proofkit, sieve
+from . import __version__, analytic, dyadic, proofkit, sieve
 from .bounds import BoundKind, BoundSpec, Verdict, eval_bound
 from .bounds import promote as bounds_promote
 from .enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure, eexp
@@ -89,7 +89,7 @@ __all__ = [
     "verify_running_sums",
 ]
 
-TOOL_VERSION = "primebounds 0.1.0"
+TOOL_VERSION = "primebounds " + __version__
 
 COUNTEREXAMPLE_CAP = 64
 # Widest certificate-free stretch the interval-cell lane will bridge.

@@ -1,20 +1,44 @@
-"""Exactness and bracketing tests for the scaled-integer accumulation layer."""
+"""Exactness and budget tests for the scaled-integer accumulation layer."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from primebounds import dyadic
+from primebounds import dyadic, sieve
 from primebounds.errors import CapacityError
 
 
 def exact_fraction(values):
     """Reference: exact rational sum of the float64 values."""
     return sum(Fraction(float(v)) for v in values)
+
+
+def fraction_reference(values):
+    """Reference (total, budget), term by term in exact rationals."""
+    unit = 1 << dyadic.SCALE_BITS
+    total = exact_fraction(values) * unit
+    budget = sum(Fraction(2) ** (math.frexp(float(v))[1] - 53) for v in values) * unit
+    assert total.denominator == budget.denominator == 1
+    return int(total), int(budget)
+
+
+def reference_sum(values, chunk=1 << 20):
+    """Reference (total, budget) for long arrays: numpy splits each term into
+    its 53-bit integer mantissa and exponent, Python ints add them up."""
+    total = budget = 0
+    for a in range(0, values.size, chunk):
+        mant, exp = np.frexp(values[a : a + chunk])
+        m = (mant * 2.0**53).astype(np.int64)  # exact
+        for e in np.unique(exp).tolist():
+            sel = exp == e
+            shift = e - 53 + dyadic.SCALE_BITS
+            total += sum(m[sel].tolist()) << shift
+            budget += int(np.count_nonzero(sel)) << shift
+    return total, budget
 
 
 positive_floats = st.floats(
@@ -25,9 +49,7 @@ positive_floats = st.floats(
 @given(st.lists(positive_floats, min_size=0, max_size=300))
 def test_scaled_sum_is_exact(vals):
     arr = np.array(vals, dtype=np.float64)
-    total, budget = dyadic.scaled_sum(arr)
-    assert Fraction(total, 1 << dyadic.SCALE_BITS) == exact_fraction(vals)
-    assert budget >= 0
+    assert dyadic.scaled_sum(arr) == fraction_reference(vals)
 
 
 @given(st.lists(positive_floats, min_size=2, max_size=120), st.randoms())
@@ -48,32 +70,69 @@ def test_budget_covers_one_ulp_per_term(v):
 
 
 def test_rejects_values_outside_grid():
+    for bad in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 2.0**-70, np.nextafter(2.0**-68, 0.0)):
+        with pytest.raises(CapacityError):
+            dyadic.scaled_sum(np.array([bad]))
+        # hidden among valid terms, at either end and in the middle
+        for pos in (0, 500, 999):
+            arr = np.full(1000, 3.0)
+            arr[pos] = bad
+            with pytest.raises(CapacityError):
+                dyadic.scaled_sum(arr)
+
+
+def test_accepts_least_term():
+    assert dyadic.scaled_sum(np.array([2.0**-68])) == (1 << 52, 1)
+
+
+def test_rejects_too_many_terms():
+    # a broadcast view: 2**31 terms without the memory behind them
     with pytest.raises(CapacityError):
-        dyadic.scaled_sum(np.array([2.0**-70]))
-    with pytest.raises(CapacityError):
-        dyadic.scaled_sum(np.array([-1.0]))
-    with pytest.raises(CapacityError):
-        dyadic.scaled_sum(np.array([np.inf]))
+        dyadic.scaled_sum(np.broadcast_to(np.float64(1.0), (1 << 31,)))
 
 
-@given(positive_floats)
-def test_scaled_from_float_roundtrips(v):
-    scaled = dyadic.scaled_from_float(v)
-    assert Fraction(scaled, 1 << dyadic.SCALE_BITS) == Fraction(v)
+def binade_edges():
+    """Powers of two over the accepted range and their float neighbours."""
+    edges = np.ldexp(1.0, np.arange(-68, 63))
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0)])
 
 
-@given(st.integers(min_value=-(1 << 200), max_value=1 << 200))
-@settings(max_examples=300)
-def test_float_down_up_bracket(scaled):
-    exact = Fraction(scaled, 1 << dyadic.SCALE_BITS)
-    lo = dyadic.float_down(scaled)
-    hi = dyadic.float_up(scaled)
-    assert Fraction(lo) <= exact <= Fraction(hi)
-    # the bracket is tight: one step inward crosses the exact value
-    if Fraction(lo) < exact:
-        assert Fraction(np.nextafter(lo, np.inf)) > exact or Fraction(np.nextafter(lo, np.inf)) == exact
-    if Fraction(hi) > exact:
-        assert Fraction(np.nextafter(hi, -np.inf)) < exact or Fraction(np.nextafter(hi, -np.inf)) == exact
+def test_exact_at_powers_of_two_and_binade_edges():
+    vals = binade_edges()
+    assert dyadic.scaled_sum(vals) == reference_sum(vals) == fraction_reference(vals)
+    for v in vals:
+        assert dyadic.scaled_sum(np.array([v])) == fraction_reference([v])
+    # inside one band as well as across bands
+    near_one = vals[(vals >= 0.25) & (vals < 8.0)]
+    assert dyadic.scaled_sum(near_one) == fraction_reference(near_one)
+
+
+@pytest.mark.parametrize("lo_exp, hi_exp", [(-68, 62), (-30, -18), (0, 12), (5, 40)])
+def test_exact_across_more_than_eleven_binades(lo_exp, hi_exp):
+    rng = np.random.default_rng(hi_exp - lo_exp)
+    vals = np.exp2(rng.uniform(lo_exp, hi_exp, 20_000))
+    vals = vals[vals >= 2.0**-68]
+    total, budget = dyadic.scaled_sum(vals)
+    assert (total, budget) == reference_sum(vals)
+    cut = vals.size // 3
+    t1, b1 = dyadic.scaled_sum(vals[:cut])
+    t2, b2 = dyadic.scaled_sum(vals[cut:])
+    assert (t1 + t2, b1 + b2) == (total, budget)
+
+
+def test_exact_for_many_terms_in_one_binade():
+    # 4,206,649 terms in [1, 2): their low 32-bit halves sum past 2**53
+    vals = np.random.default_rng(20).uniform(1.0, 2.0, 4_206_649)
+    assert dyadic.scaled_sum(vals) == reference_sum(vals)
+
+
+def test_exact_for_logs_of_one_wide_segment():
+    # the 6,456,753 primes of one segment of 2**26 odds above 10**9
+    primes = sieve.sieve_segment(10**9 + 1, 10**9 + (1 << 27)).primes
+    assert primes.size == 6_456_753
+    logs = np.log(primes.astype(np.float64))
+    del primes
+    assert dyadic.scaled_sum(logs) == reference_sum(logs)
 
 
 def test_known_sum_log_primes_to_100():

@@ -126,6 +126,23 @@ def test_resume_equals_fresh_run(x, cut):
     assert pi_theta_at(x, resume_from=mid, segment_odds=1 << 12) == pi_theta_at(x)
 
 
+def test_wide_segment_equals_its_halves():
+    # one segment of 2**26 odds above 10**9: 6,456,753 primes, enough terms
+    # in one binade that a float64 sum of their low 32-bit halves passes 2**53
+    lo, hi = 10**9 + 1, 10**9 + (1 << 27)
+    mid = lo + (1 << 26) - 1
+    whole = sieve_segment(lo, hi)
+    cut = int(np.searchsorted(whole.primes, mid, side="right"))
+    start = AccumulatorState(x=lo - 1, pi=0)
+    once = accumulate(start, whole)
+    halves = accumulate(
+        accumulate(start, sieve.PrimeSegment(lo, mid, whole.primes[:cut])),
+        sieve.PrimeSegment(mid + 1, hi, whole.primes[cut:]),
+    )
+    assert once.pi == 6_456_753
+    assert once == halves
+
+
 def test_parallel_sieving_is_deterministic():
     assert pi_theta_at(200000, jobs=3) == pi_theta_at(200000)
 
