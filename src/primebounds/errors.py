@@ -71,3 +71,7 @@ class SoundnessGateError(PrimeBoundsError):
 
 class ReportMismatchError(PrimeBoundsError):
     """Reports describe different bounds or tool versions."""
+
+
+class FastLaneMismatchError(PrimeBoundsError):
+    """A float fast-lane verdict was contradicted by its exact recheck."""

@@ -25,15 +25,23 @@ whose derivative does not reduce to a polynomial, up to a span cap.
 Most cells are decided in a float64 fast lane: per-segment running totals
 are rebased on the accumulator's exact dyadic sums every 2**16 primes, so
 their absolute error stays orders of magnitude below the lane's recheck
-margin.  Any cell whose margin is smaller than that is re-decided with
+margin.  The lane is tile-major: it walks each segment in tiles of 2**16
+cells, computes every power log(p)**k a tile needs once and shares it
+across all claims, and reads its inputs as slice views.  Each tile sorts
+every claim's cells into certain passes (only counted), certain fails and
+unsure cells (both collected by index).  The exact work follows per claim:
+any cell whose margin is smaller than the recheck margin is re-decided with
 outward-rounded enclosures at 106 bits, retried once at 212 bits, and counted
-Indeterminate if still undecided.  Fail verdicts follow the conservative rule
+Indeterminate if still undecided; the 64 highest certain fails are
+recomputed the same way, and an exact verdict other than Fail there raises
+FastLaneMismatchError.  Fail verdicts follow the conservative rule
 lhs.hi <= rhs.lo; counterexamples record the compared enclosures, capped at
 the 64 largest x.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -53,6 +61,7 @@ from .enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure, eexp
 from .errors import (
     CapacityError,
     DenominatorNonpositiveError,
+    FastLaneMismatchError,
     InvalidRangeError,
     MismatchedStateError,
     NoCertificateError,
@@ -375,12 +384,15 @@ _B_F = _CONST[1].mid_float()
 _E_F = _CONST[2].mid_float()
 
 
-def _bound_float(spec: BoundSpec, x: np.ndarray, L: np.ndarray):
+def _bound_float(
+    spec: BoundSpec, x: np.ndarray, L: np.ndarray, pw: Callable[[float], np.ndarray]
+):
     """Float64 bound values at x (log-scale for the Mertens product).
 
-    Returns (values, suspect) where suspect marks entries that must not be
-    trusted (nonpositive rational denominator / product body); returns None
-    when the kind has no vector lane (li-based bounds).
+    L is log(x) and pw(k) gives L ** k; the scanner shares those powers
+    across claims.  Returns (values, suspect) where suspect marks entries
+    that must not be trusted (nonpositive rational denominator / product
+    body); returns None when the kind has no vector lane (li-based bounds).
     """
     s = 1.0 if spec.direction == "upper" else -1.0
     c = spec.coefficients
@@ -388,15 +400,15 @@ def _bound_float(spec: BoundSpec, x: np.ndarray, L: np.ndarray):
     suspect = None
 
     if kind is BoundKind.THETA_ENVELOPE:
-        vals = x + s * float(c[0]) * x / L ** int(c[1])
+        vals = x + s * float(c[0]) * x / pw(int(c[1]))
     elif kind is BoundKind.THETA_ENVELOPE_EXP:
         cf, rf = float(c[0]), float(c[1])
         pref = math.sqrt(cf / (math.pi * math.sqrt(rf)))
-        vals = x + s * pref * x * L**0.25 * np.exp(-np.sqrt(L / rf))
+        vals = x + s * pref * x * pw(0.25) * np.exp(-np.sqrt(L / rf))
     elif kind is BoundKind.THETA_SQRT:
         body = np.zeros_like(x)
         for i in range(0, len(c), 4):
-            term = float(c[i]) * x ** float(c[i + 1]) * L ** int(c[i + 2])
+            term = float(c[i]) * x ** float(c[i + 1]) * pw(int(c[i + 2]))
             w = int(c[i + 3])
             if w:
                 term = term / math.pi**w
@@ -408,30 +420,30 @@ def _bound_float(spec: BoundSpec, x: np.ndarray, L: np.ndarray):
         den = L - 1.0
         for i, ai in enumerate(c, start=1):
             if ai:
-                den = den - float(ai) / L**i
+                den = den - float(ai) / pw(i)
         suspect = den < 1e-6
         vals = x / np.where(suspect, 1.0, den)
     elif kind is BoundKind.PI_LOGPOW:
         vals = np.zeros_like(x)
         for j, cj in enumerate(c, start=1):
             if cj:
-                vals = vals + float(cj) * x / L**j
+                vals = vals + float(cj) * x / pw(j)
     elif kind is BoundKind.SUM_RECIP:
         vals = np.log(L) + _B_F
         for i in range(0, len(c), 2):
-            vals = vals + float(c[i]) / L ** int(c[i + 1])
+            vals = vals + float(c[i]) / pw(int(c[i + 1]))
     elif kind is BoundKind.SUM_LOGP:
         vals = L + _E_F
         for i in range(0, len(c), 2):
-            vals = vals + float(c[i]) / L ** int(c[i + 1])
+            vals = vals + float(c[i]) / pw(int(c[i + 1]))
     elif kind is BoundKind.PRODUCT_MERTENS:
         body = np.ones_like(L)
         for i in range(0, len(c), 2):
-            body = body + float(c[i]) / L ** int(c[i + 1])
+            body = body + float(c[i]) / pw(int(c[i + 1]))
         suspect = body < 1e-9
         vals = -_GAMMA_F - np.log(L) + np.log(np.where(suspect, 1.0, body))
     elif kind is BoundKind.GAP:
-        vals = x * (1.0 + float(c[0]) / L ** int(c[1]))
+        vals = x * (1.0 + float(c[0]) / pw(int(c[1])))
     else:  # pragma: no cover - registry kinds are exhaustive
         raise UnsupportedKindError("no fast lane for kind %s" % kind)
     return vals, suspect
@@ -462,11 +474,12 @@ def _dyadic_enclosure(v: int, b: int, negate: bool = False) -> Enclosure:
     return Enclosure.from_dyadic(lo, hi, dyadic.SCALE_BITS)
 
 
-_LANE_VALUES = {
-    "theta": (lambda pf, logs: logs, BUDGET_LOG),
-    "recip": (lambda pf, logs: 1.0 / pf, BUDGET_RECIP),
-    "logp": (lambda pf, logs: logs / pf, BUDGET_QUOT),
-    "log1m": (lambda pf, logs: -np.log1p(-1.0 / pf), BUDGET_QUOT),
+# Error-budget multiplier of each lane's per-prime terms.
+_LANE_BUDGET = {
+    "theta": BUDGET_LOG,
+    "recip": BUDGET_RECIP,
+    "logp": BUDGET_QUOT,
+    "log1m": BUDGET_QUOT,
 }
 
 _LANE_STATE_FIELDS = {
@@ -484,7 +497,7 @@ class _ExactPrefix:
         vf, bf = _LANE_STATE_FIELDS[lane]
         self._values = values
         self._base = (getattr(before, vf), getattr(before, bf))
-        self._mult = _LANE_VALUES[lane][1]
+        self._mult = _LANE_BUDGET[lane]
         self._v, self._b = self._base
         self._idx = 0  # terms [0, _idx) are folded in
 
@@ -824,8 +837,24 @@ class _SegmentData:
         self.p = primes
         self.pf = primes.astype(np.float64)
         self.logs = np.log(self.pf)
+        self._values: dict[str, np.ndarray] = {}
         self._runs: dict[str, np.ndarray] = {}
         self._prefixes: dict[str, _ExactPrefix] = {}
+
+    def values(self, lane: str) -> np.ndarray:
+        """Per-prime terms of a summed lane, built once per segment."""
+        out = self._values.get(lane)
+        if out is None:
+            if lane == "theta":
+                out = self.logs
+            elif lane == "recip":
+                out = 1.0 / self.pf
+            elif lane == "logp":
+                out = self.logs / self.pf
+            else:
+                out = -np.log1p(-self.values("recip"))
+            self._values[lane] = out
+        return out
 
     def run(self, lane: str) -> np.ndarray:
         out = self._runs.get(lane)
@@ -833,11 +862,9 @@ class _SegmentData:
             if lane == "pi":
                 out = self.before.pi + np.arange(1, self.p.size + 1, dtype=np.float64)
             else:
-                maker, _ = _LANE_VALUES[lane]
-                values = maker(self.pf, self.logs)
                 vf, _bf = _LANE_STATE_FIELDS[lane]
                 base = math.ldexp(float(getattr(self.before, vf)), -dyadic.SCALE_BITS)
-                out = _running(values, base)
+                out = _running(self.values(lane), base)
                 if lane == "log1m":
                     out = -out
             self._runs[lane] = out
@@ -846,8 +873,7 @@ class _SegmentData:
     def prefix(self, lane: str) -> _ExactPrefix:
         pre = self._prefixes.get(lane)
         if pre is None:
-            maker, _ = _LANE_VALUES[lane]
-            pre = _ExactPrefix(lane, self.before, maker(self.pf, self.logs))
+            pre = _ExactPrefix(lane, self.before, self.values(lane))
             self._prefixes[lane] = pre
         return pre
 
@@ -1008,6 +1034,103 @@ def _compact_capsule(scan: _SpecScan, data: _SegmentData):
         scan.capsule = _Capsule(base, succ, _lane_quantity_fn(scan.plan.lane, v, b))
 
 
+def _exact_pair(plan: _Plan, data: _SegmentData, i: int):
+    """Enclosure verdict of the pair check on cell [p[i], p[i + 1]).
+
+    Returns (verdict, base, succ, lhs, rhs).
+    """
+    spec = plan.spec
+    base, succ = int(data.p[i]), int(data.p[i + 1])
+    if spec.kind is BoundKind.GAP:
+        verdict, lhs, rhs = _pair_verdict(
+            spec, lambda prec: Enclosure.from_value(succ), base
+        )
+    else:
+        eval_x = succ if plan.eval_at_succ else base
+        verdict, lhs, rhs = _pair_verdict(spec, data.quantity_fn(plan.lane, i), eval_x)
+    return verdict, base, succ, lhs, rhs
+
+
+def _triage(fast, data: _SegmentData, cut: int):
+    """Phase 1: sort the fast-lane pairs into certain pass, fail and unsure.
+
+    fast holds (scan, start) for every claim whose pairs [start, cut) run
+    in the float lane.  The pairs are walked in tiles of _CHUNK bases; each
+    tile's log-powers are shared by all claims and every input is a slice
+    view.  Certain passes go straight to the tallies; returns, per claim,
+    the segment indices of its certain fails and of its unsure pairs.
+    """
+    pf, logs = data.pf, data.logs
+    found = [([], []) for _ in fast]
+    for t0 in range(0, cut, _CHUNK):
+        t1 = min(t0 + _CHUNK, cut)
+        # one extra entry so that successor-evaluated claims share the tile;
+        # a slice of a power array equals the power of the slice, bitwise
+        tile_pow = functools.cache(logs[t0 : t1 + 1].__pow__)
+        for (scan, start), (fails, unsure) in zip(fast, found):
+            a = max(start, t0)
+            if a >= t1:
+                continue
+            plan = scan.plan
+            e = 1 if plan.eval_at_succ else 0
+            sl = slice(a - t0 + e, t1 - t0 + e)
+            fvals, suspect = _bound_float(
+                plan.spec, pf[a + e : t1 + e], logs[a + e : t1 + e], lambda k: tile_pow(k)[sl]
+            )
+            if plan.spec.kind is BoundKind.GAP:
+                margin = fvals - pf[a + 1 : t1 + 1]
+            else:
+                q = data.run(plan.lane)[a:t1]
+                margin = (q - fvals) if plan.lower else (fvals - q)
+
+            certain_pass = margin > plan.delta
+            certain_fail = margin < -plan.delta
+            if suspect is not None:
+                certain_pass &= ~suspect
+                certain_fail &= ~suspect
+            n_pass = int(np.count_nonzero(certain_pass))
+            scan.tally.checked += n_pass
+            scan.tally.passes += n_pass
+            fails.append(np.flatnonzero(certain_fail) + a)
+            unsure.append(np.flatnonzero(~(certain_pass | certain_fail)) + a)
+    return [(np.concatenate(f), np.concatenate(u)) for f, u in found]
+
+
+def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
+    """Phase 2: the exact work on one claim's certain fails and unsure pairs."""
+    plan = scan.plan
+    fail_records = []
+    if fail_idx.size:
+        scan.tally.checked += fail_idx.size
+        scan.tally.failures += fail_idx.size
+        # retained counterexamples are recomputed exactly so that the
+        # recorded enclosures do not depend on segmentation or rebasing
+        for i in fail_idx[-COUNTEREXAMPLE_CAP:]:
+            verdict, base, _succ, lhs, rhs = _exact_pair(plan, data, int(i))
+            if verdict is not Verdict.Fail:
+                raise FastLaneMismatchError(
+                    "%s: the float lane failed x = %d beyond its margin, but the "
+                    "exact recheck says %s" % (plan.spec.id, base, verdict.name)
+                )
+            fail_records.append((base, lhs, rhs))
+        i_last = int(fail_idx[-1])
+        scan.seg_fail = (i_last, int(data.p[i_last + 1]))
+
+    for i in unsure_idx:
+        i = int(i)
+        verdict, base, succ, lhs, rhs = _exact_pair(plan, data, i)
+        scan.tally.add(verdict)
+        if verdict is Verdict.Fail:
+            fail_records.append((base, lhs, rhs))
+            if scan.seg_fail is None or scan.seg_fail[0] < i:
+                scan.seg_fail = (i, succ)
+
+    if fail_records:
+        fail_records.sort(key=lambda r: r[0])
+        for base, lhs, rhs in fail_records[-COUNTEREXAMPLE_CAP:]:
+            scan.cx.append(Counterexample(base, lhs, rhs))
+
+
 def _scan_segment(scans, data: _SegmentData, range_hi: int):
     p = data.p
     m = p.size
@@ -1016,6 +1139,7 @@ def _scan_segment(scans, data: _SegmentData, range_hi: int):
     # pairs fully inside the segment: bases p[0..m-2], successors p[1..m-1];
     # the final prime is carried as pending by the caller.
     cut = m - 1
+    fast = []
     for scan in scans:
         plan = scan.plan
         spec = plan.spec
@@ -1037,88 +1161,20 @@ def _scan_segment(scans, data: _SegmentData, range_hi: int):
         if cell_cut >= cut:
             continue
 
-        idx = np.arange(cell_cut, cut)
-
         # --- exact-pair path for kinds without a vector lane ---------------
         if plan.exact_pairs:
-            for i in idx:
-                i = int(i)
-                base, succ = int(p[i]), int(p[i + 1])
-                q_fn = data.quantity_fn(plan.lane, i)
-                eval_x = succ if plan.eval_at_succ else base
-                verdict, lhs, rhs = _pair_verdict(spec, q_fn, eval_x)
+            for i in range(cell_cut, cut):
+                verdict, base, succ, lhs, rhs = _exact_pair(plan, data, i)
                 if verdict is Verdict.Fail:
                     scan.seg_fail = (i, succ)
                 scan.record(verdict, base, lhs, rhs, None)
             continue
 
-        # --- float fast lane ----------------------------------------------
-        if spec.kind is BoundKind.GAP:
-            fvals, suspect = _bound_float(spec, data.pf[idx], data.logs[idx])
-            margin = fvals - data.pf[idx + 1]
-        else:
-            ei = idx + 1 if plan.eval_at_succ else idx
-            fvals, suspect = _bound_float(spec, data.pf[ei], data.logs[ei])
-            q = data.run(plan.lane)[idx]
-            margin = (q - fvals) if plan.lower else (fvals - q)
+        fast.append((scan, cell_cut))
 
-        delta = plan.delta
-        certain_pass = margin > delta
-        certain_fail = margin < -delta
-        if suspect is not None:
-            certain_pass &= ~suspect
-            certain_fail &= ~suspect
-        unsure = ~(certain_pass | certain_fail)
-
-        n_pass = int(certain_pass.sum())
-        scan.tally.checked += n_pass
-        scan.tally.passes += n_pass
-
-        fail_records = []
-        fail_idx = np.flatnonzero(certain_fail)
-        if fail_idx.size:
-            scan.tally.checked += fail_idx.size
-            scan.tally.failures += fail_idx.size
-            # retained counterexamples are recomputed exactly so that the
-            # recorded enclosures do not depend on segmentation or rebasing
-            for k in fail_idx[-COUNTEREXAMPLE_CAP:]:
-                i = int(idx[int(k)])
-                base, succ = int(p[i]), int(p[i + 1])
-                if spec.kind is BoundKind.GAP:
-                    verdict, lhs, rhs = _pair_verdict(
-                        spec, lambda prec, s=succ: Enclosure.from_value(s), base
-                    )
-                else:
-                    q_fn = data.quantity_fn(plan.lane, i)
-                    eval_x = succ if plan.eval_at_succ else base
-                    verdict, lhs, rhs = _pair_verdict(spec, q_fn, eval_x)
-                assert verdict is Verdict.Fail, "fast-lane margin model violated"
-                fail_records.append((base, lhs, rhs))
-            i_last = int(idx[int(fail_idx[-1])])
-            scan.seg_fail = (i_last, int(p[i_last + 1]))
-
-        for k in np.flatnonzero(unsure):
-            k = int(k)
-            i = int(idx[k])
-            base, succ = int(p[i]), int(p[i + 1])
-            if spec.kind is BoundKind.GAP:
-                verdict, lhs, rhs = _pair_verdict(
-                    spec, lambda prec, s=succ: Enclosure.from_value(s), base
-                )
-            else:
-                q_fn = data.quantity_fn(plan.lane, i)
-                eval_x = succ if plan.eval_at_succ else base
-                verdict, lhs, rhs = _pair_verdict(spec, q_fn, eval_x)
-            scan.tally.add(verdict)
-            if verdict is Verdict.Fail:
-                fail_records.append((base, lhs, rhs))
-                if scan.seg_fail is None or scan.seg_fail[0] < i:
-                    scan.seg_fail = (i, succ)
-
-        if fail_records:
-            fail_records.sort(key=lambda r: r[0])
-            for base, lhs, rhs in fail_records[-COUNTEREXAMPLE_CAP:]:
-                scan.cx.append(Counterexample(base, lhs, rhs))
+    # --- float fast lane, then the exact work it leaves -------------------
+    for (scan, _), (fail_idx, unsure_idx) in zip(fast, _triage(fast, data, cut)):
+        _settle(scan, data, fail_idx, unsure_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +17,7 @@ from primebounds.bounds import BoundKind, Verdict, eval_bound, lookup, registry_
 from primebounds.enclosure import DEFAULT_PREC, Enclosure
 from primebounds.errors import (
     CapacityError,
+    FastLaneMismatchError,
     InvalidRangeError,
     MismatchedStateError,
     NoCertificateError,
@@ -483,6 +488,94 @@ def test_composite_shard_start_adds_leading_window_check():
     whole = verify_gap_bound(spec, 2, 10**4)
     a, b = verify_gap_bound(spec, 2, 10**3), verify_gap_bound(spec, 10**3 + 1, 10**4)
     assert merge_reports(a, b).checked == whole.checked + 1
+
+
+def test_tiling_and_segmentation_do_not_change_results():
+    # one 2**20-odd segment holds all 148,933 prime cells of [2, 2e6], so
+    # the fast lane splits it into three tiles; 2**12-odd segments hold a
+    # few hundred cells each.  The claims cover every desk kind, and the
+    # certificate-free stretch of most of them ends one cell into a tile.
+    ids = [
+        "cor3.3.c.upper",
+        "prop3.10.lower",
+        "thm2.4.upper",
+        "prop3.6.upper",
+        "prop5.1.lower",
+        "prop5.4.upper",
+        "prop6.1.lower",
+        "thm4.1.gap3",
+    ]
+    specs = [lookup(i) for i in ids]
+    assert any(verify._make_plan(s, 2, 2 * 10**6).pair_start > 2 for s in specs)
+    wide = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**20)
+    narrow = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**12)
+    assert wide[0].report.checked > 2 * verify._CHUNK
+    for a, b in zip(wide, narrow):
+        assert reports_equivalent(a.report, b.report), a.report.bound_id
+        assert a.crossing == b.crossing
+    # failures past the counterexample cap, and crossings, are compared
+    assert sum(c.report.failures > COUNTEREXAMPLE_CAP for c in wide) >= 3
+    assert sum(c.crossing is not None for c in wide) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the fast lane's cross-check
+# ---------------------------------------------------------------------------
+
+# Makes the float lane fail the last cell of every tile by a wide margin;
+# thm4.1.gap4 holds there, so the exact recheck must contradict it.
+_SHIFT_SCRIPT = """
+import sys
+from primebounds import verify
+from primebounds.bounds import lookup
+from primebounds.errors import FastLaneMismatchError
+
+real = verify._bound_float
+
+def shifted(spec, x, L, pw):
+    vals, suspect = real(spec, x, L, pw)
+    vals = vals.copy()
+    vals[-1] = -1.0
+    return vals, suspect
+
+verify._bound_float = shifted
+try:
+    verify.scan_claims([lookup("thm4.1.gap4")], 2, 10**4)
+except FastLaneMismatchError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch):
+    real = verify._bound_float
+
+    def shifted(spec, x, L, pw):
+        vals, suspect = real(spec, x, L, pw)
+        vals = vals.copy()
+        vals[-1] = -1.0
+        return vals, suspect
+
+    spec = lookup("thm4.1.gap4")
+    assert verify_gap_bound(spec, 2, 10**4).failures == 0
+    monkeypatch.setattr(verify, "_bound_float", shifted)
+    with pytest.raises(FastLaneMismatchError, match="thm4.1.gap4"):
+        verify_gap_bound(spec, 2, 10**4)
+
+
+def test_fast_lane_cross_check_survives_optimisation():
+    # python -O strips assert statements; the cross-check must still raise
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHIFT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "thm4.1.gap4" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
