@@ -34,15 +34,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import analytic
-from .enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure, eexp, ivctx, lift
+from .enclosure import DEFAULT_PREC, Enclosure, ivctx, lift
 from .errors import (
     DenominatorNonpositiveError,
     InvalidRangeError,
-    MismatchedStateError,
     UnknownBoundError,
     UnsupportedKindError,
 )
-from .sieve import AccumulatorState
 
 
 class BoundKind(enum.Enum):
@@ -407,54 +405,6 @@ def eval_bound(spec: BoundSpec, x, prec: int = DEFAULT_PREC) -> Enclosure:
         return Enclosure.from_iv(xv * (1 + lift(ctx, cc) / L**j))
 
     raise UnsupportedKindError("cannot evaluate kind %s" % kind)
-
-
-def exact_side(spec: BoundSpec, state: AccumulatorState, prec: int = DEFAULT_PREC) -> Enclosure:
-    """The exact-quantity enclosure the bound compares against."""
-    kind = spec.kind
-    if kind in (BoundKind.THETA_ENVELOPE, BoundKind.THETA_ENVELOPE_EXP, BoundKind.THETA_SQRT):
-        return state.theta
-    if kind in (BoundKind.PI_LI_SQRT, BoundKind.PI_RATIONAL, BoundKind.PI_LOGPOW):
-        return Enclosure.from_value(state.pi)
-    if kind is BoundKind.SUM_RECIP:
-        return state.sum_recip
-    if kind is BoundKind.SUM_LOGP:
-        return state.sum_logp
-    if kind is BoundKind.PRODUCT_MERTENS:
-        return eexp(state.sum_log1m, prec)
-    raise UnsupportedKindError("kind %s has no pointwise exact side" % kind)
-
-
-def compare_bound(spec: BoundSpec, x: int, exact: AccumulatorState) -> Verdict:
-    """Verdict of the bound at one point against exact accumulator data.
-
-    Pass requires the exact side's enclosure to sit strictly on the claimed
-    side of the bound enclosure; overlapping enclosures yield Indeterminate
-    (after one retry at doubled working precision). A rational bound whose
-    denominator is not positive fails as an upper bound and holds trivially
-    as a lower bound.
-    """
-    if exact.x != x:
-        raise MismatchedStateError("state is at %d, not %d" % (exact.x, x))
-    if spec.kind is BoundKind.GAP:
-        raise UnsupportedKindError("gap bounds are verified over ranges, not points")
-    for prec in (DEFAULT_PREC, RETRY_PREC):
-        lhs = exact_side(spec, exact, prec)
-        try:
-            rhs = eval_bound(spec, x, prec)
-        except DenominatorNonpositiveError:
-            return Verdict.Fail if spec.direction == "upper" else Verdict.Pass
-        if spec.direction == "upper":
-            if lhs.certainly_lt(rhs):
-                return Verdict.Pass
-            if lhs.certainly_gt(rhs):
-                return Verdict.Fail
-        else:
-            if lhs.certainly_gt(rhs):
-                return Verdict.Pass
-            if lhs.certainly_lt(rhs):
-                return Verdict.Fail
-    return Verdict.Indeterminate
 
 
 def promote(spec: BoundSpec) -> BoundSpec:

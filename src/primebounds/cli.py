@@ -303,13 +303,14 @@ def _cmd_crossing(config: RunConfig) -> int:
     gate = _gate_extended(config)
     if gate is not None:
         return gate
-    result = verify.find_crossing(
-        lookup(config.bound_ids[0]),
-        config.range_hi,
+    (claim,) = verify.scan_claims(
+        [lookup(config.bound_ids[0])],
         config.range_lo if config.range_lo is not None else 2,
+        config.range_hi,
         segment_odds=config.segment_odds,
         jobs=config.jobs,
     )
+    result = claim.crossing
     if result is None:
         doc = {"bound_id": config.bound_ids[0], "crossing": None}
     else:

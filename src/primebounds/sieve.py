@@ -181,22 +181,6 @@ def next_prime(x: int) -> int:
         lo, window = hi + 1, window * 4
 
 
-def prev_prime(x: int) -> int:
-    """Largest prime < x."""
-    if x <= 2:
-        raise InvalidRangeError("no prime below 2")
-    window = 128
-    hi = x - 1
-    while True:
-        lo = max(2, hi - window + 1)
-        arr = primes_in_range(lo, hi)
-        if arr.size:
-            return int(arr[-1])
-        if lo == 2:
-            raise InvalidRangeError("no prime below %d" % x)
-        hi, window = lo - 1, window * 4
-
-
 @dataclass(frozen=True)
 class AccumulatorState:
     """Exact prime-sum state after consuming all primes in [2, x].

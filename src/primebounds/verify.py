@@ -13,6 +13,17 @@ monotone there:
 * gap claims: p_n * (1 + c/log^j p_n) > p_{n+1} certifies a prime inside
   the stated window for every real x in the cell.
 
+Every exact verdict comes from one rule, _decide, applied to the quantity
+enclosure q and the bound enclosure b (for gap claims, the successor prime
+and the window endpoint).  A lower bound passes on q > b and fails on
+q <= b; an upper bound passes on b > q and fails on b <= q; a relation
+counts only when it holds for every point of both enclosures, and anything
+else is Indeterminate.  So a bound that touches the quantity fails.  Gap
+claims pass on b > q and fail on b < q; the non-strict form b >= q, in which
+a window ending exactly on the successor prime passes, is used by the
+interval cells, by the leading cell [range_lo, first prime) of a composite
+range_lo, and by the bisection that resolves a gap claim's crossing.
+
 Monotonicity is not assumed: each bound must carry a positivity certificate
 for its derivative numerator (see proofkit.shape_on_ray) from the scan start.
 Where the certificate only holds from some x* > lo -- upper bounds dip before
@@ -20,7 +31,8 @@ their stationary point -- the stretch [lo, x*) is covered by interval-cell
 evaluation: the bound is evaluated over the whole cell as one enclosure and
 compared against the cell's constant quantity, with bisection refinement.
 That strategy needs no shape information at all, so it also serves kinds
-whose derivative does not reduce to a polynomial, up to a span cap.
+whose derivative does not reduce to a polynomial, up to a span cap.  One
+routine, _check_cell, picks between the two for every exactly checked cell.
 
 Most cells are decided in a float64 fast lane: per-segment running totals
 are rebased on the accumulator's exact dyadic sums every 2**16 primes, so
@@ -34,9 +46,10 @@ any cell whose margin is smaller than the recheck margin is re-decided with
 outward-rounded enclosures at 106 bits, retried once at 212 bits, and counted
 Indeterminate if still undecided; the 64 highest certain fails are
 recomputed the same way, and an exact verdict other than Fail there raises
-FastLaneMismatchError.  Fail verdicts follow the conservative rule
-lhs.hi <= rhs.lo; counterexamples record the compared enclosures, capped at
-the 64 largest x.
+FastLaneMismatchError.  Counterexamples record the compared enclosures,
+capped at the 64 largest x.
+
+scan_claims is the one public scan entry point.
 """
 
 from __future__ import annotations
@@ -86,16 +99,12 @@ __all__ = [
     "CrossingResult",
     "VerificationReport",
     "exit_code_for",
-    "find_crossing",
     "merge_reports",
     "promote_verified",
     "report_from_json",
     "report_to_json",
     "reports_equivalent",
     "scan_claims",
-    "verify_gap_bound",
-    "verify_monotone_bound",
-    "verify_running_sums",
 ]
 
 TOOL_VERSION = "primebounds " + __version__
@@ -120,10 +129,6 @@ _MARGIN = {
     "log1m": 1e-10,
     "gap": 1e-3,
 }
-
-_THETA_KINDS = (BoundKind.THETA_ENVELOPE, BoundKind.THETA_ENVELOPE_EXP, BoundKind.THETA_SQRT)
-_PI_KINDS = (BoundKind.PI_LI_SQRT, BoundKind.PI_RATIONAL, BoundKind.PI_LOGPOW)
-_SUM_KINDS = (BoundKind.SUM_RECIP, BoundKind.SUM_LOGP, BoundKind.PRODUCT_MERTENS)
 
 _LANE_OF_KIND = {
     BoundKind.THETA_ENVELOPE: "theta",
@@ -514,15 +519,6 @@ class _ExactPrefix:
         return self._v, self._b
 
 
-def _lane_quantity_fn(lane: str, v: int, b: int) -> Callable[[int], Enclosure]:
-    """Quantity enclosure factory from exact dyadic lane totals."""
-    if lane == "log1m":
-        inner = _dyadic_enclosure(v, b, negate=True)
-        return lambda prec: eexp(inner, prec)
-    enc = _dyadic_enclosure(v, b)
-    return lambda prec: enc
-
-
 def _state_quantity(lane: str, state: AccumulatorState, prec: int) -> Enclosure:
     if lane == "pi":
         return Enclosure.from_value(state.pi)
@@ -536,12 +532,29 @@ def _state_quantity(lane: str, state: AccumulatorState, prec: int) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
-# exact cell and pair verdicts
+# the comparison rule, and pair and interval-cell verdicts
 # ---------------------------------------------------------------------------
 
 
-def _top() -> Enclosure:
-    return Enclosure.top()
+def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure, strict: bool = True) -> Verdict:
+    """The one comparison rule: exact quantity lhs against bound enclosure rhs.
+
+    Lower bounds pass on lhs > rhs and fail on lhs <= rhs; upper bounds pass
+    on rhs > lhs and fail on rhs <= lhs.  For gap claims lhs is the successor
+    prime and rhs the window endpoint: they pass on rhs > lhs (rhs >= lhs when
+    strict is False) and fail on rhs < lhs.  A relation holds only when it
+    holds for every point of both enclosures; otherwise Indeterminate.
+    """
+    if spec.kind is BoundKind.GAP:
+        passed = rhs.certainly_gt(lhs) if strict else rhs.certainly_ge(lhs)
+        failed = rhs.certainly_lt(lhs)
+    elif spec.direction == "lower":
+        passed, failed = lhs.certainly_gt(rhs), lhs.certainly_le(rhs)
+    else:
+        passed, failed = rhs.certainly_gt(lhs), rhs.certainly_le(lhs)
+    if passed:
+        return Verdict.Pass
+    return Verdict.Fail if failed else Verdict.Indeterminate
 
 
 def _pair_verdict(
@@ -553,37 +566,21 @@ def _pair_verdict(
     """Enclosure verdict of one pair check.
 
     lhs_fn(prec) gives the exact-quantity enclosure; the bound is evaluated
-    at eval_x.  For gap claims lhs is the successor prime and the pass test
-    is rhs > lhs (>= when strict is False, the boundary-window form).
-    Returns (verdict, lhs, rhs).
+    at eval_x, at 106 bits and once more at 212 when undecided.  A
+    nonpositive rational denominator holds trivially for lower bounds and
+    fails upper bounds.  Returns (verdict, lhs, rhs).
     """
-    lower = spec.direction == "lower"
-    gap = spec.kind is BoundKind.GAP
-    lhs = rhs = None
     for prec in (DEFAULT_PREC, RETRY_PREC):
         lhs = lhs_fn(prec)
         try:
             rhs = eval_bound(spec, eval_x, prec)
         except DenominatorNonpositiveError:
-            if lower:
-                return Verdict.Pass, lhs, _top()
-            return Verdict.Fail, lhs, _top()
-        if gap:
-            if (rhs.certainly_gt(lhs) if strict else rhs.certainly_ge(lhs)):
-                return Verdict.Pass, lhs, rhs
-            if rhs.certainly_lt(lhs):
-                return Verdict.Fail, lhs, rhs
-        elif lower:
-            if lhs.certainly_gt(rhs):
-                return Verdict.Pass, lhs, rhs
-            if lhs.certainly_le(rhs):
-                return Verdict.Fail, lhs, rhs
-        else:
-            if rhs.certainly_gt(lhs):
-                return Verdict.Pass, lhs, rhs
-            if rhs.certainly_le(lhs):
-                return Verdict.Fail, lhs, rhs
-    return Verdict.Indeterminate, lhs, rhs
+            verdict = Verdict.Pass if spec.direction == "lower" else Verdict.Fail
+            return verdict, lhs, Enclosure.top()
+        verdict = _decide(spec, lhs, rhs, strict)
+        if verdict is not Verdict.Indeterminate:
+            break
+    return verdict, lhs, rhs
 
 
 def _point_denominator_bad(spec: BoundSpec, x) -> bool:
@@ -626,14 +623,13 @@ def _cell_verdict(
     The quantity is constant on the cell, so the bound is evaluated over
     integer subintervals as interval enclosures and compared against it,
     bisecting undecided subcells.  Needs no monotonicity information.
-    Gap claims compare against the successor prime (q_fn is ignored).
-    Returns (verdict, lhs, rhs).
+    Gap claims compare against the successor prime (q_fn is ignored), and
+    a window that ends exactly on it passes.  Returns (verdict, lhs, rhs).
     """
     lower = spec.direction == "lower"
-    gap = spec.kind is BoundKind.GAP
     q = last_rhs = None
     for prec in (DEFAULT_PREC, RETRY_PREC):
-        q = Enclosure.from_value(succ) if gap else q_fn(prec)
+        q = Enclosure.from_value(succ) if spec.kind is BoundKind.GAP else q_fn(prec)
         stack = [(base, succ)]
         budget = _CELL_EVAL_BUDGET
         undecided = False
@@ -652,35 +648,16 @@ def _cell_verdict(
                 if _point_denominator_bad(spec, a) or (
                     b < succ and _point_denominator_bad(spec, b)
                 ):
-                    failed = _top()
+                    failed = Enclosure.top()
                     break
-                halves = _split_subcell(a, b)
-                if halves is None:
-                    undecided = True
-                    last_rhs = _top()
-                    continue
-                stack.append(halves[1])
-                stack.append(halves[0])
-                continue
+                rhs = Enclosure.top()  # undecided: refine the subcell
             last_rhs = rhs
-            if gap:
-                if rhs.certainly_ge(q):
-                    continue
-                if rhs.certainly_lt(q):
-                    failed = rhs
-                    break
-            elif lower:
-                if rhs.certainly_lt(q):
-                    continue
-                if rhs.certainly_ge(q):
-                    failed = rhs
-                    break
-            else:
-                if rhs.certainly_gt(q):
-                    continue
-                if rhs.certainly_le(q):
-                    failed = rhs
-                    break
+            verdict = _decide(spec, q, rhs, strict=False)
+            if verdict is Verdict.Fail:
+                failed = rhs
+                break
+            if verdict is Verdict.Pass:
+                continue
             halves = _split_subcell(a, b)
             if halves is None:
                 undecided = True
@@ -877,12 +854,19 @@ class _SegmentData:
             self._prefixes[lane] = pre
         return pre
 
-    def quantity_fn(self, lane: str, idx: int) -> Callable[[int], Enclosure]:
+    def quantity_fn(self, lane: str, idx: int) -> Optional[Callable[[int], Enclosure]]:
+        """Exact lane quantity through prime idx, by precision (None for gaps)."""
+        if lane == "gap":
+            return None
         if lane == "pi":
-            value = self.before.pi + idx + 1
-            return lambda prec: Enclosure.from_value(value)
+            enc = Enclosure.from_value(self.before.pi + idx + 1)
+            return lambda prec: enc
         v, b = self.prefix(lane).at(idx)
-        return _lane_quantity_fn(lane, v, b)
+        if lane == "log1m":
+            inner = _dyadic_enclosure(v, b, negate=True)
+            return lambda prec: eexp(inner, prec)
+        enc = _dyadic_enclosure(v, b)
+        return lambda prec: enc
 
 
 def _iter_segment_primes(lo, hi, state, segment_odds, jobs, need_state):
@@ -926,8 +910,10 @@ def _scan(
             state = after
 
     scans = [_SpecScan(p) for p in plans]
-    pending: Optional[tuple[int, Optional[AccumulatorState]]] = None
-    saw_prime = False
+    # the cell left open at a segment edge: its base, the exact state through
+    # it, and the strictness of its gap check.  It starts as the partial cell
+    # [range_lo, first prime), checked only when range_lo is composite.
+    edge = (range_lo, state, False)
 
     for before, primes, after in _iter_segment_primes(
         range_lo, range_hi, state, segment_odds, jobs, need_state
@@ -936,85 +922,54 @@ def _scan(
             continue
         data = _SegmentData(before, primes)
         first = int(primes[0])
-
-        if pending is not None:
-            _resolve_pending(scans, pending, first)
-            pending = None
-        elif not saw_prime:
-            _leading_window(scans, range_lo, first, state)
-        saw_prime = True
-
-        _scan_segment(scans, data, range_hi)
-
+        if first > edge[0]:
+            _check_edge(scans, edge, first)
+        _scan_segment(scans, data)
         for scan in scans:
             _compact_capsule(scan, data)
+        edge = (int(primes[-1]), after, True)
 
-        pending = (int(primes[-1]), after)
-
-    if pending is not None:
-        _resolve_pending(scans, pending, sieve.next_prime(range_hi))
-    elif not saw_prime:
-        _leading_window(scans, range_lo, sieve.next_prime(range_hi), state)
-
+    _check_edge(scans, edge, sieve.next_prime(range_hi))
     return scans
 
 
-def _leading_window(
-    scans: list[_SpecScan],
-    range_lo: int,
-    first_prime: int,
-    state: Optional[AccumulatorState],
+def _check_cell(
+    plan: _Plan,
+    base: int,
+    succ: int,
+    q_fn: Optional[Callable[[int], Enclosure]],
+    strict: bool = True,
 ):
-    """Settle the partial cell [range_lo, first prime) when range_lo is composite.
+    """Exact verdict of the claim on the cell [base, succ): (verdict, lhs, rhs).
 
-    Quantities are constant there (state holds their exact totals through
-    range_lo - 1), so one check covers the stretch: gap claims test that the
-    window of range_lo itself reaches the first prime (non-strict), the rest
-    run the usual pair or interval-cell comparison with x = range_lo.
+    Below plan.pair_start the bound's shape is not certified, so the cell is
+    evaluated as an interval; from there on one pair check covers it.  q_fn
+    gives the cell's constant quantity (None for gap claims, which compare
+    the window of base with succ; strict=False lets a window end on succ).
     """
-    if first_prime == range_lo:
-        return
-    for scan in scans:
-        plan = scan.plan
-        spec = plan.spec
-        gap = spec.kind is BoundKind.GAP
-        if gap:
-            q_fn = None
-        else:
-            q_fn = lambda prec, s=state, l=plan.lane: _state_quantity(l, s, prec)
-        if plan.pair_start is None or range_lo < plan.pair_start:
-            verdict, lhs, rhs = _cell_verdict(spec, q_fn, range_lo, first_prime)
-        elif gap:
-            verdict, lhs, rhs = _pair_verdict(
-                spec, lambda prec, s=first_prime: Enclosure.from_value(s), range_lo, strict=False
-            )
-        else:
-            eval_x = first_prime if plan.eval_at_succ else range_lo
-            verdict, lhs, rhs = _pair_verdict(spec, q_fn, eval_x)
-        scan.record(verdict, range_lo, lhs, rhs, _Capsule(range_lo, first_prime, q_fn))
+    spec = plan.spec
+    if plan.pair_start is None or base < plan.pair_start:
+        return _cell_verdict(spec, q_fn, base, succ)
+    if spec.kind is BoundKind.GAP:
+        return _pair_verdict(spec, lambda prec: Enclosure.from_value(succ), base, strict)
+    return _pair_verdict(spec, q_fn, succ if plan.eval_at_succ else base)
 
 
-def _resolve_pending(scans: list[_SpecScan], pending, succ: int):
-    base, after = pending
+def _check_edge(scans: list[_SpecScan], edge, succ: int):
+    """Check the cell that no segment holds whole, for every claim.
+
+    edge is (base, state, strict): the cell [base, succ) straddles a
+    segment boundary or range_hi, or is the leading stretch [range_lo,
+    first prime) of a composite range_lo.  The quantities are constant
+    there and state holds their exact totals.  Only the leading stretch is
+    non-strict: the gap window of range_lo itself must reach the first prime.
+    """
+    base, state, strict = edge
     for scan in scans:
-        plan = scan.plan
-        spec = plan.spec
-        gap = spec.kind is BoundKind.GAP
-        if gap:
-            q_fn = None
-        else:
-            q_fn = lambda prec, s=after, l=plan.lane: _state_quantity(l, s, prec)
-        capsule = _Capsule(base, succ, q_fn)
-        if plan.pair_start is None or base < plan.pair_start:
-            verdict, lhs, rhs = _cell_verdict(spec, q_fn, base, succ)
-        elif gap:
-            verdict, lhs, rhs = _pair_verdict(
-                spec, lambda prec, s=succ: Enclosure.from_value(s), base
-            )
-        else:
-            eval_x = succ if plan.eval_at_succ else base
-            verdict, lhs, rhs = _pair_verdict(spec, q_fn, eval_x)
-        scan.record(verdict, base, lhs, rhs, capsule)
+        lane = scan.plan.lane
+        q_fn = None if lane == "gap" else functools.partial(_state_quantity, lane, state)
+        verdict, lhs, rhs = _check_cell(scan.plan, base, succ, q_fn, strict)
+        scan.record(verdict, base, lhs, rhs, _Capsule(base, succ, q_fn))
 
 
 def _compact_capsule(scan: _SpecScan, data: _SegmentData):
@@ -1023,31 +978,14 @@ def _compact_capsule(scan: _SpecScan, data: _SegmentData):
         return
     idx, succ = scan.seg_fail
     scan.seg_fail = None
-    base = int(data.p[idx])
-    if scan.plan.spec.kind is BoundKind.GAP:
-        scan.capsule = _Capsule(base, succ, None)
-    elif scan.plan.lane == "pi":
-        value = data.before.pi + idx + 1
-        scan.capsule = _Capsule(base, succ, lambda prec, v=value: Enclosure.from_value(v))
-    else:
-        v, b = data.prefix(scan.plan.lane).at(idx)
-        scan.capsule = _Capsule(base, succ, _lane_quantity_fn(scan.plan.lane, v, b))
+    q_fn = data.quantity_fn(scan.plan.lane, idx)
+    scan.capsule = _Capsule(int(data.p[idx]), succ, q_fn)
 
 
-def _exact_pair(plan: _Plan, data: _SegmentData, i: int):
-    """Enclosure verdict of the pair check on cell [p[i], p[i + 1]).
-
-    Returns (verdict, base, succ, lhs, rhs).
-    """
-    spec = plan.spec
+def _exact_cell(plan: _Plan, data: _SegmentData, i: int):
+    """Exact verdict on cell [p[i], p[i + 1]): (verdict, base, succ, lhs, rhs)."""
     base, succ = int(data.p[i]), int(data.p[i + 1])
-    if spec.kind is BoundKind.GAP:
-        verdict, lhs, rhs = _pair_verdict(
-            spec, lambda prec: Enclosure.from_value(succ), base
-        )
-    else:
-        eval_x = succ if plan.eval_at_succ else base
-        verdict, lhs, rhs = _pair_verdict(spec, data.quantity_fn(plan.lane, i), eval_x)
+    verdict, lhs, rhs = _check_cell(plan, base, succ, data.quantity_fn(plan.lane, i))
     return verdict, base, succ, lhs, rhs
 
 
@@ -1106,7 +1044,7 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
         # retained counterexamples are recomputed exactly so that the
         # recorded enclosures do not depend on segmentation or rebasing
         for i in fail_idx[-COUNTEREXAMPLE_CAP:]:
-            verdict, base, _succ, lhs, rhs = _exact_pair(plan, data, int(i))
+            verdict, base, _succ, lhs, rhs = _exact_cell(plan, data, int(i))
             if verdict is not Verdict.Fail:
                 raise FastLaneMismatchError(
                     "%s: the float lane failed x = %d beyond its margin, but the "
@@ -1118,7 +1056,7 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
 
     for i in unsure_idx:
         i = int(i)
-        verdict, base, succ, lhs, rhs = _exact_pair(plan, data, i)
+        verdict, base, succ, lhs, rhs = _exact_cell(plan, data, i)
         scan.tally.add(verdict)
         if verdict is Verdict.Fail:
             fail_records.append((base, lhs, rhs))
@@ -1131,46 +1069,29 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
             scan.cx.append(Counterexample(base, lhs, rhs))
 
 
-def _scan_segment(scans, data: _SegmentData, range_hi: int):
+def _scan_segment(scans, data: _SegmentData):
     p = data.p
-    m = p.size
-    if m < 2:
+    # cells fully inside the segment: bases p[0..m-2], successors p[1..m-1];
+    # the final prime's cell stays open for the caller.
+    cut = p.size - 1
+    if cut < 1:
         return
-    # pairs fully inside the segment: bases p[0..m-2], successors p[1..m-1];
-    # the final prime is carried as pending by the caller.
-    cut = m - 1
     fast = []
     for scan in scans:
         plan = scan.plan
-        spec = plan.spec
-        start = plan.pair_start
-
-        # --- interval-cell stretch (no certificate below pair_start) ------
-        cell_cut = 0
-        if start is None:
-            cell_cut = cut
-        elif int(p[0]) < start:
-            cell_cut = int(np.searchsorted(p[:cut], start, side="left"))
-        for i in range(cell_cut):
-            base, succ = int(p[i]), int(p[i + 1])
-            q_fn = None if spec.kind is BoundKind.GAP else data.quantity_fn(plan.lane, i)
-            verdict, lhs, rhs = _cell_verdict(spec, q_fn, base, succ)
+        # exact cells: the certificate-free stretch below pair_start, or all
+        # of them for kinds without a vector lane
+        if plan.exact_pairs or plan.pair_start is None:
+            exact_cut = cut
+        else:
+            exact_cut = int(np.searchsorted(p[:cut], plan.pair_start, side="left"))
+        for i in range(exact_cut):
+            verdict, base, succ, lhs, rhs = _exact_cell(plan, data, i)
             if verdict is Verdict.Fail:
                 scan.seg_fail = (i, succ)
             scan.record(verdict, base, lhs, rhs, None)
-        if cell_cut >= cut:
-            continue
-
-        # --- exact-pair path for kinds without a vector lane ---------------
-        if plan.exact_pairs:
-            for i in range(cell_cut, cut):
-                verdict, base, succ, lhs, rhs = _exact_pair(plan, data, i)
-                if verdict is Verdict.Fail:
-                    scan.seg_fail = (i, succ)
-                scan.record(verdict, base, lhs, rhs, None)
-            continue
-
-        fast.append((scan, cell_cut))
+        if exact_cut < cut:
+            fast.append((scan, exact_cut))
 
     # --- float fast lane, then the exact work it leaves -------------------
     for (scan, _), (fail_idx, unsure_idx) in zip(fast, _triage(fast, data, cut)):
@@ -1298,101 +1219,6 @@ def scan_claims(
     return tuple(out)
 
 
-def _require_kinds(spec: BoundSpec, kinds, op: str):
-    if spec.kind not in kinds:
-        raise UnsupportedKindError("%s does not handle kind %s" % (op, spec.kind))
-
-
-def verify_monotone_bound(
-    spec: BoundSpec,
-    range_lo: int,
-    range_hi: int,
-    *,
-    state: Optional[AccumulatorState] = None,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
-    checkpoint_ref: Optional[str] = None,
-) -> VerificationReport:
-    """Pair-check a theta or pi bound over every prime cell in the range.
-
-    Requires a shape certificate from range_lo (or bridges the uncovered
-    stretch with interval-cell evaluation); raises NoCertificateError when
-    neither is possible and CapacityError past the sieve's 2**53 capacity.
-    """
-    _require_kinds(spec, _THETA_KINDS + _PI_KINDS, "verify_monotone_bound")
-    (claim,) = scan_claims(
-        [spec],
-        range_lo,
-        range_hi,
-        state=state,
-        segment_odds=segment_odds,
-        jobs=jobs,
-        checkpoint_ref=checkpoint_ref,
-        resolve_crossings=False,
-    )
-    return claim.report
-
-
-def verify_gap_bound(
-    spec: BoundSpec,
-    range_lo: int,
-    range_hi: int,
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
-    checkpoint_ref: Optional[str] = None,
-) -> VerificationReport:
-    """Check a prime-gap window claim for every prime in the range.
-
-    When range_lo is composite the leading stretch [range_lo, next prime) is
-    settled by one boundary-window check: the window of range_lo itself must
-    already reach the next prime.
-    """
-    _require_kinds(spec, (BoundKind.GAP,), "verify_gap_bound")
-    (claim,) = scan_claims(
-        [spec],
-        range_lo,
-        range_hi,
-        segment_odds=segment_odds,
-        jobs=jobs,
-        checkpoint_ref=checkpoint_ref,
-        resolve_crossings=False,
-    )
-    return claim.report
-
-
-def verify_running_sums(
-    specs: Sequence[BoundSpec],
-    range_lo: int,
-    range_hi: int,
-    *,
-    state: Optional[AccumulatorState] = None,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
-    checkpoint_ref: Optional[str] = None,
-) -> tuple[VerificationReport, ...]:
-    """Check running-sum and Mertens-product bounds in one shared pass.
-
-    Increasing sums test lower bounds at the successor prime and upper
-    bounds at the base; the decreasing product swaps the two roles.  Product
-    comparisons happen on the linear scale through exp of the accumulated
-    log-sum enclosure.
-    """
-    for spec in specs:
-        _require_kinds(spec, _SUM_KINDS, "verify_running_sums")
-    claims = scan_claims(
-        specs,
-        range_lo,
-        range_hi,
-        state=state,
-        segment_odds=segment_odds,
-        jobs=jobs,
-        checkpoint_ref=checkpoint_ref,
-        resolve_crossings=False,
-    )
-    return tuple(c.report for c in claims)
-
-
 def promote_verified(spec: BoundSpec, report: VerificationReport) -> BoundSpec:
     """Stamp a spec verified_here on the strength of a clean report.
 
@@ -1410,30 +1236,3 @@ def promote_verified(spec: BoundSpec, report: VerificationReport) -> BoundSpec:
             % (spec.id, report.failures, report.indeterminates)
         )
     return bounds_promote(spec)
-
-
-def find_crossing(
-    spec: BoundSpec,
-    search_hi: int,
-    search_lo: int = 2,
-    *,
-    state: Optional[AccumulatorState] = None,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
-) -> Optional[CrossingResult]:
-    """Largest x in [search_lo, search_hi] at which the claim fails, or None.
-
-    The scan walks every prime cell in the window, so a claim that holds on
-    the whole window returns None; otherwise the result carries the highest
-    failing cell and the integer threshold it implies.
-    """
-    (claim,) = scan_claims(
-        [spec],
-        search_lo,
-        search_hi,
-        state=state,
-        segment_odds=segment_odds,
-        jobs=jobs,
-        resolve_crossings=True,
-    )
-    return claim.crossing

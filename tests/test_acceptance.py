@@ -28,6 +28,13 @@ from primebounds.bounds import (
 )
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, elog
 
+
+def _scan_one(spec, lo, hi, **kw):
+    """The report of one claim scanned alone over [lo, hi]."""
+    (claim,) = verify.scan_claims([spec], lo, hi, resolve_crossings=False, **kw)
+    return claim.report
+
+
 # -- independent oracle -------------------------------------------------------
 # A plain boolean Eratosthenes sieve, deliberately sharing no code with the
 # package's segmented accumulator: one array, one pass, direct counting.
@@ -95,7 +102,7 @@ def window_report():
     # hi is the prime of index 841,508,302, so the window start sits
     # 'in_window' primes below that count
     state = sieve.AccumulatorState.anchored_at(lo - 1, 841_508_302 - in_window)
-    report = verify.verify_monotone_bound(lookup("thm3.8.lower"), lo, hi, state=state)
+    report = _scan_one(lookup("thm3.8.lower"), lo, hi, state=state)
     return report, in_window, time.monotonic() - t0
 
 
@@ -129,10 +136,10 @@ def test_criterion_03_threshold_reproduction(desk_scan):
         assert claim.report.range_hi == DESK_LIMIT
         assert claim.report.indeterminates == 0, bound_id
     # the range the published derivation checked, replayed exactly
-    replay = verify.verify_monotone_bound(lookup("prop2.5.lower"), 70_111, 89_967_803)
+    replay = _scan_one(lookup("prop2.5.lower"), 70_111, 89_967_803)
     assert replay.failures == 0 and replay.indeterminates == 0
     # boundary behavior of the gap bound on the prime-free stretch
-    boundary = verify.verify_gap_bound(lookup("thm4.1.gap3"), 6_034_256, 6_034_392)
+    boundary = _scan_one(lookup("thm4.1.gap3"), 6_034_256, 6_034_392)
     assert boundary.checked == 1
     assert boundary.failures == 0 and boundary.indeterminates == 0
     assert elapsed <= 1800.0
@@ -234,11 +241,11 @@ def test_criterion_11_property_suites(big_run, desk_scan, window_report):
 
     # shard-merge invariance: prime-aligned shards reassemble exactly
     spec = lookup("thm3.2.upper")
-    whole = verify.verify_monotone_bound(spec, 2, 10_000)
+    whole = _scan_one(spec, 2, 10_000)
     cut = sieve.next_prime(5_000)
     merged = verify.merge_reports(
-        verify.verify_monotone_bound(spec, 2, cut - 1),
-        verify.verify_monotone_bound(spec, cut, 10_000),
+        _scan_one(spec, 2, cut - 1),
+        _scan_one(spec, cut, 10_000),
     )
     assert verify.reports_equivalent(merged, whole)
 

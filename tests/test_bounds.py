@@ -6,15 +6,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from primebounds import analytic, bounds, sieve
+from primebounds import analytic, bounds, sieve, verify
 from primebounds.bounds import BoundKind, BoundSpec, Verdict
-from primebounds.enclosure import Enclosure, eexp
+from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
 from primebounds.errors import (
     DenominatorNonpositiveError,
     InvalidRangeError,
-    MismatchedStateError,
     UnknownBoundError,
-    UnsupportedKindError,
 )
 
 EXPECTED_IDS = {
@@ -305,68 +303,92 @@ def test_eval_spot_monotone_on_grid():
 
 
 # -- verdicts ----------------------------------------------------------------
+# The verifier's comparison rule, verify._decide, against the exact
+# quantity of an accumulator state at x = state.x.
+
+def _verdict(bound_id, st):
+    spec = bounds.lookup(bound_id)
+    q = verify._state_quantity(verify._LANE_OF_KIND[spec.kind], st, DEFAULT_PREC)
+    return verify._decide(spec, q, bounds.eval_bound(spec, st.x))
+
 
 def test_compare_rational_lower_at_threshold():
     st = sieve.pi_theta_at(19_423)
     assert st.pi == 2_200
-    v = bounds.compare_bound(bounds.lookup("prop3.10.lower"), 19_423, st)
-    assert v is Verdict.Pass
+    assert _verdict("prop3.10.lower", st) is Verdict.Pass
 
 
 def test_compare_rational_lower_fails_below_threshold():
     st = sieve.pi_theta_at(19_417)
-    v = bounds.compare_bound(bounds.lookup("prop3.10.lower"), 19_417, st)
-    assert v is Verdict.Fail
+    assert _verdict("prop3.10.lower", st) is Verdict.Fail
 
 
 def test_compare_anchored_pi_state():
     st = sieve.AccumulatorState.anchored_at(10**15, 29_844_570_422_669)
-    assert bounds.compare_bound(bounds.lookup("thm3.2.upper"), 10**15, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("thm3.8.lower"), 10**15, st) is Verdict.Pass
+    assert _verdict("thm3.2.upper", st) is Verdict.Pass
+    assert _verdict("thm3.8.lower", st) is Verdict.Pass
     # no theta information in an anchored state: never Pass or Fail
-    assert bounds.compare_bound(bounds.lookup("thm2.4.upper"), 10**15, st) is Verdict.Indeterminate
+    assert _verdict("thm2.4.upper", st) is Verdict.Indeterminate
 
 
 def test_compare_running_sums_at_million():
     st = sieve.pi_theta_at(10**6)
-    assert bounds.compare_bound(bounds.lookup("prop5.1.lower"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("prop5.4.lower"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("prop6.1.upper"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("eq6.1.lower"), 10**6, st) is Verdict.Pass
+    assert _verdict("prop5.1.lower", st) is Verdict.Pass
+    assert _verdict("prop5.4.lower", st) is Verdict.Pass
+    assert _verdict("prop6.1.upper", st) is Verdict.Pass
+    assert _verdict("eq6.1.lower", st) is Verdict.Pass
     # the one-sided thresholds above 1e6 are real: these sides still fail there
-    assert bounds.compare_bound(bounds.lookup("prop5.1.upper"), 10**6, st) is Verdict.Fail
-    assert bounds.compare_bound(bounds.lookup("prop5.4.upper"), 10**6, st) is Verdict.Fail
-    assert bounds.compare_bound(bounds.lookup("prop6.1.lower"), 10**6, st) is Verdict.Fail
+    assert _verdict("prop5.1.upper", st) is Verdict.Fail
+    assert _verdict("prop5.4.upper", st) is Verdict.Fail
+    assert _verdict("prop6.1.lower", st) is Verdict.Fail
 
 
 def test_compare_theta_envelopes_with_sieved_state():
     st = sieve.pi_theta_at(10**6)
-    assert bounds.compare_bound(bounds.lookup("thm2.4.upper"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("lem2.3.k4.upper"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("lem2.3.k4.lower"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("buethe.theta.upper"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("eq2.6.upper"), 10**6, st) is Verdict.Pass
-    assert bounds.compare_bound(bounds.lookup("eq2.6.lower"), 10**6, st) is Verdict.Pass
+    assert _verdict("thm2.4.upper", st) is Verdict.Pass
+    assert _verdict("lem2.3.k4.upper", st) is Verdict.Pass
+    assert _verdict("lem2.3.k4.lower", st) is Verdict.Pass
+    assert _verdict("buethe.theta.upper", st) is Verdict.Pass
+    assert _verdict("eq2.6.upper", st) is Verdict.Pass
+    assert _verdict("eq2.6.lower", st) is Verdict.Pass
 
 
 def test_compare_rational_denominator_failure_convention():
-    # at x = 3 the six-term denominator is negative: the claimed upper bound
-    # cannot hold formally, the lower bound holds trivially
+    # at x = 3 the six-term denominator is negative, so there is no bound
+    # enclosure to decide on: the pair check fails the claimed upper bound
+    # and holds the lower bound trivially
     st = sieve.pi_theta_at(3)
-    assert bounds.compare_bound(bounds.lookup("thm3.2.upper"), 3, st) is Verdict.Fail
-    assert bounds.compare_bound(bounds.lookup("thm3.8.lower"), 3, st) is Verdict.Pass
+    q_fn = lambda prec: verify._state_quantity("pi", st, prec)
+    for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
+        spec = bounds.lookup(bound_id)
+        with pytest.raises(DenominatorNonpositiveError):
+            bounds.eval_bound(spec, 3)
+        verdict, _, rhs = verify._pair_verdict(spec, q_fn, 3)
+        assert verdict is expected
+        assert not rhs.is_finite()
 
 
-def test_compare_rejects_mismatched_state():
-    st = sieve.pi_theta_at(100)
-    with pytest.raises(MismatchedStateError):
-        bounds.compare_bound(bounds.lookup("thm2.4.upper"), 101, st)
+def test_decide_ties_between_touching_endpoints():
+    n = 1000
+    point = Enclosure.from_value(n)
+    below, above = Enclosure(n - 1, n), Enclosure(n, n + 1)
+    # a bound touching the quantity is a violation of either direction
+    assert verify._decide(bounds.lookup("thm3.2.upper"), point, below) is Verdict.Fail
+    assert verify._decide(bounds.lookup("thm3.8.lower"), point, above) is Verdict.Fail
+    # a gap window ending exactly on the successor prime reaches it only in
+    # the non-strict form
+    gap = bounds.lookup("thm4.1.gap3")
+    assert verify._decide(gap, point, above, strict=False) is Verdict.Pass
+    assert verify._decide(gap, point, above, strict=True) is not Verdict.Pass
 
 
-def test_compare_rejects_gap_kind():
-    st = sieve.pi_theta_at(100)
-    with pytest.raises(UnsupportedKindError):
-        bounds.compare_bound(bounds.lookup("thm4.1.gap3"), 100, st)
+def test_decide_overlap_is_indeterminate():
+    q = Enclosure.from_value(1000)
+    wide = Enclosure(999, 1001)
+    for bound_id in ("thm3.2.upper", "thm3.8.lower", "thm4.1.gap3"):
+        spec = bounds.lookup(bound_id)
+        for strict in (True, False):
+            assert verify._decide(spec, q, wide, strict) is Verdict.Indeterminate
 
 
 def test_promote_sets_status():

@@ -30,10 +30,16 @@ from primebounds.cli import (
 from primebounds.errors import InvalidRangeError
 
 
+def _scan_one(spec, lo, hi):
+    """The report of one claim scanned alone over [lo, hi]."""
+    (claim,) = verify.scan_claims([spec], lo, hi, resolve_crossings=False)
+    return claim.report
+
+
 @pytest.fixture(scope="module")
 def failing_report():
     """A small run with counterexamples: 15 failures of thm3.2.upper below 49."""
-    return verify.verify_monotone_bound(lookup("thm3.2.upper"), 2, 10_000)
+    return _scan_one(lookup("thm3.2.upper"), 2, 10_000)
 
 
 class TestRunConfig:
@@ -111,8 +117,8 @@ class TestReproducibility:
         spec = lookup(failing_report.bound_id)
         cut = sieve.next_prime(5000)  # prime-aligned split keeps cells intact
         parts = [
-            verify.verify_monotone_bound(spec, 2, cut - 1),
-            verify.verify_monotone_bound(spec, cut, 10_000),
+            _scan_one(spec, 2, cut - 1),
+            _scan_one(spec, cut, 10_000),
         ]
         merged = verify.merge_reports(parts[0], parts[1])
         freeze = lambda r: emit_report(replace(r, wall_time=0.0), "json")

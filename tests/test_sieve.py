@@ -21,7 +21,6 @@ from primebounds.errors import (
     CapacityError,
     CheckpointFormatError,
     ChecksumMismatchError,
-    InvalidRangeError,
     NonContiguousSegmentError,
 )
 from primebounds.sieve import (
@@ -31,7 +30,6 @@ from primebounds.sieve import (
     iroot,
     next_prime,
     pi_theta_at,
-    prev_prime,
     primes_in_range,
     sieve_segment,
     simple_sieve,
@@ -218,10 +216,6 @@ def test_prime_navigation():
     assert next_prime(1) == 2
     assert next_prime(2) == 3
     assert next_prime(7919) == 7927
-    assert prev_prime(7927) == 7919
-    assert prev_prime(3) == 2
-    with pytest.raises(InvalidRangeError):
-        prev_prime(2)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=8))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from primebounds import sieve, verify
-from primebounds.bounds import BoundKind, Verdict, eval_bound, lookup, registry_list
+from primebounds.bounds import Verdict, eval_bound, lookup
 from primebounds.enclosure import DEFAULT_PREC, Enclosure
 from primebounds.errors import (
     CapacityError,
@@ -31,16 +31,12 @@ from primebounds.verify import (
     Counterexample,
     VerificationReport,
     exit_code_for,
-    find_crossing,
     merge_reports,
     promote_verified,
     report_from_json,
     report_to_json,
     reports_equivalent,
     scan_claims,
-    verify_gap_bound,
-    verify_monotone_bound,
-    verify_running_sums,
 )
 
 
@@ -63,6 +59,18 @@ def _report(lo, hi, fail_xs=(), passes=0, indeterminates=0, **kw):
         counterexamples=cx,
         **kw,
     )
+
+
+def _scan_one(spec, lo, hi, **kw):
+    """The report of one claim scanned alone over [lo, hi]."""
+    (claim,) = scan_claims([spec], lo, hi, resolve_crossings=False, **kw)
+    return claim.report
+
+
+def _crossing(spec, hi, lo=2):
+    """The crossing of one claim over [lo, hi], or None when it holds."""
+    (claim,) = scan_claims([spec], lo, hi)
+    return claim.crossing
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +231,7 @@ def test_mpf_decimal_strings_are_exact():
 
 
 def test_theta_lower_bound_fails_below_threshold():
-    rep = verify_monotone_bound(lookup("thm2.4.lower"), 2, 1000)
+    rep = _scan_one(lookup("thm2.4.lower"), 2, 1000)
     assert rep.failures > 0
     assert rep.checked == rep.passes + rep.failures + rep.indeterminates
     assert rep.counterexamples[-1].x <= 1000
@@ -232,26 +240,19 @@ def test_theta_lower_bound_fails_below_threshold():
 
 
 def test_theta_interval_bound_holds_on_proof_range():
-    rep = verify_monotone_bound(lookup("prop2.5.lower"), 70_111, 89_967_803)
+    rep = _scan_one(lookup("prop2.5.lower"), 70_111, 89_967_803)
     assert rep.failures == 0
     assert rep.indeterminates == 0
     assert rep.checked == 5_208_224  # one check per prime in range
 
 
 def test_counterexample_cap_keeps_the_largest():
-    rep = verify_monotone_bound(lookup("thm2.4.lower"), 2, 10**5)
+    rep = _scan_one(lookup("thm2.4.lower"), 2, 10**5)
     assert rep.failures == 9592  # every prime cell fails
     assert len(rep.counterexamples) == COUNTEREXAMPLE_CAP
     xs = [c.x for c in rep.counterexamples]
     assert xs == sorted(xs)
     assert xs[-1] == 99991  # the largest prime below 1e5
-
-
-def test_monotone_rejects_wrong_kinds():
-    with pytest.raises(UnsupportedKindError):
-        verify_monotone_bound(lookup("thm4.1.gap3"), 2, 100)
-    with pytest.raises(UnsupportedKindError):
-        verify_monotone_bound(lookup("prop5.1.lower"), 2, 100)
 
 
 def test_two_sided_specs_must_be_split_first():
@@ -264,10 +265,10 @@ def test_two_sided_specs_must_be_split_first():
 
 def test_pi_rational_small_threshold_cells():
     # denominator turns positive near e^3.88; printed threshold is 49
-    rep = verify_monotone_bound(lookup("thm3.2.upper"), 2, 10**4)
+    rep = _scan_one(lookup("thm3.2.upper"), 2, 10**4)
     assert rep.indeterminates == 0
     assert rep.counterexamples[-1].x == 47
-    c = find_crossing(lookup("thm3.2.upper"), 10**4)
+    c = _crossing(lookup("thm3.2.upper"), 10**4)
     assert c.largest_failing_x == 47 and c.implied_threshold == 49
 
 
@@ -276,28 +277,28 @@ def test_anchored_state_pi_lane():
     lo, hi = 19_033_744_403, 19_035_709_163
     k = sum(int(seg.primes.size) for seg in sieve.segments(lo, hi))
     state = sieve.AccumulatorState.anchored_at(lo - 1, 841_508_302 - k)
-    rep = verify_monotone_bound(lookup("thm3.8.lower"), lo, hi, state=state)
+    rep = _scan_one(lookup("thm3.8.lower"), lo, hi, state=state)
     assert rep.checked == k and rep.failures == 0 and rep.indeterminates == 0
 
 
 def test_anchored_state_rejected_for_theta_lane():
     state = sieve.AccumulatorState.anchored_at(10**6, 78_498)
     with pytest.raises(MismatchedStateError):
-        verify_monotone_bound(lookup("thm2.4.lower"), 10**6 + 1, 10**6 + 100, state=state)
+        _scan_one(lookup("thm2.4.lower"), 10**6 + 1, 10**6 + 100, state=state)
 
 
 def test_state_past_range_start_rejected():
     state = sieve.AccumulatorState.anchored_at(10**6, 78_498)
     with pytest.raises(MismatchedStateError):
-        verify_monotone_bound(lookup("thm3.8.lower"), 10**5, 2 * 10**5, state=state)
+        _scan_one(lookup("thm3.8.lower"), 10**5, 2 * 10**5, state=state)
 
 
 def test_invalid_ranges_rejected():
     spec = lookup("thm2.4.lower")
     with pytest.raises(InvalidRangeError):
-        verify_monotone_bound(spec, 1, 10)
+        _scan_one(spec, 1, 10)
     with pytest.raises(InvalidRangeError):
-        verify_monotone_bound(spec, 100, 10)
+        _scan_one(spec, 100, 10)
     with pytest.raises(InvalidRangeError):
         scan_claims([], 2, 10)
 
@@ -306,18 +307,18 @@ def test_certificate_free_stretch_needs_narrow_range():
     # sqrt-shape lower bounds carry no monotonicity certificate; narrow
     # ranges run on interval cells alone, wide ones are refused
     spec = lookup("eq2.6.lower")
-    rep = verify_monotone_bound(spec, 2, 1000)
+    rep = _scan_one(spec, 2, 1000)
     assert rep.checked == 168
     with pytest.raises(NoCertificateError):
-        verify_monotone_bound(spec, 2, 10**6)
+        _scan_one(spec, 2, 10**6)
 
 
 def test_li_bound_has_no_fast_lane_and_a_pair_cap():
     spec = lookup("eq3.1.upper")
-    rep = verify_monotone_bound(spec, 2657, 4657)
+    rep = _scan_one(spec, 2657, 4657)
     assert rep.failures == 0 and rep.indeterminates == 0
     with pytest.raises(CapacityError):
-        verify_monotone_bound(spec, 2657, 10**8)
+        _scan_one(spec, 2657, 10**8)
 
 
 # ---------------------------------------------------------------------------
@@ -326,38 +327,33 @@ def test_li_bound_has_no_fast_lane_and_a_pair_cap():
 
 
 def test_gap4_holds_from_two():
-    rep = verify_gap_bound(lookup("thm4.1.gap4"), 2, 10**6)
+    rep = _scan_one(lookup("thm4.1.gap4"), 2, 10**6)
     assert rep.failures == 0 and rep.indeterminates == 0
     assert rep.checked == 78_498
 
 
 def test_gap3_fails_below_threshold_with_largest_near_it():
-    rep = verify_gap_bound(lookup("thm4.1.gap3"), 2, 6_034_255)
+    rep = _scan_one(lookup("thm4.1.gap3"), 2, 6_034_255)
     assert rep.failures > 0
     assert 6_034_000 < rep.counterexamples[-1].x < 6_034_256
 
 
 def test_gap3_clean_beyond_threshold():
-    rep = verify_gap_bound(lookup("thm4.1.gap3"), 6_034_393, 10**8)
+    rep = _scan_one(lookup("thm4.1.gap3"), 6_034_393, 10**8)
     assert rep.failures == 0 and rep.indeterminates == 0
 
 
 def test_gap3_boundary_window_with_no_prime_in_range():
     # the window of 6,034,256 itself must reach the next prime 6,034,393
-    rep = verify_gap_bound(lookup("thm4.1.gap3"), 6_034_256, 6_034_392)
+    rep = _scan_one(lookup("thm4.1.gap3"), 6_034_256, 6_034_392)
     assert (rep.checked, rep.passes, rep.failures) == (1, 1, 0)
 
 
 def test_gap3_boundary_window_failure_detected():
     # starting lower, the window of the composite start falls short
-    rep = verify_gap_bound(lookup("thm4.1.gap3"), 6_034_250, 6_034_400)
+    rep = _scan_one(lookup("thm4.1.gap3"), 6_034_250, 6_034_400)
     assert rep.failures >= 1
     assert rep.counterexamples[0].x == 6_034_250
-
-
-def test_gap_rejects_other_kinds():
-    with pytest.raises(UnsupportedKindError):
-        verify_gap_bound(lookup("thm2.4.lower"), 2, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +362,30 @@ def test_gap_rejects_other_kinds():
 
 
 def test_reciprocal_sum_lower_holds_from_two():
-    (rep,) = verify_running_sums([lookup("prop5.1.lower")], 2, 10**5)
+    rep = _scan_one(lookup("prop5.1.lower"), 2, 10**5)
     assert rep.failures == 0 and rep.indeterminates == 0
 
 
 def test_logp_sum_upper_clean_from_threshold():
-    (rep,) = verify_running_sums([lookup("prop5.4.upper")], 30_972_320, 10**8)
+    rep = _scan_one(lookup("prop5.4.upper"), 30_972_320, 10**8)
     assert rep.failures == 0 and rep.indeterminates == 0
 
 
 def test_logp_sum_upper_fails_below_threshold():
-    (rep,) = verify_running_sums([lookup("prop5.4.upper")], 10**6, 30_972_319)
+    rep = _scan_one(lookup("prop5.4.upper"), 10**6, 30_972_319)
     assert rep.failures > 0
     assert rep.counterexamples[-1].x < 30_972_320
 
 
 def test_product_bounds_both_directions():
-    upper, lower = verify_running_sums(
-        [lookup("prop6.1.upper"), lookup("prop6.1.lower")], 2, 10**5
+    upper, lower = (
+        c.report
+        for c in scan_claims([lookup("prop6.1.upper"), lookup("prop6.1.lower")], 2, 10**5)
     )
     assert upper.failures == 0 and upper.indeterminates == 0
     assert lower.failures > 0  # valid only from 46,909,038
-    (clean,) = verify_running_sums([lookup("prop6.1.lower")], 46_909_038, 47_500_000)
+    clean = _scan_one(lookup("prop6.1.lower"), 46_909_038, 47_500_000)
     assert clean.failures == 0 and clean.indeterminates == 0
-
-
-def test_running_sums_rejects_other_kinds():
-    with pytest.raises(UnsupportedKindError):
-        verify_running_sums([lookup("thm4.1.gap3")], 2, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +394,21 @@ def test_running_sums_rejects_other_kinds():
 
 
 def test_crossing_prop310():
-    c = find_crossing(lookup("prop3.10.lower"), 10**6)
+    c = _crossing(lookup("prop3.10.lower"), 10**6)
     assert c.largest_failing_x < 19_423 <= c.implied_threshold
     assert c.implied_threshold == 19_423
     assert c.failures == 310
 
 
 def test_crossing_gap3():
-    c = find_crossing(lookup("thm4.1.gap3"), 10**7)
+    c = _crossing(lookup("thm4.1.gap3"), 10**7)
     assert c.largest_failing_x < 6_034_256
     assert c.implied_threshold == 6_034_256
 
 
 def test_crossing_above_threshold_is_none():
-    assert find_crossing(lookup("prop3.10.lower"), 10**5, search_lo=19_423) is None
-    assert find_crossing(lookup("thm4.1.gap3"), 10**7, search_lo=6_034_393) is None
+    assert _crossing(lookup("prop3.10.lower"), 10**5, lo=19_423) is None
+    assert _crossing(lookup("thm4.1.gap3"), 10**7, lo=6_034_393) is None
 
 
 def test_crossing_interior_for_sum_bounds():
@@ -432,7 +424,7 @@ def test_crossing_interior_for_sum_bounds():
 
 
 def test_crossing_cor39e():
-    c = find_crossing(lookup("cor3.9.e.lower"), 10**6)
+    c = _crossing(lookup("cor3.9.e.lower"), 10**6)
     assert c.implied_threshold == 468_049
 
 
@@ -450,13 +442,7 @@ def test_scan_claims_matches_individual_runs():
     ]
     batch = scan_claims(specs, 2, 10**5, resolve_crossings=False)
     for spec, claim in zip(specs, batch):
-        if spec.kind is BoundKind.GAP:
-            solo = verify_gap_bound(spec, 2, 10**5)
-        elif spec.kind in verify._SUM_KINDS:
-            (solo,) = verify_running_sums([spec], 2, 10**5)
-        else:
-            solo = verify_monotone_bound(spec, 2, 10**5)
-        assert reports_equivalent(claim.report, solo)
+        assert reports_equivalent(claim.report, _scan_one(spec, 2, 10**5))
 
 
 @pytest.mark.parametrize(
@@ -485,8 +471,8 @@ def test_composite_shard_start_adds_leading_window_check():
     # a shard starting inside a prime cell re-checks that cell's remainder,
     # so merges are count-exact only for prime-aligned splits
     spec = lookup("thm4.1.gap4")
-    whole = verify_gap_bound(spec, 2, 10**4)
-    a, b = verify_gap_bound(spec, 2, 10**3), verify_gap_bound(spec, 10**3 + 1, 10**4)
+    whole = _scan_one(spec, 2, 10**4)
+    a, b = _scan_one(spec, 2, 10**3), _scan_one(spec, 10**3 + 1, 10**4)
     assert merge_reports(a, b).checked == whole.checked + 1
 
 
@@ -516,6 +502,35 @@ def test_tiling_and_segmentation_do_not_change_results():
     # failures past the counterexample cap, and crossings, are compared
     assert sum(c.report.failures > COUNTEREXAMPLE_CAP for c in wide) >= 3
     assert sum(c.crossing is not None for c in wide) >= 3
+
+
+def test_interval_cells_agree_with_pair_checks_from_the_certificate():
+    # from pair_start on, _check_cell's pair check and an interval-cell
+    # evaluation of the same cell must reach the same verdict
+    cases = [
+        ("prop3.10.lower", 19_300, 19_500, {Verdict.Pass, Verdict.Fail}),
+        ("thm4.1.gap3", 6_034_150, 6_034_400, {Verdict.Pass, Verdict.Fail}),
+        ("thm3.2.upper", 100, 400, {Verdict.Pass}),
+        ("prop5.1.upper", 10**5, 10**5 + 600, {Verdict.Fail}),
+        ("prop6.1.lower", 10**5, 10**5 + 600, {Verdict.Fail}),
+    ]
+    for bound_id, lo, hi, expected in cases:
+        spec = lookup(bound_id)
+        plan = verify._make_plan(spec, lo, hi)
+        assert plan.pair_start == lo
+        state = sieve.pi_theta_at(lo - 1)
+        primes = [int(p) for p in sieve.primes_in_range(lo, hi)]
+        seen = set()
+        for base, succ in zip(primes, primes[1:]):
+            state = sieve.pi_theta_at(base, resume_from=state)
+            q_fn = None
+            if plan.lane != "gap":
+                q_fn = lambda prec, s=state: verify._state_quantity(plan.lane, s, prec)
+            pair, _, _ = verify._check_cell(plan, base, succ, q_fn)
+            cell, _, _ = verify._cell_verdict(spec, q_fn, base, succ)
+            assert pair is cell, (bound_id, base)
+            seen.add(pair)
+        assert seen == expected, bound_id
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +573,10 @@ def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch):
         return vals, suspect
 
     spec = lookup("thm4.1.gap4")
-    assert verify_gap_bound(spec, 2, 10**4).failures == 0
+    assert _scan_one(spec, 2, 10**4).failures == 0
     monkeypatch.setattr(verify, "_bound_float", shifted)
     with pytest.raises(FastLaneMismatchError, match="thm4.1.gap4"):
-        verify_gap_bound(spec, 2, 10**4)
+        _scan_one(spec, 2, 10**4)
 
 
 def test_fast_lane_cross_check_survives_optimisation():
@@ -585,7 +600,7 @@ def test_fast_lane_cross_check_survives_optimisation():
 
 def test_promotion_requires_clean_report():
     spec = lookup("thm4.1.gap3")
-    clean = verify_gap_bound(spec, 6_034_393, 7_000_000)
+    clean = _scan_one(spec, 6_034_393, 7_000_000)
     promoted = promote_verified(spec, clean)
     assert promoted.status == "verified_here"
     assert lookup("thm4.1.gap3").status != "verified_here"  # registry untouched
@@ -658,12 +673,31 @@ def test_pair_trick_matches_direct_definition_on_random_points():
     # direct failure at x forces the covering pair to fail
     for x, j in random.Random(7).sample(direct_fail, min(40, len(direct_fail))):
         base = int(primes[j])
-        rep = verify_monotone_bound(spec, base, base)
+        rep = _scan_one(spec, base, base)
         assert rep.failures == 1, "cell at %d must fail (direct fails at %d)" % (base, x)
 
     # pair checks are clean from the threshold on, matching the direct side
-    rep = verify_monotone_bound(spec, 70_111, hi)
+    rep = _scan_one(spec, 70_111, hi)
     assert rep.failures == 0 and rep.indeterminates == 0
+
+
+def test_public_names_resolve_and_scans_call_eval_bound_by_module_name(monkeypatch):
+    for name in verify.__all__:
+        assert hasattr(verify, name), name
+    scans = [n for n in verify.__all__ if "scan" in n or n.startswith(("verify_", "find_"))]
+    assert scans == ["scan_claims"]
+    # bench/workload.py counts exact evaluations by wrapping verify.eval_bound
+    real = verify.eval_bound
+    calls = []
+
+    def counted(spec, x, prec=DEFAULT_PREC):
+        calls.append("cell" if isinstance(x, Enclosure) else "pair")
+        return real(spec, x, prec)
+
+    monkeypatch.setattr(verify, "eval_bound", counted)
+    (claim,) = scan_claims([lookup("thm3.2.upper")], 2, 100)
+    assert claim.crossing.implied_threshold == 49
+    assert {"cell", "pair"} <= set(calls)
 
 
 def test_tool_version_matches_package():
