@@ -83,10 +83,30 @@ def _checkpoint_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _estimate_minutes(lo: int, hi: int, n_specs: int) -> float:
-    # throughput calibrated on the shared-pass scanner: ~2e7 primes/s/claim
-    primes = max(hi, 3) / math.log(max(hi, 3)) - max(lo, 2) / math.log(max(lo, 3))
-    return max(n_specs, 1) * primes / 2e7 / 60.0
+# Scan-time model, fitted to the medians under "Measured speed" in the README
+# (one thread on a 2-vCPU VM).  The sieve's Python loop visits every base
+# prime up to sqrt(hi) once per segment: the four gap claims on a 2e7-wide
+# window at 1e14 spend about 93% of their 3.6 s there, over 3 segments of
+# 665k base primes, so about 1.7 us per visit.
+_SIEVE_S_PER_BASE_PRIME_VISIT = 1.7e-6
+# Where the sieve is cheap, the time grows with claims times prime cells:
+# the 22-claim reproduction scan to 1e8 checks 1.27e8 of those in 2.5 s.
+_SCAN_S_PER_CLAIM_CELL = 2.0e-8
+
+
+def _estimate_minutes(
+    lo: int, hi: int, n_specs: int, segment_odds: int = sieve.DEFAULT_SEGMENT_ODDS
+) -> float:
+    """Minutes that scanning n_specs claims over [lo, hi] should take."""
+    root = max(math.isqrt(hi), 3)
+    base_primes = root / max(math.log(root) - 1.0, 1.0)
+    segments = -(-(hi - lo + 1) // (2 * segment_odds))
+    cells = max(hi, 3) / math.log(max(hi, 3)) - max(lo, 2) / math.log(max(lo, 3))
+    seconds = (
+        segments * base_primes * _SIEVE_S_PER_BASE_PRIME_VISIT
+        + max(n_specs, 1) * cells * _SCAN_S_PER_CLAIM_CELL
+    )
+    return seconds / 60.0
 
 
 def _gate_extended(config: RunConfig, n_specs: int = 1) -> Optional[int]:
@@ -94,7 +114,7 @@ def _gate_extended(config: RunConfig, n_specs: int = 1) -> Optional[int]:
     hi = config.range_hi
     if hi is None or hi <= EXTENDED_RANGE_LIMIT:
         return None
-    est = _estimate_minutes(config.range_lo or 2, hi, n_specs)
+    est = _estimate_minutes(config.range_lo or 2, hi, n_specs, config.segment_odds)
     print(
         "range reaches %d (> %d); estimated %.1f min of scanning"
         % (hi, EXTENDED_RANGE_LIMIT, est),

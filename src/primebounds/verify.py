@@ -37,17 +37,27 @@ routine, _check_cell, picks between the two for every exactly checked cell.
 Most cells are decided in a float64 fast lane: per-segment running totals
 are rebased on the accumulator's exact dyadic sums every 2**16 primes, so
 their absolute error stays orders of magnitude below the lane's recheck
-margin.  The lane is tile-major: it walks each segment in tiles of 2**16
-cells, computes every power log(p)**k a tile needs once and shares it
-across all claims, and reads its inputs as slice views.  Each tile sorts
-every claim's cells into certain passes (only counted), certain fails and
-unsure cells (both collected by index).  The exact work follows per claim:
-any cell whose margin is smaller than the recheck margin is re-decided with
-outward-rounded enclosures at 106 bits, retried once at 212 bits, and counted
-Indeterminate if still undecided; the 64 highest certain fails are
-recomputed the same way, and an exact verdict other than Fail there raises
-FastLaneMismatchError.  Counterexamples record the compared enclosures,
-capped at the 64 largest x.
+margin delta.  The lane decides whole blocks of _BLOCK = 128 cells from
+their two end cells.  From the fast lane's start on, the shape certificate
+proves the bound monotone (for rational pi bounds also the denominator
+positive), and the quantities -- the prime count, running sums of positive
+terms, and the successor prime of a gap claim -- are monotone too; a block
+never straddles a rebase, so this holds for the float running totals as
+well.  So the worst margin over a block -- the least quantity minus the
+largest bound for a lower bound, the least bound (or window end) minus the
+largest quantity for an upper bound -- is taken at its ends, and a block
+whose worst margin exceeds delta passes whole.  delta is the one a single
+cell is held to, since the end values carry the same float error as a
+cell's own check, and a block with a suspect end (see _bound_float) is
+never passed this way.  The cells of every other block, and of the partial
+blocks at either end of the lane, are triaged one by one into certain
+passes (only counted), certain fails and unsure cells (both collected by
+index).  The exact work follows per claim: any cell whose margin is smaller
+than delta is re-decided with outward-rounded enclosures at 106 bits,
+retried once at 212 bits, and counted Indeterminate if still undecided; the
+64 highest certain fails are recomputed the same way, and an exact verdict
+other than Fail there raises FastLaneMismatchError.  Counterexamples record
+the compared enclosures, capped at the 64 largest x.
 
 scan_claims is the one public scan entry point.
 """
@@ -115,8 +125,13 @@ MAX_CELL_SPAN = 200_000
 # Pair cap for kinds that have no vectorised fast lane (li-based bounds).
 MAX_EXACT_PAIRS = 60_000
 
-# Primes per exact rebase of the fast lane's running totals.
+# Primes per exact rebase of the fast lane's running totals, and cells per
+# batch of its cell-by-cell triage.
 _CHUNK = 1 << 16
+# Cells per block that the fast lane decides from its two end cells.  A
+# power of two below _CHUNK, so that no block straddles a rebase.
+_BLOCK = 1 << 7
+_NO_CELLS = np.empty(0, dtype=np.int64)
 
 # Fast-lane recheck margins per quantity lane.  Anything closer to the
 # boundary than this is re-decided with enclosures.  The margins sit 2-4
@@ -989,49 +1004,80 @@ def _exact_cell(plan: _Plan, data: _SegmentData, i: int):
     return verdict, base, succ, lhs, rhs
 
 
-def _triage(fast, data: _SegmentData, cut: int):
-    """Phase 1: sort the fast-lane pairs into certain pass, fail and unsure.
+def _sides(plan: _Plan, data: _SegmentData, lo: int, hi: int, step: int = 1):
+    """Float sides of the fast-lane check at the cells lo, lo + step, ... < hi.
 
-    fast holds (scan, start) for every claim whose pairs [start, cut) run
-    in the float lane.  The pairs are walked in tiles of _CHUNK bases; each
-    tile's log-powers are shared by all claims and every input is a slice
-    view.  Certain passes go straight to the tallies; returns, per claim,
-    the segment indices of its certain fails and of its unsure pairs.
+    Returns (big, small, suspect): the check passes where big - small
+    exceeds plan.delta.  big is the quantity of a lower bound and the bound
+    of an upper one; a gap claim's quantity is the successor prime.
+    suspect is as in _bound_float.  The inputs are slices, copied only
+    when strided, where numpy's loops are several times slower.
     """
-    pf, logs = data.pf, data.logs
-    found = [([], []) for _ in fast]
-    for t0 in range(0, cut, _CHUNK):
-        t1 = min(t0 + _CHUNK, cut)
-        # one extra entry so that successor-evaluated claims share the tile;
-        # a slice of a power array equals the power of the slice, bitwise
-        tile_pow = functools.cache(logs[t0 : t1 + 1].__pow__)
-        for (scan, start), (fails, unsure) in zip(fast, found):
-            a = max(start, t0)
-            if a >= t1:
-                continue
-            plan = scan.plan
-            e = 1 if plan.eval_at_succ else 0
-            sl = slice(a - t0 + e, t1 - t0 + e)
-            fvals, suspect = _bound_float(
-                plan.spec, pf[a + e : t1 + e], logs[a + e : t1 + e], lambda k: tile_pow(k)[sl]
-            )
-            if plan.spec.kind is BoundKind.GAP:
-                margin = fvals - pf[a + 1 : t1 + 1]
-            else:
-                q = data.run(plan.lane)[a:t1]
-                margin = (q - fvals) if plan.lower else (fvals - q)
+    e = 1 if plan.eval_at_succ else 0
+    at = slice(lo + e, hi + e, step)
+    x, L = np.ascontiguousarray(data.pf[at]), np.ascontiguousarray(data.logs[at])
+    f, suspect = _bound_float(plan.spec, x, L, functools.cache(L.__pow__))
+    if plan.lane == "gap":
+        q = data.pf[lo + 1 : hi + 1 : step]
+    else:
+        q = data.run(plan.lane)[lo:hi:step]
+    return (q, f, suspect) if plan.lower else (f, q, suspect)
 
-            certain_pass = margin > plan.delta
-            certain_fail = margin < -plan.delta
+
+def _triage(fast, data: _SegmentData, cut: int):
+    """Phase 1: sort the fast-lane cells into certain pass, fail and unsure.
+
+    fast holds (scan, start) for every claim whose cells [start, cut) run
+    in the float lane.  Each whole block [k * _BLOCK, (k + 1) * _BLOCK)
+    among them whose worst-case margin, taken from its first and last cell,
+    exceeds the recheck margin passes whole: from start on the bound is
+    certified monotone, and a block lies inside one rebase chunk of
+    _running, where the float running sums are monotone.  The cells of the
+    other blocks, and of the partial blocks at start and cut, are checked
+    one by one, _CHUNK cells at a time.  Certain passes go straight to the
+    tallies; returns, per claim, the ascending segment indices of its
+    certain fails and of its unsure cells.
+    """
+    out = []
+    for scan, start in fast:
+        plan = scan.plan
+        # the whole blocks lie in [b0, b1)
+        b0 = -(-start // _BLOCK) * _BLOCK
+        b1 = max(b0, cut // _BLOCK * _BLOCK)
+        big0, small0, suspect0 = _sides(plan, data, b0, b1, _BLOCK)
+        big1, small1, suspect1 = _sides(plan, data, b0 + _BLOCK - 1, b1, _BLOCK)
+        worst = np.minimum(big0, big1) - np.maximum(small0, small1)
+        decided = worst > plan.delta
+        if suspect0 is not None:
+            decided &= ~(suspect0 | suspect1)
+        n_pass = _BLOCK * int(np.count_nonzero(decided))
+        scan.tally.checked += n_pass
+        scan.tally.passes += n_pass
+        pending = np.ones(cut - start, dtype=bool)
+        pending[b0 - start : b1 - start] = np.repeat(~decided, _BLOCK)
+
+        # cell by cell, over the span of each batch's pending cells
+        fails, unsure = [_NO_CELLS], [_NO_CELLS]
+        for c0 in range(0, pending.size, _CHUNK):
+            todo = np.flatnonzero(pending[c0 : c0 + _CHUNK])
+            if todo.size == 0:
+                continue
+            lo, hi = start + c0 + todo[0], start + c0 + todo[-1] + 1
+            want = pending[lo - start : hi - start]
+            big, small, suspect = _sides(plan, data, lo, hi)
+            margin = big - small
+            certain_pass = want & (margin > plan.delta)
+            certain_fail = want & (margin < -plan.delta)
             if suspect is not None:
                 certain_pass &= ~suspect
                 certain_fail &= ~suspect
             n_pass = int(np.count_nonzero(certain_pass))
             scan.tally.checked += n_pass
             scan.tally.passes += n_pass
-            fails.append(np.flatnonzero(certain_fail) + a)
-            unsure.append(np.flatnonzero(~(certain_pass | certain_fail)) + a)
-    return [(np.concatenate(f), np.concatenate(u)) for f, u in found]
+            fails.append(np.flatnonzero(certain_fail) + lo)
+            unsure.append(np.flatnonzero(want & ~(certain_pass | certain_fail)) + lo)
+        out.append((np.concatenate(fails), np.concatenate(unsure)))
+    return out
 
 
 def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):

@@ -21,6 +21,7 @@ from primebounds.cli import (
     ENV_SEGMENT_ODDS,
     RunConfig,
     _checkpoint_path,
+    _estimate_minutes,
     _gate_extended,
     config_from_args,
     emit_report,
@@ -217,6 +218,19 @@ class TestExtendedGate:
     def test_gate_inactive_at_desk_scale(self):
         cfg = RunConfig(command="sieve", range_lo=2, range_hi=10**9)
         assert _gate_extended(cfg) is None
+
+    @pytest.mark.parametrize(
+        "lo, hi, n_claims, measured_s",
+        [
+            # README "Measured speed": the 22-claim desk scan to 10^8 ...
+            (2, 10**8, 22, 2.5),
+            # ... and the four gap claims on a 2e7-wide window at 10^14
+            (10**14, 10**14 + 2 * 10**7 - 1, 4, 3.6),
+        ],
+    )
+    def test_estimate_within_3x_of_measured_medians(self, lo, hi, n_claims, measured_s):
+        est_s = 60.0 * _estimate_minutes(lo, hi, n_claims)
+        assert measured_s / 3 <= est_s <= measured_s * 3
 
 
 class TestEnvOverrides:

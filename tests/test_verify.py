@@ -478,9 +478,10 @@ def test_composite_shard_start_adds_leading_window_check():
 
 def test_tiling_and_segmentation_do_not_change_results():
     # one 2**20-odd segment holds all 148,933 prime cells of [2, 2e6], so
-    # the fast lane splits it into three tiles; 2**12-odd segments hold a
-    # few hundred cells each.  The claims cover every desk kind, and the
-    # certificate-free stretch of most of them ends one cell into a tile.
+    # the fast lane rebases its running totals in three chunks of it; 2**12-odd
+    # segments hold a few hundred cells each.  The claims cover every desk
+    # kind, and the certificate-free stretch of most of them ends one cell
+    # into the fast lane's first block.
     ids = [
         "cor3.3.c.upper",
         "prop3.10.lower",
@@ -537,8 +538,9 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
 # the fast lane's cross-check
 # ---------------------------------------------------------------------------
 
-# Makes the float lane fail the last cell of every tile by a wide margin;
-# thm4.1.gap4 holds there, so the exact recheck must contradict it.
+# Makes the float lane fail the last cell of every batch it evaluates by a
+# wide margin; thm4.1.gap4 holds there, so the exact recheck must
+# contradict it.
 _SHIFT_SCRIPT = """
 import sys
 from primebounds import verify
