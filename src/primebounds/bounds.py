@@ -5,7 +5,9 @@ fixing the algebraic shape of the right-hand side, exact rational
 coefficients, the claimed validity threshold, a provenance status, and a
 human-readable anchor naming the statement inside the source collection.
 
-Kind shapes (L is log x throughout; s is +1 for upper entries, -1 for lower):
+shape(spec, x, L, o) computes the right-hand side of every kind from one
+definition per kind, the table below (L is log x throughout; s is +1 for
+upper entries, -1 for lower):
 
 THETA_ENVELOPE      theta(x) vs x + s*c*x/L**k              coeffs (c, k)
 THETA_ENVELOPE_EXP  theta(x) vs x + s*sqrt(c/(pi*sqrt(R)))*x*L**(1/4)
@@ -24,14 +26,23 @@ GAP                 a prime exists in (x, x*(1 + c/L**j)]   coeffs (c, j)
 Magnitude-style kinds (the first four) store nonnegative coefficients and
 take their sign from the direction; series-style kinds store coefficients
 with the signs they are printed with.
+
+The arithmetic o is the backend: o.const lifts an exact rational, o.lpow(L,
+k) is L**k, o.xpow(x, p) is x**p, o.log, o.exp, o.sqrt and o.pi are what
+they say, o.B and o.E are the prime-sum constants (lifted with o.const) and
+o.li is the logarithmic integral.  Two hooks hold what is not arithmetic:
+o.denominator guards the PI_RATIONAL denominator, and o.mertens(L, body)
+puts exp(-gamma)/L * body on the backend's scale.  eval_bound is the
+interval backend; verify._bound_float is the float64 one, with suspect
+masks for the two guarded quantities and the product on the log scale.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from . import analytic
 from .enclosure import DEFAULT_PREC, Enclosure, ivctx, lift
@@ -39,7 +50,6 @@ from .errors import (
     DenominatorNonpositiveError,
     InvalidRangeError,
     UnknownBoundError,
-    UnsupportedKindError,
 )
 
 
@@ -311,22 +321,87 @@ def lookup(bound_id: str) -> BoundSpec:
     return spec
 
 
-def ids_matching(prefix: str) -> list[str]:
-    """Registry ids equal to the prefix or extending it at a dot."""
-    out = [k for k in sorted(_REGISTRY) if k == prefix or k.startswith(prefix + ".")]
-    if not out:
-        raise UnknownBoundError("no bounds match %r" % prefix)
-    return out
+# The shape table: one definition per kind (see the module docstring).  Sums
+# run left to right from their first term, so both backends keep one order.
 
 
-def _sign(direction: str) -> int:
-    return 1 if direction == "upper" else -1
+def _series(total, c, L, o):
+    """total + sum c_i / L**p_i over the (c_i, p_i) pairs of c."""
+    return sum((o.const(c[i]) / o.lpow(L, int(c[i + 1])) for i in range(0, len(c), 2)), total)
 
 
-def _power(ctx, base, expo: Fraction):
-    if expo.denominator == 1:
-        return base ** int(expo)
-    return ctx.exp(lift(ctx, expo) * ctx.log(base))
+def _sqrt_terms(c, x, L, o):
+    """sum c_i * x**p_i * L**q_i / pi**w_i over the quadruples of c."""
+    return sum(
+        o.const(c[i]) * o.xpow(x, c[i + 1]) * o.lpow(L, int(c[i + 2])) / o.pi ** int(c[i + 3])
+        for i in range(0, len(c), 4)
+    )
+
+
+def _theta_envelope_exp(s, c, x, L, o):
+    cc, rr = o.const(c[0]), o.const(c[1])
+    pref = o.sqrt(cc / (o.pi * o.sqrt(rr)))
+    return x + s * (pref * x * o.sqrt(o.sqrt(L)) * o.exp(-o.sqrt(L / rr)))
+
+
+def _pi_rational(s, c, x, L, o):
+    den = L - 1
+    for i, ai in enumerate(c, start=1):
+        if ai:
+            den = den - o.const(ai) / o.lpow(L, i)
+    return x / o.denominator(den)
+
+
+_SHAPES = {
+    BoundKind.THETA_ENVELOPE: lambda s, c, x, L, o: x + s * o.const(c[0]) * x / o.lpow(L, int(c[1])),
+    BoundKind.THETA_ENVELOPE_EXP: _theta_envelope_exp,
+    BoundKind.THETA_SQRT: lambda s, c, x, L, o: x + s * _sqrt_terms(c, x, L, o),
+    BoundKind.PI_LI_SQRT: lambda s, c, x, L, o: o.li(x) + s * _sqrt_terms(c, x, L, o),
+    BoundKind.PI_RATIONAL: _pi_rational,
+    BoundKind.PI_LOGPOW: lambda s, c, x, L, o: sum(
+        o.const(cj) * x / o.lpow(L, j) for j, cj in enumerate(c, start=1) if cj
+    ),
+    BoundKind.SUM_RECIP: lambda s, c, x, L, o: _series(o.log(L) + o.const(o.B), c, L, o),
+    BoundKind.SUM_LOGP: lambda s, c, x, L, o: _series(L + o.const(o.E), c, L, o),
+    BoundKind.PRODUCT_MERTENS: lambda s, c, x, L, o: o.mertens(L, _series(1, c, L, o)),
+    BoundKind.GAP: lambda s, c, x, L, o: x * (1 + o.const(c[0]) / o.lpow(L, int(c[1]))),
+}
+
+
+def shape(spec: BoundSpec, x, L, o):
+    """The right-hand side of spec at x, with L = log x, in o's arithmetic."""
+    s = 1 if spec.direction == "upper" else -1
+    return _SHAPES[spec.kind](s, spec.coefficients, x, L, o)
+
+
+class _IntervalOps:
+    """eval_bound's arithmetic: outward-rounded intervals of one context."""
+
+    B, E = analytic.constants(28)[1:]
+    lpow = staticmethod(operator.pow)
+
+    def __init__(self, ctx, spec: BoundSpec, x, prec: int):
+        self.ctx, self.spec, self.x, self.prec = ctx, spec, x, prec
+        self.log, self.exp, self.sqrt, self.pi = ctx.log, ctx.exp, ctx.sqrt, ctx.pi
+
+    def const(self, v):
+        return lift(self.ctx, v)
+
+    def xpow(self, x, p: Fraction):
+        return x ** int(p) if p.denominator == 1 else self.exp(self.const(p) * self.log(x))
+
+    def li(self, x):
+        return self.const(analytic.li(x, self.prec))
+
+    def denominator(self, den):
+        if not den.a > 0:
+            raise DenominatorNonpositiveError(
+                "denominator of %s not certainly positive at x=%s" % (self.spec.id, self.x)
+            )
+        return den
+
+    def mertens(self, L, body):
+        return self.exp(-self.ctx.euler) / L * body
 
 
 def eval_bound(spec: BoundSpec, x, prec: int = DEFAULT_PREC) -> Enclosure:
@@ -335,76 +410,7 @@ def eval_bound(spec: BoundSpec, x, prec: int = DEFAULT_PREC) -> Enclosure:
     xv = lift(ctx, x)
     if xv.a <= 1:
         raise InvalidRangeError("bounds evaluate for x > 1 only")
-    L = ctx.log(xv)
-    s = _sign(spec.direction)
-    c = spec.coefficients
-    kind = spec.kind
-
-    if kind is BoundKind.THETA_ENVELOPE:
-        mag, k = c[0], int(c[1])
-        return Enclosure.from_iv(xv + s * lift(ctx, mag) * xv / L**k)
-
-    if kind is BoundKind.THETA_ENVELOPE_EXP:
-        cc, rr = lift(ctx, c[0]), lift(ctx, c[1])
-        pref = ctx.sqrt(cc / (ctx.pi * ctx.sqrt(rr)))
-        body = pref * xv * ctx.sqrt(ctx.sqrt(L)) * ctx.exp(-ctx.sqrt(L / rr))
-        return Enclosure.from_iv(xv + s * body)
-
-    if kind in (BoundKind.THETA_SQRT, BoundKind.PI_LI_SQRT):
-        total = ctx.mpf(0)
-        for i in range(0, len(c), 4):
-            ci, pi_x, qi, wi = c[i], c[i + 1], int(c[i + 2]), int(c[i + 3])
-            term = lift(ctx, ci) * _power(ctx, xv, pi_x) * L**qi
-            if wi:
-                term = term / ctx.pi**wi
-            total += term
-        if kind is BoundKind.THETA_SQRT:
-            return Enclosure.from_iv(xv + s * total)
-        base = lift(ctx, analytic.li(x, prec))
-        return Enclosure.from_iv(base + s * total)
-
-    if kind is BoundKind.PI_RATIONAL:
-        den = L - 1
-        for i, ai in enumerate(c, start=1):
-            if ai:
-                den -= lift(ctx, ai) / L**i
-        if not den.a > 0:
-            raise DenominatorNonpositiveError(
-                "denominator of %s not certainly positive at x=%s" % (spec.id, x)
-            )
-        return Enclosure.from_iv(xv / den)
-
-    if kind is BoundKind.PI_LOGPOW:
-        total = ctx.mpf(0)
-        for j, cj in enumerate(c, start=1):
-            total += lift(ctx, cj) * xv / L**j
-        return Enclosure.from_iv(total)
-
-    if kind is BoundKind.SUM_RECIP:
-        _, b_const, _ = analytic.constants(28)
-        total = ctx.log(L) + lift(ctx, b_const)
-        for i in range(0, len(c), 2):
-            total += lift(ctx, c[i]) / L ** int(c[i + 1])
-        return Enclosure.from_iv(total)
-
-    if kind is BoundKind.SUM_LOGP:
-        _, _, e_const = analytic.constants(28)
-        total = L + lift(ctx, e_const)
-        for i in range(0, len(c), 2):
-            total += lift(ctx, c[i]) / L ** int(c[i + 1])
-        return Enclosure.from_iv(total)
-
-    if kind is BoundKind.PRODUCT_MERTENS:
-        body = ctx.mpf(1)
-        for i in range(0, len(c), 2):
-            body += lift(ctx, c[i]) / L ** int(c[i + 1])
-        return Enclosure.from_iv(ctx.exp(-ctx.euler) / L * body)
-
-    if kind is BoundKind.GAP:
-        cc, j = c[0], int(c[1])
-        return Enclosure.from_iv(xv * (1 + lift(ctx, cc) / L**j))
-
-    raise UnsupportedKindError("cannot evaluate kind %s" % kind)
+    return Enclosure.from_iv(shape(spec, xv, ctx.log(xv), _IntervalOps(ctx, spec, x, prec)))
 
 
 def promote(spec: BoundSpec) -> BoundSpec:

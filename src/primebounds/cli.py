@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analytic, proofkit, sieve, verify
-from .bounds import eval_bound, lookup, registry_list
+from .bounds import BoundKind, eval_bound, lookup, registry_list
 from .enclosure import DEFAULT_PREC, Enclosure
 from .errors import InvalidRangeError, PrimeBoundsError
 from .verify import VerificationReport, exit_code_for, report_to_json
@@ -65,8 +65,7 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise InvalidRangeError("--jobs must be at least 1")
-        if self.segment_odds < 2 or self.segment_odds & (self.segment_odds - 1):
-            raise InvalidRangeError("segment size must be a power of two")
+        sieve.check_segment_odds(self.segment_odds)
         if self.range_lo is not None and self.range_hi is not None:
             if self.range_lo > self.range_hi:
                 raise InvalidRangeError("--from must not exceed --to")
@@ -92,12 +91,18 @@ _SIEVE_S_PER_BASE_PRIME_VISIT = 1.7e-6
 # Where the sieve is cheap, the time grows with claims times prime cells:
 # the 22-claim reproduction scan to 1e8 checks 1.27e8 of those in 2.5 s.
 _SCAN_S_PER_CLAIM_CELL = 2.0e-8
+# Accumulating the exact sums costs about 1.2e-7 s per prime: 6.1 s for the
+# 5.08e7 primes to 1e9 (the bench's accumulate workload).
+_ACCUMULATE_S_PER_PRIME = 1.2e-7
 
 
 def _estimate_minutes(
-    lo: int, hi: int, n_specs: int, segment_odds: int = sieve.DEFAULT_SEGMENT_ODDS
+    lo: int, hi: int, n_specs: int, segment_odds: int = sieve.DEFAULT_SEGMENT_ODDS,
+    prefix_from: Optional[int] = None,
 ) -> float:
-    """Minutes that scanning n_specs claims over [lo, hi] should take."""
+    """Minutes that scanning n_specs claims over [lo, hi] should take,
+    after accumulating the primes in (prefix_from, lo) if prefix_from is
+    given: a claim with a summed lane starts from the state at lo - 1."""
     root = max(math.isqrt(hi), 3)
     base_primes = root / max(math.log(root) - 1.0, 1.0)
     segments = -(-(hi - lo + 1) // (2 * segment_odds))
@@ -106,15 +111,21 @@ def _estimate_minutes(
         segments * base_primes * _SIEVE_S_PER_BASE_PRIME_VISIT
         + max(n_specs, 1) * cells * _SCAN_S_PER_CLAIM_CELL
     )
+    if prefix_from is not None:
+        # x / (log x - 1.1) bounds pi(x) from above for x >= 60184 (Dusart)
+        a, b = (x / max(math.log(max(x, 2)) - 1.1, 1.0) for x in (prefix_from, lo - 1))
+        seconds += max(b - a, 0.0) * _ACCUMULATE_S_PER_PRIME
     return seconds / 60.0
 
 
-def _gate_extended(config: RunConfig, n_specs: int = 1) -> Optional[int]:
+def _gate_extended(
+    config: RunConfig, n_specs: int = 1, prefix_from: Optional[int] = None
+) -> Optional[int]:
     """Refuse hour-scale ranges unless explicitly confirmed.  None = go."""
     hi = config.range_hi
     if hi is None or hi <= EXTENDED_RANGE_LIMIT:
         return None
-    est = _estimate_minutes(config.range_lo or 2, hi, n_specs, config.segment_odds)
+    est = _estimate_minutes(config.range_lo or 2, hi, n_specs, config.segment_odds, prefix_from)
     print(
         "range reaches %d (> %d); estimated %.1f min of scanning"
         % (hi, EXTENDED_RANGE_LIMIT, est),
@@ -202,11 +213,6 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     raise InvalidRangeError("format must be json, csv, or text")
 
 
-def parse_report(data: bytes) -> VerificationReport:
-    """Inverse of emit_report for the json format."""
-    return verify.report_from_json(data.decode("utf-8"))
-
-
 def _write_reports(config: RunConfig, reports: Sequence[VerificationReport]):
     frozen = [replace(r, wall_time=0.0) for r in reports]
     blobs = [emit_report(r, config.report_format) for r in frozen]
@@ -285,15 +291,18 @@ def _cmd_verify(config: RunConfig) -> int:
         raise InvalidRangeError("verify needs at least one --bound")
     if config.range_lo is None or config.range_hi is None:
         raise InvalidRangeError("verify needs --from and --to")
-    gate = _gate_extended(config, len(config.bound_ids))
-    if gate is not None:
-        return gate
     specs = [lookup(b) for b in config.bound_ids]
     resume = None
     ck_in = _checkpoint_path(config.checkpoint_in)
     if ck_in:
         with open(ck_in) as fh:
             resume = sieve.read_checkpoint(fh)
+    prefix_from = None
+    if any(s.kind is not BoundKind.GAP for s in specs):
+        prefix_from = 2 if resume is None else resume.x
+    gate = _gate_extended(config, len(specs), prefix_from)
+    if gate is not None:
+        return gate
     claims = verify.scan_claims(
         specs,
         config.range_lo,
@@ -320,11 +329,12 @@ def _cmd_crossing(config: RunConfig) -> int:
         raise InvalidRangeError("crossing needs exactly one --bound")
     if config.range_hi is None:
         raise InvalidRangeError("crossing needs --to")
-    gate = _gate_extended(config)
+    spec = lookup(config.bound_ids[0])
+    gate = _gate_extended(config, 1, None if spec.kind is BoundKind.GAP else 2)
     if gate is not None:
         return gate
     (claim,) = verify.scan_claims(
-        [lookup(config.bound_ids[0])],
+        [spec],
         config.range_lo if config.range_lo is not None else 2,
         config.range_hi,
         segment_odds=config.segment_odds,
@@ -486,7 +496,7 @@ def _build_parser() -> _Parser:
         sp.add_argument(
             "--segment-size", type=int, dest="segment_odds",
             default=int(os.environ.get(ENV_SEGMENT_ODDS, sieve.DEFAULT_SEGMENT_ODDS)),
-            help="odd numbers per sieve segment (power of two)",
+            help="odd numbers per sieve segment (power of two, at least 1024)",
         )
         sp.add_argument("--extended", action="store_true")
         sp.add_argument("--yes", action="store_true", dest="assume_yes")

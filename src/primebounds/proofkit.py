@@ -116,9 +116,6 @@ class ExactPolynomial:
     def leading(self) -> Fraction:
         return self.coefficients[-1]
 
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
     # -- arithmetic (exact) ------------------------------------------------
 
     def _coeff(self, i: int) -> Fraction:
@@ -196,9 +193,6 @@ class ExactPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * yv + lift(ctx, c)
         return Enclosure.from_iv(acc)
-
-    def coefficient_strings(self) -> Tuple[str, ...]:
-        return tuple(str(c) for c in self.coefficients)
 
 
 def poly_divmod(

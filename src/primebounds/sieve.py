@@ -147,14 +147,19 @@ def primes_in_range(lo: int, hi: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) 
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+def check_segment_odds(segment_odds: int) -> None:
+    """The one segment-size rule: a power of two of at least 1024 odds."""
+    if segment_odds < 1 << 10 or segment_odds & (segment_odds - 1):
+        raise InvalidRangeError("segment size must be a power of two >= 1024 (odd numbers)")
+
+
 def segments(
     lo: int, hi: int, segment_odds: int = DEFAULT_SEGMENT_ODDS, base: Optional[np.ndarray] = None
 ) -> Iterator[PrimeSegment]:
     """Contiguous segments covering [lo, hi]."""
     if lo < 2 or hi < lo:
         raise InvalidRangeError("need 2 <= lo <= hi")
-    if segment_odds < 1 << 10 or segment_odds & (segment_odds - 1):
-        raise InvalidRangeError("segment_odds must be a power of two >= 1024")
+    check_segment_odds(segment_odds)
     if base is None:
         base = base_primes(math.isqrt(hi))
     span = 2 * segment_odds
@@ -310,6 +315,7 @@ def accumulate_range(
     jobs: int = 1,
 ) -> Iterator[tuple[AccumulatorState, PrimeSegment, AccumulatorState]]:
     """Drive the state from state.x to hi, yielding (before, segment, after)."""
+    check_segment_odds(segment_odds)
     if state.config_digest != CONFIG_DIGEST:
         raise ChecksumMismatchError("state built under a different numeric config")
     if hi <= state.x:

@@ -34,6 +34,10 @@ That strategy needs no shape information at all, so it also serves kinds
 whose derivative does not reduce to a polynomial, up to a span cap.  One
 routine, _check_cell, picks between the two for every exactly checked cell.
 
+Every bound value comes from one shape definition per kind (bounds.shape)
+with two backends: eval_bound evaluates it on outward-rounded intervals for
+every exact verdict, and _bound_float on float64 arrays for the fast lane.
+
 Most cells are decided in a float64 fast lane: per-segment running totals
 are rebased on the accumulator's exact dyadic sums every 2**16 primes, so
 their absolute error stays orders of magnitude below the lane's recheck
@@ -77,9 +81,8 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp
 
-from . import __version__, analytic, dyadic, proofkit, sieve
+from . import __version__, analytic, bounds, dyadic, proofkit, sieve
 from .bounds import BoundKind, BoundSpec, Verdict, eval_bound
-from .bounds import promote as bounds_promote
 from .enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure, eexp
 from .errors import (
     CapacityError,
@@ -398,10 +401,34 @@ def report_from_json(text: str) -> VerificationReport:
 # float64 fast lane
 # ---------------------------------------------------------------------------
 
-_CONST = analytic.constants(28)
-_GAMMA_F = _CONST[0].mid_float()
-_B_F = _CONST[1].mid_float()
-_E_F = _CONST[2].mid_float()
+
+class _FloatOps:
+    """float64 arithmetic of the fast lane for bounds.shape.
+
+    Entries whose rational denominator or Mertens body is not safely
+    positive are marked in suspect and computed with 1 in its place.  The
+    Mertens product is returned on the log scale of its lane.
+    """
+
+    const = staticmethod(float)
+    log, exp, sqrt, pi = np.log, np.exp, np.sqrt, math.pi
+    gamma, B, E = (e.mid_float() for e in analytic.constants(28))
+
+    def __init__(self, pw: Callable[[float], np.ndarray]):
+        self.lpow = lambda _L, k: pw(k)
+        self.suspect = None
+
+    @staticmethod
+    def xpow(x, p):
+        return x ** float(p)
+
+    def denominator(self, den):
+        self.suspect = den < 1e-6
+        return np.where(self.suspect, 1.0, den)
+
+    def mertens(self, L, body):
+        self.suspect = body < 1e-9
+        return -self.gamma - np.log(L) + np.log(np.where(self.suspect, 1.0, body))
 
 
 def _bound_float(
@@ -414,59 +441,10 @@ def _bound_float(
     that must not be trusted (nonpositive rational denominator / product
     body); returns None when the kind has no vector lane (li-based bounds).
     """
-    s = 1.0 if spec.direction == "upper" else -1.0
-    c = spec.coefficients
-    kind = spec.kind
-    suspect = None
-
-    if kind is BoundKind.THETA_ENVELOPE:
-        vals = x + s * float(c[0]) * x / pw(int(c[1]))
-    elif kind is BoundKind.THETA_ENVELOPE_EXP:
-        cf, rf = float(c[0]), float(c[1])
-        pref = math.sqrt(cf / (math.pi * math.sqrt(rf)))
-        vals = x + s * pref * x * pw(0.25) * np.exp(-np.sqrt(L / rf))
-    elif kind is BoundKind.THETA_SQRT:
-        body = np.zeros_like(x)
-        for i in range(0, len(c), 4):
-            term = float(c[i]) * x ** float(c[i + 1]) * pw(int(c[i + 2]))
-            w = int(c[i + 3])
-            if w:
-                term = term / math.pi**w
-            body += term
-        vals = x + s * body
-    elif kind is BoundKind.PI_LI_SQRT:
+    if spec.kind is BoundKind.PI_LI_SQRT:
         return None
-    elif kind is BoundKind.PI_RATIONAL:
-        den = L - 1.0
-        for i, ai in enumerate(c, start=1):
-            if ai:
-                den = den - float(ai) / pw(i)
-        suspect = den < 1e-6
-        vals = x / np.where(suspect, 1.0, den)
-    elif kind is BoundKind.PI_LOGPOW:
-        vals = np.zeros_like(x)
-        for j, cj in enumerate(c, start=1):
-            if cj:
-                vals = vals + float(cj) * x / pw(j)
-    elif kind is BoundKind.SUM_RECIP:
-        vals = np.log(L) + _B_F
-        for i in range(0, len(c), 2):
-            vals = vals + float(c[i]) / pw(int(c[i + 1]))
-    elif kind is BoundKind.SUM_LOGP:
-        vals = L + _E_F
-        for i in range(0, len(c), 2):
-            vals = vals + float(c[i]) / pw(int(c[i + 1]))
-    elif kind is BoundKind.PRODUCT_MERTENS:
-        body = np.ones_like(L)
-        for i in range(0, len(c), 2):
-            body = body + float(c[i]) / pw(int(c[i + 1]))
-        suspect = body < 1e-9
-        vals = -_GAMMA_F - np.log(L) + np.log(np.where(suspect, 1.0, body))
-    elif kind is BoundKind.GAP:
-        vals = x * (1.0 + float(c[0]) / pw(int(c[1])))
-    else:  # pragma: no cover - registry kinds are exhaustive
-        raise UnsupportedKindError("no fast lane for kind %s" % kind)
-    return vals, suspect
+    ops = _FloatOps(pw)
+    return bounds.shape(spec, x, L, ops), ops.suspect
 
 
 def _running(values: np.ndarray, base: float) -> np.ndarray:
@@ -1281,4 +1259,4 @@ def promote_verified(spec: BoundSpec, report: VerificationReport) -> BoundSpec:
             "%s: %d failures, %d indeterminates; only clean reports promote"
             % (spec.id, report.failures, report.indeterminates)
         )
-    return bounds_promote(spec)
+    return bounds.promote(spec)

@@ -104,17 +104,6 @@ def test_lookup_unknown_id():
         bounds.lookup("no.such.bound")
 
 
-def test_ids_matching_prefix():
-    assert bounds.ids_matching("cor3.9") == [
-        "cor3.9.a.lower", "cor3.9.b.lower", "cor3.9.c.lower",
-        "cor3.9.d.lower", "cor3.9.e.lower",
-    ]
-    assert bounds.ids_matching("thm2.4.lower") == ["thm2.4.lower"]
-    assert bounds.ids_matching("thm2.4") == ["thm2.4.lower", "thm2.4.upper"]
-    with pytest.raises(UnknownBoundError):
-        bounds.ids_matching("thm9")
-
-
 def test_boundspec_rejects_bad_fields():
     with pytest.raises(InvalidRangeError):
         BoundSpec("x", BoundKind.GAP, "sideways", (Fraction(1), Fraction(2)), 2, "claimed_paper", "a")

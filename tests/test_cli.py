@@ -9,6 +9,7 @@ byte identity: the same verification run must always produce the same file.
 import csv
 import io
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from primebounds.cli import (
     config_from_args,
     emit_report,
     main,
-    parse_report,
 )
 from primebounds.errors import InvalidRangeError
 
@@ -55,7 +55,7 @@ class TestRunConfig:
         with pytest.raises(InvalidRangeError):
             RunConfig(command="verify", jobs=0)
 
-    @pytest.mark.parametrize("size", [1, 3, 1000, 2**20 + 1])
+    @pytest.mark.parametrize("size", [1, 3, 4, 512, 1000, 2**20 + 1])
     def test_segment_size_must_be_power_of_two(self, size):
         with pytest.raises(InvalidRangeError):
             RunConfig(command="sieve", segment_odds=size)
@@ -72,7 +72,7 @@ class TestRunConfig:
 
 class TestReportFormats:
     def test_json_round_trip_is_exact(self, failing_report):
-        again = parse_report(emit_report(failing_report, "json"))
+        again = verify.report_from_json(emit_report(failing_report, "json").decode("utf-8"))
         assert again == failing_report
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -134,7 +134,7 @@ class TestVerifyCommand:
              "--to", "19423", "--report", str(path)]
         )
         assert code == 1
-        report = parse_report(path.read_bytes())
+        report = verify.report_from_json(path.read_text())
         assert report.failures == 310
         assert report.checked == 2200
         assert report.indeterminates == 0
@@ -147,7 +147,7 @@ class TestVerifyCommand:
              "--to", "100000000"]
         )
         assert code == 0
-        report = parse_report(capsys.readouterr().out.encode("utf-8"))
+        report = verify.report_from_json(capsys.readouterr().out)
         assert report.failures == 0
         assert report.indeterminates == 0
         assert report.checked == 5_346_386
@@ -187,6 +187,11 @@ class TestUsageErrors:
             ["verify", "--bound", "thm3.2.upper", "--from", "9", "--to", "2"],
             ["verify", "--bound", "thm3.2.upper", "--from", "2", "--to", "100",
              "--segment-size", "1000"],
+            # one segment-size rule for claims with and without a summed lane
+            ["verify", "--bound", "thm3.2.upper", "--from", "2", "--to", "100",
+             "--segment-size", "4"],
+            ["verify", "--bound", "thm4.1.gap4", "--from", "2", "--to", "100",
+             "--segment-size", "4"],
         ],
     )
     def test_exit_three(self, argv, capsys):
@@ -231,6 +236,22 @@ class TestExtendedGate:
     def test_estimate_within_3x_of_measured_medians(self, lo, hi, n_claims, measured_s):
         est_s = 60.0 * _estimate_minutes(lo, hi, n_claims)
         assert measured_s / 3 <= est_s <= measured_s * 3
+
+    def test_estimate_prices_the_accumulation_prefix(self, capsys):
+        # without --resume a theta claim first accumulates every prime below
+        # --from; gap claims scan without state
+        estimates = {}
+        for bound_id in ("thm2.4.upper", "thm4.1.gap3"):
+            argv = ["verify", "--bound", bound_id, "--from", str(10**12),
+                    "--to", str(10**12 + 10**6)]
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            estimates[bound_id] = 60 * float(re.search(r"estimated ([0-9.]+) min", err).group(1))
+        assert estimates["thm2.4.upper"] >= 37_607_912_018 * 1.2e-7  # pi(10^12) primes
+        assert estimates["thm4.1.gap3"] < 60
+        # a resumed state just below --from leaves nothing to accumulate
+        lo, hi = 10**12, 10**12 + 10**6
+        assert _estimate_minutes(lo, hi, 1, prefix_from=lo - 1) == _estimate_minutes(lo, hi, 1)
 
 
 class TestEnvOverrides:

@@ -21,6 +21,7 @@ from primebounds.errors import (
     CapacityError,
     CheckpointFormatError,
     ChecksumMismatchError,
+    InvalidRangeError,
     NonContiguousSegmentError,
 )
 from primebounds.sieve import (
@@ -199,6 +200,16 @@ def test_capacity_limits():
     state = AccumulatorState.anchored_at((1 << 53) - 10, 10**15)
     with pytest.raises(CapacityError):
         list(accumulate_range(state, (1 << 53) + 5))
+
+
+@pytest.mark.parametrize("size", [3, 4, 512, 1000, 3 << 10])
+def test_one_segment_size_rule(size):
+    with pytest.raises(InvalidRangeError):
+        list(sieve.segments(2, 1000, size))
+    with pytest.raises(InvalidRangeError):
+        list(accumulate_range(pi_theta_at(100), 1000, size))
+    with pytest.raises(InvalidRangeError):  # also when there is nothing to do
+        list(accumulate_range(pi_theta_at(1000), 1000, size))
 
 
 def test_anchored_state_tracks_pi_only():
