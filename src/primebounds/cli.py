@@ -65,6 +65,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise InvalidRangeError("--jobs must be at least 1")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise InvalidRangeError("--checkpoint-every must be at least 1")
         sieve.check_segment_odds(self.segment_odds)
         if self.range_lo is not None and self.range_hi is not None:
             if self.range_lo > self.range_hi:
@@ -481,6 +483,11 @@ class _UsageError(Exception):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="primebounds", description=__doc__.splitlines()[0])
+    env_odds = os.environ.get(ENV_SEGMENT_ODDS, str(sieve.DEFAULT_SEGMENT_ODDS))
+    try:
+        segment_odds = int(env_odds)
+    except ValueError:
+        raise InvalidRangeError("%s must be an integer, not %r" % (ENV_SEGMENT_ODDS, env_odds)) from None
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, bounds=False, ranged=False, many_bounds=False):
@@ -495,7 +502,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument(
             "--segment-size", type=int, dest="segment_odds",
-            default=int(os.environ.get(ENV_SEGMENT_ODDS, sieve.DEFAULT_SEGMENT_ODDS)),
+            default=segment_odds,
             help="odd numbers per sieve segment (power of two, at least 1024)",
         )
         sp.add_argument("--extended", action="store_true")

@@ -7,6 +7,12 @@ is integer addition, the state after consuming [2, x] is bitwise identical
 for every contiguous segmentation of the range, and checkpoint round-trips
 are lossless.
 
+The four summed lanes are defined here alone: their per-prime terms
+(lane_terms), state fields and budget multipliers (LANES) and exact sums
+(lane_sum).  A segment sums each SUM_CHUNK of its primes exactly once
+(PrimeSegment.sums); accumulate adds the total, and the verifier restarts
+its float running sums from these partial sums at every chunk.
+
 Per-term budgets, in binade units of the stored term (dyadic docstring):
 BUDGET_LOG for np.log outputs, BUDGET_RECIP for IEEE 1/p, BUDGET_QUOT for
 log(p)/p and -log1p(-1/p). np.log/np.log1p are correctly rounded to <= 0.61
@@ -16,6 +22,7 @@ these budgets hold with a wide margin.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -41,6 +48,18 @@ DEFAULT_SEGMENT_ODDS = 1 << 22  # odds per segment; spans 2**23 integers
 BUDGET_LOG = 4
 BUDGET_RECIP = 4
 BUDGET_QUOT = 16
+
+# Primes per chunk of a segment's exact partial sums.
+SUM_CHUNK = 1 << 16
+
+# The summed lanes: the AccumulatorState fields of their value and budget,
+# and the budget multiplier of their per-prime terms.
+LANES = {
+    "theta": ("theta_v", "theta_b", BUDGET_LOG),
+    "recip": ("recip_v", "recip_b", BUDGET_RECIP),
+    "logp": ("logp_v", "logp_b", BUDGET_QUOT),
+    "log1m": ("log1m_v", "log1m_b", BUDGET_QUOT),
+}
 
 CHECKPOINT_VERSION = 1
 
@@ -98,6 +117,24 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
+def lane_terms(lane: str, pf: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Per-prime terms of a summed lane; pf holds the primes as floats, logs
+    their logs.  log1m terms are -log(1 - 1/p), which are positive."""
+    if lane == "theta":
+        return logs
+    if lane == "recip":
+        return 1.0 / pf
+    if lane == "logp":
+        return logs / pf
+    return -np.log1p(-1.0 / pf)
+
+
+def lane_sum(lane: str, terms: np.ndarray) -> tuple[int, int]:
+    """Exact scaled (value, budget) of a run of one lane's terms."""
+    v, b = dyadic.scaled_sum(terms)
+    return v, b * LANES[lane][2]
+
+
 @dataclass(frozen=True)
 class PrimeSegment:
     """Primes of the contiguous integer range [lo, hi]."""
@@ -109,6 +146,23 @@ class PrimeSegment:
     def __post_init__(self):
         if not (2 <= self.lo <= self.hi):
             raise InvalidRangeError("segment range must satisfy 2 <= lo <= hi")
+
+    @functools.cached_property
+    def sums(self) -> dict[str, list[tuple[int, int]]]:
+        """Exact partial sums of each summed lane, computed once: entry k is
+        the scaled (value, budget) of the first min(k * SUM_CHUNK, n) of the
+        n primes' terms, from (0, 0) to the segment's total.  The terms
+        themselves are not kept."""
+        pf = self.primes.astype(np.float64)
+        logs = np.log(pf)
+        out = {}
+        for lane in LANES:
+            terms = lane_terms(lane, pf, logs)
+            out[lane] = sums = [(0, 0)]
+            for a in range(0, terms.size, SUM_CHUNK):
+                v, b = lane_sum(lane, terms[a : a + SUM_CHUNK])
+                sums.append((sums[-1][0] + v, sums[-1][1] + b))
+        return out
 
 
 def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeSegment:
@@ -223,6 +277,11 @@ class AccumulatorState:
             raise InvalidRangeError("anchor needs x >= 2 and pi >= 1")
         return cls(x=x, pi=pi, anchored=True)
 
+    def lane(self, name: str) -> tuple[int, int]:
+        """Exact scaled (value, budget) of a summed lane (see LANES)."""
+        vf, bf, _ = LANES[name]
+        return getattr(self, vf), getattr(self, bf)
+
     def _encl(self, v: int, b: int) -> Enclosure:
         if self.anchored:
             return Enclosure.top()
@@ -230,7 +289,7 @@ class AccumulatorState:
 
     @property
     def theta(self) -> Enclosure:
-        return self._encl(self.theta_v, self.theta_b)
+        return self._encl(*self.lane("theta"))
 
     @property
     def psi(self) -> Enclosure:
@@ -238,19 +297,15 @@ class AccumulatorState:
 
     @property
     def sum_recip(self) -> Enclosure:
-        return self._encl(self.recip_v, self.recip_b)
+        return self._encl(*self.lane("recip"))
 
     @property
     def sum_logp(self) -> Enclosure:
-        return self._encl(self.logp_v, self.logp_b)
+        return self._encl(*self.lane("logp"))
 
     @property
     def sum_log1m(self) -> Enclosure:
-        if self.anchored:
-            return Enclosure.top()
-        return Enclosure.from_dyadic(
-            -(self.log1m_v + self.log1m_b), -(self.log1m_v - self.log1m_b), dyadic.SCALE_BITS
-        )
+        return self._encl(-self.log1m_v, self.log1m_b)
 
 
 def _power_terms(lo: int, hi: int, base: np.ndarray) -> tuple[int, int]:
@@ -265,9 +320,9 @@ def _power_terms(lo: int, hi: int, base: np.ndarray) -> tuple[int, int]:
             i = int(np.searchsorted(base, q_min, side="left"))
             j = int(np.searchsorted(base, q_max, side="right"))
             if j > i:
-                dv, db = dyadic.scaled_sum(np.log(base[i:j].astype(np.float64)))
+                dv, db = lane_sum("theta", np.log(base[i:j].astype(np.float64)))
                 v += dv
-                b += db * BUDGET_LOG
+                b += db
         k += 1
     return v, b
 
@@ -283,28 +338,18 @@ def accumulate(state: AccumulatorState, segment: PrimeSegment) -> AccumulatorSta
     npinc = int(segment.primes.size)
     if state.anchored:
         return replace(state, x=segment.hi, pi=state.pi + npinc)
-    pf = segment.primes.astype(np.float64)
-    logs = np.log(pf)
-    r = 1.0 / pf
-    tv, tb = dyadic.scaled_sum(logs)
-    rv, rb = dyadic.scaled_sum(r)
-    qv, qb = dyadic.scaled_sum(logs / pf)
-    mv, mb = dyadic.scaled_sum(-np.log1p(-r))
     pv, pb = _power_terms(segment.lo, segment.hi, base_primes(math.isqrt(segment.hi)))
+    totals = {}
+    for lane, (vf, bf, _) in LANES.items():
+        v, b = segment.sums[lane][-1]
+        totals[vf], totals[bf] = getattr(state, vf) + v, getattr(state, bf) + b
     return replace(
         state,
         x=segment.hi,
         pi=state.pi + npinc,
-        theta_v=state.theta_v + tv,
-        theta_b=state.theta_b + tb * BUDGET_LOG,
         pp_v=state.pp_v + pv,
         pp_b=state.pp_b + pb,
-        recip_v=state.recip_v + rv,
-        recip_b=state.recip_b + rb * BUDGET_RECIP,
-        logp_v=state.logp_v + qv,
-        logp_b=state.logp_b + qb * BUDGET_QUOT,
-        log1m_v=state.log1m_v + mv,
-        log1m_b=state.log1m_b + mb * BUDGET_QUOT,
+        **totals,
     )
 
 
@@ -363,6 +408,8 @@ def pi_theta_at(
     state = resume_from if resume_from is not None else AccumulatorState.initial()
     if x < state.x:
         raise InvalidRangeError("target %d below state at %d" % (x, state.x))
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise InvalidRangeError("checkpoint spacing must be at least 1, not %d" % checkpoint_every)
     next_mark = state.x + checkpoint_every if checkpoint_every else None
     fh = open(checkpoint_path, "a") if checkpoint_path else None
     try:
@@ -416,7 +463,7 @@ def write_checkpoint(state: AccumulatorState, fh: TextIO) -> None:
         "psi": _pair(state.theta_v + state.pp_v, state.theta_b + state.pp_b),
         "sum_recip": _pair(state.recip_v, state.recip_b),
         "sum_logp": _pair(state.logp_v, state.logp_b),
-        "sum_log1m": [_dec_str(-(state.log1m_v + state.log1m_b)), _dec_str(-(state.log1m_v - state.log1m_b))],
+        "sum_log1m": _pair(-state.log1m_v, state.log1m_b),
         "config_digest": state.config_digest,
     }
     fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -448,11 +495,7 @@ def read_checkpoint(fh: TextIO) -> AccumulatorState:
     sv, sb = _unpair(rec["psi"])
     rv, rb = _unpair(rec["sum_recip"])
     qv, qb = _unpair(rec["sum_logp"])
-    m_lo, m_hi = _dec_parse(rec["sum_log1m"][0]), _dec_parse(rec["sum_log1m"][1])
-    mv = -(m_lo + m_hi) // 2 if (m_lo + m_hi) % 2 == 0 else None
-    if mv is None:
-        raise CheckpointFormatError("midpoint not on the dyadic grid")
-    mb = -m_lo - mv
+    mv, mb = _unpair(rec["sum_log1m"])
     return AccumulatorState(
         x=rec["x"],
         pi=rec["pi"],
@@ -464,7 +507,7 @@ def read_checkpoint(fh: TextIO) -> AccumulatorState:
         recip_b=rb,
         logp_v=qv,
         logp_b=qb,
-        log1m_v=mv,
+        log1m_v=-mv,
         log1m_b=mb,
         config_digest=rec["config_digest"],
     )

@@ -38,18 +38,24 @@ Every bound value comes from one shape definition per kind (bounds.shape)
 with two backends: eval_bound evaluates it on outward-rounded intervals for
 every exact verdict, and _bound_float on float64 arrays for the fast lane.
 
-Most cells are decided in a float64 fast lane: per-segment running totals
-are rebased on the accumulator's exact dyadic sums every 2**16 primes, so
-their absolute error stays orders of magnitude below the lane's recheck
-margin delta.  The lane decides whole blocks of _BLOCK = 128 cells from
-their two end cells.  From the fast lane's start on, the shape certificate
-proves the bound monotone (for rational pi bounds also the denominator
-positive), and the quantities -- the prime count, running sums of positive
-terms, and the successor prime of a gap claim -- are monotone too; a block
-never straddles a rebase, so this holds for the float running totals as
-well.  So the worst margin over a block -- the least quantity minus the
-largest bound for a lower bound, the least bound (or window end) minus the
-largest quantity for an upper bound -- is taken at its ends, and a block
+The summed lanes (theta, sum 1/p, sum log p / p, sum log(1 - 1/p)) are
+sieve's: it defines their terms and sums each SUM_CHUNK = 2**16 primes of
+a segment exactly once (PrimeSegment.sums).  The exact quantity at a cell
+is the partial sum of its chunk plus the few terms after it.
+
+Most cells are decided in a float64 fast lane.  Its running sums restart
+at every chunk from the correctly rounded exact partial sum, so float
+drift never carries from one chunk to the next, and within a chunk it
+stays orders of magnitude below the lane's recheck margin delta.  The
+lane decides whole blocks of _BLOCK = 128 cells from their two end cells.
+From the fast lane's start on, the shape certificate proves the bound
+monotone (for rational pi bounds also the denominator positive), and the
+quantities -- the prime count, running sums of positive terms, and the
+successor prime of a gap claim -- are monotone too; a block never
+straddles a chunk, so this holds for the float running sums as well.  So
+the worst margin over a block -- the least quantity minus the largest
+bound for a lower bound, the least bound (or window end) minus the largest
+quantity for an upper bound -- is taken at its ends, and a block
 whose worst margin exceeds delta passes whole.  delta is the one a single
 cell is held to, since the end values carry the same float error as a
 cell's own check, and a block with a suspect end (see _bound_float) is
@@ -96,13 +102,7 @@ from .errors import (
     SoundnessGateError,
     UnsupportedKindError,
 )
-from .sieve import (
-    BUDGET_LOG,
-    BUDGET_QUOT,
-    BUDGET_RECIP,
-    DEFAULT_SEGMENT_ODDS,
-    AccumulatorState,
-)
+from .sieve import DEFAULT_SEGMENT_ODDS, SUM_CHUNK, AccumulatorState, PrimeSegment
 
 __all__ = [
     "COUNTEREXAMPLE_CAP",
@@ -128,11 +128,9 @@ MAX_CELL_SPAN = 200_000
 # Pair cap for kinds that have no vectorised fast lane (li-based bounds).
 MAX_EXACT_PAIRS = 60_000
 
-# Primes per exact rebase of the fast lane's running totals, and cells per
-# batch of its cell-by-cell triage.
-_CHUNK = 1 << 16
 # Cells per block that the fast lane decides from its two end cells.  A
-# power of two below _CHUNK, so that no block straddles a rebase.
+# power of two below SUM_CHUNK, so that no block straddles a rebase of the
+# running sums.
 _BLOCK = 1 << 7
 _NO_CELLS = np.empty(0, dtype=np.int64)
 
@@ -447,69 +445,9 @@ def _bound_float(
     return bounds.shape(spec, x, L, ops), ops.suspect
 
 
-def _running(values: np.ndarray, base: float) -> np.ndarray:
-    """Running totals of values on top of base, rebased exactly per chunk."""
-    out = np.empty(values.size, dtype=np.float64)
-    acc = base
-    for a in range(0, values.size, _CHUNK):
-        b = min(a + _CHUNK, values.size)
-        np.cumsum(values[a:b], out=out[a:b])
-        out[a:b] += acc
-        v, _ = dyadic.scaled_sum(values[a:b])
-        acc += math.ldexp(float(v), -dyadic.SCALE_BITS)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact quantity enclosures
 # ---------------------------------------------------------------------------
-
-
-def _dyadic_enclosure(v: int, b: int, negate: bool = False) -> Enclosure:
-    lo, hi = v - b, v + b
-    if negate:
-        lo, hi = -hi, -lo
-    return Enclosure.from_dyadic(lo, hi, dyadic.SCALE_BITS)
-
-
-# Error-budget multiplier of each lane's per-prime terms.
-_LANE_BUDGET = {
-    "theta": BUDGET_LOG,
-    "recip": BUDGET_RECIP,
-    "logp": BUDGET_QUOT,
-    "log1m": BUDGET_QUOT,
-}
-
-_LANE_STATE_FIELDS = {
-    "theta": ("theta_v", "theta_b"),
-    "recip": ("recip_v", "recip_b"),
-    "logp": ("logp_v", "logp_b"),
-    "log1m": ("log1m_v", "log1m_b"),
-}
-
-
-class _ExactPrefix:
-    """Exact dyadic running totals of one lane's per-prime terms."""
-
-    def __init__(self, lane: str, before: AccumulatorState, values: np.ndarray):
-        vf, bf = _LANE_STATE_FIELDS[lane]
-        self._values = values
-        self._base = (getattr(before, vf), getattr(before, bf))
-        self._mult = _LANE_BUDGET[lane]
-        self._v, self._b = self._base
-        self._idx = 0  # terms [0, _idx) are folded in
-
-    def at(self, idx: int) -> tuple[int, int]:
-        """Exact (value, budget) of the lane total through term idx."""
-        if idx + 1 < self._idx:
-            self._v, self._b = self._base
-            self._idx = 0
-        if self._idx <= idx:
-            v, b = dyadic.scaled_sum(self._values[self._idx : idx + 1])
-            self._v += v
-            self._b += b * self._mult
-            self._idx = idx + 1
-        return self._v, self._b
 
 
 def _state_quantity(lane: str, state: AccumulatorState, prec: int) -> Enclosure:
@@ -802,29 +740,27 @@ class _SpecScan:
 class _SegmentData:
     """Shared per-segment arrays, built lazily per lane."""
 
-    def __init__(self, before: Optional[AccumulatorState], primes: np.ndarray):
+    def __init__(self, before: Optional[AccumulatorState], segment: PrimeSegment):
         self.before = before
-        self.p = primes
-        self.pf = primes.astype(np.float64)
+        self.seg = segment
+        self.p = segment.primes
+        self.pf = self.p.astype(np.float64)
         self.logs = np.log(self.pf)
         self._values: dict[str, np.ndarray] = {}
         self._runs: dict[str, np.ndarray] = {}
-        self._prefixes: dict[str, _ExactPrefix] = {}
+        self._cursors: dict[str, tuple[int, int, int]] = {}  # see exact()
 
     def values(self, lane: str) -> np.ndarray:
         """Per-prime terms of a summed lane, built once per segment."""
         out = self._values.get(lane)
         if out is None:
-            if lane == "theta":
-                out = self.logs
-            elif lane == "recip":
-                out = 1.0 / self.pf
-            elif lane == "logp":
-                out = self.logs / self.pf
-            else:
-                out = -np.log1p(-self.values("recip"))
-            self._values[lane] = out
+            out = self._values[lane] = sieve.lane_terms(lane, self.pf, self.logs)
         return out
+
+    def _chunk_total(self, lane: str, k: int) -> tuple[int, int]:
+        """Exact lane total through the first k * SUM_CHUNK primes."""
+        (v0, b0), (v, b) = self.before.lane(lane), self.seg.sums[lane][k]
+        return v0 + v, b0 + b
 
     def run(self, lane: str) -> np.ndarray:
         out = self._runs.get(lane)
@@ -832,20 +768,36 @@ class _SegmentData:
             if lane == "pi":
                 out = self.before.pi + np.arange(1, self.p.size + 1, dtype=np.float64)
             else:
-                vf, _bf = _LANE_STATE_FIELDS[lane]
-                base = math.ldexp(float(getattr(self.before, vf)), -dyadic.SCALE_BITS)
-                out = _running(self.values(lane), base)
+                values = self.values(lane)
+                out = np.empty(values.size, dtype=np.float64)
+                for k, a in enumerate(range(0, values.size, SUM_CHUNK)):
+                    # restart from the correctly rounded exact partial sum
+                    chunk = out[a : a + SUM_CHUNK]
+                    np.cumsum(values[a : a + SUM_CHUNK], out=chunk)
+                    chunk += math.ldexp(float(self._chunk_total(lane, k)[0]), -dyadic.SCALE_BITS)
                 if lane == "log1m":
                     out = -out
             self._runs[lane] = out
         return out
 
-    def prefix(self, lane: str) -> _ExactPrefix:
-        pre = self._prefixes.get(lane)
-        if pre is None:
-            pre = _ExactPrefix(lane, self.before, self.values(lane))
-            self._prefixes[lane] = pre
-        return pre
+    def exact(self, lane: str, idx: int) -> tuple[int, int]:
+        """Exact (value, budget) of a summed lane through prime idx.
+
+        The segment's partial sum over the whole chunks among primes
+        0..idx, plus the fewer than SUM_CHUNK terms after them.  Each lane
+        keeps the (count, value, budget) of its last call as a cursor and
+        carries on from it when it lies in between.
+        """
+        n = idx + 1
+        a = n - n % SUM_CHUNK
+        m, v, b = self._cursors.get(lane, (-1, 0, 0))
+        if not a <= m <= n:
+            m, (v, b) = a, self._chunk_total(lane, a // SUM_CHUNK)
+        if m < n:
+            dv, db = sieve.lane_sum(lane, self.values(lane)[m:n])
+            v, b = v + dv, b + db
+        self._cursors[lane] = (n, v, b)
+        return v, b
 
     def quantity_fn(self, lane: str, idx: int) -> Optional[Callable[[int], Enclosure]]:
         """Exact lane quantity through prime idx, by precision (None for gaps)."""
@@ -854,23 +806,12 @@ class _SegmentData:
         if lane == "pi":
             enc = Enclosure.from_value(self.before.pi + idx + 1)
             return lambda prec: enc
-        v, b = self.prefix(lane).at(idx)
+        v, b = self.exact(lane, idx)
         if lane == "log1m":
-            inner = _dyadic_enclosure(v, b, negate=True)
+            inner = Enclosure.from_dyadic(-(v + b), b - v, dyadic.SCALE_BITS)
             return lambda prec: eexp(inner, prec)
-        enc = _dyadic_enclosure(v, b)
+        enc = Enclosure.from_dyadic(v - b, v + b, dyadic.SCALE_BITS)
         return lambda prec: enc
-
-
-def _iter_segment_primes(lo, hi, state, segment_odds, jobs, need_state):
-    """Yield (before, primes, after); states are None on the prime-only path."""
-    if need_state:
-        for before, seg, after in sieve.accumulate_range(state, hi, segment_odds, jobs):
-            yield before, seg.primes, after
-    else:
-        base = sieve.base_primes(math.isqrt(hi))
-        for seg in sieve.segments(lo, hi, segment_odds, base):
-            yield None, seg.primes, None
 
 
 def _scan(
@@ -902,18 +843,22 @@ def _scan(
         for _, _, after in sieve.accumulate_range(state, range_lo - 1, segment_odds, jobs):
             state = after
 
+    if need_state:
+        segs = sieve.accumulate_range(state, range_hi, segment_odds, jobs)
+    else:  # the states stay None on the prime-only path
+        segs = ((None, seg, None) for seg in sieve.segments(range_lo, range_hi, segment_odds))
+
     scans = [_SpecScan(p) for p in plans]
     # the cell left open at a segment edge: its base, the exact state through
     # it, and the strictness of its gap check.  It starts as the partial cell
     # [range_lo, first prime), checked only when range_lo is composite.
     edge = (range_lo, state, False)
 
-    for before, primes, after in _iter_segment_primes(
-        range_lo, range_hi, state, segment_odds, jobs, need_state
-    ):
+    for before, seg, after in segs:
+        primes = seg.primes
         if primes.size == 0:
             continue
-        data = _SegmentData(before, primes)
+        data = _SegmentData(before, seg)
         first = int(primes[0])
         if first > edge[0]:
             _check_edge(scans, edge, first)
@@ -1009,10 +954,10 @@ def _triage(fast, data: _SegmentData, cut: int):
     in the float lane.  Each whole block [k * _BLOCK, (k + 1) * _BLOCK)
     among them whose worst-case margin, taken from its first and last cell,
     exceeds the recheck margin passes whole: from start on the bound is
-    certified monotone, and a block lies inside one rebase chunk of
-    _running, where the float running sums are monotone.  The cells of the
-    other blocks, and of the partial blocks at start and cut, are checked
-    one by one, _CHUNK cells at a time.  Certain passes go straight to the
+    certified monotone, and a block lies inside one SUM_CHUNK of the float
+    running sums, where they are monotone.  The cells of the other blocks,
+    and of the partial blocks at start and cut, are checked one by one,
+    SUM_CHUNK cells at a time.  Certain passes go straight to the
     tallies; returns, per claim, the ascending segment indices of its
     certain fails and of its unsure cells.
     """
@@ -1036,8 +981,8 @@ def _triage(fast, data: _SegmentData, cut: int):
 
         # cell by cell, over the span of each batch's pending cells
         fails, unsure = [_NO_CELLS], [_NO_CELLS]
-        for c0 in range(0, pending.size, _CHUNK):
-            todo = np.flatnonzero(pending[c0 : c0 + _CHUNK])
+        for c0 in range(0, pending.size, SUM_CHUNK):
+            todo = np.flatnonzero(pending[c0 : c0 + SUM_CHUNK])
             if todo.size == 0:
                 continue
             lo, hi = start + c0 + todo[0], start + c0 + todo[-1] + 1

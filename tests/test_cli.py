@@ -55,6 +55,11 @@ class TestRunConfig:
         with pytest.raises(InvalidRangeError):
             RunConfig(command="verify", jobs=0)
 
+    @pytest.mark.parametrize("every", [-5, 0])
+    def test_checkpoint_every_must_be_positive(self, every):
+        with pytest.raises(InvalidRangeError):
+            RunConfig(command="sieve", checkpoint_every=every)
+
     @pytest.mark.parametrize("size", [1, 3, 4, 512, 1000, 2**20 + 1])
     def test_segment_size_must_be_power_of_two(self, size):
         with pytest.raises(InvalidRangeError):
@@ -192,11 +197,17 @@ class TestUsageErrors:
              "--segment-size", "4"],
             ["verify", "--bound", "thm4.1.gap4", "--from", "2", "--to", "100",
              "--segment-size", "4"],
+            ["sieve", "--to", "100000", "--checkpoint-out", "ck.jsonl",
+             "--checkpoint-every", "-5"],
+            ["sieve", "--to", "100000", "--checkpoint-out", "ck.jsonl",
+             "--checkpoint-every", "0"],
         ],
     )
-    def test_exit_three(self, argv, capsys):
+    def test_exit_three(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # a refused run must not write a checkpoint here
         assert main(argv) == 3
         capsys.readouterr()  # drain usage noise
+        assert not (tmp_path / "ck.jsonl").exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as ei:
@@ -262,6 +273,15 @@ class TestEnvOverrides:
         # an explicit flag still wins
         cfg = config_from_args(["sieve", "--to", "1000", "--segment-size", "131072"])
         assert cfg.segment_odds == 131072
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["registry"], ["verify", "--bound", "thm3.2.upper", "--from", "2", "--to", "100"]],
+    )
+    def test_segment_size_from_environment_must_be_an_integer(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv(ENV_SEGMENT_ODDS, "abc")
+        assert main(argv) == 3
+        assert ENV_SEGMENT_ODDS in capsys.readouterr().err
 
     def test_checkpoint_dir_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_CHECKPOINT_DIR, str(tmp_path))

@@ -110,10 +110,10 @@ def test_blocks_match_cell_oracle_on_anchored_pi_window(monkeypatch):
 
 
 def _segment(lo, hi, n_primes=None):
-    primes = sieve.primes_in_range(lo, hi)
+    seg = sieve.sieve_segment(lo, hi)
     if n_primes is not None:
-        primes = primes[:n_primes]
-    return verify._SegmentData(sieve.pi_theta_at(lo - 1), primes)
+        seg = sieve.PrimeSegment(lo, int(seg.primes[n_primes - 1]), seg.primes[:n_primes])
+    return verify._SegmentData(sieve.pi_theta_at(lo - 1), seg)
 
 
 def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, brackets_only=False):
@@ -212,8 +212,8 @@ def test_successor_claim_last_block_ends_on_final_successor(monkeypatch):
 
 def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     lo, hi = 10**12, 10**12 + 2 * 10**5
-    primes = sieve.primes_in_range(lo, hi)
-    data = verify._SegmentData(None, primes)
+    data = verify._SegmentData(None, sieve.sieve_segment(lo, hi))
+    primes = data.p
     cut = (primes.size - 1) // _BLOCK * _BLOCK
     spec = lookup("thm4.1.gap3")
     scan, fails, unsure = _triage_one(monkeypatch, _BLOCK, spec, data, 0, cut, lo, hi, True)

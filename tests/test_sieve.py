@@ -180,6 +180,14 @@ def test_checkpoint_file_resume(tmp_path):
     assert pi_theta_at(80000, resume_from=state) == pi_theta_at(80000)
 
 
+@pytest.mark.parametrize("every", [-5, 0])
+def test_checkpoint_spacing_must_be_positive(tmp_path, every):
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(InvalidRangeError):
+        pi_theta_at(50000, checkpoint_path=str(path), checkpoint_every=every)
+    assert not path.exists()
+
+
 def test_digest_guards_resume():
     state = pi_theta_at(1000)
     forged = AccumulatorState(x=state.x, pi=state.pi, config_digest="0" * 16)

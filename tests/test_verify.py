@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from primebounds import sieve, verify
+from primebounds import dyadic, sieve, verify
 from primebounds.bounds import Verdict, eval_bound, lookup
 from primebounds.enclosure import DEFAULT_PREC, Enclosure
 from primebounds.errors import (
@@ -496,7 +496,7 @@ def test_tiling_and_segmentation_do_not_change_results():
     assert any(verify._make_plan(s, 2, 2 * 10**6).pair_start > 2 for s in specs)
     wide = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**20)
     narrow = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**12)
-    assert wide[0].report.checked > 2 * verify._CHUNK
+    assert wide[0].report.checked > 2 * sieve.SUM_CHUNK
     for a, b in zip(wide, narrow):
         assert reports_equivalent(a.report, b.report), a.report.bound_id
         assert a.crossing == b.crossing
@@ -532,6 +532,29 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
             assert pair is cell, (bound_id, base)
             seen.add(pair)
         assert seen == expected, bound_id
+
+
+def test_exact_quantity_across_chunk_edges():
+    # one segment of about 600k primes holds three chunk edges or more; the
+    # cells are visited ascending, descending and again with repeats, so the
+    # cursor starts afresh, carries on and stands still
+    lo = 10**6
+    before = sieve.pi_theta_at(lo - 1)
+    data = verify._SegmentData(before, sieve.sieve_segment(lo, lo + 2**23 - 1))
+    c, last = sieve.SUM_CHUNK, data.p.size - 1
+    assert last >= 3 * c
+    cells = [0, c - 1, c, c + 1, 2 * c - 1, last]
+    states = {i: sieve.pi_theta_at(int(data.p[i]), resume_from=before) for i in cells}
+    for lane in ("theta", "recip", "logp", "log1m"):
+        run = data.run(lane)
+        for i in cells + cells[::-1] + [c + 1, c + 1, c, c - 1, c - 1, 0, 0]:
+            got = data.quantity_fn(lane, i)(DEFAULT_PREC)
+            want = verify._state_quantity(lane, states[i], DEFAULT_PREC)
+            assert (got.lo, got.hi) == (want.lo, want.hi), (lane, i)
+            # the float running sum restarts from the exact one at each chunk
+            v, _ = data.exact(lane, i)
+            exact = math.ldexp(v, -dyadic.SCALE_BITS) * (-1 if lane == "log1m" else 1)
+            assert run[i] == pytest.approx(exact, rel=1e-12), (lane, i)
 
 
 # ---------------------------------------------------------------------------
