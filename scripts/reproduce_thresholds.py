@@ -21,7 +21,6 @@ from primebounds.sieve import DEFAULT_SEGMENT_ODDS
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--to", type=int, default=10**8, help="scan ceiling (default 10^8)")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_ODDS)
     ap.add_argument("--json", metavar="PATH", help="also write results as JSON")
     args = ap.parse_args()
@@ -35,9 +34,7 @@ def main() -> int:
         file=sys.stderr,
     )
     t0 = time.monotonic()
-    claims = verify.scan_claims(
-        specs, 2, args.to, segment_odds=args.segment_size, jobs=args.jobs
-    )
+    claims = verify.scan_claims(specs, 2, args.to, segment_odds=args.segment_size)
     elapsed = time.monotonic() - t0
 
     rows, all_ok = [], True

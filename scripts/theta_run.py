@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--every", type=int, help="x-distance between checkpoint lines")
     ap.add_argument("--resume", metavar="PATH", help="resume from this checkpoint file")
     ap.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT_ODDS)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--full", action="store_true", help="also print the prime sums")
     args = ap.parse_args()
 
@@ -38,7 +37,6 @@ def main() -> int:
         args.to,
         resume_from=resume_state,
         segment_odds=args.segment_size,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.every,
     )

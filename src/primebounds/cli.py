@@ -47,7 +47,6 @@ class RunConfig:
     bound_ids: tuple[str, ...] = ()
     range_lo: Optional[int] = None
     range_hi: Optional[int] = None
-    jobs: int = 1
     segment_odds: int = sieve.DEFAULT_SEGMENT_ODDS
     checkpoint_in: Optional[str] = None
     checkpoint_out: Optional[str] = None
@@ -63,8 +62,6 @@ class RunConfig:
     full: bool = False
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise InvalidRangeError("--jobs must be at least 1")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise InvalidRangeError("--checkpoint-every must be at least 1")
         sieve.check_segment_odds(self.segment_odds)
@@ -249,7 +246,6 @@ def _cmd_sieve(config: RunConfig) -> int:
         target,
         resume_from=resume,
         segment_odds=config.segment_odds,
-        jobs=config.jobs,
         checkpoint_path=_checkpoint_path(config.checkpoint_out),
         checkpoint_every=config.checkpoint_every,
     )
@@ -311,7 +307,6 @@ def _cmd_verify(config: RunConfig) -> int:
         config.range_hi,
         state=resume,
         segment_odds=config.segment_odds,
-        jobs=config.jobs,
         checkpoint_ref=ck_in,
         resolve_crossings=False,
     )
@@ -340,7 +335,6 @@ def _cmd_crossing(config: RunConfig) -> int:
         config.range_lo if config.range_lo is not None else 2,
         config.range_hi,
         segment_odds=config.segment_odds,
-        jobs=config.jobs,
     )
     result = claim.crossing
     if result is None:
@@ -490,26 +484,31 @@ def _build_parser() -> _Parser:
         raise InvalidRangeError("%s must be an integer, not %r" % (ENV_SEGMENT_ODDS, env_odds)) from None
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, bounds=False, ranged=False, many_bounds=False):
+    def common(sp, bounds=False, many_bounds=False, sieves=False, starts=False):
+        """Add the shared options a subcommand reads.
+
+        sieves: it sieves up to --to, so it takes the segment size and the
+        extended-range gate; starts: it also takes --from.
+        """
         if bounds:
             sp.add_argument(
                 "--bound", action="append", default=[], dest="bounds",
                 help="registry bound id" + (" (repeatable)" if many_bounds else ""),
             )
-        if ranged:
+        if starts:
             sp.add_argument("--from", dest="range_lo", type=int, default=None)
+        if sieves:
             sp.add_argument("--to", dest="range_hi", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument(
-            "--segment-size", type=int, dest="segment_odds",
-            default=segment_odds,
-            help="odd numbers per sieve segment (power of two, at least 1024)",
-        )
-        sp.add_argument("--extended", action="store_true")
-        sp.add_argument("--yes", action="store_true", dest="assume_yes")
+            sp.add_argument(
+                "--segment-size", type=int, dest="segment_odds",
+                default=segment_odds,
+                help="odd numbers per sieve segment (power of two, at least 1024)",
+            )
+            sp.add_argument("--extended", action="store_true")
+            sp.add_argument("--yes", action="store_true", dest="assume_yes")
 
     sp = sub.add_parser("sieve", help="accumulate exact pi/theta/sums up to --to")
-    common(sp, ranged=True)
+    common(sp, sieves=True)
     sp.add_argument("--resume", dest="checkpoint_in", default=None)
     sp.add_argument("--checkpoint-out", dest="checkpoint_out", default=None)
     sp.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
@@ -520,14 +519,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--x", required=True)
 
     sp = sub.add_parser("verify", help="check bounds over a range and report")
-    common(sp, bounds=True, ranged=True, many_bounds=True)
+    common(sp, bounds=True, many_bounds=True, sieves=True, starts=True)
     sp.add_argument("--resume", dest="checkpoint_in", default=None)
     sp.add_argument("--report", dest="report_path", default=None)
     sp.add_argument("--format", dest="report_format", default="json",
                     choices=["json", "csv", "text"])
 
     sp = sub.add_parser("crossing", help="largest violation and implied threshold")
-    common(sp, bounds=True, ranged=True)
+    common(sp, bounds=True, sieves=True, starts=True)
 
     sp = sub.add_parser("constants", help="print gamma, Mertens B, Landau E")
     sp.add_argument("--digits", type=int, default=28)
@@ -551,7 +550,6 @@ def config_from_args(argv: Sequence[str]) -> RunConfig:
         "bound_ids": tuple(getattr(ns, "bounds", []) or []),
         "range_lo": getattr(ns, "range_lo", None),
         "range_hi": getattr(ns, "range_hi", None),
-        "jobs": getattr(ns, "jobs", 1),
         "segment_odds": getattr(ns, "segment_odds", sieve.DEFAULT_SEGMENT_ODDS),
         "checkpoint_in": getattr(ns, "checkpoint_in", None),
         "checkpoint_out": getattr(ns, "checkpoint_out", None),

@@ -26,7 +26,6 @@ import functools
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, TextIO
 
@@ -357,7 +356,6 @@ def accumulate_range(
     state: AccumulatorState,
     hi: int,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
 ) -> Iterator[tuple[AccumulatorState, PrimeSegment, AccumulatorState]]:
     """Drive the state from state.x to hi, yielding (before, segment, after)."""
     check_segment_odds(segment_odds)
@@ -367,40 +365,16 @@ def accumulate_range(
         return
     if hi > CAPACITY:
         raise CapacityError("range beyond 2**53")
-    lo = state.x + 1
-    base = base_primes(math.isqrt(hi))
-    bounds = []
-    a = lo
-    span = 2 * segment_odds
-    while a <= hi:
-        b = min(a + span - 1, hi)
-        bounds.append((a, b))
-        a = b + 1
-    if jobs <= 1:
-        for a, b in bounds:
-            seg = sieve_segment(a, b, base)
-            after = accumulate(state, seg)
-            yield state, seg, after
-            state = after
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending = [pool.submit(sieve_segment, a, b, base) for a, b in bounds[: jobs + 1]]
-            nxt = len(pending)
-            for _ in bounds:
-                seg = pending.pop(0).result()
-                if nxt < len(bounds):
-                    pending.append(pool.submit(sieve_segment, *bounds[nxt], base))
-                    nxt += 1
-                after = accumulate(state, seg)
-                yield state, seg, after
-                state = after
+    for seg in segments(max(state.x + 1, 2), hi, segment_odds):
+        after = accumulate(state, seg)
+        yield state, seg, after
+        state = after
 
 
 def pi_theta_at(
     x: int,
     resume_from: Optional[AccumulatorState] = None,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
 ) -> AccumulatorState:
@@ -413,7 +387,7 @@ def pi_theta_at(
     next_mark = state.x + checkpoint_every if checkpoint_every else None
     fh = open(checkpoint_path, "a") if checkpoint_path else None
     try:
-        for _, _, after in accumulate_range(state, x, segment_odds, jobs):
+        for _, _, after in accumulate_range(state, x, segment_odds):
             state = after
             if fh and next_mark is not None and state.x >= next_mark:
                 write_checkpoint(state, fh)

@@ -64,10 +64,12 @@ blocks at either end of the lane, are triaged one by one into certain
 passes (only counted), certain fails and unsure cells (both collected by
 index).  The exact work follows per claim: any cell whose margin is smaller
 than delta is re-decided with outward-rounded enclosures at 106 bits,
-retried once at 212 bits, and counted Indeterminate if still undecided; the
-64 highest certain fails are recomputed the same way, and an exact verdict
-other than Fail there raises FastLaneMismatchError.  Counterexamples record
-the compared enclosures, capped at the 64 largest x.
+retried once at 212 bits, and counted Indeterminate if still undecided.
+Certain fails are only counted.  Each claim keeps its 64 highest failing
+cells, and once the scan ends those the fast lane failed are re-decided the
+same way; an exact verdict other than Fail raises FastLaneMismatchError.  So
+the cross-check confirms exactly the retained counterexamples, whatever the
+segmentation.  Counterexamples record the compared enclosures.
 
 scan_claims is the one public scan entry point.
 """
@@ -693,12 +695,19 @@ def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
 
 
 @dataclass
-class _Capsule:
-    """Compact record of one failing cell, kept for crossing resolution."""
+class _Fail:
+    """One failing cell [base, succ) and its exactly compared enclosures.
+
+    A fast-lane certain fail is kept with lhs and rhs None until the scan
+    ends and confirms it.  q_fn never holds a segment's arrays, only the
+    cell's quantity (or the small state it is read from).
+    """
 
     base: int
     succ: int
     q_fn: Optional[Callable[[int], Enclosure]]  # None for gap claims
+    lhs: Optional[Enclosure] = None
+    rhs: Optional[Enclosure] = None
 
 
 @dataclass
@@ -724,17 +733,24 @@ class _SpecScan:
     def __init__(self, plan: _Plan):
         self.plan = plan
         self.tally = _Tally()
-        self.cx: deque[Counterexample] = deque(maxlen=COUNTEREXAMPLE_CAP)
-        self.capsule: Optional[_Capsule] = None
-        # transient within a segment: (idx, succ) of the highest failing pair
-        self.seg_fail: Optional[tuple[int, int]] = None
+        # the highest failing cells so far, ascending by base
+        self.fails: deque[_Fail] = deque(maxlen=COUNTEREXAMPLE_CAP)
 
-    def record(self, verdict: Verdict, x: int, lhs, rhs, capsule: Optional[_Capsule]):
+    def record(self, verdict: Verdict, lhs, rhs, base: int, succ: int, q_fn):
         self.tally.add(verdict)
         if verdict is Verdict.Fail:
-            self.cx.append(Counterexample(x, lhs, rhs))
-            if capsule is not None:
-                self.capsule = capsule
+            self.fails.append(_Fail(base, succ, q_fn, lhs, rhs))
+
+    def confirm(self):
+        """Decide the retained fast-lane fails exactly; all must fail."""
+        for f in self.fails:
+            if f.lhs is None:
+                verdict, f.lhs, f.rhs = _check_cell(self.plan, f.base, f.succ, f.q_fn)
+                if verdict is not Verdict.Fail:
+                    raise FastLaneMismatchError(
+                        "%s: the float lane failed x = %d beyond its margin, but the "
+                        "exact recheck says %s" % (self.plan.spec.id, f.base, verdict.name)
+                    )
 
 
 class _SegmentData:
@@ -820,7 +836,6 @@ def _scan(
     range_hi: int,
     state: Optional[AccumulatorState],
     segment_odds: int,
-    jobs: int,
 ) -> list[_SpecScan]:
     if range_lo < 2 or range_hi < range_lo:
         raise InvalidRangeError("need 2 <= range_lo <= range_hi")
@@ -840,11 +855,11 @@ def _scan(
             )
         if state.anchored and lanes - {"pi", "gap"}:
             raise MismatchedStateError("anchored states carry pi only")
-        for _, _, after in sieve.accumulate_range(state, range_lo - 1, segment_odds, jobs):
+        for _, _, after in sieve.accumulate_range(state, range_lo - 1, segment_odds):
             state = after
 
     if need_state:
-        segs = sieve.accumulate_range(state, range_hi, segment_odds, jobs)
+        segs = sieve.accumulate_range(state, range_hi, segment_odds)
     else:  # the states stay None on the prime-only path
         segs = ((None, seg, None) for seg in sieve.segments(range_lo, range_hi, segment_odds))
 
@@ -863,11 +878,11 @@ def _scan(
         if first > edge[0]:
             _check_edge(scans, edge, first)
         _scan_segment(scans, data)
-        for scan in scans:
-            _compact_capsule(scan, data)
         edge = (int(primes[-1]), after, True)
 
     _check_edge(scans, edge, sieve.next_prime(range_hi))
+    for scan in scans:
+        scan.confirm()
     return scans
 
 
@@ -906,25 +921,14 @@ def _check_edge(scans: list[_SpecScan], edge, succ: int):
     for scan in scans:
         lane = scan.plan.lane
         q_fn = None if lane == "gap" else functools.partial(_state_quantity, lane, state)
-        verdict, lhs, rhs = _check_cell(scan.plan, base, succ, q_fn, strict)
-        scan.record(verdict, base, lhs, rhs, _Capsule(base, succ, q_fn))
+        scan.record(*_check_cell(scan.plan, base, succ, q_fn, strict), base, succ, q_fn)
 
 
-def _compact_capsule(scan: _SpecScan, data: _SegmentData):
-    """Materialise the segment-local failing cell into a compact capsule."""
-    if scan.seg_fail is None:
-        return
-    idx, succ = scan.seg_fail
-    scan.seg_fail = None
-    q_fn = data.quantity_fn(scan.plan.lane, idx)
-    scan.capsule = _Capsule(int(data.p[idx]), succ, q_fn)
-
-
-def _exact_cell(plan: _Plan, data: _SegmentData, i: int):
-    """Exact verdict on cell [p[i], p[i + 1]): (verdict, base, succ, lhs, rhs)."""
+def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
+    """Decide the cell [p[i], p[i + 1]) exactly and record its verdict."""
     base, succ = int(data.p[i]), int(data.p[i + 1])
-    verdict, lhs, rhs = _check_cell(plan, base, succ, data.quantity_fn(plan.lane, i))
-    return verdict, base, succ, lhs, rhs
+    q_fn = data.quantity_fn(scan.plan.lane, i)
+    scan.record(*_check_cell(scan.plan, base, succ, q_fn), base, succ, q_fn)
 
 
 def _sides(plan: _Plan, data: _SegmentData, lo: int, hi: int, step: int = 1):
@@ -1004,38 +1008,22 @@ def _triage(fast, data: _SegmentData, cut: int):
 
 
 def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
-    """Phase 2: the exact work on one claim's certain fails and unsure pairs."""
-    plan = scan.plan
-    fail_records = []
-    if fail_idx.size:
-        scan.tally.checked += fail_idx.size
-        scan.tally.failures += fail_idx.size
-        # retained counterexamples are recomputed exactly so that the
-        # recorded enclosures do not depend on segmentation or rebasing
-        for i in fail_idx[-COUNTEREXAMPLE_CAP:]:
-            verdict, base, _succ, lhs, rhs = _exact_cell(plan, data, int(i))
-            if verdict is not Verdict.Fail:
-                raise FastLaneMismatchError(
-                    "%s: the float lane failed x = %d beyond its margin, but the "
-                    "exact recheck says %s" % (plan.spec.id, base, verdict.name)
-                )
-            fail_records.append((base, lhs, rhs))
-        i_last = int(fail_idx[-1])
-        scan.seg_fail = (i_last, int(data.p[i_last + 1]))
+    """Phase 2: one claim's certain fails and unsure cells, in ascending order.
 
-    for i in unsure_idx:
-        i = int(i)
-        verdict, base, succ, lhs, rhs = _exact_cell(plan, data, i)
-        scan.tally.add(verdict)
-        if verdict is Verdict.Fail:
-            fail_records.append((base, lhs, rhs))
-            if scan.seg_fail is None or scan.seg_fail[0] < i:
-                scan.seg_fail = (i, succ)
-
-    if fail_records:
-        fail_records.sort(key=lambda r: r[0])
-        for base, lhs, rhs in fail_records[-COUNTEREXAMPLE_CAP:]:
-            scan.cx.append(Counterexample(base, lhs, rhs))
+    The certain fails are counted; the last COUNTEREXAMPLE_CAP of them are
+    kept, without enclosures, for confirmation at scan end.  The unsure
+    cells are decided exactly.
+    """
+    scan.tally.checked += fail_idx.size
+    scan.tally.failures += fail_idx.size
+    kept = fail_idx[-COUNTEREXAMPLE_CAP:]
+    certain = set(kept.tolist())
+    for i in np.union1d(kept, unsure_idx).tolist():
+        if i in certain:
+            q_fn = data.quantity_fn(scan.plan.lane, i)
+            scan.fails.append(_Fail(int(data.p[i]), int(data.p[i + 1]), q_fn))
+        else:
+            _exact_cell(scan, data, i)
 
 
 def _scan_segment(scans, data: _SegmentData):
@@ -1055,10 +1043,7 @@ def _scan_segment(scans, data: _SegmentData):
         else:
             exact_cut = int(np.searchsorted(p[:cut], plan.pair_start, side="left"))
         for i in range(exact_cut):
-            verdict, base, succ, lhs, rhs = _exact_cell(plan, data, i)
-            if verdict is Verdict.Fail:
-                scan.seg_fail = (i, succ)
-            scan.record(verdict, base, lhs, rhs, None)
+            _exact_cell(scan, data, i)
         if exact_cut < cut:
             fast.append((scan, exact_cut))
 
@@ -1130,19 +1115,19 @@ def _least_passing_integer(
 def _resolve_crossing(
     scan: _SpecScan, range_lo: int, range_hi: int
 ) -> Optional[CrossingResult]:
-    if scan.tally.failures == 0 or scan.capsule is None:
+    if not scan.fails:
         return None
     plan = scan.plan
-    cap = scan.capsule
+    last = scan.fails[-1]
     if plan.eval_at_succ:
-        implied = cap.succ
+        implied = last.succ
     else:
-        implied = _least_passing_integer(plan.spec, cap.q_fn, cap.base, cap.succ)
+        implied = _least_passing_integer(plan.spec, last.q_fn, last.base, last.succ)
     return CrossingResult(
         bound_id=plan.spec.id,
         search_lo=range_lo,
         search_hi=range_hi,
-        largest_failing_x=cap.base,
+        largest_failing_x=last.base,
         implied_threshold=implied,
         failures=scan.tally.failures,
         checked=scan.tally.checked,
@@ -1156,7 +1141,6 @@ def scan_claims(
     *,
     state: Optional[AccumulatorState] = None,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    jobs: int = 1,
     checkpoint_ref: Optional[str] = None,
     resolve_crossings: bool = True,
 ) -> tuple[ClaimScan, ...]:
@@ -1167,7 +1151,7 @@ def scan_claims(
     CrossingResult with the threshold the data implies.
     """
     t0 = time.monotonic()
-    scans = _scan(specs, range_lo, range_hi, state, segment_odds, jobs)
+    scans = _scan(specs, range_lo, range_hi, state, segment_odds)
     wall = time.monotonic() - t0
     out = []
     for scan in scans:
@@ -1179,7 +1163,7 @@ def scan_claims(
             passes=scan.tally.passes,
             failures=scan.tally.failures,
             indeterminates=scan.tally.indeterminates,
-            counterexamples=tuple(scan.cx),
+            counterexamples=tuple(Counterexample(f.base, f.lhs, f.rhs) for f in scan.fails),
             wall_time=wall,
             checkpoint_ref=checkpoint_ref,
         )

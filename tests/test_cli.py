@@ -46,14 +46,9 @@ def failing_report():
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(command="registry")
-        assert cfg.jobs == 1
         assert cfg.segment_odds == sieve.DEFAULT_SEGMENT_ODDS
         assert cfg.report_format == "json"
         assert not cfg.extended
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(InvalidRangeError):
-            RunConfig(command="verify", jobs=0)
 
     @pytest.mark.parametrize("every", [-5, 0])
     def test_checkpoint_every_must_be_positive(self, every):
@@ -201,6 +196,10 @@ class TestUsageErrors:
              "--checkpoint-every", "-5"],
             ["sieve", "--to", "100000", "--checkpoint-out", "ck.jsonl",
              "--checkpoint-every", "0"],
+            # each subcommand takes only the options it reads
+            ["sieve", "--from", "500", "--to", "1000"],
+            ["eval", "--bound", "thm3.2.upper", "--x", "10", "--extended"],
+            ["proof", "--bound", "thm3.8.lower", "--segment-size", "4096"],
         ],
     )
     def test_exit_three(self, argv, capsys, monkeypatch, tmp_path):

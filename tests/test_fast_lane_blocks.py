@@ -222,7 +222,7 @@ def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     assert fails.size == unsure.size == 0
     verify._settle(scan, data, fails, unsure)
     assert scan.tally.checked == scan.tally.passes == cut
-    assert scan.seg_fail is None and not scan.cx
+    assert not scan.fails
 
 
 def test_suspect_bracket_end_is_never_decided(monkeypatch):

@@ -142,10 +142,6 @@ def test_wide_segment_equals_its_halves():
     assert once == halves
 
 
-def test_parallel_sieving_is_deterministic():
-    assert pi_theta_at(200000, jobs=3) == pi_theta_at(200000)
-
-
 def test_checkpoint_roundtrip_is_bitwise():
     state = pi_theta_at(123456)
     buf = io.StringIO()

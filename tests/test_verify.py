@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -476,7 +477,7 @@ def test_composite_shard_start_adds_leading_window_check():
     assert merge_reports(a, b).checked == whole.checked + 1
 
 
-def test_tiling_and_segmentation_do_not_change_results():
+def test_tiling_and_segmentation_do_not_change_results(monkeypatch):
     # one 2**20-odd segment holds all 148,933 prime cells of [2, 2e6], so
     # the fast lane rebases its running totals in three chunks of it; 2**12-odd
     # segments hold a few hundred cells each.  The claims cover every desk
@@ -495,7 +496,12 @@ def test_tiling_and_segmentation_do_not_change_results():
     specs = [lookup(i) for i in ids]
     assert any(verify._make_plan(s, 2, 2 * 10**6).pair_start > 2 for s in specs)
     wide = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**20)
+    calls = []
+    monkeypatch.setattr(verify, "eval_bound", lambda *a: calls.append(a) or eval_bound(*a))
     narrow = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**12)
+    # exact work does not scale with the segment count: the one-segment
+    # scan's evaluations plus one edge cell per claim at each segment edge
+    assert len(calls) < 3000
     assert wide[0].report.checked > 2 * sieve.SUM_CHUNK
     for a, b in zip(wide, narrow):
         assert reports_equivalent(a.report, b.report), a.report.bound_id
@@ -588,7 +594,12 @@ sys.exit(1)
 """
 
 
-def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "segment_odds", [sieve.DEFAULT_SEGMENT_ODDS, 2**10], ids=["one_segment", "five_segments"]
+)
+def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch, segment_odds):
+    # with 2**10 odds per segment [2, 10**4] spans five segments, and the
+    # first contradicted cell the scan-end confirmation meets lies in the first
     real = verify._bound_float
 
     def shifted(spec, x, L, pw):
@@ -600,8 +611,10 @@ def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch):
     spec = lookup("thm4.1.gap4")
     assert _scan_one(spec, 2, 10**4).failures == 0
     monkeypatch.setattr(verify, "_bound_float", shifted)
-    with pytest.raises(FastLaneMismatchError, match="thm4.1.gap4"):
-        _scan_one(spec, 2, 10**4)
+    with pytest.raises(FastLaneMismatchError, match="thm4.1.gap4") as ei:
+        _scan_one(spec, 2, 10**4, segment_odds=segment_odds)
+    x = int(re.search(r"x = (\d+)", str(ei.value)).group(1))
+    assert x < 2 + 2 * segment_odds
 
 
 def test_fast_lane_cross_check_survives_optimisation():
