@@ -1,4 +1,4 @@
-"""Odd-only segmented sieve with an exact accumulator for prime sums.
+"""Segmented 6k+1, 6k+5 wheel sieve with an exact accumulator for prime sums.
 
 The accumulator tracks pi(x) exactly and five prime sums (theta, the psi
 prime-power correction, sum 1/p, sum log p / p, sum -log(1 - 1/p)) as exact
@@ -7,11 +7,18 @@ is integer addition, the state after consuming [2, x] is bitwise identical
 for every contiguous segmentation of the range, and checkpoint round-trips
 are lossless.
 
+sieve_segment marks only the values 6k + 1 and 6k + 5, starts from a
+pattern with the multiples of 5, 7, 11 and 13 already struck, and finds
+every other base prime's first multiple in numpy; the primes too large to
+hit a segment twice are struck by one scatter.  A segment spans
+2 * segment_odds integers: the size counts the odd numbers in it.
+
 The four summed lanes are defined here alone: their per-prime terms
 (lane_terms), state fields and budget multipliers (LANES) and exact sums
-(lane_sum).  A segment sums each SUM_CHUNK of its primes exactly once
-(PrimeSegment.sums); accumulate adds the total, and the verifier restarts
-its float running sums from these partial sums at every chunk.
+(lane_sum).  A segment sums each SUM_CHUNK of its primes exactly once,
+building their terms one chunk at a time (PrimeSegment.sums); accumulate
+adds the total, and the verifier restarts its float running sums from these
+partial sums at every chunk.
 
 Per-term budgets, in binade units of the stored term (dyadic docstring):
 BUDGET_LOG for np.log outputs, BUDGET_RECIP for IEEE 1/p, BUDGET_QUOT for
@@ -100,6 +107,27 @@ def base_primes(limit: int) -> np.ndarray:
     return arr[: np.searchsorted(arr, limit, side="right")]
 
 
+_PRESIEVE_PRIMES = (5, 7, 11, 13)
+_PRESIEVE_ROWS = 5 * 7 * 11 * 13
+
+
+def _presieve_pattern() -> np.ndarray:
+    """The wheel rows 6k + 1, 6k + 5 with the multiples of 5, 7, 11 and 13
+    struck, the start of every sieve_segment mask.  The pattern repeats every
+    _PRESIEVE_ROWS rows; it is built twice over so that one slice copies a
+    full period from any row."""
+    pattern = np.ones((2 * _PRESIEVE_ROWS, 2), dtype=bool)
+    for p in _PRESIEVE_PRIMES:
+        for col, r in enumerate((1, 5)):
+            pattern[-r * pow(6, -1, p) % p :: p, col] = False  # 6k + r = 0 (mod p)
+    return pattern
+
+
+_PRESIEVE = _presieve_pattern()
+# Base primes per step of the vectorised offset computation.
+_OFFSET_CHUNK = 1 << 16
+
+
 def iroot(n: int, k: int) -> int:
     """Floor integer k-th root of n >= 0."""
     if n < 0 or k < 1:
@@ -116,16 +144,17 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
-def lane_terms(lane: str, pf: np.ndarray, logs: np.ndarray) -> np.ndarray:
+def lane_terms(lane: str, pf: np.ndarray, logs: np.ndarray, recip: np.ndarray) -> np.ndarray:
     """Per-prime terms of a summed lane; pf holds the primes as floats, logs
-    their logs.  log1m terms are -log(1 - 1/p), which are positive."""
+    their logs and recip 1.0 / pf.  log1m terms are -log(1 - 1/p), which are
+    positive."""
     if lane == "theta":
         return logs
     if lane == "recip":
-        return 1.0 / pf
+        return recip
     if lane == "logp":
         return logs / pf
-    return -np.log1p(-1.0 / pf)
+    return -np.log1p(-recip)
 
 
 def lane_sum(lane: str, terms: np.ndarray) -> tuple[int, int]:
@@ -152,45 +181,86 @@ class PrimeSegment:
         the scaled (value, budget) of the first min(k * SUM_CHUNK, n) of the
         n primes' terms, from (0, 0) to the segment's total.  The terms
         themselves are not kept."""
-        pf = self.primes.astype(np.float64)
-        logs = np.log(pf)
-        out = {}
-        for lane in LANES:
-            terms = lane_terms(lane, pf, logs)
-            out[lane] = sums = [(0, 0)]
-            for a in range(0, terms.size, SUM_CHUNK):
-                v, b = lane_sum(lane, terms[a : a + SUM_CHUNK])
+        out = {lane: [(0, 0)] for lane in LANES}
+        for a in range(0, self.primes.size, SUM_CHUNK):
+            pf = self.primes[a : a + SUM_CHUNK].astype(np.float64)
+            logs = np.log(pf)
+            recip = 1.0 / pf
+            for lane, sums in out.items():
+                v, b = lane_sum(lane, lane_terms(lane, pf, logs, recip))
                 sums.append((sums[-1][0] + v, sums[-1][1] + b))
         return out
 
 
+def _wheel_count(d: int) -> int:
+    """Number of wheel values start + 6k + 1, start + 6k + 5 (k >= 0) that are
+    at most start + d."""
+    return 2 * (d // 6) + (d % 6 >= 1) + (d % 6 >= 5)
+
+
+def _first_rows(p: np.ndarray, v0: int) -> np.ndarray:
+    """Row of each prime's first multiple p*j, j >= p, in the wheel column
+    whose row 0 holds v0.  That is the least j >= max(p, v0 / p) with
+    p*j = v0 (mod 6), and since p*p = 1 (mod 6), j = v0*p (mod 6).  The
+    int64 products stay below hi + 6p < 2**63."""
+    j = -(-v0 // p)
+    np.maximum(j, p, out=j)
+    j += (v0 % 6 * p - j) % 6
+    j *= p
+    j -= v0
+    j //= 6
+    return j
+
+
 def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeSegment:
-    """Sieve the primes of [lo, hi] using base primes <= isqrt(hi)."""
+    """Sieve the primes of [lo, hi] using base primes <= isqrt(hi).
+
+    Row k, column c of the wheel mask holds start + 6k + 1 + 4c, where
+    start = lo - lo % 6.  The mask starts as the pre-sieve pattern.  Every
+    larger base prime p then clears its multiples p*j, j >= p: by a slice of
+    stride p rows in each column, or, once p >= rows and so hits each column
+    at most once, by one scatter per column for a whole chunk of primes."""
     if hi > CAPACITY:
         raise CapacityError("sieve limit above 2**53")
     if base is None:
         base = base_primes(math.isqrt(hi))
-    lo_odd = lo | 1
-    if lo_odd > hi:
-        primes = np.empty(0, dtype=np.int64)
-    else:
-        n_odds = (hi - lo_odd) // 2 + 1
-        mask = np.ones(n_odds, dtype=bool)
-        if lo_odd == 1:
-            mask[0] = False
-        for p in base[1:]:  # odd base primes only
-            p = int(p)
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo_odd + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start > hi:
-                continue
-            mask[(start - lo_odd) // 2 :: p] = False
-        primes = lo_odd + 2 * np.flatnonzero(mask).astype(np.int64)
-    if lo <= 2 <= hi:
-        primes = np.concatenate([np.array([2], dtype=np.int64), primes])
+    start = lo - lo % 6
+    rows = (hi - start) // 6 + 1
+    mask = np.empty((rows, 2), dtype=bool)
+    filled = min(rows, _PRESIEVE_ROWS)
+    s = (start // 6) % _PRESIEVE_ROWS
+    mask[:filled] = _PRESIEVE[s : s + filled]
+    while filled < rows:  # the pattern repeats every _PRESIEVE_ROWS rows
+        n = min(filled, rows - filled)
+        mask[filled : filled + n] = mask[:n]
+        filled += n
+    for p in _PRESIEVE_PRIMES:
+        if start <= p < start + 6 * rows:
+            mask[(p - start) // 6, (p - start) % 6 // 4] = True  # residue 1, 5 -> column 0, 1
+    c1, c5 = mask[:, 0], mask[:, 1]
+    first = np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right")
+    last = np.searchsorted(base, math.isqrt(hi), side="right")
+    ps = base[first:last].astype(np.int64, copy=False)
+    for a in range(0, ps.size, _OFFSET_CHUNK):
+        pc = ps[a : a + _OFFSET_CHUNK]
+        k1, k5 = _first_rows(pc, start + 1), _first_rows(pc, start + 5)
+        n = int(np.searchsorted(pc, rows))  # pc[:n] < rows take strided slices
+        for k, col in ((k1[n:], c1), (k5[n:], c5)):
+            col[k[k < rows]] = False
+        for p, r1, r5 in zip(pc[:n].tolist(), k1[:n].tolist(), k5[:n].tolist()):
+            c1[r1::p] = False
+            c5[r5::p] = False
+    flat = mask.reshape(-1)  # clear the values outside [lo, hi], 1 among them
+    flat[: _wheel_count(lo - 1 - start)] = False
+    flat[_wheel_count(hi - start) :] = False
+    primes = np.flatnonzero(flat).astype(np.int64, copy=False)
+    # flat index i holds start + 6(i >> 1) + 1 + 4(i & 1) = (start + 3i + 1) | 1
+    primes *= 3
+    primes += start + 1
+    primes |= 1
+    below_wheel = [q for q in (2, 3) if lo <= q <= hi]
+    if below_wheel:
+        primes = np.concatenate([np.array(below_wheel, dtype=np.int64), primes])
     return PrimeSegment(lo, hi, primes)
 
 

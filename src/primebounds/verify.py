@@ -770,8 +770,13 @@ class _SegmentData:
         """Per-prime terms of a summed lane, built once per segment."""
         out = self._values.get(lane)
         if out is None:
-            out = self._values[lane] = sieve.lane_terms(lane, self.pf, self.logs)
+            out = self._values[lane] = sieve.lane_terms(lane, self.pf, self.logs, self.recip)
         return out
+
+    @functools.cached_property
+    def recip(self) -> np.ndarray:
+        """1.0 / p, shared by the recip and log1m lanes."""
+        return 1.0 / self.pf
 
     def _chunk_total(self, lane: str, k: int) -> tuple[int, int]:
         """Exact lane total through the first k * SUM_CHUNK primes."""

@@ -2,6 +2,7 @@
 
 Oracles used here deliberately avoid the package's own code paths:
   * trial_division_primes: O(n sqrt n) primality by trial division
+  * sympy.primerange, for windows far above the trial-division range
   * mpmath sums at 200 bits for theta/psi and the reciprocal sums
 Frozen counts (78498 primes below 10**6, etc.) agree with the
 trial-division oracle, which the suite re-checks at the small end.
@@ -13,6 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +68,62 @@ def test_segment_matches_trial_division(lo, span):
     hi = lo + span
     seg = sieve_segment(lo, hi)
     assert seg.primes.tolist() == trial_division_primes(lo, hi)
+
+
+def sympy_primes(lo, hi):
+    return list(sympy.primerange(lo, hi + 1))
+
+
+def test_every_short_window_below_340():
+    # lo and hi run through every residue mod 6, and 2, 3, the pre-sieved
+    # primes 5..13 and their squares 25, 49, 121, 169 each sit at window edges
+    want = sympy_primes(2, 340)
+    for lo in range(2, 301):
+        for width in range(1, 41):
+            hi = lo + width - 1
+            got = sieve_segment(lo, hi).primes.tolist()
+            assert got == [p for p in want if lo <= p <= hi], (lo, hi)
+
+
+def test_windows_that_hold_their_own_base_primes():
+    # a base prime p lies in [lo, hi] only when p**2 <= hi; none may be struck
+    want = sympy_primes(2, 3300)
+    for lo in range(2, 301):
+        hi = 3000 + lo
+        assert sieve_segment(lo, hi).primes.tolist() == [p for p in want if lo <= p <= hi], lo
+
+
+@pytest.mark.parametrize("x", [10**6, 10**12, 10**14, 2**53 - 400])
+@pytest.mark.parametrize("lo_mod", range(6))
+def test_windows_in_every_residue_class(x, lo_mod):
+    lo = x - x % 6 + lo_mod
+    for hi_mod in range(6):
+        hi = lo + 120 + (hi_mod - lo_mod) % 6
+        assert hi % 6 == hi_mod
+        assert sieve_segment(lo, hi).primes.tolist() == sympy_primes(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (10**12 - 3000, 10**12 + 3000),
+        (10**14 - 1000, 10**14 + 1000),
+        (2**53 - 2000, 2**53 - 1),
+        (2**53 - 1, 2**53),
+    ],
+)
+def test_narrow_high_windows(lo, hi):
+    assert sieve_segment(lo, hi).primes.tolist() == sympy_primes(lo, hi)
+
+
+def test_segments_of_large_primes_only():
+    # with 2**10 odds a segment has about 342 rows, so nearly every base
+    # prime below 10**6 is at least the row count and is only scattered
+    lo, hi = 10**12 + 7 - 50_000, 10**12 + 7 + 50_000
+    small = primes_in_range(lo, hi, segment_odds=2**10)
+    assert np.array_equal(small, primes_in_range(lo, hi, segment_odds=2**20))
+    sub = small[(small >= 10**12 - 500) & (small <= 10**12 + 500)]
+    assert sub.tolist() == sympy_primes(10**12 - 500, 10**12 + 500)
 
 
 def test_pi_values():
