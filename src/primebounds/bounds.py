@@ -88,6 +88,8 @@ class BoundSpec:
     def __post_init__(self):
         if self.direction not in ("upper", "lower", "two_sided"):
             raise InvalidRangeError("bad direction %r" % self.direction)
+        if self.kind is BoundKind.GAP and self.direction != "upper":
+            raise InvalidRangeError("a gap claim bounds the successor prime from above")
         if self.status not in VALID_STATUSES:
             raise InvalidRangeError("bad status %r" % self.status)
         if self.threshold_x0 < 2:

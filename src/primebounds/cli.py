@@ -62,6 +62,7 @@ class RunConfig:
     full: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "bound_ids", tuple(self.bound_ids))
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise InvalidRangeError("--checkpoint-every must be at least 1")
         sieve.check_segment_odds(self.segment_odds)
@@ -81,17 +82,19 @@ def _checkpoint_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
-# Scan-time model, fitted to the medians under "Measured speed" in the README
-# (one thread on a 2-vCPU VM).  The sieve's Python loop visits every base
-# prime up to sqrt(hi) once per segment: the four gap claims on a 2e7-wide
-# window at 1e14 spend about 93% of their 3.6 s there, over 3 segments of
-# 665k base primes, so about 1.7 us per visit.
-_SIEVE_S_PER_BASE_PRIME_VISIT = 1.7e-6
+# Scan-time model of the 6k+-1 wheel sieve, fitted to the two scan medians
+# under "Measured speed" in the README (one thread on a 2-vCPU VM).  Every
+# segment handles each base prime up to sqrt(hi) once, by strided slices or
+# a numpy scatter: the four gap claims on a 2e7-wide window at 1e14 take
+# 0.64 s, nearly all of it over 3 segments of 661k base primes.
+_SIEVE_S_PER_BASE_PRIME_VISIT = 3.1e-7
 # Where the sieve is cheap, the time grows with claims times prime cells:
-# the 22-claim reproduction scan to 1e8 checks 1.27e8 of those in 2.5 s.
-_SCAN_S_PER_CLAIM_CELL = 2.0e-8
-# Accumulating the exact sums costs about 1.2e-7 s per prime: 6.1 s for the
-# 5.08e7 primes to 1e9 (the bench's accumulate workload).
+# the 22-claim reproduction scan to 1e8 checks 1.2e8 of those in 0.89 s.
+_SCAN_S_PER_CLAIM_CELL = 7.4e-9
+# Accumulating the exact sums costs more per prime the higher the primes, as
+# each segment's sieve work grows with sqrt(x): one 2^23-wide segment took
+# 0.8e-7 s per prime at 1e9 and 5.9e-7 at 1e12 (same slow spell of the VM).
+# The price sits at the 1e10 figure, low for prefixes reaching 1e12.
 _ACCUMULATE_S_PER_PRIME = 1.2e-7
 
 
@@ -492,7 +495,7 @@ def _build_parser() -> _Parser:
         """
         if bounds:
             sp.add_argument(
-                "--bound", action="append", default=[], dest="bounds",
+                "--bound", action="append", default=[], dest="bound_ids",
                 help="registry bound id" + (" (repeatable)" if many_bounds else ""),
             )
         if starts:
@@ -544,27 +547,7 @@ def _build_parser() -> _Parser:
 
 
 def config_from_args(argv: Sequence[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    kwargs = {
-        "command": ns.command,
-        "bound_ids": tuple(getattr(ns, "bounds", []) or []),
-        "range_lo": getattr(ns, "range_lo", None),
-        "range_hi": getattr(ns, "range_hi", None),
-        "segment_odds": getattr(ns, "segment_odds", sieve.DEFAULT_SEGMENT_ODDS),
-        "checkpoint_in": getattr(ns, "checkpoint_in", None),
-        "checkpoint_out": getattr(ns, "checkpoint_out", None),
-        "checkpoint_every": getattr(ns, "checkpoint_every", None),
-        "report_path": getattr(ns, "report_path", None),
-        "report_format": getattr(ns, "report_format", "json"),
-        "extended": getattr(ns, "extended", False),
-        "assume_yes": getattr(ns, "assume_yes", False),
-        "x": getattr(ns, "x", None),
-        "x_start": getattr(ns, "x_start", None),
-        "digits": getattr(ns, "digits", 28),
-        "prefix": getattr(ns, "prefix", ""),
-        "full": getattr(ns, "full", False),
-    }
-    return RunConfig(**kwargs)
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -10,19 +10,17 @@ monotone there:
   quantity(p_n) > bound(p_{n+1}) covers the whole cell;
 * increasing quantity, upper bound: bound(p_n) > quantity(p_n);
 * decreasing quantity (the Mertens product), the two roles swap;
-* gap claims: p_n * (1 + c/log^j p_n) > p_{n+1} certifies a prime inside
-  the stated window for every real x in the cell.
+* gap claims are upper bounds on the successor prime, the cell's quantity:
+  p_n * (1 + c/log^j p_n) >= p_{n+1} certifies a prime inside the stated
+  window (x, x(1 + c/log^j x)] for every real x in the cell.
 
 Every exact verdict comes from one rule, _decide, applied to the quantity
-enclosure q and the bound enclosure b (for gap claims, the successor prime
-and the window endpoint).  A lower bound passes on q > b and fails on
-q <= b; an upper bound passes on b > q and fails on b <= q; a relation
-counts only when it holds for every point of both enclosures, and anything
-else is Indeterminate.  So a bound that touches the quantity fails.  Gap
-claims pass on b > q and fail on b < q; the non-strict form b >= q, in which
-a window ending exactly on the successor prime passes, is used by the
-interval cells, by the leading cell [range_lo, first prime) of a composite
-range_lo, and by the bisection that resolves a gap claim's crossing.
+enclosure q and the bound enclosure b.  A lower bound passes on q > b and
+fails on q <= b; an upper bound passes on b > q and fails on b <= q; a
+relation counts only when it holds for every point of both enclosures, and
+anything else is Indeterminate.  So a bound that touches the quantity fails,
+except a gap window, which is closed at its end: gap claims pass on b >= q
+and fail on b < q.
 
 Monotonicity is not assumed: each bound must carry a positivity certificate
 for its derivative numerator (see proofkit.shape_on_ray) from the scan start.
@@ -167,13 +165,7 @@ _LANE_OF_KIND = {
 # ---------------------------------------------------------------------------
 
 
-def _mpf_eq(a: mpmath.mpf, b: mpmath.mpf) -> bool:
-    if mpmath.isnan(a) or mpmath.isnan(b):
-        return False
-    return a == b
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Counterexample:
     """One failed check: the cell base x and the two compared enclosures.
 
@@ -184,20 +176,6 @@ class Counterexample:
     x: int
     lhs: Enclosure
     rhs: Enclosure
-
-    def __eq__(self, other):
-        if not isinstance(other, Counterexample):
-            return NotImplemented
-        return (
-            self.x == other.x
-            and _mpf_eq(self.lhs.lo, other.lhs.lo)
-            and _mpf_eq(self.lhs.hi, other.lhs.hi)
-            and _mpf_eq(self.rhs.lo, other.rhs.lo)
-            and _mpf_eq(self.rhs.hi, other.rhs.hi)
-        )
-
-    def __hash__(self):
-        return hash(self.x)
 
 
 @dataclass(frozen=True)
@@ -452,7 +430,10 @@ def _bound_float(
 # ---------------------------------------------------------------------------
 
 
-def _state_quantity(lane: str, state: AccumulatorState, prec: int) -> Enclosure:
+def _state_quantity(lane: str, state: AccumulatorState, succ: int, prec: int) -> Enclosure:
+    """Exact lane quantity on a cell [base, succ) from the state through base."""
+    if lane == "gap":
+        return Enclosure.from_value(succ)
     if lane == "pi":
         return Enclosure.from_value(state.pi)
     if lane == "theta":
@@ -469,20 +450,19 @@ def _state_quantity(lane: str, state: AccumulatorState, prec: int) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure, strict: bool = True) -> Verdict:
+def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure) -> Verdict:
     """The one comparison rule: exact quantity lhs against bound enclosure rhs.
 
     Lower bounds pass on lhs > rhs and fail on lhs <= rhs; upper bounds pass
     on rhs > lhs and fail on rhs <= lhs.  For gap claims lhs is the successor
-    prime and rhs the window endpoint: they pass on rhs > lhs (rhs >= lhs when
-    strict is False) and fail on rhs < lhs.  A relation holds only when it
-    holds for every point of both enclosures; otherwise Indeterminate.
+    prime and rhs the window endpoint; the window is closed, so they pass on
+    rhs >= lhs and fail on rhs < lhs.  A relation holds only when it holds
+    for every point of both enclosures; otherwise Indeterminate.
     """
-    if spec.kind is BoundKind.GAP:
-        passed = rhs.certainly_gt(lhs) if strict else rhs.certainly_ge(lhs)
-        failed = rhs.certainly_lt(lhs)
-    elif spec.direction == "lower":
+    if spec.direction == "lower":
         passed, failed = lhs.certainly_gt(rhs), lhs.certainly_le(rhs)
+    elif spec.kind is BoundKind.GAP:
+        passed, failed = rhs.certainly_ge(lhs), rhs.certainly_lt(lhs)
     else:
         passed, failed = rhs.certainly_gt(lhs), rhs.certainly_le(lhs)
     if passed:
@@ -490,12 +470,7 @@ def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure, strict: bool = True
     return Verdict.Fail if failed else Verdict.Indeterminate
 
 
-def _pair_verdict(
-    spec: BoundSpec,
-    lhs_fn: Callable[[int], Enclosure],
-    eval_x: int,
-    strict: bool = True,
-):
+def _pair_verdict(spec: BoundSpec, lhs_fn: Callable[[int], Enclosure], eval_x: int):
     """Enclosure verdict of one pair check.
 
     lhs_fn(prec) gives the exact-quantity enclosure; the bound is evaluated
@@ -510,7 +485,7 @@ def _pair_verdict(
         except DenominatorNonpositiveError:
             verdict = Verdict.Pass if spec.direction == "lower" else Verdict.Fail
             return verdict, lhs, Enclosure.top()
-        verdict = _decide(spec, lhs, rhs, strict)
+        verdict = _decide(spec, lhs, rhs)
         if verdict is not Verdict.Indeterminate:
             break
     return verdict, lhs, rhs
@@ -547,7 +522,7 @@ def _split_subcell(a, b):
 
 def _cell_verdict(
     spec: BoundSpec,
-    q_fn: Optional[Callable[[int], Enclosure]],
+    q_fn: Callable[[int], Enclosure],
     base: int,
     succ: int,
 ):
@@ -556,13 +531,12 @@ def _cell_verdict(
     The quantity is constant on the cell, so the bound is evaluated over
     integer subintervals as interval enclosures and compared against it,
     bisecting undecided subcells.  Needs no monotonicity information.
-    Gap claims compare against the successor prime (q_fn is ignored), and
-    a window that ends exactly on it passes.  Returns (verdict, lhs, rhs).
+    Returns (verdict, lhs, rhs).
     """
     lower = spec.direction == "lower"
     q = last_rhs = None
     for prec in (DEFAULT_PREC, RETRY_PREC):
-        q = Enclosure.from_value(succ) if spec.kind is BoundKind.GAP else q_fn(prec)
+        q = q_fn(prec)
         stack = [(base, succ)]
         budget = _CELL_EVAL_BUDGET
         undecided = False
@@ -585,7 +559,7 @@ def _cell_verdict(
                     break
                 rhs = Enclosure.top()  # undecided: refine the subcell
             last_rhs = rhs
-            verdict = _decide(spec, q, rhs, strict=False)
+            verdict = _decide(spec, q, rhs)
             if verdict is Verdict.Fail:
                 failed = rhs
                 break
@@ -628,17 +602,16 @@ def _cert_holds(spec: BoundSpec, x: int) -> bool:
 
 
 def _min_certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
-    """Least integer in [lo, hi] from which the shape certificate holds."""
-    if _cert_holds(spec, lo):
-        return lo
-    bad, probe = lo, max(lo * 2, 4)
-    while probe <= hi:
-        if _cert_holds(spec, probe):
-            break
-        bad, probe = probe, probe * 2
-    else:
-        return None
-    good = probe
+    """Least integer in [lo, hi] from which the shape certificate holds.
+
+    Probes lo, 2 lo, 4 lo, ... and finally hi, then bisects the last failing
+    probe against the first that holds.
+    """
+    bad = good = lo
+    while not _cert_holds(spec, good):
+        if good >= hi:
+            return None
+        bad, good = good, min(max(good * 2, 4), hi)
     while good - bad > 1:
         mid = (bad + good) // 2
         if _cert_holds(spec, mid):
@@ -654,7 +627,7 @@ def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
     lane = _LANE_OF_KIND[spec.kind]
     lower = spec.direction == "lower"
     sense_increasing = spec.kind is not BoundKind.PRODUCT_MERTENS
-    eval_at_succ = (lower == sense_increasing) and spec.kind is not BoundKind.GAP
+    eval_at_succ = lower == sense_increasing
     exact_pairs = spec.kind is BoundKind.PI_LI_SQRT
     try:
         pair_start = _min_certified_start(spec, lo, hi)
@@ -705,7 +678,7 @@ class _Fail:
 
     base: int
     succ: int
-    q_fn: Optional[Callable[[int], Enclosure]]  # None for gap claims
+    q_fn: Callable[[int], Enclosure]
     lhs: Optional[Enclosure] = None
     rhs: Optional[Enclosure] = None
 
@@ -786,7 +759,9 @@ class _SegmentData:
     def run(self, lane: str) -> np.ndarray:
         out = self._runs.get(lane)
         if out is None:
-            if lane == "pi":
+            if lane == "gap":
+                out = self.pf[1:]
+            elif lane == "pi":
                 out = self.before.pi + np.arange(1, self.p.size + 1, dtype=np.float64)
             else:
                 values = self.values(lane)
@@ -820,10 +795,11 @@ class _SegmentData:
         self._cursors[lane] = (n, v, b)
         return v, b
 
-    def quantity_fn(self, lane: str, idx: int) -> Optional[Callable[[int], Enclosure]]:
-        """Exact lane quantity through prime idx, by precision (None for gaps)."""
+    def quantity_fn(self, lane: str, idx: int) -> Callable[[int], Enclosure]:
+        """Exact lane quantity on the cell of prime idx, by precision."""
         if lane == "gap":
-            return None
+            enc = Enclosure.from_value(int(self.p[idx + 1]))
+            return lambda prec: enc
         if lane == "pi":
             enc = Enclosure.from_value(self.before.pi + idx + 1)
             return lambda prec: enc
@@ -869,10 +845,10 @@ def _scan(
         segs = ((None, seg, None) for seg in sieve.segments(range_lo, range_hi, segment_odds))
 
     scans = [_SpecScan(p) for p in plans]
-    # the cell left open at a segment edge: its base, the exact state through
-    # it, and the strictness of its gap check.  It starts as the partial cell
-    # [range_lo, first prime), checked only when range_lo is composite.
-    edge = (range_lo, state, False)
+    # the cell left open at a segment edge: its base and the exact state
+    # through it.  It starts as the partial cell [range_lo, first prime),
+    # checked only when range_lo is composite.
+    edge = (range_lo, state)
 
     for before, seg, after in segs:
         primes = seg.primes
@@ -883,7 +859,7 @@ def _scan(
         if first > edge[0]:
             _check_edge(scans, edge, first)
         _scan_segment(scans, data)
-        edge = (int(primes[-1]), after, True)
+        edge = (int(primes[-1]), after)
 
     _check_edge(scans, edge, sieve.next_prime(range_hi))
     for scan in scans:
@@ -891,42 +867,30 @@ def _scan(
     return scans
 
 
-def _check_cell(
-    plan: _Plan,
-    base: int,
-    succ: int,
-    q_fn: Optional[Callable[[int], Enclosure]],
-    strict: bool = True,
-):
+def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosure]):
     """Exact verdict of the claim on the cell [base, succ): (verdict, lhs, rhs).
 
     Below plan.pair_start the bound's shape is not certified, so the cell is
     evaluated as an interval; from there on one pair check covers it.  q_fn
-    gives the cell's constant quantity (None for gap claims, which compare
-    the window of base with succ; strict=False lets a window end on succ).
+    gives the cell's constant quantity.
     """
-    spec = plan.spec
     if plan.pair_start is None or base < plan.pair_start:
-        return _cell_verdict(spec, q_fn, base, succ)
-    if spec.kind is BoundKind.GAP:
-        return _pair_verdict(spec, lambda prec: Enclosure.from_value(succ), base, strict)
-    return _pair_verdict(spec, q_fn, succ if plan.eval_at_succ else base)
+        return _cell_verdict(plan.spec, q_fn, base, succ)
+    return _pair_verdict(plan.spec, q_fn, succ if plan.eval_at_succ else base)
 
 
 def _check_edge(scans: list[_SpecScan], edge, succ: int):
     """Check the cell that no segment holds whole, for every claim.
 
-    edge is (base, state, strict): the cell [base, succ) straddles a
-    segment boundary or range_hi, or is the leading stretch [range_lo,
-    first prime) of a composite range_lo.  The quantities are constant
-    there and state holds their exact totals.  Only the leading stretch is
-    non-strict: the gap window of range_lo itself must reach the first prime.
+    edge is (base, state): the cell [base, succ) straddles a segment
+    boundary or range_hi, or is the leading stretch [range_lo, first prime)
+    of a composite range_lo.  The quantities are constant there and state
+    holds their exact totals.
     """
-    base, state, strict = edge
+    base, state = edge
     for scan in scans:
-        lane = scan.plan.lane
-        q_fn = None if lane == "gap" else functools.partial(_state_quantity, lane, state)
-        scan.record(*_check_cell(scan.plan, base, succ, q_fn, strict), base, succ, q_fn)
+        q_fn = functools.partial(_state_quantity, scan.plan.lane, state, succ)
+        scan.record(*_check_cell(scan.plan, base, succ, q_fn), base, succ, q_fn)
 
 
 def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
@@ -941,18 +905,14 @@ def _sides(plan: _Plan, data: _SegmentData, lo: int, hi: int, step: int = 1):
 
     Returns (big, small, suspect): the check passes where big - small
     exceeds plan.delta.  big is the quantity of a lower bound and the bound
-    of an upper one; a gap claim's quantity is the successor prime.
-    suspect is as in _bound_float.  The inputs are slices, copied only
-    when strided, where numpy's loops are several times slower.
+    of an upper one.  suspect is as in _bound_float.  The inputs are slices,
+    copied only when strided, where numpy's loops are several times slower.
     """
     e = 1 if plan.eval_at_succ else 0
     at = slice(lo + e, hi + e, step)
     x, L = np.ascontiguousarray(data.pf[at]), np.ascontiguousarray(data.logs[at])
     f, suspect = _bound_float(plan.spec, x, L, functools.cache(L.__pow__))
-    if plan.lane == "gap":
-        q = data.pf[lo + 1 : hi + 1 : step]
-    else:
-        q = data.run(plan.lane)[lo:hi:step]
+    q = data.run(plan.lane)[lo:hi:step]
     return (q, f, suspect) if plan.lower else (f, q, suspect)
 
 
@@ -1089,7 +1049,7 @@ class ClaimScan:
 
 
 def _least_passing_integer(
-    spec: BoundSpec, q_fn: Optional[Callable[[int], Enclosure]], base: int, succ: int
+    spec: BoundSpec, q_fn: Callable[[int], Enclosure], base: int, succ: int
 ) -> Optional[int]:
     """Least integer t in (base, succ] whose check passes, by bisection.
 
@@ -1097,12 +1057,9 @@ def _least_passing_integer(
     violation dies out at an interior crossing of the bound through the
     cell's constant quantity.
     """
-    gap = spec.kind is BoundKind.GAP
-    if gap:
-        q_fn = lambda prec: Enclosure.from_value(succ)
 
     def passes(t: int) -> bool:
-        verdict, _, _ = _pair_verdict(spec, q_fn, t, strict=not gap)
+        verdict, _, _ = _pair_verdict(spec, q_fn, t)
         return verdict is Verdict.Pass
 
     if not passes(succ):

@@ -107,6 +107,9 @@ def test_lookup_unknown_id():
 def test_boundspec_rejects_bad_fields():
     with pytest.raises(InvalidRangeError):
         BoundSpec("x", BoundKind.GAP, "sideways", (Fraction(1), Fraction(2)), 2, "claimed_paper", "a")
+    for direction in ("lower", "two_sided"):
+        with pytest.raises(InvalidRangeError):
+            BoundSpec("x", BoundKind.GAP, direction, (Fraction(1), Fraction(2)), 2, "claimed_paper", "a")
     with pytest.raises(InvalidRangeError):
         BoundSpec("x", BoundKind.GAP, "upper", (Fraction(1), Fraction(2)), 2, "rumored", "a")
     with pytest.raises(InvalidRangeError):
@@ -297,7 +300,8 @@ def test_eval_spot_monotone_on_grid():
 
 def _verdict(bound_id, st):
     spec = bounds.lookup(bound_id)
-    q = verify._state_quantity(verify._LANE_OF_KIND[spec.kind], st, DEFAULT_PREC)
+    lane = verify._LANE_OF_KIND[spec.kind]
+    q = verify._state_quantity(lane, st, sieve.next_prime(st.x), DEFAULT_PREC)
     return verify._decide(spec, q, bounds.eval_bound(spec, st.x))
 
 
@@ -347,7 +351,7 @@ def test_compare_rational_denominator_failure_convention():
     # enclosure to decide on: the pair check fails the claimed upper bound
     # and holds the lower bound trivially
     st = sieve.pi_theta_at(3)
-    q_fn = lambda prec: verify._state_quantity("pi", st, prec)
+    q_fn = lambda prec: verify._state_quantity("pi", st, 5, prec)
     for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
         spec = bounds.lookup(bound_id)
         with pytest.raises(DenominatorNonpositiveError):
@@ -364,11 +368,11 @@ def test_decide_ties_between_touching_endpoints():
     # a bound touching the quantity is a violation of either direction
     assert verify._decide(bounds.lookup("thm3.2.upper"), point, below) is Verdict.Fail
     assert verify._decide(bounds.lookup("thm3.8.lower"), point, above) is Verdict.Fail
-    # a gap window ending exactly on the successor prime reaches it only in
-    # the non-strict form
+    # a gap window is closed: one ending exactly on the successor prime
+    # reaches it, one ending just before it does not
     gap = bounds.lookup("thm4.1.gap3")
-    assert verify._decide(gap, point, above, strict=False) is Verdict.Pass
-    assert verify._decide(gap, point, above, strict=True) is not Verdict.Pass
+    assert verify._decide(gap, point, above) is Verdict.Pass
+    assert verify._decide(gap, point, Enclosure(n - 1, n - 0.5)) is Verdict.Fail
 
 
 def test_decide_overlap_is_indeterminate():
@@ -376,8 +380,7 @@ def test_decide_overlap_is_indeterminate():
     wide = Enclosure(999, 1001)
     for bound_id in ("thm3.2.upper", "thm3.8.lower", "thm4.1.gap3"):
         spec = bounds.lookup(bound_id)
-        for strict in (True, False):
-            assert verify._decide(spec, q, wide, strict) is Verdict.Indeterminate
+        assert verify._decide(spec, q, wide) is Verdict.Indeterminate
 
 
 def test_promote_sets_status():

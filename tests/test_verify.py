@@ -1,5 +1,6 @@
 """Range verification: reports, merging, scanning, crossings, soundness gate."""
 
+import functools
 import json
 import math
 import os
@@ -314,6 +315,14 @@ def test_certificate_free_stretch_needs_narrow_range():
         _scan_one(spec, 2, 10**6)
 
 
+def test_certified_start_between_the_last_doubling_probe_and_hi():
+    # the doubling probes from 60 jump from 60 to 120, past hi = 110; hi is
+    # probed last, so the certificate that holds from 99 is still found
+    spec = lookup("thm3.2.upper")
+    assert not verify._cert_holds(spec, 98) and verify._cert_holds(spec, 99)
+    assert verify._make_plan(spec, 60, 110).pair_start == 99
+
+
 def test_li_bound_has_no_fast_lane_and_a_pair_cap():
     spec = lookup("eq3.1.upper")
     rep = _scan_one(spec, 2657, 4657)
@@ -530,9 +539,7 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
         seen = set()
         for base, succ in zip(primes, primes[1:]):
             state = sieve.pi_theta_at(base, resume_from=state)
-            q_fn = None
-            if plan.lane != "gap":
-                q_fn = lambda prec, s=state: verify._state_quantity(plan.lane, s, prec)
+            q_fn = functools.partial(verify._state_quantity, plan.lane, state, succ)
             pair, _, _ = verify._check_cell(plan, base, succ, q_fn)
             cell, _, _ = verify._cell_verdict(spec, q_fn, base, succ)
             assert pair is cell, (bound_id, base)
@@ -555,7 +562,8 @@ def test_exact_quantity_across_chunk_edges():
         run = data.run(lane)
         for i in cells + cells[::-1] + [c + 1, c + 1, c, c - 1, c - 1, 0, 0]:
             got = data.quantity_fn(lane, i)(DEFAULT_PREC)
-            want = verify._state_quantity(lane, states[i], DEFAULT_PREC)
+            succ = sieve.next_prime(int(data.p[i]))
+            want = verify._state_quantity(lane, states[i], succ, DEFAULT_PREC)
             assert (got.lo, got.hi) == (want.lo, want.hi), (lane, i)
             # the float running sum restarts from the exact one at each chunk
             v, _ = data.exact(lane, i)
