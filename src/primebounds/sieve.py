@@ -49,6 +49,7 @@ from .errors import (
 )
 
 CAPACITY = 1 << 53  # int64 -> float64 conversions stay exact below this
+LAST_PRIME = CAPACITY - 111  # the largest prime below CAPACITY
 DEFAULT_SEGMENT_ODDS = 1 << 22  # odds per segment; spans 2**23 integers
 
 BUDGET_LOG = 4

@@ -36,10 +36,17 @@ Every bound value comes from one shape definition per kind (bounds.shape)
 with two backends: eval_bound evaluates it on outward-rounded intervals for
 every exact verdict, and _bound_float on float64 arrays for the fast lane.
 
+The segments run over (range_lo, q], q the prime after range_hi.  Row 0
+of each is the base carried in from before it -- range_lo, then the
+previous segment's last prime -- its primes follow, and every row but the
+last is the base of one cell.  So every cell, the segment-straddling and
+range-end ones included, is one row of a segment; q is only a successor.
+
 The summed lanes (theta, sum 1/p, sum log p / p, sum log(1 - 1/p)) are
 sieve's: it defines their terms and sums each SUM_CHUNK = 2**16 primes of
-a segment exactly once (PrimeSegment.sums).  The exact quantity at a cell
-is the partial sum of its chunk plus the few terms after it.
+a segment exactly once (PrimeSegment.sums).  The exact quantity at a row
+is the exact state through the segment's base plus the partial sum of its
+chunk and the few terms after it.
 
 Most cells are decided in a float64 fast lane.  Its running sums restart
 at every chunk from the correctly rounded exact partial sum, so float
@@ -213,8 +220,8 @@ class VerificationReport:
         xs = [c.x for c in self.counterexamples]
         if xs != sorted(xs) or len(set(xs)) != len(xs):
             raise InvalidRangeError("counterexamples must be strictly ascending in x")
-        if xs and xs[-1] > self.range_hi:
-            raise InvalidRangeError("counterexample beyond the scanned range")
+        if xs and not self.range_lo <= xs[0] <= xs[-1] <= self.range_hi:
+            raise InvalidRangeError("counterexample outside the scanned range")
         if self.wall_time < 0:
             raise InvalidRangeError("wall_time must be nonnegative")
 
@@ -423,26 +430,6 @@ def _bound_float(
         return None
     ops = _FloatOps(pw)
     return bounds.shape(spec, x, L, ops), ops.suspect
-
-
-# ---------------------------------------------------------------------------
-# exact quantity enclosures
-# ---------------------------------------------------------------------------
-
-
-def _state_quantity(lane: str, state: AccumulatorState, succ: int, prec: int) -> Enclosure:
-    """Exact lane quantity on a cell [base, succ) from the state through base."""
-    if lane == "gap":
-        return Enclosure.from_value(succ)
-    if lane == "pi":
-        return Enclosure.from_value(state.pi)
-    if lane == "theta":
-        return state.theta
-    if lane == "recip":
-        return state.sum_recip
-    if lane == "logp":
-        return state.sum_logp
-    return eexp(state.sum_log1m, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +660,7 @@ class _Fail:
 
     A fast-lane certain fail is kept with lhs and rhs None until the scan
     ends and confirms it.  q_fn never holds a segment's arrays, only the
-    cell's quantity (or the small state it is read from).
+    cell's quantity.
     """
 
     base: int
@@ -727,14 +714,21 @@ class _SpecScan:
 
 
 class _SegmentData:
-    """Shared per-segment arrays, built lazily per lane."""
+    """Shared per-segment arrays, built lazily per lane.
 
-    def __init__(self, before: Optional[AccumulatorState], segment: PrimeSegment):
+    Row 0 is the carried base, the segment's primes follow, and row i holds
+    the cell [p[i], p[i + 1]).  before is the exact state through row 0, so
+    the quantity at row i is before plus the segment's first i primes.  p
+    holds the rows as float64, which is exact below 2**53.
+    """
+
+    def __init__(self, before: Optional[AccumulatorState], base: int, segment: PrimeSegment):
         self.before = before
         self.seg = segment
-        self.p = segment.primes
-        self.pf = self.p.astype(np.float64)
-        self.logs = np.log(self.pf)
+        self.p = np.empty(segment.primes.size + 1, dtype=np.float64)
+        self.p[0] = base
+        self.p[1:] = segment.primes
+        self.logs = np.log(self.p)
         self._values: dict[str, np.ndarray] = {}
         self._runs: dict[str, np.ndarray] = {}
         self._cursors: dict[str, tuple[int, int, int]] = {}  # see exact()
@@ -743,48 +737,50 @@ class _SegmentData:
         """Per-prime terms of a summed lane, built once per segment."""
         out = self._values.get(lane)
         if out is None:
-            out = self._values[lane] = sieve.lane_terms(lane, self.pf, self.logs, self.recip)
+            out = self._values[lane] = sieve.lane_terms(lane, self.p[1:], self.logs[1:], self.recip)
         return out
 
     @functools.cached_property
     def recip(self) -> np.ndarray:
-        """1.0 / p, shared by the recip and log1m lanes."""
-        return 1.0 / self.pf
+        """1.0 / p over the segment's primes, shared by the recip and log1m lanes."""
+        return 1.0 / self.p[1:]
 
     def _chunk_total(self, lane: str, k: int) -> tuple[int, int]:
-        """Exact lane total through the first k * SUM_CHUNK primes."""
+        """Exact lane total at row k * SUM_CHUNK."""
         (v0, b0), (v, b) = self.before.lane(lane), self.seg.sums[lane][k]
         return v0 + v, b0 + b
 
     def run(self, lane: str) -> np.ndarray:
+        """Float lane quantity at every cell of the segment."""
         out = self._runs.get(lane)
         if out is None:
             if lane == "gap":
-                out = self.pf[1:]
+                out = self.p[1:]
             elif lane == "pi":
-                out = self.before.pi + np.arange(1, self.p.size + 1, dtype=np.float64)
+                out = self.before.pi + np.arange(self.p.size - 1, dtype=np.float64)
             else:
                 values = self.values(lane)
                 out = np.empty(values.size, dtype=np.float64)
                 for k, a in enumerate(range(0, values.size, SUM_CHUNK)):
-                    # restart from the correctly rounded exact partial sum
+                    # restart from the correctly rounded exact total at row
+                    # a, then add the terms of the primes up to each row
                     chunk = out[a : a + SUM_CHUNK]
-                    np.cumsum(values[a : a + SUM_CHUNK], out=chunk)
+                    chunk[0] = 0.0
+                    np.cumsum(values[a : a + chunk.size - 1], out=chunk[1:])
                     chunk += math.ldexp(float(self._chunk_total(lane, k)[0]), -dyadic.SCALE_BITS)
                 if lane == "log1m":
                     out = -out
             self._runs[lane] = out
         return out
 
-    def exact(self, lane: str, idx: int) -> tuple[int, int]:
-        """Exact (value, budget) of a summed lane through prime idx.
+    def exact(self, lane: str, n: int) -> tuple[int, int]:
+        """Exact (value, budget) of a summed lane at row n.
 
-        The segment's partial sum over the whole chunks among primes
-        0..idx, plus the fewer than SUM_CHUNK terms after them.  Each lane
-        keeps the (count, value, budget) of its last call as a cursor and
-        carries on from it when it lies in between.
+        before, plus the segment's partial sum over the whole chunks among
+        its first n primes, plus the fewer than SUM_CHUNK terms after them.
+        Each lane keeps the (count, value, budget) of its last call as a
+        cursor and carries on from it when it lies in between.
         """
-        n = idx + 1
         a = n - n % SUM_CHUNK
         m, v, b = self._cursors.get(lane, (-1, 0, 0))
         if not a <= m <= n:
@@ -795,15 +791,15 @@ class _SegmentData:
         self._cursors[lane] = (n, v, b)
         return v, b
 
-    def quantity_fn(self, lane: str, idx: int) -> Callable[[int], Enclosure]:
-        """Exact lane quantity on the cell of prime idx, by precision."""
+    def quantity_fn(self, lane: str, i: int) -> Callable[[int], Enclosure]:
+        """Exact lane quantity on the cell of row i, by precision."""
         if lane == "gap":
-            enc = Enclosure.from_value(int(self.p[idx + 1]))
+            enc = Enclosure.from_value(int(self.p[i + 1]))
             return lambda prec: enc
         if lane == "pi":
-            enc = Enclosure.from_value(self.before.pi + idx + 1)
+            enc = Enclosure.from_value(self.before.pi + i)
             return lambda prec: enc
-        v, b = self.exact(lane, idx)
+        v, b = self.exact(lane, i)
         if lane == "log1m":
             inner = Enclosure.from_dyadic(-(v + b), b - v, dyadic.SCALE_BITS)
             return lambda prec: eexp(inner, prec)
@@ -822,12 +818,18 @@ def _scan(
         raise InvalidRangeError("need 2 <= range_lo <= range_hi")
     if not specs:
         raise InvalidRangeError("nothing to verify")
+    if range_hi >= sieve.LAST_PRIME:
+        raise CapacityError(
+            "range_hi must be below %d, the largest prime below 2**53, as the "
+            "last cell needs the prime after it" % sieve.LAST_PRIME
+        )
 
     plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
     lanes = {p.lane for p in plans}
-    need_state = lanes != {"gap"}
+    # the last cell's successor, which is never a base
+    top = sieve.next_prime(range_hi)
 
-    if need_state:
+    if lanes != {"gap"}:
         if state is None:
             state = AccumulatorState.initial()
         if state.x + 1 > range_lo:
@@ -836,32 +838,18 @@ def _scan(
             )
         if state.anchored and lanes - {"pi", "gap"}:
             raise MismatchedStateError("anchored states carry pi only")
-        for _, _, after in sieve.accumulate_range(state, range_lo - 1, segment_odds):
+        for _, _, after in sieve.accumulate_range(state, range_lo, segment_odds):
             state = after
-
-    if need_state:
-        segs = sieve.accumulate_range(state, range_hi, segment_odds)
+        segs = sieve.accumulate_range(state, top, segment_odds)
     else:  # the states stay None on the prime-only path
-        segs = ((None, seg, None) for seg in sieve.segments(range_lo, range_hi, segment_odds))
+        segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
 
     scans = [_SpecScan(p) for p in plans]
-    # the cell left open at a segment edge: its base and the exact state
-    # through it.  It starts as the partial cell [range_lo, first prime),
-    # checked only when range_lo is composite.
-    edge = (range_lo, state)
-
-    for before, seg, after in segs:
-        primes = seg.primes
-        if primes.size == 0:
-            continue
-        data = _SegmentData(before, seg)
-        first = int(primes[0])
-        if first > edge[0]:
-            _check_edge(scans, edge, first)
+    base = range_lo
+    for before, seg, _ in segs:
+        data = _SegmentData(before, base, seg)
         _scan_segment(scans, data)
-        edge = (int(primes[-1]), after)
-
-    _check_edge(scans, edge, sieve.next_prime(range_hi))
+        base = int(data.p[-1])
     for scan in scans:
         scan.confirm()
     return scans
@@ -877,20 +865,6 @@ def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosu
     if plan.pair_start is None or base < plan.pair_start:
         return _cell_verdict(plan.spec, q_fn, base, succ)
     return _pair_verdict(plan.spec, q_fn, succ if plan.eval_at_succ else base)
-
-
-def _check_edge(scans: list[_SpecScan], edge, succ: int):
-    """Check the cell that no segment holds whole, for every claim.
-
-    edge is (base, state): the cell [base, succ) straddles a segment
-    boundary or range_hi, or is the leading stretch [range_lo, first prime)
-    of a composite range_lo.  The quantities are constant there and state
-    holds their exact totals.
-    """
-    base, state = edge
-    for scan in scans:
-        q_fn = functools.partial(_state_quantity, scan.plan.lane, state, succ)
-        scan.record(*_check_cell(scan.plan, base, succ, q_fn), base, succ, q_fn)
 
 
 def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
@@ -910,7 +884,7 @@ def _sides(plan: _Plan, data: _SegmentData, lo: int, hi: int, step: int = 1):
     """
     e = 1 if plan.eval_at_succ else 0
     at = slice(lo + e, hi + e, step)
-    x, L = np.ascontiguousarray(data.pf[at]), np.ascontiguousarray(data.logs[at])
+    x, L = np.ascontiguousarray(data.p[at]), np.ascontiguousarray(data.logs[at])
     f, suspect = _bound_float(plan.spec, x, L, functools.cache(L.__pow__))
     q = data.run(plan.lane)[lo:hi:step]
     return (q, f, suspect) if plan.lower else (f, q, suspect)
@@ -993,11 +967,7 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
 
 def _scan_segment(scans, data: _SegmentData):
     p = data.p
-    # cells fully inside the segment: bases p[0..m-2], successors p[1..m-1];
-    # the final prime's cell stays open for the caller.
-    cut = p.size - 1
-    if cut < 1:
-        return
+    cut = p.size - 1  # the segment's cells; the last row is only a successor
     fast = []
     for scan in scans:
         plan = scan.plan

@@ -301,7 +301,12 @@ def test_eval_spot_monotone_on_grid():
 def _verdict(bound_id, st):
     spec = bounds.lookup(bound_id)
     lane = verify._LANE_OF_KIND[spec.kind]
-    q = verify._state_quantity(lane, st, sieve.next_prime(st.x), DEFAULT_PREC)
+    if lane == "pi":
+        q = Enclosure.from_value(st.pi)
+    elif lane == "log1m":
+        q = eexp(st.sum_log1m, DEFAULT_PREC)
+    else:
+        q = {"theta": st.theta, "recip": st.sum_recip, "logp": st.sum_logp}[lane]
     return verify._decide(spec, q, bounds.eval_bound(spec, st.x))
 
 
@@ -351,7 +356,7 @@ def test_compare_rational_denominator_failure_convention():
     # enclosure to decide on: the pair check fails the claimed upper bound
     # and holds the lower bound trivially
     st = sieve.pi_theta_at(3)
-    q_fn = lambda prec: verify._state_quantity("pi", st, 5, prec)
+    q_fn = lambda prec: Enclosure.from_value(st.pi)
     for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
         spec = bounds.lookup(bound_id)
         with pytest.raises(DenominatorNonpositiveError):

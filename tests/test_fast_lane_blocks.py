@@ -109,11 +109,14 @@ def test_blocks_match_cell_oracle_on_anchored_pi_window(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _segment(lo, hi, n_primes=None):
-    seg = sieve.sieve_segment(lo, hi)
-    if n_primes is not None:
-        seg = sieve.PrimeSegment(lo, int(seg.primes[n_primes - 1]), seg.primes[:n_primes])
-    return verify._SegmentData(sieve.pi_theta_at(lo - 1), seg)
+def _segment(lo, hi, n_primes=None, state=True):
+    """One segment's rows over the primes in [lo, hi], or the first n_primes
+    of them.  The first prime is the carried base, so row i holds the i-th
+    prime; the state is the one through it, or None without state."""
+    primes = sieve.sieve_segment(lo, hi).primes[:n_primes]
+    base, last = int(primes[0]), int(primes[-1])
+    before = sieve.pi_theta_at(base) if state else None
+    return verify._SegmentData(before, base, sieve.PrimeSegment(base + 1, last, primes[1:]))
 
 
 def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, brackets_only=False):
@@ -212,7 +215,7 @@ def test_successor_claim_last_block_ends_on_final_successor(monkeypatch):
 
 def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     lo, hi = 10**12, 10**12 + 2 * 10**5
-    data = verify._SegmentData(None, sieve.sieve_segment(lo, hi))
+    data = _segment(lo, hi, state=False)
     primes = data.p
     cut = (primes.size - 1) // _BLOCK * _BLOCK
     spec = lookup("thm4.1.gap3")
@@ -238,7 +241,7 @@ def test_suspect_bracket_end_is_never_decided(monkeypatch):
     whole_blocks = np.setdiff1d(np.arange(0, cut - 7, 8), clean_pending)
     marked = int(whole_blocks[-1])
     real = verify._bound_float
-    mark_x = data.pf[marked + 1]  # evaluated at the successor prime
+    mark_x = data.p[marked + 1]  # evaluated at the successor prime
 
     def bound_float(spec, x, L, pw):
         vals, suspect = real(spec, x, L, pw)
@@ -265,7 +268,7 @@ def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
     whole_blocks = np.setdiff1d(np.arange(0, cut - 7, 8), clean_pending)
     marked = [int(whole_blocks[-2]), int(whole_blocks[-1]) + 7]
     real = verify._bound_float
-    mark_x = data.pf[np.array(marked) + 1]  # evaluated at the successor prime
+    mark_x = data.p[np.array(marked) + 1]  # evaluated at the successor prime
 
     def bound_float(spec, x, L, pw):
         vals, suspect = real(spec, x, L, pw)

@@ -1,6 +1,5 @@
 """Range verification: reports, merging, scanning, crossings, soundness gate."""
 
-import functools
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import pytest
 
 from primebounds import dyadic, sieve, verify
 from primebounds.bounds import Verdict, eval_bound, lookup
-from primebounds.enclosure import DEFAULT_PREC, Enclosure
+from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
 from primebounds.errors import (
     CapacityError,
     FastLaneMismatchError,
@@ -211,6 +210,16 @@ def test_json_handles_infinite_and_dyadic_endpoints():
     assert report_from_json(report_to_json(r2)) == r2
 
 
+def test_json_rejects_counterexample_outside_range():
+    doc = json.loads(report_to_json(_report(100, 200, fail_xs=[150], passes=3)))
+    for x in (50, 99, 201):
+        doc["counterexamples"][0]["x"] = x
+        with pytest.raises(InvalidRangeError):
+            report_from_json(json.dumps(doc))
+    doc["counterexamples"][0]["x"] = 100
+    assert report_from_json(json.dumps(doc)).counterexamples[0].x == 100
+
+
 def test_json_rejects_non_dyadic_endpoint():
     doc = json.loads(report_to_json(_report(2, 10, fail_xs=[5], passes=0)))
     doc["counterexamples"][0]["lhs"][0] = "0.1"  # not a dyadic decimal
@@ -303,6 +312,26 @@ def test_invalid_ranges_rejected():
         _scan_one(spec, 100, 10)
     with pytest.raises(InvalidRangeError):
         scan_claims([], 2, 10)
+
+
+def test_last_prime_below_capacity():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(sieve.LAST_PRIME)
+    assert sympy.nextprime(sieve.LAST_PRIME) > sieve.CAPACITY
+
+
+def test_range_past_the_last_prime_fails_before_sieving(monkeypatch):
+    # the last cell needs the prime after range_hi, so range_hi must lie
+    # below the last prime under 2**53; nothing is planned or sieved first
+    def refuse(*args, **kw):
+        raise AssertionError("a refused range was planned or sieved")
+
+    monkeypatch.setattr(sieve, "sieve_segment", refuse)
+    monkeypatch.setattr(verify, "_make_plan", refuse)
+    spec = lookup("thm4.1.gap3")
+    for hi in (sieve.LAST_PRIME, sieve.CAPACITY - 50):
+        with pytest.raises(CapacityError, match=str(sieve.LAST_PRIME)):
+            _scan_one(spec, sieve.CAPACITY - 2 * 10**6, hi)
 
 
 def test_certificate_free_stretch_needs_narrow_range():
@@ -504,13 +533,16 @@ def test_tiling_and_segmentation_do_not_change_results(monkeypatch):
     ]
     specs = [lookup(i) for i in ids]
     assert any(verify._make_plan(s, 2, 2 * 10**6).pair_start > 2 for s in specs)
-    wide = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**20)
     calls = []
     monkeypatch.setattr(verify, "eval_bound", lambda *a: calls.append(a) or eval_bound(*a))
+    wide = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**20)
+    wide_calls = len(calls)
+    calls.clear()
     narrow = scan_claims(specs, 2, 2 * 10**6, segment_odds=2**12)
-    # exact work does not scale with the segment count: the one-segment
-    # scan's evaluations plus one edge cell per claim at each segment edge
-    assert len(calls) < 3000
+    # exact work does not scale with the segment count: a cell that
+    # straddles a segment edge is an ordinary fast-lane row of the next
+    # segment, so only the float running sums' rebase points differ
+    assert len(calls) <= wide_calls + len(specs)
     assert wide[0].report.checked > 2 * sieve.SUM_CHUNK
     for a, b in zip(wide, narrow):
         assert reports_equivalent(a.report, b.report), a.report.bound_id
@@ -518,6 +550,21 @@ def test_tiling_and_segmentation_do_not_change_results(monkeypatch):
     # failures past the counterexample cap, and crossings, are compared
     assert sum(c.report.failures > COUNTEREXAMPLE_CAP for c in wide) >= 3
     assert sum(c.crossing is not None for c in wide) >= 3
+
+
+def _state_q_fn(lane, state, succ):
+    """The exact quantity on the cell [state.x, succ), read off the state."""
+
+    def q_fn(prec):
+        if lane == "gap":
+            return Enclosure.from_value(succ)
+        if lane == "pi":
+            return Enclosure.from_value(state.pi)
+        if lane == "log1m":
+            return eexp(state.sum_log1m, prec)
+        return {"theta": state.theta, "recip": state.sum_recip, "logp": state.sum_logp}[lane]
+
+    return q_fn
 
 
 def test_interval_cells_agree_with_pair_checks_from_the_certificate():
@@ -539,7 +586,7 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
         seen = set()
         for base, succ in zip(primes, primes[1:]):
             state = sieve.pi_theta_at(base, resume_from=state)
-            q_fn = functools.partial(verify._state_quantity, plan.lane, state, succ)
+            q_fn = _state_q_fn(plan.lane, state, succ)
             pair, _, _ = verify._check_cell(plan, base, succ, q_fn)
             cell, _, _ = verify._cell_verdict(spec, q_fn, base, succ)
             assert pair is cell, (bound_id, base)
@@ -550,20 +597,21 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
 def test_exact_quantity_across_chunk_edges():
     # one segment of about 600k primes holds three chunk edges or more; the
     # cells are visited ascending, descending and again with repeats, so the
-    # cursor starts afresh, carries on and stands still
+    # cursor starts afresh, carries on and stands still.  Row 0 is the
+    # composite base lo, carried in with the state through it.
     lo = 10**6
-    before = sieve.pi_theta_at(lo - 1)
-    data = verify._SegmentData(before, sieve.sieve_segment(lo, lo + 2**23 - 1))
-    c, last = sieve.SUM_CHUNK, data.p.size - 1
+    before = sieve.pi_theta_at(lo)
+    data = verify._SegmentData(before, lo, sieve.sieve_segment(lo + 1, lo + 2**23))
+    c, last = sieve.SUM_CHUNK, data.p.size - 2
     assert last >= 3 * c
-    cells = [0, c - 1, c, c + 1, 2 * c - 1, last]
+    cells = [0, 1, c - 1, c, c + 1, 2 * c - 1, last]
     states = {i: sieve.pi_theta_at(int(data.p[i]), resume_from=before) for i in cells}
     for lane in ("theta", "recip", "logp", "log1m"):
         run = data.run(lane)
+        assert run.size == last + 1
         for i in cells + cells[::-1] + [c + 1, c + 1, c, c - 1, c - 1, 0, 0]:
             got = data.quantity_fn(lane, i)(DEFAULT_PREC)
-            succ = sieve.next_prime(int(data.p[i]))
-            want = verify._state_quantity(lane, states[i], succ, DEFAULT_PREC)
+            want = _state_q_fn(lane, states[i], None)(DEFAULT_PREC)
             assert (got.lo, got.hi) == (want.lo, want.hi), (lane, i)
             # the float running sum restarts from the exact one at each chunk
             v, _ = data.exact(lane, i)
