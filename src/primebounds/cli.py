@@ -150,10 +150,6 @@ def _gate_extended(
 # ---------------------------------------------------------------------------
 
 
-def _enc_strs(e: Enclosure) -> tuple[str, str]:
-    return verify._mpf_to_str(e.lo), verify._mpf_to_str(e.hi)
-
-
 def _decimal_out(num: int, den: int, places: int, round_up: bool) -> str:
     """Exact value num/den as a decimal with outward rounding."""
     scaled = num * 10**places
@@ -191,9 +187,7 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
         )
         w.writerow(["counterexample_x", "lhs_lo", "lhs_hi", "rhs_lo", "rhs_hi"])
         for c in report.counterexamples:
-            ll, lh = _enc_strs(c.lhs)
-            rl, rh = _enc_strs(c.rhs)
-            w.writerow([c.x, ll, lh, rl, rh])
+            w.writerow([c.x, *c.lhs.decimal_pair(), *c.rhs.decimal_pair()])
         return buf.getvalue().encode("utf-8")
     if format == "text":
         try:
@@ -207,9 +201,10 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
             % (report.checked, report.passes, report.failures, report.indeterminates),
         ]
         for c in report.counterexamples:
-            ll, lh = _enc_strs(c.lhs)
-            rl, rh = _enc_strs(c.rhs)
-            lines.append("  counterexample x=%d lhs=[%s, %s] rhs=[%s, %s]" % (c.x, ll, lh, rl, rh))
+            lines.append(
+                "  counterexample x=%d lhs=[%s, %s] rhs=[%s, %s]"
+                % (c.x, *c.lhs.decimal_pair(), *c.rhs.decimal_pair())
+            )
         lines.append("wall_time_s %r  %s" % (report.wall_time, verify.TOOL_VERSION))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise InvalidRangeError("format must be json, csv, or text")

@@ -10,11 +10,16 @@ frexp exponent e (so v in [2**(e-1), 2**e)) the unit is 2**(e-53), which is
 ulp(v) except exactly at a binade edge where it is 2*ulp(v). Callers scale the
 budget by a per-quantity factor covering the rounding error of the routine
 that produced the terms (np.log, division, np.log1p).
+
+Checkpoints and reports write these dyadic values as exact decimals
+(to_decimal) and read them back (from_decimal).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +69,25 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
         e_lo = math.frexp(float(values.min()))[1]
     t, b = _band_sum(values, e_lo, e_hi)
     return total + t, budget + b
+
+
+def to_decimal(num: int, k: int) -> str:
+    """Exact decimal string of num * 2**-k.
+
+    num / 2**k == num * 5**k / 10**k, so k places after the point suffice.
+    """
+    if k <= 0:
+        return str(num << -k)
+    digits = str(abs(num) * 5**k).zfill(k + 1)
+    head, frac = digits[:-k], digits[-k:].rstrip("0")
+    return ("-" if num < 0 else "") + head + ("." + frac if frac else "")
+
+
+def from_decimal(s: str) -> Optional[tuple[int, int]]:
+    """(num, k) with s == num * 2**-k and k >= 0 least; None if s is not dyadic."""
+    f = Fraction(s)
+    k = f.denominator.bit_length() - 1
+    return (f.numerator, k) if f.denominator == 1 << k else None
 
 
 def _band_sum(values: np.ndarray, e_lo: int, e_hi: int) -> tuple[int, int]:

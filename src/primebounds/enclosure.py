@@ -18,6 +18,7 @@ from typing import Union
 import mpmath
 from mpmath.libmp import from_man_exp
 
+from . import dyadic
 from .errors import InvalidRangeError, SingularInputError
 
 DEFAULT_PREC = 106
@@ -60,6 +61,22 @@ def lift(ctx, v: Real):
     return ctx.mpf(v)  # mpf and friends
 
 
+def _mpf_decimal(x: mpmath.mpf) -> str:
+    if mpmath.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    sign, man, exp, _ = x._mpf_
+    return dyadic.to_decimal(-man if sign else man, -exp)
+
+
+def _mpf_from_decimal(s: str) -> mpmath.mpf:
+    if s in ("inf", "-inf"):
+        return mpmath.mpf(s)
+    parsed = dyadic.from_decimal(s)
+    if parsed is None:
+        raise InvalidRangeError("endpoint %r is not a dyadic decimal" % s)
+    return mpmath.mp.make_mpf(from_man_exp(parsed[0], -parsed[1]))
+
+
 class Enclosure:
     """Closed interval [lo, hi] containing an exact real value."""
 
@@ -94,6 +111,11 @@ class Enclosure:
         )
 
     @classmethod
+    def from_decimal_pair(cls, pair) -> "Enclosure":
+        """Inverse of decimal_pair; InvalidRangeError for a non-dyadic endpoint."""
+        return cls(*(_mpf_from_decimal(s) for s in pair))
+
+    @classmethod
     def from_truncated_digits(cls, digits: str) -> "Enclosure":
         """Enclosure for a decimal expansion truncated after its last digit.
 
@@ -122,6 +144,10 @@ class Enclosure:
     @property
     def width(self):
         return self.hi - self.lo
+
+    def decimal_pair(self) -> tuple[str, str]:
+        """Exact decimal strings of the endpoints, which are always dyadic."""
+        return _mpf_decimal(self.lo), _mpf_decimal(self.hi)
 
     def mid_float(self) -> float:
         return float((self.lo + self.hi) / 2)

@@ -13,10 +13,14 @@ Contents:
 
 * ExactPolynomial  -- dense univariate polynomials over Fraction.
 * sturm_positive_on_ray -- decide sign of a polynomial on [a, infinity)
-  with an exact rational refutation witness on failure.
+  with an exact rational refutation witness on failure.  Every decision
+  reads one fact, memoised per polynomial: a rational just below its last
+  sign change, isolated by Sturm bisection (_last_sign_change).
 * monotone_on_ray / shape_on_ray -- reduce monotonicity of a registry bound
-  (in the variable x, for x >= a) to ray-positivity of an explicit
-  polynomial in y = log x, then certify that polynomial.
+  (in the variable x, for x >= a) to ray-positivity of explicit
+  polynomials in y = log x (_shape_polys), then certify them.
+* certified_start -- the least x in a window from which shape_on_ray
+  holds, read off the same last sign changes.
 * Frozen helper polynomials used by the registry derivations, with exact
   decimal coefficients.
 * zero_count_bound -- enclosure of an explicit upper bound for the number
@@ -30,6 +34,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,25 +284,11 @@ def _variations_at_inf(chain: Sequence[ExactPolynomial]) -> int:
 def count_distinct_roots_above(poly: ExactPolynomial, a: Rational) -> int:
     """Number of distinct real roots of poly in the open ray (a, infinity).
 
-    Requires poly(a) != 0 (Sturm's theorem counts roots in half-open
-    intervals anchored at non-roots).
+    Counted on the Sturm chain of poly's squarefree part, which holds at
+    every a: a root at a itself is not counted.
     """
-    af = _as_fraction(a)
-    if poly.eval_exact(af) == 0:
-        raise InvalidRangeError("root counting requires a non-root base point")
-    chain = sturm_chain(poly)
-    return _variations_at(chain, af) - _variations_at_inf(chain)
-
-
-def count_distinct_roots_between(
-    poly: ExactPolynomial, a: Rational, b: Rational
-) -> int:
-    """Number of distinct real roots of poly in the half-open interval (a, b]."""
-    af, bf = _as_fraction(a), _as_fraction(b)
-    if poly.eval_exact(af) == 0:
-        raise InvalidRangeError("root counting requires a non-root base point")
-    chain = sturm_chain(poly)
-    return _variations_at(chain, af) - _variations_at(chain, bf)
+    chain = _squarefree_chain(poly)
+    return _variations_at(chain, _as_fraction(a)) - _variations_at_inf(chain)
 
 
 def root_magnitude_bound(poly: ExactPolynomial) -> Fraction:
@@ -353,6 +344,45 @@ def odd_multiplicity_part(poly: ExactPolynomial) -> Optional[ExactPolynomial]:
     return acc
 
 
+@functools.cache
+def _squarefree_chain(poly: ExactPolynomial) -> Tuple[ExactPolynomial, ...]:
+    """Sturm chain of poly's squarefree part, whose roots are poly's distinct roots."""
+    if poly.degree == 0:
+        return (poly,)
+    part, _ = poly_divmod(poly, poly_gcd(poly, poly.derivative()))
+    return sturm_chain(part)
+
+
+@functools.cache
+def _last_sign_change(poly: ExactPolynomial) -> Optional[Fraction]:
+    """A rational l below poly's last sign change r with no root of poly in [l, r).
+
+    r is the largest root of odd multiplicity; None means there is none, so
+    poly never changes sign.  Bisects (-B, B), B the Cauchy bound, keeping
+    both ends off the roots: the odd part's chain tells which half holds r,
+    and the search stops once the squarefree part's chain counts r as the
+    only root between the ends.
+    """
+    odd = odd_multiplicity_part(poly)
+    if odd is None:
+        return None
+    odd_chain, chain = sturm_chain(odd), _squarefree_chain(poly)
+    hi = root_magnitude_bound(poly)
+    lo = -hi
+    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
+    odd_hi = _variations_at(odd_chain, hi)
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        while chain[0].eval_exact(mid) == 0:
+            mid = (lo + mid) / 2
+        odd_mid = _variations_at(odd_chain, mid)
+        if odd_mid > odd_hi:
+            lo, v_lo = mid, _variations_at(chain, mid)
+        else:
+            hi, v_hi, odd_hi = mid, _variations_at(chain, mid), odd_mid
+    return lo
+
+
 @dataclass(frozen=True)
 class PositivityCertificate:
     """Outcome of a ray-positivity decision for a polynomial in y.
@@ -382,50 +412,16 @@ class PositivityCertificate:
         return self.verdict in ("positive", "nonnegative")
 
 
-def _negative_point_near_sign_change(
-    poly: ExactPolynomial,
-    odd_part: ExactPolynomial,
-    lo: Fraction,
-    hi: Fraction,
-) -> Tuple[Fraction, Fraction]:
-    """Exact rational point in [lo, hi]-ish with poly < 0.
-
-    Preconditions: odd_part has at least one root in (lo, hi], poly(lo) > 0,
-    and lo is not a root of odd_part.  Bisects on the odd part (whose roots
-    are exactly the sign changes of poly), then samples poly exactly.
-    """
-    a, b = lo, hi
-    for _ in range(200):
-        val_b = poly.eval_exact(b)
-        if val_b < 0:
-            return b, val_b
-        mid = (a + b) / 2
-        if odd_part.eval_exact(mid) == 0:
-            # mid is a sign-change point of poly: probe just past it.
-            step = (b - a) / 1024
-            while step > 0:
-                for probe in (mid + step, mid - step):
-                    if probe > lo:
-                        val = poly.eval_exact(probe)
-                        if val < 0:
-                            return probe, val
-                step /= 1024
-                if step < Fraction(1, 10**80):
-                    break
-            # Probing failed (multiple roots clustered); shrink toward mid.
-            b = mid + (b - a) / 1024
-            continue
-        if count_distinct_roots_between(odd_part, a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-    raise NoCertificateError("failed to localize a negative sample")
-
-
 def sturm_positive_on_ray(
     poly: ExactPolynomial, ray_start: Rational
 ) -> PositivityCertificate:
     """Decide the sign of poly on the ray [ray_start, infinity), exactly.
+
+    Let r be poly's last sign change and l the rational below it that
+    _last_sign_change gives.  With a positive leading coefficient poly >= 0
+    on [a, infinity) exactly when a >= r, that is when poly(max(a, l)) >= 0;
+    otherwise max(a, l) is the witness.  With a negative one the ray is
+    refuted at a when poly(a) < 0 and at the root bound otherwise.
 
     No rounding anywhere: the verdict is a theorem about the rational
     coefficients.  When the verdict is "refuted" the certificate carries a
@@ -433,146 +429,31 @@ def sturm_positive_on_ray(
     re-checked independently by plain Fraction arithmetic.
     """
     a = _as_fraction(ray_start)
-    work = poly
-    value_at_start = work.eval_exact(a)
-    attained_zero = False
-
-    if value_at_start < 0:
-        bound = max(root_magnitude_bound(work), a + 1)
-        return PositivityCertificate(
-            polynomial=poly,
-            ray_start=a,
-            verdict="refuted",
-            value_at_start=value_at_start,
-            distinct_roots_beyond=count_distinct_roots_above(work, a)
-            if value_at_start != 0
-            else 0,
-            root_bound=bound,
-            witness=a,
-            value_at_witness=value_at_start,
-        )
-
-    if value_at_start == 0:
-        # Divide out the root at a; on the open ray the sign of poly equals
-        # the sign of the quotient times (y - a)^mult > 0.
-        attained_zero = True
-        linear = ExactPolynomial((-a, Fraction(1)))
-        while work.eval_exact(a) == 0 and work.degree > 0:
-            q, r = poly_divmod(work, linear)
-            if r is not None or q is None:
-                break
-            work = q
-        if work.eval_exact(a) == 0:
-            # poly is a power of (y - a): zero at a, sign of lead beyond.
-            work = ExactPolynomial((work.leading,))
-        if work.eval_exact(a) < 0:
-            # poly is negative immediately to the right of a: probe
-            # forward with shrinking steps until the exact value goes
-            # strictly negative (guaranteed before the next root).
-            step = Fraction(1)
-            for _ in range(400):
-                probe = a + step
-                value = poly.eval_exact(probe)
-                if value < 0:
-                    return PositivityCertificate(
-                        polynomial=poly,
-                        ray_start=a,
-                        verdict="refuted",
-                        value_at_start=value_at_start,
-                        distinct_roots_beyond=count_distinct_roots_above(
-                            work, a
-                        ),
-                        root_bound=max(root_magnitude_bound(work), a + 1),
-                        witness=probe,
-                        value_at_witness=value,
-                    )
-                step /= 4
-            raise NoCertificateError("failed to probe past a boundary root")
-
-    bound = max(root_magnitude_bound(work), a + 1)
-
-    if work.degree == 0:
-        if work.leading > 0:
-            verdict = "nonnegative" if attained_zero else "positive"
-            return PositivityCertificate(
-                polynomial=poly,
-                ray_start=a,
-                verdict=verdict,
-                value_at_start=value_at_start,
-                distinct_roots_beyond=0,
-                root_bound=bound,
-            )
-        witness = a + 1
-        return PositivityCertificate(
-            polynomial=poly,
-            ray_start=a,
-            verdict="refuted",
-            value_at_start=value_at_start,
-            distinct_roots_beyond=0,
-            root_bound=bound,
-            witness=witness,
-            value_at_witness=poly.eval_exact(witness),
-        )
-
-    roots_beyond = count_distinct_roots_above(work, a)
-    odd_part = odd_multiplicity_part(work)
-    odd_roots_beyond = (
-        count_distinct_roots_above(odd_part, a)
-        if odd_part is not None and odd_part.eval_exact(a) != 0
-        else (0 if odd_part is None else None)
-    )
-
-    if odd_roots_beyond is None:
-        # a is a root of the odd part but work(a) != 0: impossible, since
-        # odd-part roots are roots of work.  Defensive only.
-        raise NoCertificateError("inconsistent odd-multiplicity analysis")
-
-    if odd_roots_beyond == 0:
-        # No sign change past a, and work(a) > 0: the polynomial stays
-        # positive except for possible even-order touches at zero.
-        if work.leading < 0:
-            # Sign at +infinity would be negative; cannot happen without a
-            # sign change, so this branch is unreachable.  Defensive only.
-            raise NoCertificateError("sign analysis contradiction")
-        if roots_beyond > 0 or attained_zero:
-            verdict = "nonnegative"
-        else:
-            verdict = "positive"
-        return PositivityCertificate(
-            polynomial=poly,
-            ray_start=a,
-            verdict=verdict,
-            value_at_start=value_at_start,
-            distinct_roots_beyond=roots_beyond,
-            root_bound=bound,
-        )
-
-    # The polynomial changes sign somewhere past a: locate a rational point
-    # with a strictly negative exact value.
-    hi = bound
-    while work.eval_exact(hi) == 0 or odd_part.eval_exact(hi) == 0:
-        hi += 1
-    if work.eval_exact(hi) < 0:
-        return PositivityCertificate(
-            polynomial=poly,
-            ray_start=a,
-            verdict="refuted",
-            value_at_start=value_at_start,
-            distinct_roots_beyond=roots_beyond,
-            root_bound=bound,
-            witness=hi,
-            value_at_witness=poly.eval_exact(hi),
-        )
-    witness, _value = _negative_point_near_sign_change(work, odd_part, a, hi)
+    value_at_start = poly.eval_exact(a)
+    bound = max(root_magnitude_bound(poly), a + 1)
+    if poly.leading > 0:
+        last = _last_sign_change(poly)
+        witness = a if last is None else max(a, last)
+    else:
+        witness = a if value_at_start < 0 else bound
+    value = poly.eval_exact(witness)
+    roots_beyond = count_distinct_roots_above(poly, a)
+    refuted = value < 0
+    if refuted:
+        verdict = "refuted"
+    elif value_at_start == 0 or roots_beyond:
+        verdict = "nonnegative"
+    else:
+        verdict = "positive"
     return PositivityCertificate(
         polynomial=poly,
         ray_start=a,
-        verdict="refuted",
+        verdict=verdict,
         value_at_start=value_at_start,
         distinct_roots_beyond=roots_beyond,
         root_bound=bound,
-        witness=witness,
-        value_at_witness=poly.eval_exact(witness),
+        witness=witness if refuted else None,
+        value_at_witness=value if refuted else None,
     )
 
 
@@ -744,6 +625,77 @@ def log_ray_start(x_start: Rational, prec: int = DEFAULT_PREC) -> Fraction:
     return Fraction(*elog(xs, prec).lo_rational())
 
 
+def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
+    """Polynomials in y = log x whose positivity on a ray certifies spec's shape.
+
+    PI_RATIONAL gives its denominator first, then its derivative numerator.
+    Square-root upper envelopes with nonnegative coefficients give none:
+    they are monotone termwise, since each summand c * x^p * y^q / pi^w
+    with c, p > 0 and q >= 0 is increasing in x, as is the leading x or
+    li(x) term.  Kinds with no certificate raise UnsupportedKindError.
+    """
+    kind, coeffs = spec.kind, spec.coefficients
+    if kind in (BoundKind.THETA_SQRT, BoundKind.PI_LI_SQRT):
+        if spec.direction != "upper":
+            raise UnsupportedKindError(
+                "square-root lower bounds have no termwise certificate"
+            )
+        for c, p, q, _w in zip(*[iter(coeffs)] * 4):
+            if c < 0 or p <= 0 or q < 0:
+                raise UnsupportedKindError(
+                    "termwise rule needs c >= 0, p > 0, q >= 0 in every term"
+                )
+        return ()
+    if kind is BoundKind.PI_RATIONAL:
+        return (
+            rational_denominator_poly(coeffs),
+            rational_derivative_numerator(coeffs),
+        )
+    if kind is BoundKind.PI_LOGPOW:
+        poly = logpow_derivative_numerator(coeffs)
+    elif kind is BoundKind.THETA_ENVELOPE:
+        sgn = 1 if spec.direction == "upper" else -1
+        poly = envelope_derivative_numerator(coeffs[0], int(coeffs[1]), sgn)
+    elif kind is BoundKind.GAP:
+        poly = envelope_derivative_numerator(coeffs[0], int(coeffs[1]), 1)
+    elif kind is BoundKind.SUM_RECIP:
+        poly = recip_sum_derivative_numerator(_pairs(coeffs))
+    elif kind is BoundKind.SUM_LOGP:
+        poly = logp_sum_derivative_numerator(_pairs(coeffs))
+    elif kind is BoundKind.PRODUCT_MERTENS:
+        poly = mertens_decrease_numerator(_pairs(coeffs))
+    else:
+        raise UnsupportedKindError(f"no derivative polynomial for kind {kind.name}")
+    return (poly,)
+
+
+def _certify(
+    spec: BoundSpec,
+    x_start: Rational,
+    polys: Sequence[ExactPolynomial],
+    prec: int,
+) -> MonotonicityCertificate:
+    """Certify each of polys on [log_ray_start(x_start), infinity) in turn,
+    stopping at the first that fails."""
+    xs = _as_fraction(x_start)
+    a = log_ray_start(xs, prec)
+    certs = []
+    for poly in polys:
+        certs.append(sturm_positive_on_ray(poly, a))
+        if not certs[-1].holds():
+            break
+    den = certs.pop(0) if spec.kind is BoundKind.PI_RATIONAL else None
+    return MonotonicityCertificate(
+        bound_id=spec.id,
+        x_start=xs,
+        log_ray_start=a,
+        sense=canonical_sense(spec.kind),
+        basis="sturm-ray" if polys else "termwise",
+        certificate=certs[0] if certs else None,
+        denominator_certificate=den,
+    )
+
+
 def monotone_certificate(
     spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
 ) -> MonotonicityCertificate:
@@ -753,73 +705,18 @@ def monotone_certificate(
     in y = log x and certifies that polynomial with exact Sturm analysis on
     [a, infinity) where a is a rational lower bound for log(x_start); since
     the derivative polynomials here are certified on the *larger* ray, the
-    conclusion covers all x >= x_start.
+    conclusion covers all x >= x_start.  For rational-denominator bounds the
+    denominator polynomial is certified first.
 
-    Square-root-shaped lower bounds and the exponential-envelope shape fall
+    Square-root-shaped bounds and the exponential-envelope shape fall
     outside polynomial reach and raise UnsupportedKindError.
     """
-    xs = _as_fraction(x_start)
-    a = log_ray_start(xs, prec)
-    sense = canonical_sense(spec.kind)
-    coeffs = spec.coefficients
-    sgn = 1 if spec.direction == "upper" else -1
-
-    if spec.kind is BoundKind.PI_RATIONAL:
-        den_poly = rational_denominator_poly(coeffs)
-        den_cert = sturm_positive_on_ray(den_poly, a)
-        if not den_cert.holds():
-            return MonotonicityCertificate(
-                bound_id=spec.id,
-                x_start=xs,
-                log_ray_start=a,
-                sense=sense,
-                basis="sturm-ray",
-                certificate=None,
-                denominator_certificate=den_cert,
-            )
-        num_cert = sturm_positive_on_ray(rational_derivative_numerator(coeffs), a)
-        return MonotonicityCertificate(
-            bound_id=spec.id,
-            x_start=xs,
-            log_ray_start=a,
-            sense=sense,
-            basis="sturm-ray",
-            certificate=num_cert,
-            denominator_certificate=den_cert,
-        )
-
-    if spec.kind is BoundKind.PI_LOGPOW:
-        poly = logpow_derivative_numerator(coeffs)
-    elif spec.kind is BoundKind.THETA_ENVELOPE:
-        c, k = coeffs[0], int(coeffs[1])
-        poly = envelope_derivative_numerator(c, k, sgn)
-    elif spec.kind is BoundKind.GAP:
-        c, j = coeffs[0], int(coeffs[1])
-        poly = envelope_derivative_numerator(c, j, 1)
-    elif spec.kind is BoundKind.SUM_RECIP:
-        poly = recip_sum_derivative_numerator(_pairs(coeffs))
-    elif spec.kind is BoundKind.SUM_LOGP:
-        poly = logp_sum_derivative_numerator(_pairs(coeffs))
-    elif spec.kind is BoundKind.PRODUCT_MERTENS:
-        poly = mertens_decrease_numerator(_pairs(coeffs))
-    elif spec.kind in (BoundKind.THETA_SQRT, BoundKind.PI_LI_SQRT):
+    polys = _shape_polys(spec)
+    if not polys:
         raise UnsupportedKindError(
             "square-root shapes need the termwise rule; use shape_on_ray"
         )
-    else:
-        raise UnsupportedKindError(
-            f"no derivative polynomial for kind {spec.kind.name}"
-        )
-
-    cert = sturm_positive_on_ray(poly, a)
-    return MonotonicityCertificate(
-        bound_id=spec.id,
-        x_start=xs,
-        log_ray_start=a,
-        sense=sense,
-        basis="sturm-ray",
-        certificate=cert,
-    )
+    return _certify(spec, x_start, polys, prec)
 
 
 def monotone_on_ray(
@@ -833,49 +730,59 @@ def monotone_on_ray(
     numerator decides.
     """
     full = monotone_certificate(spec, x_start, prec)
-    if (
-        full.denominator_certificate is not None
-        and not full.denominator_certificate.holds()
-    ):
-        return full.denominator_certificate
-    return full.certificate
+    return full.certificate or full.denominator_certificate
 
 
 def shape_on_ray(
     spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
 ) -> MonotonicityCertificate:
-    """Monotonicity certificate covering every kind the pair check supports.
+    """Monotonicity certificate covering every kind the pair check supports:
+    monotone_certificate's, plus the termwise one for square-root upper
+    envelopes (see _shape_polys)."""
+    return _certify(spec, x_start, _shape_polys(spec), prec)
 
-    Square-root upper envelopes with nonnegative coefficients are monotone
-    termwise: each summand c * x^p * y^q / pi^w with c, p > 0 and q >= 0 is
-    increasing in x, as is the leading x or li(x) term.  Everything else
-    defers to monotone_certificate.
+
+def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
+    """Least integer x in [lo, hi] from which shape_on_ray(spec, x) holds.
+
+    None when spec's kind has no certificate or it fails at hi; lo for the
+    termwise kinds.  A certificate polynomial P is >= 0 on [a, infinity)
+    exactly when its leading coefficient is positive and P(max(a, l)) >= 0,
+    l from _last_sign_change; that predicate is exact and monotone in a, so
+    bisecting it over a = log_ray_start(x) gives the least x.  The
+    certificate there is then built once to confirm it.
     """
-    if spec.kind in (BoundKind.THETA_SQRT, BoundKind.PI_LI_SQRT):
-        xs = _as_fraction(x_start)
-        a = log_ray_start(xs, prec)
-        if spec.direction != "upper":
-            raise UnsupportedKindError(
-                "square-root lower bounds have no termwise certificate"
-            )
-        flat = list(spec.coefficients)
-        quads = [tuple(flat[4 * i : 4 * i + 4]) for i in range(len(flat) // 4)]
-        for c, p, q, _w in quads:
-            if c < 0 or p <= 0 or q < 0:
-                raise UnsupportedKindError(
-                    "termwise rule needs c >= 0, p > 0, q >= 0 in every term"
-                )
-        if xs < 1:
-            raise InvalidRangeError("termwise rule applies for x >= 1")
-        return MonotonicityCertificate(
-            bound_id=spec.id,
-            x_start=xs,
-            log_ray_start=a,
-            sense="increasing",
-            basis="termwise",
-            certificate=None,
+    try:
+        polys = _shape_polys(spec)
+    except UnsupportedKindError:
+        return None
+
+    def holds(x: int) -> bool:
+        a = log_ray_start(x)
+        for poly in polys:
+            last = _last_sign_change(poly)
+            point = a if last is None else max(a, last)
+            if poly.leading < 0 or poly.eval_exact(point) < 0:
+                return False
+        return True
+
+    x = lo
+    if polys and not holds(lo):
+        if not holds(hi):
+            return None
+        bad, x = lo, hi
+        while x - bad > 1:
+            mid = (bad + x) // 2
+            if holds(mid):
+                x = mid
+            else:
+                bad = mid
+    if not shape_on_ray(spec, x).holds():
+        raise NoCertificateError(
+            "%s: the last sign changes put the certified start at %d, but the "
+            "certificate there does not hold" % (spec.id, x)
         )
-    return monotone_certificate(spec, x_start, prec)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -475,25 +475,16 @@ def pi_theta_at(
 # -- checkpoints (JSON lines, exact decimal strings) -------------------------
 
 
-def _dec_str(scaled: int) -> str:
-    """Exact decimal string of scaled * 2**-SCALE_BITS."""
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled) * 5**dyadic.SCALE_BITS).rjust(dyadic.SCALE_BITS + 1, "0")
-    ip, fp = digits[: -dyadic.SCALE_BITS], digits[-dyadic.SCALE_BITS :].rstrip("0")
-    return sign + ip + ("." + fp if fp else "")
-
-
 def _dec_parse(s: str) -> int:
-    from fractions import Fraction
-
-    f = Fraction(s) * (1 << dyadic.SCALE_BITS)
-    if f.denominator != 1:
+    """The integer n with s == n * 2**-SCALE_BITS."""
+    parsed = dyadic.from_decimal(s)
+    if parsed is None or parsed[1] > dyadic.SCALE_BITS:
         raise CheckpointFormatError("value %r is not on the dyadic grid" % s)
-    return f.numerator
+    return parsed[0] << (dyadic.SCALE_BITS - parsed[1])
 
 
 def _pair(v: int, b: int) -> list[str]:
-    return [_dec_str(v - b), _dec_str(v + b)]
+    return [dyadic.to_decimal(e, dyadic.SCALE_BITS) for e in (v - b, v + b)]
 
 
 def write_checkpoint(state: AccumulatorState, fh: TextIO) -> None:

@@ -23,8 +23,11 @@ except a gap window, which is closed at its end: gap claims pass on b >= q
 and fail on b < q.
 
 Monotonicity is not assumed: each bound must carry a positivity certificate
-for its derivative numerator (see proofkit.shape_on_ray) from the scan start.
-Where the certificate only holds from some x* > lo -- upper bounds dip before
+for its derivative numerator (see proofkit.shape_on_ray).  The certificate
+holds from the least x* in the range whose log (a rational lower bound of
+it) lies at or past the last sign change of each certificate polynomial;
+proofkit.certified_start reads x* off those sign changes and confirms it by
+building the certificate there.  Where x* > lo -- upper bounds dip before
 their stationary point -- the stretch [lo, x*) is covered by interval-cell
 evaluation: the bound is evaluated over the whole cell as one enclosure and
 compared against the cell's constant quantity, with bisection refinement.
@@ -87,12 +90,9 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp
 
 from . import __version__, analytic, bounds, dyadic, proofkit, sieve
 from .bounds import BoundKind, BoundSpec, Verdict, eval_bound
@@ -297,51 +297,6 @@ def exit_code_for(reports: Iterable[VerificationReport]) -> int:
     return code
 
 
-# ---------------------------------------------------------------------------
-# exact decimal serialisation of report enclosures
-# ---------------------------------------------------------------------------
-
-
-def _mpf_to_str(x: mpmath.mpf) -> str:
-    """Exact decimal string of a dyadic mpf (endpoints are always dyadic)."""
-    if mpmath.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and exp == 0:
-        return "0"
-    num = -man if sign else man
-    if exp >= 0:
-        return str(num << exp)
-    k = -exp
-    scaled = num * 5**k  # num / 2**k == scaled / 10**k, exactly
-    neg = scaled < 0
-    digits = str(abs(scaled)).zfill(k + 1)
-    head, frac = digits[:-k], digits[-k:].rstrip("0")
-    out = head + ("." + frac if frac else "")
-    return "-" + out if neg else out
-
-
-def _mpf_from_str(s: str) -> mpmath.mpf:
-    if s == "inf":
-        return mpmath.mpf("+inf")
-    if s == "-inf":
-        return mpmath.mpf("-inf")
-    fr = Fraction(s)
-    den = fr.denominator
-    k = den.bit_length() - 1
-    if den != 1 << k:
-        raise InvalidRangeError("report endpoint %r is not a dyadic decimal" % s)
-    return mpmath.mp.make_mpf(from_man_exp(fr.numerator, -k))
-
-
-def _enc_to_pair(e: Enclosure) -> list[str]:
-    return [_mpf_to_str(e.lo), _mpf_to_str(e.hi)]
-
-
-def _enc_from_pair(pair: Sequence[str]) -> Enclosure:
-    return Enclosure(_mpf_from_str(pair[0]), _mpf_from_str(pair[1]))
-
-
 def report_to_json(report: VerificationReport) -> str:
     doc = {
         "bound_id": report.bound_id,
@@ -351,7 +306,7 @@ def report_to_json(report: VerificationReport) -> str:
         "failures": report.failures,
         "indeterminates": report.indeterminates,
         "counterexamples": [
-            {"x": c.x, "lhs": _enc_to_pair(c.lhs), "rhs": _enc_to_pair(c.rhs)}
+            {"x": c.x, "lhs": list(c.lhs.decimal_pair()), "rhs": list(c.rhs.decimal_pair())}
             for c in report.counterexamples
         ],
         "wall_time_s": report.wall_time,
@@ -364,10 +319,8 @@ def report_to_json(report: VerificationReport) -> str:
 
 def report_from_json(text: str) -> VerificationReport:
     doc = json.loads(text)
-    cx = tuple(
-        Counterexample(int(c["x"]), _enc_from_pair(c["lhs"]), _enc_from_pair(c["rhs"]))
-        for c in doc["counterexamples"]
-    )
+    enc = Enclosure.from_decimal_pair
+    cx = tuple(Counterexample(int(c["x"]), enc(c["lhs"]), enc(c["rhs"])) for c in doc["counterexamples"])
     return VerificationReport(
         bound_id=doc["bound_id"],
         range_lo=int(doc["range"][0]),
@@ -581,33 +534,6 @@ class _Plan:
     exact_pairs: bool  # no vector lane; every pair decided by enclosures
 
 
-def _cert_holds(spec: BoundSpec, x: int) -> bool:
-    try:
-        return proofkit.shape_on_ray(spec, x).holds()
-    except NoCertificateError:
-        return False
-
-
-def _min_certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
-    """Least integer in [lo, hi] from which the shape certificate holds.
-
-    Probes lo, 2 lo, 4 lo, ... and finally hi, then bisects the last failing
-    probe against the first that holds.
-    """
-    bad = good = lo
-    while not _cert_holds(spec, good):
-        if good >= hi:
-            return None
-        bad, good = good, min(max(good * 2, 4), hi)
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if _cert_holds(spec, mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
     if spec.direction == "two_sided":
         raise UnsupportedKindError("two-sided templates must be split before verification")
@@ -616,10 +542,7 @@ def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
     sense_increasing = spec.kind is not BoundKind.PRODUCT_MERTENS
     eval_at_succ = lower == sense_increasing
     exact_pairs = spec.kind is BoundKind.PI_LI_SQRT
-    try:
-        pair_start = _min_certified_start(spec, lo, hi)
-    except UnsupportedKindError:
-        pair_start = None
+    pair_start = proofkit.certified_start(spec, lo, hi)
     if pair_start is None:
         if hi - lo > MAX_CELL_SPAN:
             raise NoCertificateError(

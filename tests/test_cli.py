@@ -82,7 +82,7 @@ class TestReportFormats:
         out = emit_report(failing_report, fmt).decode("utf-8")
         assert str(cx.x) in out
         # the exact decimal endpoint strings are shared across formats
-        lo_str = verify._mpf_to_str(cx.lhs.lo)
+        lo_str, _ = cx.lhs.decimal_pair()
         assert lo_str in out
 
     def test_text_includes_anchor(self, failing_report):

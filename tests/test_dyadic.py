@@ -1,6 +1,7 @@
 """Exactness and budget tests for the scaled-integer accumulation layer."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -144,3 +145,21 @@ def test_known_sum_log_primes_to_100():
     assert Fraction(total, 1 << dyadic.SCALE_BITS) == exact_fraction(logs)
     # theta(100) = 83.72839... ; float64 term error is far below the budget
     assert abs(total / 2.0**dyadic.SCALE_BITS - 83.72839) < 1e-3
+
+
+def test_decimal_strings_are_exact_and_round_trip():
+    assert dyadic.to_decimal(3, 2) == "0.75"
+    assert dyadic.to_decimal(-1, 1) == "-0.5"
+    assert dyadic.to_decimal(5, -3) == "40"
+    assert dyadic.to_decimal(0, dyadic.SCALE_BITS) == "0"
+    assert dyadic.to_decimal(-(1 << 130), dyadic.SCALE_BITS) == "-1024"
+    assert dyadic.from_decimal("0.75") == (3, 2)
+    assert dyadic.from_decimal("-40") == (-40, 0)
+    assert dyadic.from_decimal("0.1") is None
+    rng = random.Random(5)
+    for _ in range(500):
+        num, k = rng.getrandbits(200) - (1 << 199), rng.randint(0, 300)
+        s = dyadic.to_decimal(num, k)
+        assert Fraction(s) == Fraction(num, 1 << k)
+        n2, k2 = dyadic.from_decimal(s)
+        assert Fraction(n2, 1 << k2) == Fraction(num, 1 << k) and (k2 == 0 or n2 % 2)

@@ -35,7 +35,7 @@ POINTS = (
 
 def _label(x) -> str:
     if isinstance(x, Enclosure):
-        return "[%s,%s]" % (verify._mpf_to_str(x.lo), verify._mpf_to_str(x.hi))
+        return "[%s,%s]" % x.decimal_pair()
     return str(x)
 
 
@@ -49,7 +49,7 @@ def golden_text() -> str:
                 except PrimeBoundsError as exc:
                     value = type(exc).__name__
                 else:
-                    value = "%s %s" % (verify._mpf_to_str(e.lo), verify._mpf_to_str(e.hi))
+                    value = "%s %s" % e.decimal_pair()
                 lines.append("%s %s %d %s\n" % (spec.id, _label(x), prec, value))
     return "".join(lines)
 

@@ -9,12 +9,13 @@ about the designed roots, with no polynomial algebra at all.
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from primebounds import proofkit as pk
-from primebounds.bounds import Verdict, lookup
+from primebounds.bounds import Verdict, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp, ivctx, lift
 from primebounds.errors import (
     InvalidRangeError,
@@ -171,19 +172,15 @@ class TestRootCounting:
         assert pk.count_distinct_roots_above(p, F(3, 2)) == 2
         assert pk.count_distinct_roots_above(p, 10) == 0
 
-    def test_counts_between(self):
-        p = poly_from_roots(1, [(1, 1), (2, 1), (3, 1)])
-        assert pk.count_distinct_roots_between(p, F(3, 2), F(5, 2)) == 1
-        assert pk.count_distinct_roots_between(p, 0, 3) == 3
-
     def test_multiplicity_collapses_to_distinct(self):
         p = poly_from_roots(1, [(2, 3)])
         assert pk.count_distinct_roots_above(p, 0) == 1
 
-    def test_base_point_root_rejected(self):
-        p = poly_from_roots(1, [(1, 1)])
-        with pytest.raises(InvalidRangeError):
-            pk.count_distinct_roots_above(p, 1)
+    def test_root_at_base_point_is_not_counted(self):
+        assert pk.count_distinct_roots_above(poly_from_roots(1, [(1, 1)]), 1) == 0
+        p = poly_from_roots(1, [(1, 2), (2, 2), (3, 1)])
+        assert pk.count_distinct_roots_above(p, 1) == 2
+        assert pk.count_distinct_roots_above(p, 2) == 1
 
     def test_no_real_roots(self):
         p = P((F(1), F(0), F(1)))  # y^2 + 1
@@ -234,6 +231,13 @@ def expected_verdict(lead, root_mults, a):
     return "positive"
 
 
+def assert_refutation(cert, poly, a):
+    """The witness lies on the ray and re-evaluates strictly negative."""
+    assert cert.verdict == "refuted"
+    assert cert.witness >= a
+    assert poly.eval_exact(cert.witness) == cert.value_at_witness < 0
+
+
 class TestSturmOracle:
     def test_thousand_designed_polynomials(self):
         rng = random.Random(1251)
@@ -265,12 +269,7 @@ class TestSturmOracle:
             want = expected_verdict(lead, root_mults, a)
             assert cert.verdict == want, (lead, root_mults, a, cert.verdict, want)
             if cert.verdict == "refuted":
-                # certificate invariant: the witness re-evaluates <= 0
-                assert cert.witness >= a
-                assert poly.eval_exact(cert.witness) <= 0
-                if poly.eval_exact(cert.witness) == 0:
-                    # only acceptable when the ray start itself is a root
-                    assert cert.witness == a
+                assert_refutation(cert, poly, a)
             checked += 1
         assert checked == 1000
 
@@ -299,6 +298,49 @@ class TestSturmOracle:
     def test_constant_polynomials(self):
         assert pk.sturm_positive_on_ray(P((F(3),)), 0).verdict == "positive"
         assert pk.sturm_positive_on_ray(P((F(-3),)), 0).verdict == "refuted"
+
+    def test_roots_a_hair_apart(self):
+        # two odd roots 10^-30 apart: the dip between them is the only
+        # place the polynomial goes negative
+        r, eps = F(7, 3), F(1, 10**30)
+        poly = poly_from_roots(1, [(r, 1), (r + eps, 1), (-1, 2)])
+        assert_refutation(pk.sturm_positive_on_ray(poly, 0), poly, 0)
+        assert_refutation(pk.sturm_positive_on_ray(poly, r), poly, r)
+        cert = pk.sturm_positive_on_ray(poly, r + eps)
+        assert cert.verdict == "nonnegative" and cert.distinct_roots_beyond == 0
+        # an odd root just above a double root
+        poly = poly_from_roots(1, [(r, 2), (r + eps, 1)])
+        assert_refutation(pk.sturm_positive_on_ray(poly, 1), poly, 1)
+        assert pk.sturm_positive_on_ray(poly, r + eps).verdict == "nonnegative"
+        last = pk._last_sign_change(poly)
+        assert r <= last < r + eps
+
+    def test_ray_start_at_the_largest_odd_root(self):
+        poly = poly_from_roots(1, [(-2, 1), (1, 1), (3, 1), (5, 2)])
+        cert = pk.sturm_positive_on_ray(poly, 3)
+        assert cert.verdict == "nonnegative" and cert.distinct_roots_beyond == 1
+        assert_refutation(pk.sturm_positive_on_ray(poly, F(299, 100)), poly, F(299, 100))
+        down = poly.scale(-1)
+        assert_refutation(pk.sturm_positive_on_ray(down, 3), down, 3)
+
+    def test_ray_start_at_an_even_root(self):
+        poly = poly_from_roots(1, [(1, 1), (2, 2)])
+        cert = pk.sturm_positive_on_ray(poly, 2)
+        assert cert.verdict == "nonnegative" and cert.distinct_roots_beyond == 0
+        poly = poly_from_roots(1, [(2, 2), (3, 1)])
+        assert_refutation(pk.sturm_positive_on_ray(poly, 2), poly, 2)
+        poly = poly_from_roots(-1, [(2, 2)])
+        assert_refutation(pk.sturm_positive_on_ray(poly, 2), poly, 2)
+
+    def test_rational_denominator_with_a_wide_root_bound(self):
+        den = pk.rational_denominator_poly(lookup("thm3.2.upper").coefficients)
+        assert 4585 < pk.root_magnitude_bound(den) < 4587
+        # its one real root, the sign change, lies near log 48.3 = 3.878
+        last = pk._last_sign_change(den)
+        assert last < F(3878, 1000) and den.eval_exact(last) < 0
+        for a in (last, 1, F(3878, 1000)):
+            assert_refutation(pk.sturm_positive_on_ray(den, a), den, a)
+        assert pk.sturm_positive_on_ray(den, F(3879, 1000)).verdict == "positive"
 
 
 class TestSturmSpecExamples:
@@ -462,6 +504,39 @@ class TestMonotoneOnRay:
         cert = pk.shape_on_ray(lookup("thm3.8.lower"), 91)
         assert cert.basis == "sturm-ray"
         assert cert.holds()
+
+
+CERTIFIED_START_WINDOWS = [
+    (2, 10**8), (2, 10**4), (60, 110), (2, 2 * 10**6), (3, 50), (90, 100),
+    (19_033_744_403, 19_035_709_163), (10**14, 10**14 + 2 * 10**7), (2, 2**53 - 200),
+]
+
+
+@pytest.mark.parametrize("lo, hi", CERTIFIED_START_WINDOWS)
+def test_certified_start_is_the_least_certified_x(lo, hi):
+    specs = [s for s in registry_list() if s.direction != "two_sided"]
+    for spec in specs:
+        x = pk.certified_start(spec, lo, hi)
+        if x is None:
+            try:
+                assert not pk.shape_on_ray(spec, hi).holds(), spec.id
+            except UnsupportedKindError:
+                pass
+            continue
+        assert lo <= x <= hi and pk.shape_on_ray(spec, x).holds(), spec.id
+        if x > lo:
+            assert not pk.shape_on_ray(spec, x - 1).holds(), spec.id
+
+
+def test_certified_start_past_a_dip_beyond_lo():
+    # sum of x/y - 10x/y^2 has derivative sign y^2 - 11y + 20: positive at
+    # log 2, negative on (2.3, 8.7), positive again past log 6012.3
+    spec = replace(lookup("prop3.6.upper"), id="dip", coefficients=(F(1), F(-10)))
+    (poly,) = pk._shape_polys(spec)
+    assert poly.eval_exact(pk.log_ray_start(2)) > 0
+    assert not pk.shape_on_ray(spec, 2).holds()
+    assert pk.certified_start(spec, 2, 10**6) == 6013
+    assert pk.certified_start(spec, 2, 6012) is None
 
 
 # ---------------------------------------------------------------------------

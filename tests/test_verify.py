@@ -13,8 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from primebounds import dyadic, sieve, verify
-from primebounds.bounds import Verdict, eval_bound, lookup
+from primebounds import dyadic, proofkit, sieve, verify
+from primebounds.bounds import Verdict, eval_bound, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
 from primebounds.errors import (
     CapacityError,
@@ -229,11 +229,11 @@ def test_json_rejects_non_dyadic_endpoint():
 
 def test_mpf_decimal_strings_are_exact():
     for v in (0.0, 1.0, -1.0, 0.5, -0.75, 3.5e-9, 123456789.0, 2.0**-60, -(2.0**52 + 0.5)):
-        s = verify._mpf_to_str(mpmath.mpf(v))
+        s, _ = Enclosure(v, v).decimal_pair()
         assert float(s) == v
-        assert verify._mpf_from_str(s) == mpmath.mpf(v)
-    assert verify._mpf_to_str(mpmath.mpf("+inf")) == "inf"
-    assert verify._mpf_from_str("-inf") == mpmath.mpf("-inf")
+        assert Enclosure.from_decimal_pair((s, s)).lo == mpmath.mpf(v)
+    assert Enclosure.top().decimal_pair() == ("-inf", "inf")
+    assert Enclosure.from_decimal_pair(("-inf", "0")).lo == mpmath.mpf("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +344,39 @@ def test_certificate_free_stretch_needs_narrow_range():
         _scan_one(spec, 2, 10**6)
 
 
-def test_certified_start_between_the_last_doubling_probe_and_hi():
-    # the doubling probes from 60 jump from 60 to 120, past hi = 110; hi is
-    # probed last, so the certificate that holds from 99 is still found
+def test_certified_start_inside_a_narrow_window():
+    # the certificate holds from 99, inside [60, 110] and short of its end
     spec = lookup("thm3.2.upper")
-    assert not verify._cert_holds(spec, 98) and verify._cert_holds(spec, 99)
+    assert not proofkit.shape_on_ray(spec, 98).holds()
+    assert proofkit.shape_on_ray(spec, 99).holds()
     assert verify._make_plan(spec, 60, 110).pair_start == 99
+
+
+DESK_PAIR_STARTS = {
+    "cor3.3.a.upper": 67, "cor3.3.b.upper": 47, "cor3.3.c.upper": 32, "cor3.4.upper": 93,
+    "cor3.9.d.lower": 20, "cor3.9.e.lower": 13, "prop2.5.lower": 2, "prop2.5.upper": 15,
+    "prop3.10.lower": 2, "prop3.5.upper": 92, "prop3.6.upper": 47,
+    "prop5.1.lower": 2, "prop5.1.upper": 3, "prop5.4.lower": 2, "prop5.4.upper": 3,
+    "prop6.1.lower": 3, "prop6.1.upper": 2, "rem3.6.upper": 24, "thm2.4.upper": 3,
+    "thm3.2.upper": 99, "thm4.1.gap3": 2, "thm4.1.gap4": 19,
+}
+
+
+def test_desk_plans_pair_starts_are_pinned(monkeypatch):
+    # the 22-claim reproduction scan's plans on [2, 10^8], one confirming
+    # certificate per claim
+    calls = []
+    shape_on_ray = proofkit.shape_on_ray
+
+    def counted(*args):
+        calls.append(args)
+        return shape_on_ray(*args)
+
+    monkeypatch.setattr(proofkit, "shape_on_ray", counted)
+    specs = [s for s in registry_list() if s.status == "claimed_paper" and s.threshold_x0 <= 10**8]
+    starts = {s.id: verify._make_plan(s, 2, 10**8).pair_start for s in specs}
+    assert starts == DESK_PAIR_STARTS
+    assert len(calls) == len(specs)
 
 
 def test_li_bound_has_no_fast_lane_and_a_pair_cap():
