@@ -79,14 +79,14 @@ VALID_STATUSES = ("verified_here", "claimed_paper", "claimed_external")
 class BoundSpec:
     id: str
     kind: BoundKind
-    direction: str  # "upper" | "lower" | "two_sided" (templates only)
+    direction: str  # "upper" | "lower"
     coefficients: tuple[Fraction, ...]
     threshold_x0: int
     status: str
     anchor: str
 
     def __post_init__(self):
-        if self.direction not in ("upper", "lower", "two_sided"):
+        if self.direction not in ("upper", "lower"):
             raise InvalidRangeError("bad direction %r" % self.direction)
         if self.kind is BoundKind.GAP and self.direction != "upper":
             raise InvalidRangeError("a gap claim bounds the successor prime from above")

@@ -305,10 +305,9 @@ def _cmd_verify(config: RunConfig) -> int:
         config.range_hi,
         state=resume,
         segment_odds=config.segment_odds,
-        checkpoint_ref=ck_in,
         resolve_crossings=False,
     )
-    reports = [c.report for c in claims]
+    reports = [replace(c.report, checkpoint_ref=ck_in) for c in claims]
     for r in reports:
         print(
             "%s: %d checked, %d fail, %d indeterminate (%.1fs)"
@@ -334,17 +333,17 @@ def _cmd_crossing(config: RunConfig) -> int:
         config.range_hi,
         segment_odds=config.segment_odds,
     )
-    result = claim.crossing
+    report, result = claim.report, claim.crossing
     if result is None:
-        doc = {"bound_id": config.bound_ids[0], "crossing": None}
+        doc = {"bound_id": report.bound_id, "crossing": None}
     else:
         doc = {
-            "bound_id": result.bound_id,
-            "search": [result.search_lo, result.search_hi],
+            "bound_id": report.bound_id,
+            "search": [report.range_lo, report.range_hi],
             "largest_failing_x": result.largest_failing_x,
             "implied_threshold": result.implied_threshold,
-            "failures": result.failures,
-            "checked": result.checked,
+            "failures": report.failures,
+            "checked": report.checked,
         }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

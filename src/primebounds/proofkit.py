@@ -16,9 +16,9 @@ Contents:
   with an exact rational refutation witness on failure.  Every decision
   reads one fact, memoised per polynomial: a rational just below its last
   sign change, isolated by Sturm bisection (_last_sign_change).
-* monotone_on_ray / shape_on_ray -- reduce monotonicity of a registry bound
-  (in the variable x, for x >= a) to ray-positivity of explicit
-  polynomials in y = log x (_shape_polys), then certify them.
+* shape_on_ray -- reduce monotonicity of a registry bound (in the variable
+  x, for x >= a) to ray-positivity of explicit polynomials in y = log x
+  (_shape_polys), then certify them; square-root upper envelopes termwise.
 * certified_start -- the least x in a window from which shape_on_ray
   holds, read off the same last sign changes.
 * Frozen helper polynomials used by the registry derivations, with exact
@@ -245,9 +245,12 @@ def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
 
 
 def sturm_chain(poly: ExactPolynomial) -> Tuple[ExactPolynomial, ...]:
-    """Sturm sequence of poly (valid for counting distinct real roots)."""
+    """Sturm sequence of poly (valid for counting distinct real roots).
+
+    Every member is primitive, so its coefficients are integers.
+    """
     if poly.degree == 0:
-        return (poly,)
+        return (poly.primitive(),)
     chain = [poly.primitive(), poly.derivative().primitive()]
     while chain[-1].degree > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
@@ -257,8 +260,30 @@ def sturm_chain(poly: ExactPolynomial) -> Tuple[ExactPolynomial, ...]:
     return tuple(chain)
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+IntChain = Tuple[Tuple[int, ...], ...]
+
+
+def _int_chain(poly: ExactPolynomial) -> IntChain:
+    """poly's Sturm chain as integer coefficients, highest degree first."""
+    return tuple(tuple(int(c) for c in reversed(p.coefficients)) for p in sturm_chain(poly))
+
+
+def _sign_at(coeffs: Sequence[int], a: Fraction) -> int:
+    """Sign of the integer polynomial (highest degree first) at a = n/d.
+
+    d > 0, so it is the sign of d^deg P(n/d) = sum c_i n^i d^(deg - i),
+    which integer Horner gives without any Fraction arithmetic.
+    """
+    n, d = a.numerator, a.denominator
+    acc, dk = 0, 1
+    for c in coeffs:
+        acc = acc * n + c * dk
+        dk *= d
+    return _sign(acc)
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -273,12 +298,12 @@ def _variations(signs: Sequence[int]) -> int:
     return count
 
 
-def _variations_at(chain: Sequence[ExactPolynomial], a: Fraction) -> int:
-    return _variations([_sign(p.eval_exact(a)) for p in chain])
+def _variations_at(chain: IntChain, a: Fraction) -> int:
+    return _variations([_sign_at(p, a) for p in chain])
 
 
-def _variations_at_inf(chain: Sequence[ExactPolynomial]) -> int:
-    return _variations([_sign(p.leading) for p in chain])
+def _variations_at_inf(chain: IntChain) -> int:
+    return _variations([_sign(p[0]) for p in chain])
 
 
 def count_distinct_roots_above(poly: ExactPolynomial, a: Rational) -> int:
@@ -345,12 +370,12 @@ def odd_multiplicity_part(poly: ExactPolynomial) -> Optional[ExactPolynomial]:
 
 
 @functools.cache
-def _squarefree_chain(poly: ExactPolynomial) -> Tuple[ExactPolynomial, ...]:
+def _squarefree_chain(poly: ExactPolynomial) -> IntChain:
     """Sturm chain of poly's squarefree part, whose roots are poly's distinct roots."""
     if poly.degree == 0:
-        return (poly,)
+        return _int_chain(poly)
     part, _ = poly_divmod(poly, poly_gcd(poly, poly.derivative()))
-    return sturm_chain(part)
+    return _int_chain(part)
 
 
 @functools.cache
@@ -366,14 +391,14 @@ def _last_sign_change(poly: ExactPolynomial) -> Optional[Fraction]:
     odd = odd_multiplicity_part(poly)
     if odd is None:
         return None
-    odd_chain, chain = sturm_chain(odd), _squarefree_chain(poly)
+    odd_chain, chain = _int_chain(odd), _squarefree_chain(poly)
     hi = root_magnitude_bound(poly)
     lo = -hi
     v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
     odd_hi = _variations_at(odd_chain, hi)
     while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        while chain[0].eval_exact(mid) == 0:
+        while _sign_at(chain[0], mid) == 0:
             mid = (lo + mid) / 2
         odd_mid = _variations_at(odd_chain, mid)
         if odd_mid > odd_hi:
@@ -412,30 +437,37 @@ class PositivityCertificate:
         return self.verdict in ("positive", "nonnegative")
 
 
+def _deciding_point(poly: ExactPolynomial, a: Fraction) -> Fraction:
+    """The one point of [a, infinity) whose sign decides poly on that ray.
+
+    poly >= 0 on the ray exactly when poly >= 0 at this point; otherwise it
+    is a witness.  Let r be poly's last sign change and l the rational below
+    it that _last_sign_change gives.  With a positive leading coefficient
+    poly >= 0 on the ray exactly when a >= r, that is when poly(max(a, l))
+    >= 0.  With a negative one poly is negative past its roots, so the point
+    is a when poly(a) < 0 and a root bound otherwise.
+    """
+    if poly.leading > 0:
+        last = _last_sign_change(poly)
+        return a if last is None else max(a, last)
+    return a if poly.eval_exact(a) < 0 else max(root_magnitude_bound(poly), a + 1)
+
+
 def sturm_positive_on_ray(
     poly: ExactPolynomial, ray_start: Rational
 ) -> PositivityCertificate:
     """Decide the sign of poly on the ray [ray_start, infinity), exactly.
 
-    Let r be poly's last sign change and l the rational below it that
-    _last_sign_change gives.  With a positive leading coefficient poly >= 0
-    on [a, infinity) exactly when a >= r, that is when poly(max(a, l)) >= 0;
-    otherwise max(a, l) is the witness.  With a negative one the ray is
-    refuted at a when poly(a) < 0 and at the root bound otherwise.
-
-    No rounding anywhere: the verdict is a theorem about the rational
-    coefficients.  When the verdict is "refuted" the certificate carries a
-    rational witness with its exact negative value, so the refutation can be
-    re-checked independently by plain Fraction arithmetic.
+    The verdict reads poly at _deciding_point, which is the witness when the
+    ray is refuted.  No rounding anywhere: the verdict is a theorem about the
+    rational coefficients.  When the verdict is "refuted" the certificate
+    carries a rational witness with its exact negative value, so the
+    refutation can be re-checked independently by plain Fraction arithmetic.
     """
     a = _as_fraction(ray_start)
     value_at_start = poly.eval_exact(a)
     bound = max(root_magnitude_bound(poly), a + 1)
-    if poly.leading > 0:
-        last = _last_sign_change(poly)
-        witness = a if last is None else max(a, last)
-    else:
-        witness = a if value_at_start < 0 else bound
+    witness = _deciding_point(poly, a)
     value = poly.eval_exact(witness)
     roots_beyond = count_distinct_roots_above(poly, a)
     refuted = value < 0
@@ -611,7 +643,8 @@ def _pairs(coeffs: Sequence[Fraction]) -> Tuple[Tuple[Fraction, int], ...]:
 
 
 def canonical_sense(kind: BoundKind) -> str:
-    """Monotonicity direction the pair-check machinery relies on."""
+    """Monotone sense of kind's comparison function, which sets the binding
+    endpoint of each prime cell in verify."""
     if kind is BoundKind.PRODUCT_MERTENS:
         return "decreasing"
     return "increasing"
@@ -696,49 +729,19 @@ def _certify(
     )
 
 
-def monotone_certificate(
+def shape_on_ray(
     spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
 ) -> MonotonicityCertificate:
     """Certify monotonicity of spec's comparison function for x >= x_start.
 
-    Reduces the derivative sign to ray positivity of an explicit polynomial
-    in y = log x and certifies that polynomial with exact Sturm analysis on
-    [a, infinity) where a is a rational lower bound for log(x_start); since
-    the derivative polynomials here are certified on the *larger* ray, the
-    conclusion covers all x >= x_start.  For rational-denominator bounds the
-    denominator polynomial is certified first.
-
-    Square-root-shaped bounds and the exponential-envelope shape fall
-    outside polynomial reach and raise UnsupportedKindError.
+    Reduces the derivative sign to ray positivity of explicit polynomials in
+    y = log x (_shape_polys) and certifies them with exact Sturm analysis on
+    [a, infinity), a a rational lower bound for log(x_start); that ray
+    contains log x for every x >= x_start.  For rational-denominator bounds
+    the denominator polynomial is certified first.  Square-root upper
+    envelopes are certified termwise; kinds with no certificate raise
+    UnsupportedKindError.
     """
-    polys = _shape_polys(spec)
-    if not polys:
-        raise UnsupportedKindError(
-            "square-root shapes need the termwise rule; use shape_on_ray"
-        )
-    return _certify(spec, x_start, polys, prec)
-
-
-def monotone_on_ray(
-    spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
-) -> PositivityCertificate:
-    """Decisive positivity certificate for monotonicity of spec past x_start.
-
-    For rational-denominator bounds the denominator polynomial is certified
-    first and its refutation is returned when it fails (the bound is not
-    even well behaved there); otherwise the certificate for the derivative
-    numerator decides.
-    """
-    full = monotone_certificate(spec, x_start, prec)
-    return full.certificate or full.denominator_certificate
-
-
-def shape_on_ray(
-    spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
-) -> MonotonicityCertificate:
-    """Monotonicity certificate covering every kind the pair check supports:
-    monotone_certificate's, plus the termwise one for square-root upper
-    envelopes (see _shape_polys)."""
     return _certify(spec, x_start, _shape_polys(spec), prec)
 
 
@@ -747,10 +750,9 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
 
     None when spec's kind has no certificate or it fails at hi; lo for the
     termwise kinds.  A certificate polynomial P is >= 0 on [a, infinity)
-    exactly when its leading coefficient is positive and P(max(a, l)) >= 0,
-    l from _last_sign_change; that predicate is exact and monotone in a, so
-    bisecting it over a = log_ray_start(x) gives the least x.  The
-    certificate there is then built once to confirm it.
+    exactly when P >= 0 at _deciding_point(P, a); that predicate is exact and
+    monotone in a, so bisecting it over a = log_ray_start(x) gives the least
+    x.  The certificate there is then built once to confirm it.
     """
     try:
         polys = _shape_polys(spec)
@@ -759,12 +761,7 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
 
     def holds(x: int) -> bool:
         a = log_ray_start(x)
-        for poly in polys:
-            last = _last_sign_change(poly)
-            point = a if last is None else max(a, last)
-            if poly.leading < 0 or poly.eval_exact(point) < 0:
-                return False
-        return True
+        return all(poly.eval_exact(_deciding_point(poly, a)) >= 0 for poly in polys)
 
     x = lo
     if polys and not holds(lo):

@@ -27,13 +27,14 @@ for its derivative numerator (see proofkit.shape_on_ray).  The certificate
 holds from the least x* in the range whose log (a rational lower bound of
 it) lies at or past the last sign change of each certificate polynomial;
 proofkit.certified_start reads x* off those sign changes and confirms it by
-building the certificate there.  Where x* > lo -- upper bounds dip before
-their stationary point -- the stretch [lo, x*) is covered by interval-cell
-evaluation: the bound is evaluated over the whole cell as one enclosure and
-compared against the cell's constant quantity, with bisection refinement.
-That strategy needs no shape information at all, so it also serves kinds
-whose derivative does not reduce to a polynomial, up to a span cap.  One
-routine, _check_cell, picks between the two for every exactly checked cell.
+building the certificate there.  One routine, _check_cell, decides every
+exactly checked cell.  It evaluates the bound over the cell as interval
+enclosures and compares them against the cell's constant quantity,
+bisecting undecided subcells.  That needs no shape information at all, so
+it covers the stretch [lo, x*) -- upper bounds dip before their stationary
+point -- and kinds whose derivative does not reduce to a polynomial, up to
+a span cap.  From x* on the bound is monotone, so the cell shrinks to the
+degenerate cell at its binding endpoint above, one point evaluation.
 
 Every bound value comes from one shape definition per kind (bounds.shape)
 with two backends: eval_bound evaluates it on outward-rounded intervals for
@@ -107,7 +108,6 @@ from .errors import (
     OverlappingRangesError,
     ReportMismatchError,
     SoundnessGateError,
-    UnsupportedKindError,
 )
 from .sieve import DEFAULT_SEGMENT_ODDS, SUM_CHUNK, AccumulatorState, PrimeSegment
 
@@ -386,7 +386,7 @@ def _bound_float(
 
 
 # ---------------------------------------------------------------------------
-# the comparison rule, and pair and interval-cell verdicts
+# the comparison rule and the cell check
 # ---------------------------------------------------------------------------
 
 
@@ -408,27 +408,6 @@ def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure) -> Verdict:
     if passed:
         return Verdict.Pass
     return Verdict.Fail if failed else Verdict.Indeterminate
-
-
-def _pair_verdict(spec: BoundSpec, lhs_fn: Callable[[int], Enclosure], eval_x: int):
-    """Enclosure verdict of one pair check.
-
-    lhs_fn(prec) gives the exact-quantity enclosure; the bound is evaluated
-    at eval_x, at 106 bits and once more at 212 when undecided.  A
-    nonpositive rational denominator holds trivially for lower bounds and
-    fails upper bounds.  Returns (verdict, lhs, rhs).
-    """
-    for prec in (DEFAULT_PREC, RETRY_PREC):
-        lhs = lhs_fn(prec)
-        try:
-            rhs = eval_bound(spec, eval_x, prec)
-        except DenominatorNonpositiveError:
-            verdict = Verdict.Pass if spec.direction == "lower" else Verdict.Fail
-            return verdict, lhs, Enclosure.top()
-        verdict = _decide(spec, lhs, rhs)
-        if verdict is not Verdict.Indeterminate:
-            break
-    return verdict, lhs, rhs
 
 
 def _point_denominator_bad(spec: BoundSpec, x) -> bool:
@@ -460,20 +439,25 @@ def _split_subcell(a, b):
     return (fa, m), (m, fb)
 
 
-def _cell_verdict(
-    spec: BoundSpec,
-    q_fn: Callable[[int], Enclosure],
-    base: int,
-    succ: int,
-):
-    """Verdict of the claim over the whole real cell [base, succ).
+def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosure]):
+    """Exact verdict of the claim on the cell [base, succ): (verdict, lhs, rhs).
 
-    The quantity is constant on the cell, so the bound is evaluated over
-    integer subintervals as interval enclosures and compared against it,
-    bisecting undecided subcells.  Needs no monotonicity information.
-    Returns (verdict, lhs, rhs).
+    q_fn(prec) gives the cell's constant quantity.  From plan.pair_start on
+    the shape certificate makes the bound monotone, so the cell is decided
+    as the degenerate cell at its binding endpoint: succ when
+    plan.eval_at_succ, else base.  Below it the bound is evaluated over the
+    whole cell, as interval enclosures of integer (then dyadic) subcells,
+    bisecting the undecided ones, which needs no shape information.  A
+    degenerate cell [x, x] is the point x, and its bound is evaluated at the
+    integer.  Undecided at 106 bits, the cell is retried once at 212.
+
+    Where the rational denominator is not positive there is no bound: a
+    lower bound holds there trivially, and an upper bound fails once a point
+    of the cell has it; rhs is then Enclosure.top().
     """
-    lower = spec.direction == "lower"
+    if plan.pair_start is not None and base >= plan.pair_start:
+        base = succ = succ if plan.eval_at_succ else base
+    spec, lower = plan.spec, plan.lower
     q = last_rhs = None
     for prec in (DEFAULT_PREC, RETRY_PREC):
         q = q_fn(prec)
@@ -488,18 +472,19 @@ def _cell_verdict(
                 undecided = True
                 break
             try:
-                rhs = eval_bound(spec, Enclosure(a, b), prec)
+                rhs = eval_bound(spec, a if a == b else Enclosure(a, b), prec)
+                verdict = _decide(spec, q, rhs)
             except DenominatorNonpositiveError:
+                rhs = Enclosure.top()
                 if lower:
-                    continue  # holds trivially where the denominator dips
-                if _point_denominator_bad(spec, a) or (
+                    verdict = Verdict.Pass
+                elif a == b or _point_denominator_bad(spec, a) or (
                     b < succ and _point_denominator_bad(spec, b)
                 ):
-                    failed = Enclosure.top()
-                    break
-                rhs = Enclosure.top()  # undecided: refine the subcell
+                    verdict = Verdict.Fail
+                else:
+                    verdict = Verdict.Indeterminate  # refine the subcell
             last_rhs = rhs
-            verdict = _decide(spec, q, rhs)
             if verdict is Verdict.Fail:
                 failed = rhs
                 break
@@ -535,12 +520,9 @@ class _Plan:
 
 
 def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
-    if spec.direction == "two_sided":
-        raise UnsupportedKindError("two-sided templates must be split before verification")
     lane = _LANE_OF_KIND[spec.kind]
     lower = spec.direction == "lower"
-    sense_increasing = spec.kind is not BoundKind.PRODUCT_MERTENS
-    eval_at_succ = lower == sense_increasing
+    eval_at_succ = lower == (proofkit.canonical_sense(spec.kind) == "increasing")
     exact_pairs = spec.kind is BoundKind.PI_LI_SQRT
     pair_start = proofkit.certified_start(spec, lo, hi)
     if pair_start is None:
@@ -778,18 +760,6 @@ def _scan(
     return scans
 
 
-def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosure]):
-    """Exact verdict of the claim on the cell [base, succ): (verdict, lhs, rhs).
-
-    Below plan.pair_start the bound's shape is not certified, so the cell is
-    evaluated as an interval; from there on one pair check covers it.  q_fn
-    gives the cell's constant quantity.
-    """
-    if plan.pair_start is None or base < plan.pair_start:
-        return _cell_verdict(plan.spec, q_fn, base, succ)
-    return _pair_verdict(plan.spec, q_fn, succ if plan.eval_at_succ else base)
-
-
 def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
     """Decide the cell [p[i], p[i + 1]) exactly and record its verdict."""
     base, succ = int(data.p[i]), int(data.p[i + 1])
@@ -923,16 +893,12 @@ class CrossingResult:
     scanned x for a gap window).  implied_threshold is the least integer from
     which the claim holds on that cell and beyond: the successor prime when
     the quantity's jump resolves the failure, otherwise the bisected integer
-    crossing of the bound through the cell's constant quantity.
+    crossing of the bound through the cell's constant quantity.  The claim's
+    report carries the rest: its id, range, failures and checks.
     """
 
-    bound_id: str
-    search_lo: int
-    search_hi: int
     largest_failing_x: int
     implied_threshold: Optional[int]
-    failures: int
-    checked: int
 
 
 @dataclass(frozen=True)
@@ -942,17 +908,18 @@ class ClaimScan:
 
 
 def _least_passing_integer(
-    spec: BoundSpec, q_fn: Callable[[int], Enclosure], base: int, succ: int
+    plan: _Plan, q_fn: Callable[[int], Enclosure], base: int, succ: int
 ) -> Optional[int]:
     """Least integer t in (base, succ] whose check passes, by bisection.
 
     Used when the binding endpoint of a failing cell is its base: the
     violation dies out at an interior crossing of the bound through the
-    cell's constant quantity.
+    cell's constant quantity.  Each t is checked as the degenerate cell
+    [t, t].
     """
 
     def passes(t: int) -> bool:
-        verdict, _, _ = _pair_verdict(spec, q_fn, t)
+        verdict, _, _ = _check_cell(plan, t, t, q_fn)
         return verdict is Verdict.Pass
 
     if not passes(succ):
@@ -967,26 +934,15 @@ def _least_passing_integer(
     return good
 
 
-def _resolve_crossing(
-    scan: _SpecScan, range_lo: int, range_hi: int
-) -> Optional[CrossingResult]:
+def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
     if not scan.fails:
         return None
-    plan = scan.plan
-    last = scan.fails[-1]
+    plan, last = scan.plan, scan.fails[-1]
     if plan.eval_at_succ:
         implied = last.succ
     else:
-        implied = _least_passing_integer(plan.spec, last.q_fn, last.base, last.succ)
-    return CrossingResult(
-        bound_id=plan.spec.id,
-        search_lo=range_lo,
-        search_hi=range_hi,
-        largest_failing_x=last.base,
-        implied_threshold=implied,
-        failures=scan.tally.failures,
-        checked=scan.tally.checked,
-    )
+        implied = _least_passing_integer(plan, last.q_fn, last.base, last.succ)
+    return CrossingResult(largest_failing_x=last.base, implied_threshold=implied)
 
 
 def scan_claims(
@@ -996,7 +952,6 @@ def scan_claims(
     *,
     state: Optional[AccumulatorState] = None,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    checkpoint_ref: Optional[str] = None,
     resolve_crossings: bool = True,
 ) -> tuple[ClaimScan, ...]:
     """Scan several claims over one shared pass of [range_lo, range_hi].
@@ -1020,9 +975,8 @@ def scan_claims(
             indeterminates=scan.tally.indeterminates,
             counterexamples=tuple(Counterexample(f.base, f.lhs, f.rhs) for f in scan.fails),
             wall_time=wall,
-            checkpoint_ref=checkpoint_ref,
         )
-        crossing = _resolve_crossing(scan, range_lo, range_hi) if resolve_crossings else None
+        crossing = _resolve_crossing(scan) if resolve_crossings else None
         out.append(ClaimScan(report=report, crossing=crossing))
     return tuple(out)
 

@@ -353,15 +353,15 @@ def test_compare_theta_envelopes_with_sieved_state():
 
 def test_compare_rational_denominator_failure_convention():
     # at x = 3 the six-term denominator is negative, so there is no bound
-    # enclosure to decide on: the pair check fails the claimed upper bound
-    # and holds the lower bound trivially
+    # enclosure to decide on: the check at the point 3 fails the claimed
+    # upper bound and holds the lower bound trivially
     st = sieve.pi_theta_at(3)
     q_fn = lambda prec: Enclosure.from_value(st.pi)
     for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
         spec = bounds.lookup(bound_id)
         with pytest.raises(DenominatorNonpositiveError):
             bounds.eval_bound(spec, 3)
-        verdict, _, rhs = verify._pair_verdict(spec, q_fn, 3)
+        verdict, _, rhs = verify._check_cell(verify._make_plan(spec, 3, 3), 3, 3, q_fn)
         assert verdict is expected
         assert not rhs.is_finite()
 

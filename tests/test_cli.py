@@ -172,6 +172,21 @@ class TestVerifyCommand:
         assert "cor3.3.a.upper:" in err and "cor3.3.b.upper:" in err
 
 
+    def test_resumed_report_names_its_checkpoint(self, tmp_path, capsys):
+        ck, resumed = tmp_path / "ck.jsonl", tmp_path / "resumed.json"
+        assert main(["sieve", "--to", "10000", "--checkpoint-out", str(ck)]) == 0
+        argv = ["verify", "--bound", "prop3.10.lower", "--from", "10001", "--to", "20000"]
+        assert main(argv + ["--resume", str(ck), "--report", str(resumed)]) == 1
+        assert json.loads(resumed.read_text())["checkpoint_ref"] == str(ck)
+        capsys.readouterr()
+        assert main(argv) == 1
+        direct = capsys.readouterr().out
+        assert "checkpoint_ref" not in json.loads(direct)
+        assert verify.reports_equivalent(
+            verify.report_from_json(resumed.read_text()), verify.report_from_json(direct)
+        )
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -344,9 +359,19 @@ class TestCrossingCommand:
     def test_implied_threshold(self, capsys):
         assert main(["crossing", "--bound", "prop3.10.lower", "--to", "100000"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["implied_threshold"] == 19423
-        assert doc["largest_failing_x"] == 19421
-        assert doc["failures"] == 310
+        assert doc == {
+            "bound_id": "prop3.10.lower",
+            "search": [2, 100000],
+            "largest_failing_x": 19421,
+            "implied_threshold": 19423,
+            "failures": 310,
+            "checked": 9592,
+        }
+        # the bisected threshold: the binding endpoint of an upper bound's
+        # failing cell is its base
+        assert main(["crossing", "--bound", "thm3.2.upper", "--to", "1000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["largest_failing_x"], doc["implied_threshold"]) == (47, 49)
 
     def test_no_violation_reports_null(self, capsys):
         code = main(

@@ -166,6 +166,18 @@ class TestSquarefree:
 
 
 class TestRootCounting:
+    def test_chain_signs_match_exact_evaluation(self):
+        # the Sturm chains' integer signs against Fraction evaluation
+        rng = random.Random(5)
+        for _ in range(300):
+            roots = [(F(rng.randint(-60, 60), rng.randint(1, 12)), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 4))]
+            poly = poly_from_roots(F(rng.choice([-3, 1, 2]), rng.randint(1, 5)), roots)
+            points = [r for r, _ in roots] + [F(rng.randint(-90, 90), rng.randint(1, 40))]
+            for member, ints in zip(pk.sturm_chain(poly), pk._int_chain(poly)):
+                for a in points:
+                    assert pk._sign_at(ints, a) == pk._sign(member.eval_exact(a))
+
     def test_counts_above(self):
         p = poly_from_roots(1, [(1, 1), (2, 1), (3, 1)])
         assert pk.count_distinct_roots_above(p, 0) == 3
@@ -423,75 +435,78 @@ class TestFrozenCertificates:
 
 
 class TestMonotoneOnRay:
+    """shape_on_ray's certificates; .certificate is the derivative numerator's."""
+
     def test_rational_lower_increasing_from_91(self):
-        cert = pk.monotone_on_ray(lookup("thm3.8.lower"), 91)
-        assert cert.verdict == "positive"
+        cert = pk.shape_on_ray(lookup("thm3.8.lower"), 91)
+        assert cert.certificate.verdict == "positive"
 
     def test_rational_upper_increasing_from_67(self):
-        cert = pk.monotone_on_ray(lookup("cor3.3.a.upper"), 67)
-        assert cert.verdict == "positive"
+        cert = pk.shape_on_ray(lookup("cor3.3.a.upper"), 67)
+        assert cert.certificate.verdict == "positive"
 
     def test_rational_upper_refuted_at_denominator(self):
-        cert = pk.monotone_on_ray(lookup("thm3.2.upper"), 2)
-        assert cert.verdict == "refuted"
-        # the refutation is the denominator's: same polynomial
+        cert = pk.shape_on_ray(lookup("thm3.2.upper"), 2)
+        assert not cert.holds()
+        # the refutation is the denominator's, and the numerator is not tried
+        assert cert.certificate is None
+        assert cert.denominator_certificate.verdict == "refuted"
         den = pk.rational_denominator_poly(lookup("thm3.2.upper").coefficients)
-        assert cert.polynomial.coefficients == den.coefficients
+        assert cert.denominator_certificate.polynomial.coefficients == den.coefficients
 
     def test_rational_upper_valley_past_pole(self):
         # at 49 the denominator is already positive but the bound still
         # decreases toward its local minimum near e^4.59, so the
         # numerator certificate is the refuted one
-        cert = pk.monotone_on_ray(lookup("thm3.2.upper"), 49)
-        assert cert.verdict == "refuted"
+        cert = pk.shape_on_ray(lookup("thm3.2.upper"), 49)
+        assert cert.denominator_certificate.holds()
+        assert cert.certificate.verdict == "refuted"
         num = pk.rational_derivative_numerator(lookup("thm3.2.upper").coefficients)
-        assert cert.polynomial.coefficients == num.coefficients
+        assert cert.certificate.polynomial.coefficients == num.coefficients
         # past the valley the same bound is certified increasing
-        cert_past = pk.monotone_on_ray(lookup("thm3.2.upper"), 100)
-        assert cert_past.verdict == "positive"
+        cert_past = pk.shape_on_ray(lookup("thm3.2.upper"), 100)
+        assert cert_past.certificate.verdict == "positive"
 
     def test_logpow_upper(self):
-        assert pk.monotone_on_ray(lookup("prop3.6.upper"), 10**9).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("prop3.6.upper"), 2).verdict == "refuted"
+        assert pk.shape_on_ray(lookup("prop3.6.upper"), 10**9).certificate.verdict == "positive"
+        assert pk.shape_on_ray(lookup("prop3.6.upper"), 2).certificate.verdict == "refuted"
 
     def test_theta_envelope_directions(self):
-        assert pk.monotone_on_ray(lookup("thm2.4.lower"), 2).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("thm2.4.upper"), 2).verdict == "refuted"
-        assert pk.monotone_on_ray(lookup("thm2.4.upper"), 3).verdict == "positive"
+        assert pk.shape_on_ray(lookup("thm2.4.lower"), 2).certificate.verdict == "positive"
+        assert pk.shape_on_ray(lookup("thm2.4.upper"), 2).certificate.verdict == "refuted"
+        assert pk.shape_on_ray(lookup("thm2.4.upper"), 3).certificate.verdict == "positive"
 
     def test_gap_window_increasing(self):
-        cert = pk.monotone_on_ray(lookup("thm4.1.gap3"), 6034256)
-        assert cert.verdict == "positive"
+        cert = pk.shape_on_ray(lookup("thm4.1.gap3"), 6034256)
+        assert cert.certificate.verdict == "positive"
 
     def test_running_sum_bounds(self):
-        assert pk.monotone_on_ray(lookup("prop5.1.upper"), 46909074).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("prop5.1.lower"), 2).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("prop5.4.upper"), 30972320).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("prop5.4.lower"), 3).verdict == "positive"
+        for bound_id, x in (("prop5.1.upper", 46909074), ("prop5.1.lower", 2),
+                            ("prop5.4.upper", 30972320), ("prop5.4.lower", 3)):
+            assert pk.shape_on_ray(lookup(bound_id), x).certificate.verdict == "positive"
 
     def test_product_sense_is_decreasing(self):
-        full = pk.monotone_certificate(lookup("eq6.1.upper"), 2)
+        full = pk.shape_on_ray(lookup("eq6.1.upper"), 2)
         assert full.sense == "decreasing"
         assert full.holds()
-        assert pk.monotone_on_ray(lookup("eq6.1.lower"), 285).verdict == "positive"
-        assert pk.monotone_on_ray(lookup("eq6.1.lower"), 2).verdict == "refuted"
+        assert pk.shape_on_ray(lookup("eq6.1.lower"), 285).certificate.verdict == "positive"
+        assert pk.shape_on_ray(lookup("eq6.1.lower"), 2).certificate.verdict == "refuted"
 
     def test_certificate_ray_covers_log_of_start(self):
-        full = pk.monotone_certificate(lookup("prop3.10.lower"), 19423)
+        full = pk.shape_on_ray(lookup("prop3.10.lower"), 19423)
         assert full.log_ray_start <= F(str(math.log(19423)))
         assert full.sense == "increasing"
         assert full.holds()
 
-    def test_sqrt_kinds_unsupported_in_polynomial_route(self):
+    def test_exp_envelope_has_no_certificate(self):
         with pytest.raises(UnsupportedKindError):
-            pk.monotone_on_ray(lookup("eq3.1.upper"), 2657)
-        with pytest.raises(UnsupportedKindError):
-            pk.monotone_on_ray(lookup("eq2.12.upper"), 10**9)
+            pk.shape_on_ray(lookup("eq2.12.upper"), 10**9)
 
     def test_shape_on_ray_termwise_for_sqrt_upper(self):
         cert = pk.shape_on_ray(lookup("eq3.1.upper"), 2657)
         assert cert.basis == "termwise"
         assert cert.sense == "increasing"
+        assert cert.certificate is None and cert.denominator_certificate is None
         assert cert.holds()
         li_cert = pk.shape_on_ray(lookup("buethe.pi.li.upper"), 2)
         assert li_cert.holds()
@@ -514,8 +529,7 @@ CERTIFIED_START_WINDOWS = [
 
 @pytest.mark.parametrize("lo, hi", CERTIFIED_START_WINDOWS)
 def test_certified_start_is_the_least_certified_x(lo, hi):
-    specs = [s for s in registry_list() if s.direction != "two_sided"]
-    for spec in specs:
+    for spec in registry_list():
         x = pk.certified_start(spec, lo, hi)
         if x is None:
             try:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -25,7 +26,6 @@ from primebounds.errors import (
     OverlappingRangesError,
     ReportMismatchError,
     SoundnessGateError,
-    UnsupportedKindError,
 )
 from primebounds.verify import (
     COUNTEREXAMPLE_CAP,
@@ -267,11 +267,9 @@ def test_counterexample_cap_keeps_the_largest():
 
 
 def test_two_sided_specs_must_be_split_first():
-    from dataclasses import replace
-
-    spec = replace(lookup("thm2.4.lower"), direction="two_sided")
-    with pytest.raises(UnsupportedKindError):
-        scan_claims([spec], 2, 100)
+    # the registry splits each two-sided claim into .lower and .upper
+    with pytest.raises(InvalidRangeError):
+        replace(lookup("thm2.4.lower"), direction="two_sided")
 
 
 def test_pi_rational_small_threshold_cells():
@@ -460,10 +458,11 @@ def test_product_bounds_both_directions():
 
 
 def test_crossing_prop310():
-    c = _crossing(lookup("prop3.10.lower"), 10**6)
+    (claim,) = scan_claims([lookup("prop3.10.lower")], 2, 10**6)
+    c = claim.crossing
     assert c.largest_failing_x < 19_423 <= c.implied_threshold
     assert c.implied_threshold == 19_423
-    assert c.failures == 310
+    assert claim.report.failures == 310
 
 
 def test_crossing_gap3():
@@ -595,8 +594,9 @@ def _state_q_fn(lane, state, succ):
 
 
 def test_interval_cells_agree_with_pair_checks_from_the_certificate():
-    # from pair_start on, _check_cell's pair check and an interval-cell
-    # evaluation of the same cell must reach the same verdict
+    # from pair_start on, _check_cell's check at the binding endpoint and
+    # its interval-cell evaluation of the same cell (a plan without a
+    # certified start) must reach the same verdict
     cases = [
         ("prop3.10.lower", 19_300, 19_500, {Verdict.Pass, Verdict.Fail}),
         ("thm4.1.gap3", 6_034_150, 6_034_400, {Verdict.Pass, Verdict.Fail}),
@@ -615,7 +615,7 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
             state = sieve.pi_theta_at(base, resume_from=state)
             q_fn = _state_q_fn(plan.lane, state, succ)
             pair, _, _ = verify._check_cell(plan, base, succ, q_fn)
-            cell, _, _ = verify._cell_verdict(spec, q_fn, base, succ)
+            cell, _, _ = verify._check_cell(replace(plan, pair_start=None), base, succ, q_fn)
             assert pair is cell, (bound_id, base)
             seen.add(pair)
         assert seen == expected, bound_id
