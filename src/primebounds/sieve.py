@@ -477,7 +477,10 @@ def pi_theta_at(
 
 def _dec_parse(s: str) -> int:
     """The integer n with s == n * 2**-SCALE_BITS."""
-    parsed = dyadic.from_decimal(s)
+    try:
+        parsed = dyadic.from_decimal(s)
+    except (ValueError, ZeroDivisionError):  # not a decimal, or n/0
+        parsed = None
     if parsed is None or parsed[1] > dyadic.SCALE_BITS:
         raise CheckpointFormatError("value %r is not on the dyadic grid" % s)
     return parsed[0] << (dyadic.SCALE_BITS - parsed[1])
@@ -505,7 +508,11 @@ def write_checkpoint(state: AccumulatorState, fh: TextIO) -> None:
     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _unpair(pair: list[str]) -> tuple[int, int]:
+def _unpair(rec: dict, name: str) -> tuple[int, int]:
+    """Exact (value, budget) of the enclosure pair in the field name."""
+    pair = rec.get(name)
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
+        raise CheckpointFormatError("checkpoint field %r is not a pair of decimal strings" % name)
     lo, hi = _dec_parse(pair[0]), _dec_parse(pair[1])
     if (lo + hi) % 2:
         raise CheckpointFormatError("midpoint not on the dyadic grid")
@@ -514,7 +521,10 @@ def _unpair(pair: list[str]) -> tuple[int, int]:
 
 
 def read_checkpoint(fh: TextIO) -> AccumulatorState:
-    """Reconstruct the state from the last valid checkpoint line."""
+    """Reconstruct the state from the last checkpoint line.
+
+    A last line that is not a checkpoint record raises CheckpointFormatError.
+    """
     last = None
     for line in fh:
         line = line.strip()
@@ -522,16 +532,24 @@ def read_checkpoint(fh: TextIO) -> AccumulatorState:
             last = line
     if last is None:
         raise CheckpointFormatError("no checkpoint lines")
-    rec = json.loads(last)
+    try:
+        rec = json.loads(last)
+    except ValueError:
+        rec = None
+    if not isinstance(rec, dict):
+        raise CheckpointFormatError("the last checkpoint line is not a JSON object")
     if rec.get("version") != CHECKPOINT_VERSION:
         raise CheckpointFormatError("unsupported checkpoint version %r" % rec.get("version"))
     if rec.get("config_digest") != CONFIG_DIGEST:
         raise ChecksumMismatchError("checkpoint written under a different numeric config")
-    tv, tb = _unpair(rec["theta"])
-    sv, sb = _unpair(rec["psi"])
-    rv, rb = _unpair(rec["sum_recip"])
-    qv, qb = _unpair(rec["sum_logp"])
-    mv, mb = _unpair(rec["sum_log1m"])
+    for name in ("x", "pi"):
+        if type(rec.get(name)) is not int:
+            raise CheckpointFormatError("checkpoint field %r is not an integer" % name)
+    tv, tb = _unpair(rec, "theta")
+    sv, sb = _unpair(rec, "psi")
+    rv, rb = _unpair(rec, "sum_recip")
+    qv, qb = _unpair(rec, "sum_logp")
+    mv, mb = _unpair(rec, "sum_log1m")
     return AccumulatorState(
         x=rec["x"],
         pi=rec["pi"],

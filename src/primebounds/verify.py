@@ -55,30 +55,31 @@ chunk and the few terms after it.
 Most cells are decided in a float64 fast lane.  Its running sums restart
 at every chunk from the correctly rounded exact partial sum, so float
 drift never carries from one chunk to the next, and within a chunk it
-stays orders of magnitude below the lane's recheck margin delta.  The
-lane decides whole blocks of _BLOCK = 128 cells from their two end cells.
-From the fast lane's start on, the shape certificate proves the bound
-monotone (for rational pi bounds also the denominator positive), and the
-quantities -- the prime count, running sums of positive terms, and the
-successor prime of a gap claim -- are monotone too; a block never
+stays orders of magnitude below the lane's recheck margin delta.  One rule
+decides the lane's cells, applied to runs of them: the runs start as the
+grid of _BLOCK = 128 cells clipped to the lane's cells, and undecided runs
+are halved.  From the fast lane's start on, the shape certificate proves
+the bound monotone (for rational pi bounds also the denominator positive),
+and the quantities -- the prime count, running sums of positive terms, and
+the successor prime of a gap claim -- are monotone too; a run never
 straddles a chunk, so this holds for the float running sums as well.  So
-the worst margin over a block -- the least quantity minus the largest
-bound for a lower bound, the least bound (or window end) minus the largest
-quantity for an upper bound -- is taken at its ends, and a block
-whose worst margin exceeds delta passes whole.  delta is the one a single
-cell is held to, since the end values carry the same float error as a
-cell's own check, and a block with a suspect end (see _bound_float) is
-never passed this way.  The cells of every other block, and of the partial
-blocks at either end of the lane, are triaged one by one into certain
-passes (only counted), certain fails and unsure cells (both collected by
-index).  The exact work follows per claim: any cell whose margin is smaller
-than delta is re-decided with outward-rounded enclosures at 106 bits,
-retried once at 212 bits, and counted Indeterminate if still undecided.
-Certain fails are only counted.  Each claim keeps its 64 highest failing
-cells, and once the scan ends those the fast lane failed are re-decided the
-same way; an exact verdict other than Fail raises FastLaneMismatchError.  So
-the cross-check confirms exactly the retained counterexamples, whatever the
-segmentation.  Counterexamples record the compared enclosures.
+over a run the margin (quantity minus bound for a lower bound, bound or
+window end minus quantity for an upper one) lies between a worst and a
+best margin read off its first and last cell.  A run passes whole when its
+worst margin exceeds delta and fails whole when its best margin is below
+-delta; otherwise, or when an end is suspect (see _bound_float), it is
+halved.  delta is the one a single cell is held to, since the end values
+carry the same float error as a cell's own check, and a single cell's two
+margins are its own, so an undecided cell is unsure.  Certain passes are
+only counted; certain fails and unsure cells are collected by index.  The
+exact work follows per claim: any unsure cell is re-decided with
+outward-rounded enclosures at 106 bits, retried once at 212 bits, and
+counted Indeterminate if still undecided.  Certain fails are only counted.
+Each claim keeps its 64 highest failing cells, and once the scan ends those
+the fast lane failed are re-decided the same way; an exact verdict other
+than Fail raises FastLaneMismatchError.  So the cross-check confirms
+exactly the retained counterexamples, whatever the segmentation.
+Counterexamples record the compared enclosures.
 
 scan_claims is the one public scan entry point.
 """
@@ -135,11 +136,10 @@ MAX_CELL_SPAN = 200_000
 # Pair cap for kinds that have no vectorised fast lane (li-based bounds).
 MAX_EXACT_PAIRS = 60_000
 
-# Cells per block that the fast lane decides from its two end cells.  A
-# power of two below SUM_CHUNK, so that no block straddles a rebase of the
-# running sums.
+# Cells per run that the fast lane first tries to decide from its two end
+# cells.  A power of two below SUM_CHUNK, so that no run straddles a rebase
+# of the running sums.
 _BLOCK = 1 << 7
-_NO_CELLS = np.empty(0, dtype=np.int64)
 
 # Fast-lane recheck margins per quantity lane.  Anything closer to the
 # boundary than this is re-decided with enclosures.  The margins sit 2-4
@@ -743,8 +743,7 @@ def _scan(
             )
         if state.anchored and lanes - {"pi", "gap"}:
             raise MismatchedStateError("anchored states carry pi only")
-        for _, _, after in sieve.accumulate_range(state, range_lo, segment_odds):
-            state = after
+        state = sieve.pi_theta_at(range_lo, resume_from=state, segment_odds=segment_odds)
         segs = sieve.accumulate_range(state, top, segment_odds)
     else:  # the states stay None on the prime-only path
         segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
@@ -767,76 +766,65 @@ def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
     scan.record(*_check_cell(scan.plan, base, succ, q_fn), base, succ, q_fn)
 
 
-def _sides(plan: _Plan, data: _SegmentData, lo: int, hi: int, step: int = 1):
-    """Float sides of the fast-lane check at the cells lo, lo + step, ... < hi.
+def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
+    """Float sides of the fast-lane check at the given cells.
 
     Returns (big, small, suspect): the check passes where big - small
     exceeds plan.delta.  big is the quantity of a lower bound and the bound
-    of an upper one.  suspect is as in _bound_float.  The inputs are slices,
-    copied only when strided, where numpy's loops are several times slower.
+    of an upper one.  suspect is as in _bound_float.
     """
-    e = 1 if plan.eval_at_succ else 0
-    at = slice(lo + e, hi + e, step)
-    x, L = np.ascontiguousarray(data.p[at]), np.ascontiguousarray(data.logs[at])
+    at = cells + 1 if plan.eval_at_succ else cells
+    x, L = data.p[at], data.logs[at]
     f, suspect = _bound_float(plan.spec, x, L, functools.cache(L.__pow__))
-    q = data.run(plan.lane)[lo:hi:step]
+    q = data.run(plan.lane)[cells]
     return (q, f, suspect) if plan.lower else (f, q, suspect)
 
 
-def _triage(fast, data: _SegmentData, cut: int):
-    """Phase 1: sort the fast-lane cells into certain pass, fail and unsure.
+def _cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cells of the disjoint runs [a, b), ascending."""
+    order = np.argsort(a)
+    a, n = a[order], (b - a)[order]
+    return np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum(), dtype=np.int64)
 
-    fast holds (scan, start) for every claim whose cells [start, cut) run
-    in the float lane.  Each whole block [k * _BLOCK, (k + 1) * _BLOCK)
-    among them whose worst-case margin, taken from its first and last cell,
-    exceeds the recheck margin passes whole: from start on the bound is
-    certified monotone, and a block lies inside one SUM_CHUNK of the float
-    running sums, where they are monotone.  The cells of the other blocks,
-    and of the partial blocks at start and cut, are checked one by one,
-    SUM_CHUNK cells at a time.  Certain passes go straight to the
-    tallies; returns, per claim, the ascending segment indices of its
-    certain fails and of its unsure cells.
+
+def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
+    """Phase 1: sort one claim's cells [start, cut) into certain pass, fail and unsure.
+
+    The one rule of the module docstring, on a nonempty range: runs [a, b),
+    first the _BLOCK grid clipped to [start, cut), pass whole when their
+    worst margin min(big) - max(small) exceeds plan.delta, fail whole when
+    their best margin max(big) - min(small) is below -plan.delta, and are
+    otherwise, or with a suspect end, halved; an undecided single cell is
+    unsure.  Both ends of every run of a level are read in one _sides call.
+    Certain passes go straight to the tally; returns the ascending segment
+    indices of the certain fails and of the unsure cells.
     """
-    out = []
-    for scan, start in fast:
-        plan = scan.plan
-        # the whole blocks lie in [b0, b1)
-        b0 = -(-start // _BLOCK) * _BLOCK
-        b1 = max(b0, cut // _BLOCK * _BLOCK)
-        big0, small0, suspect0 = _sides(plan, data, b0, b1, _BLOCK)
-        big1, small1, suspect1 = _sides(plan, data, b0 + _BLOCK - 1, b1, _BLOCK)
-        worst = np.minimum(big0, big1) - np.maximum(small0, small1)
-        decided = worst > plan.delta
-        if suspect0 is not None:
-            decided &= ~(suspect0 | suspect1)
-        n_pass = _BLOCK * int(np.count_nonzero(decided))
+    plan = scan.plan
+    a = np.arange(start // _BLOCK * _BLOCK, cut, _BLOCK, dtype=np.int64)
+    a[0] = start
+    b = np.append(a[1:], cut)
+    fail_a, fail_b, unsure = [], [], []
+    while a.size:
+        n = a.size
+        big, small, suspect = _sides(plan, data, np.concatenate((a, b - 1)))
+        passed = np.minimum(big[:n], big[n:]) - np.maximum(small[:n], small[n:]) > plan.delta
+        failed = np.maximum(big[:n], big[n:]) - np.minimum(small[:n], small[n:]) < -plan.delta
+        if suspect is not None:
+            trusted = ~(suspect[:n] | suspect[n:])
+            passed &= trusted
+            failed &= trusted
+        n_pass = int((b - a)[passed].sum())
         scan.tally.checked += n_pass
         scan.tally.passes += n_pass
-        pending = np.ones(cut - start, dtype=bool)
-        pending[b0 - start : b1 - start] = np.repeat(~decided, _BLOCK)
-
-        # cell by cell, over the span of each batch's pending cells
-        fails, unsure = [_NO_CELLS], [_NO_CELLS]
-        for c0 in range(0, pending.size, SUM_CHUNK):
-            todo = np.flatnonzero(pending[c0 : c0 + SUM_CHUNK])
-            if todo.size == 0:
-                continue
-            lo, hi = start + c0 + todo[0], start + c0 + todo[-1] + 1
-            want = pending[lo - start : hi - start]
-            big, small, suspect = _sides(plan, data, lo, hi)
-            margin = big - small
-            certain_pass = want & (margin > plan.delta)
-            certain_fail = want & (margin < -plan.delta)
-            if suspect is not None:
-                certain_pass &= ~suspect
-                certain_fail &= ~suspect
-            n_pass = int(np.count_nonzero(certain_pass))
-            scan.tally.checked += n_pass
-            scan.tally.passes += n_pass
-            fails.append(np.flatnonzero(certain_fail) + lo)
-            unsure.append(np.flatnonzero(want & ~(certain_pass | certain_fail)) + lo)
-        out.append((np.concatenate(fails), np.concatenate(unsure)))
-    return out
+        fail_a.append(a[failed])
+        fail_b.append(b[failed])
+        rest = ~(passed | failed)
+        unsure.append(a[rest & (b - a == 1)])
+        rest &= b - a > 1
+        a, b = a[rest], b[rest]
+        m = (a + b) // 2
+        a, b = np.concatenate((a, m)), np.concatenate((m, b))
+    return _cells(np.concatenate(fail_a), np.concatenate(fail_b)), np.sort(np.concatenate(unsure))
 
 
 def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
@@ -861,23 +849,18 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
 def _scan_segment(scans, data: _SegmentData):
     p = data.p
     cut = p.size - 1  # the segment's cells; the last row is only a successor
-    fast = []
     for scan in scans:
         plan = scan.plan
         # exact cells: the certificate-free stretch below pair_start, or all
-        # of them for kinds without a vector lane
+        # of them for kinds without a vector lane; the float lane takes the rest
         if plan.exact_pairs or plan.pair_start is None:
-            exact_cut = cut
+            start = cut
         else:
-            exact_cut = int(np.searchsorted(p[:cut], plan.pair_start, side="left"))
-        for i in range(exact_cut):
+            start = int(np.searchsorted(p[:cut], plan.pair_start, side="left"))
+        for i in range(start):
             _exact_cell(scan, data, i)
-        if exact_cut < cut:
-            fast.append((scan, exact_cut))
-
-    # --- float fast lane, then the exact work it leaves -------------------
-    for (scan, _), (fail_idx, unsure_idx) in zip(fast, _triage(fast, data, cut)):
-        _settle(scan, data, fail_idx, unsure_idx)
+        if start < cut:
+            _settle(scan, data, *_triage(scan, data, start, cut))
 
 
 # ---------------------------------------------------------------------------

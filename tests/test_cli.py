@@ -223,6 +223,28 @@ class TestUsageErrors:
         capsys.readouterr()  # drain usage noise
         assert not (tmp_path / "ck.jsonl").exists()
 
+    @pytest.mark.parametrize("bad", ["missing_fields", "not_json", "x_as_text"])
+    @pytest.mark.parametrize("command", ["sieve", "verify"])
+    def test_malformed_last_checkpoint_line_exits_three(self, command, bad, tmp_path, capsys):
+        # a valid line followed by a malformed one: the last line is the one read
+        ck = tmp_path / "ck.jsonl"
+        assert main(["sieve", "--to", "10000", "--checkpoint-out", str(ck)]) == 0
+        rec = json.loads(ck.read_text())
+        line = {
+            "missing_fields": json.dumps({k: rec[k] for k in ("version", "config_digest")}),
+            "not_json": "not json",
+            "x_as_text": json.dumps(dict(rec, x=str(rec["x"]))),
+        }[bad]
+        with open(ck, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        argv = {
+            "sieve": ["sieve", "--to", "20000"],
+            "verify": ["verify", "--bound", "prop3.10.lower", "--from", "10001", "--to", "20000"],
+        }[command]
+        assert main(argv + ["--resume", str(ck)]) == 3
+        assert "checkpoint" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as ei:
             main(["--help"])

@@ -1,7 +1,8 @@
-"""The fast lane's block brackets against the cell-by-cell triage.
+"""The fast lane's run brackets against the cell-by-cell oracle.
 
-With verify._BLOCK set to 1 every block is one cell and its bracket is that
-cell's own margin, so a scan at block size 1 is the oracle for the default.
+With verify._BLOCK set to 1 every run is one cell and its bracket is that
+cell's own margin, so a scan at first run length 1 is the oracle for the
+default.
 """
 
 import dataclasses
@@ -28,25 +29,23 @@ _BLOCK = verify._BLOCK
 
 
 def _recorded_scan(monkeypatch, block, specs, lo, hi, **kw):
-    """Scan at the given block size; also return what _triage returned.
+    """Scan at the given first run length; also return what _triage returned.
 
     Returns (claims, triaged, evaluated): triaged lists, per segment, the
     (claim id, fast-lane start, fail indices, unsure indices) of every
     fast-lane claim, and evaluated counts the float bound values computed.
     """
     monkeypatch.setattr(verify, "_BLOCK", block)
-    triaged, evaluated = [], [0]
+    triaged, evaluated, last = [], [0], [None]
     real_triage, real_bound = verify._triage, verify._bound_float
 
-    def triage(fast, data, cut):
-        out = real_triage(fast, data, cut)
-        triaged.append(
-            [
-                (scan.plan.spec.id, start, fails.copy(), unsure.copy())
-                for (scan, start), (fails, unsure) in zip(fast, out)
-            ]
-        )
-        return out
+    def triage(scan, data, start, cut):
+        fails, unsure = real_triage(scan, data, start, cut)
+        if last[0] is not data:  # a new segment
+            last[0] = data
+            triaged.append([])
+        triaged[-1].append((scan.plan.spec.id, start, fails.copy(), unsure.copy()))
+        return fails, unsure
 
     def bound_float(spec, x, L, pw):
         evaluated[0] += x.size
@@ -63,7 +62,10 @@ def _recorded_scan(monkeypatch, block, specs, lo, hi, **kw):
 
 
 def _assert_matches_oracle(monkeypatch, specs, lo, hi, **kw):
-    """Default block size against block size 1: reports, crossings, triage."""
+    """Default run length against run length 1: reports, crossings, triage.
+
+    Returns the claims and the float bound values computed at the default.
+    """
     got, got_tri, got_evals = _recorded_scan(monkeypatch, _BLOCK, specs, lo, hi, **kw)
     want, want_tri, want_evals = _recorded_scan(monkeypatch, 1, specs, lo, hi, **kw)
     for a, b in zip(got, want):
@@ -80,13 +82,13 @@ def _assert_matches_oracle(monkeypatch, specs, lo, hi, **kw):
             np.testing.assert_array_equal(ua, ub, err_msg=cid)
     # the oracle's brackets evaluate every bound value twice
     assert got_evals < want_evals / 2
-    return got
+    return got, got_evals
 
 
 @pytest.mark.parametrize("segment_odds", [2**20, 2**12])
 def test_blocks_match_cell_oracle_on_desk_claims(monkeypatch, segment_odds):
     specs = [lookup(i) for i in _DESK_IDS]
-    claims = _assert_matches_oracle(monkeypatch, specs, 2, 2 * 10**6, segment_odds=segment_odds)
+    claims, _ = _assert_matches_oracle(monkeypatch, specs, 2, 2 * 10**6, segment_odds=segment_odds)
     assert sum(c.report.failures > 0 for c in claims) >= 3
 
 
@@ -100,8 +102,18 @@ def test_blocks_match_cell_oracle_on_anchored_pi_window(monkeypatch):
     lo, hi = 19_033_744_403, 19_035_709_163
     k = sum(int(seg.primes.size) for seg in sieve.segments(lo, hi))
     state = sieve.AccumulatorState.anchored_at(lo - 1, 841_508_302 - k)
-    (claim,) = _assert_matches_oracle(monkeypatch, [lookup("thm3.8.lower")], lo, hi, state=state)
+    (claim,), _ = _assert_matches_oracle(monkeypatch, [lookup("thm3.8.lower")], lo, hi, state=state)
     assert claim.report.passes == k
+
+
+def test_runs_that_fail_whole_are_decided_from_their_ends(monkeypatch):
+    # prop5.1.upper fails at every cell here, and most runs of the first
+    # grid fail whole on their two end cells
+    lo, hi = 5 * 10**6, 5 * 10**6 + 2 * 10**5
+    (claim,), evaluated = _assert_matches_oracle(monkeypatch, [lookup("prop5.1.upper")], lo, hi)
+    cells = claim.report.checked
+    assert claim.report.failures == cells == 12_895
+    assert evaluated < cells / 10
 
 
 # ---------------------------------------------------------------------------
@@ -119,80 +131,103 @@ def _segment(lo, hi, n_primes=None, state=True):
     return verify._SegmentData(before, base, sieve.PrimeSegment(base + 1, last, primes[1:]))
 
 
-def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, brackets_only=False):
-    """One claim triaged on [start, cut): (scan, fails, unsure).
+def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_only=False):
+    """One claim triaged on [start, cut): (scan, fails, unsure, reads).
 
-    With brackets_only, the cell-by-cell check calls every cell unsure, so
-    the passes are those of whole blocks and unsure lists every other cell.
+    reads lists, per level, the cells whose two sides _triage read.  With
+    first_runs_only every level after the first sees a zero margin, so its
+    runs are never decided and their cells end unsure: the passes and fails
+    are then those of whole first runs, and unsure lists every other cell.
     """
     monkeypatch.setattr(verify, "_BLOCK", block)
     plan = verify._make_plan(spec, lo, hi)
     assert plan.pair_start == lo  # the certificate covers every cell
     scan = verify._SpecScan(plan)
-    real = verify._sides
+    real, reads = verify._sides, []
 
-    def sides(plan, data, lo, hi, step=1):
-        big, small, suspect = real(plan, data, lo, hi, step)
-        return (small, small, suspect) if step == 1 else (big, small, suspect)
+    def sides(plan, data, cells):
+        big, small, suspect = real(plan, data, cells)
+        reads.append(cells.copy())
+        if first_runs_only and len(reads) > 1:
+            return small, small, suspect
+        return big, small, suspect
 
-    if brackets_only:
-        monkeypatch.setattr(verify, "_sides", sides)
+    monkeypatch.setattr(verify, "_sides", sides)
     try:
-        ((fails, unsure),) = verify._triage([(scan, start)], data, cut)
+        fails, unsure = verify._triage(scan, data, start, cut)
     finally:
         monkeypatch.setattr(verify, "_sides", real)
-    return scan, fails, unsure
+    return scan, fails, unsure, reads
 
 
 def _assert_triage_matches_oracle(monkeypatch, spec, data, start, cut, lo, hi, block=8):
-    """Block size 8 against block size 1 on [start, cut).
+    """First run length 8 against run length 1 on [start, cut).
 
-    Returns (scan, fails, unsure, whole, pending): the result at block size
-    8, the number of cells passed in whole blocks, and the cells left to the
-    cell-by-cell check.
+    Returns (scan, fails, unsure, runs, whole, pending): the result at run
+    length 8, its first runs as the arrays (a, b) of the runs [a, b), the
+    number of cells in first runs that passed or failed whole, and the
+    cells of the other first runs.
     """
-    got, gf, gu = _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi)
-    want, wf, wu = _triage_one(monkeypatch, 1, spec, data, start, cut, lo, hi)
+    got, gf, gu, reads = _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi)
+    want, wf, wu, _ = _triage_one(monkeypatch, 1, spec, data, start, cut, lo, hi)
     assert got.tally == want.tally
     np.testing.assert_array_equal(gf, wf)
     np.testing.assert_array_equal(gu, wu)
     # every cell is counted once: as a pass here, or listed for phase 2
     assert got.tally.passes + gf.size + gu.size == cut - start
     assert gf.dtype == gu.dtype == np.int64
-    bare, _, pending = _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, True)
-    assert bare.tally.passes + pending.size == cut - start
-    return got, gf, gu, bare.tally.passes, pending
+    # the first runs tile [start, cut), clipped from the grid of the run length
+    first, last = np.split(reads[0], 2)
+    a, b = first, last + 1
+    assert a[0] == start and b[-1] == cut
+    np.testing.assert_array_equal(a[1:], b[:-1])
+    assert (a[1:] % block == 0).all() and (b - a <= block).all()
+    bare, bare_fails, pending, _ = _triage_one(
+        monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_only=True
+    )
+    whole = bare.tally.passes + bare_fails.size
+    assert whole + pending.size == cut - start
+    return got, gf, gu, (a, b), whole, pending
+
+
+def _whole_runs(runs, pending, size=8):
+    """First cells of the full-length first runs decided whole."""
+    a, b = runs
+    full = a[b - a == size]
+    return full[~np.isin(full, pending)]
 
 
 def test_fast_lane_start_off_the_block_grid(monkeypatch):
-    # prop3.10.lower has narrow margins near 10**6: with 8-cell blocks some
-    # pass whole on their bracket and some are checked cell by cell
+    # near 10**6 thm4.1.gap3's window is narrower than most 8-cell runs and
+    # prop5.4.upper fails by more than most of them span: with each, some
+    # first runs are decided whole (passed, failed) and some are halved
     lo, hi = 10**6, 10**6 + 2 * 10**5
-    spec = lookup("prop3.10.lower")
     data = _segment(lo, hi)
     cut = data.p.size - 1
-    for start in (1, 7, 9, 8003):
-        _, _, _, whole, pending = _assert_triage_matches_oracle(
-            monkeypatch, spec, data, start, cut, lo, hi
-        )
-        # the partial block at start goes cell by cell, but not every block
-        head = np.arange(start, -(-start // 8) * 8)
-        assert np.isin(head, pending).all() and pending[0] == start
-        assert whole > 0 and pending.size > head.size
+    for spec in (lookup("thm4.1.gap3"), lookup("prop5.4.upper")):
+        for start in (1, 7, 9, 803):
+            _, _, _, (a, b), whole, pending = _assert_triage_matches_oracle(
+                monkeypatch, spec, data, start, cut, lo, hi
+            )
+            # the first run ends at the first grid point past start
+            assert b[0] == start // 8 * 8 + 8
+            assert whole > 0 and pending.size > 0, (spec.id, start)
 
 
 def test_partial_last_block_is_checked_cell_by_cell(monkeypatch):
     # thm4.1.gap3 fails on its cell [6034247, 6034393), the next to last
-    # cell here; it lies in the partial block at the segment's end
+    # cell here; it lies in the partial run at the segment's end, which is
+    # halved down to that cell
     hi = 6_034_400
     spec = lookup("thm4.1.gap3")
     for lo in (6_000_000, 6_000_400):
         data = _segment(lo, hi)
         cut = data.p.size - 1
         assert cut % 8 > 2 and data.p[cut - 2] == 6_034_247
-        _, fails, _, whole, pending = _assert_triage_matches_oracle(
+        _, fails, _, (a, b), whole, pending = _assert_triage_matches_oracle(
             monkeypatch, spec, data, 0, cut, lo, hi
         )
+        assert (a[-1], b[-1]) == (cut // 8 * 8, cut)
         assert fails.tolist() == [cut - 2]
         assert np.isin(np.arange(cut // 8 * 8, cut), pending).all()
         assert whole > 0
@@ -200,26 +235,34 @@ def test_partial_last_block_is_checked_cell_by_cell(monkeypatch):
 
 def test_successor_claim_last_block_ends_on_final_successor(monkeypatch):
     # a lower pi bound is evaluated at the successor prime; with 8 * 41
-    # cells the last block's last bracket point is the segment's last prime
+    # cells the last run's last bracket point is the segment's last prime
     lo, hi = 10**6, 10**6 + 10**5
     spec = lookup("cor3.9.e.lower")
     assert verify._make_plan(spec, lo, hi).eval_at_succ
     data = _segment(lo, hi, n_primes=8 * 41 + 1)
     cut = data.p.size - 1
-    scan, _, _, whole, pending = _assert_triage_matches_oracle(
+    real, evaluated_at = verify._bound_float, []
+
+    def bound_float(spec, x, L, pw):
+        evaluated_at.append(x.copy())
+        return real(spec, x, L, pw)
+
+    monkeypatch.setattr(verify, "_bound_float", bound_float)
+    scan, _, _, (a, b), whole, pending = _assert_triage_matches_oracle(
         monkeypatch, spec, data, 0, cut, lo, hi
     )
-    assert scan.tally.passes == cut
+    assert scan.tally.passes == cut and (a[-1], b[-1]) == (cut - 8, cut)
     assert whole > 0 and not np.isin(np.arange(cut - 8, cut), pending).any()
+    assert data.p[cut] in evaluated_at[0]
 
 
 def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     lo, hi = 10**12, 10**12 + 2 * 10**5
     data = _segment(lo, hi, state=False)
-    primes = data.p
-    cut = (primes.size - 1) // _BLOCK * _BLOCK
+    cut = data.p.size - 1
     spec = lookup("thm4.1.gap3")
-    scan, fails, unsure = _triage_one(monkeypatch, _BLOCK, spec, data, 0, cut, lo, hi, True)
+    scan, fails, unsure, reads = _triage_one(monkeypatch, _BLOCK, spec, data, 0, cut, lo, hi)
+    assert len(reads) == 1  # every first run passes whole
     assert scan.tally.passes == cut
     assert fails.dtype == unsure.dtype == np.int64
     assert fails.size == unsure.size == 0
@@ -229,44 +272,54 @@ def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
 
 
 def test_suspect_bracket_end_is_never_decided(monkeypatch):
-    # mark one rational pi bound value suspect where it is the first cell of
-    # a block that passes on its bracket: that block must then be checked
-    # cell by cell, and the marked cell end up unsure
+    # mark one rational pi bound value, and one Mertens product value,
+    # suspect where it is the first cell of a run decided whole on its
+    # bracket -- passed for prop3.10.lower, failed for prop6.1.lower: that
+    # run must then be halved, and the marked cell, alone, end up unsure
     lo, hi = 10**6, 10**6 + 2 * 10**5
-    spec = lookup("prop3.10.lower")
-    assert spec.kind is BoundKind.PI_RATIONAL
     data = _segment(lo, hi)
     cut = data.p.size - 1
-    clean, _, clean_pending = _triage_one(monkeypatch, 8, spec, data, 0, cut, lo, hi, True)
-    whole_blocks = np.setdiff1d(np.arange(0, cut - 7, 8), clean_pending)
-    marked = int(whole_blocks[-1])
     real = verify._bound_float
-    mark_x = data.p[marked + 1]  # evaluated at the successor prime
+    for spec_id, kind in (
+        ("prop3.10.lower", BoundKind.PI_RATIONAL),
+        ("prop6.1.lower", BoundKind.PRODUCT_MERTENS),
+    ):
+        spec = lookup(spec_id)
+        assert spec.kind is kind
+        clean, clean_fails, _, runs, clean_whole, clean_pending = _assert_triage_matches_oracle(
+            monkeypatch, spec, data, 0, cut, lo, hi
+        )
+        marked = int(_whole_runs(runs, clean_pending)[-1])
+        mark_x = data.p[marked + verify._make_plan(spec, lo, hi).eval_at_succ]
 
-    def bound_float(spec, x, L, pw):
-        vals, suspect = real(spec, x, L, pw)
-        return vals, suspect | (x == mark_x)
+        def bound_float(spec, x, L, pw):
+            vals, suspect = real(spec, x, L, pw)
+            return vals, suspect | (x == mark_x)
 
-    monkeypatch.setattr(verify, "_bound_float", bound_float)
-    scan, _, unsure, whole, pending = _assert_triage_matches_oracle(
-        monkeypatch, spec, data, 0, cut, lo, hi
-    )
-    assert marked in unsure
-    assert np.isin(np.arange(marked, marked + 8), pending).all()
-    assert whole == clean.tally.passes - 8
+        monkeypatch.setattr(verify, "_bound_float", bound_float)
+        scan, fails, unsure, _, whole, pending = _assert_triage_matches_oracle(
+            monkeypatch, spec, data, 0, cut, lo, hi
+        )
+        monkeypatch.setattr(verify, "_bound_float", real)
+        run = np.arange(marked, marked + 8)
+        assert unsure[np.isin(unsure, run)].tolist() == [marked], spec_id
+        assert np.isin(run, pending).all() and whole == clean_whole - 8
+        assert scan.tally.passes + fails.size == clean.tally.passes + clean_fails.size - 1
 
 
 def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
-    # push the bound far above the quantity at the first cell of one block
+    # push the bound far above the quantity at the first cell of one run
     # and the last cell of another, both of which pass whole when clean:
-    # their blocks must go cell by cell and those two cells fail
+    # their runs must be halved and those two cells fail
     lo, hi = 10**6, 10**6 + 2 * 10**5
     spec = lookup("prop3.10.lower")
     data = _segment(lo, hi)
     cut = data.p.size - 1
-    _, _, clean_pending = _triage_one(monkeypatch, 8, spec, data, 0, cut, lo, hi, True)
-    whole_blocks = np.setdiff1d(np.arange(0, cut - 7, 8), clean_pending)
-    marked = [int(whole_blocks[-2]), int(whole_blocks[-1]) + 7]
+    _, _, _, runs, _, clean_pending = _assert_triage_matches_oracle(
+        monkeypatch, spec, data, 0, cut, lo, hi
+    )
+    whole_runs = _whole_runs(runs, clean_pending)
+    marked = [int(whole_runs[-2]), int(whole_runs[-1]) + 7]
     real = verify._bound_float
     mark_x = data.p[np.array(marked) + 1]  # evaluated at the successor prime
 
@@ -275,5 +328,8 @@ def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
         return np.where(np.isin(x, mark_x), 1e30, vals), suspect
 
     monkeypatch.setattr(verify, "_bound_float", bound_float)
-    _, fails, _, _, _ = _assert_triage_matches_oracle(monkeypatch, spec, data, 0, cut, lo, hi)
+    _, fails, _, _, _, pending = _assert_triage_matches_oracle(
+        monkeypatch, spec, data, 0, cut, lo, hi
+    )
     assert fails.tolist() == marked
+    assert np.isin(marked, pending).all()

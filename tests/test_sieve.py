@@ -9,6 +9,7 @@ trial-division oracle, which the suite re-checks at the small end.
 """
 
 import io
+import json
 import math
 
 import mpmath
@@ -220,6 +221,12 @@ def test_checkpoint_keeps_last_line_and_rejects_garbage():
     bad = io.StringIO('{"version": 999}\n')
     with pytest.raises(CheckpointFormatError):
         sieve.read_checkpoint(bad)
+    # pair fields whose strings are not decimals
+    rec = json.loads(buf.getvalue().splitlines()[-1])
+    for pair in (["abc", "1"], ["1/0", "1"], [1, 2], ["1"]):
+        line = json.dumps(dict(rec, theta=pair))
+        with pytest.raises(CheckpointFormatError):
+            sieve.read_checkpoint(io.StringIO(line + "\n"))
 
 
 def test_checkpoint_file_resume(tmp_path):

@@ -650,11 +650,14 @@ def test_exact_quantity_across_chunk_edges():
 # the fast lane's cross-check
 # ---------------------------------------------------------------------------
 
-# Makes the float lane fail the last cell of every batch it evaluates by a
-# wide margin; thm4.1.gap4 holds there, so the exact recheck must
-# contradict it.
+# Makes the float lane fail, by a wide margin, every cell whose base is at
+# most 1000 or at least 9900; thm4.1.gap4 holds there, so the exact recheck
+# must contradict it.  A run either lies inside one of the two marked
+# stretches or has its marked cells at an end, so the marks are seen however
+# the fast lane splits its runs.
 _SHIFT_SCRIPT = """
 import sys
+import numpy as np
 from primebounds import verify
 from primebounds.bounds import lookup
 from primebounds.errors import FastLaneMismatchError
@@ -663,13 +666,11 @@ real = verify._bound_float
 
 def shifted(spec, x, L, pw):
     vals, suspect = real(spec, x, L, pw)
-    vals = vals.copy()
-    vals[-1] = -1.0
-    return vals, suspect
+    return np.where((x <= 1000) | (x >= 9900), -1.0, vals), suspect
 
 verify._bound_float = shifted
 try:
-    verify.scan_claims([lookup("thm4.1.gap4")], 2, 10**4)
+    verify.scan_claims([lookup("thm4.1.gap4")], 2, 10**4, segment_odds=int(sys.argv[1]))
 except FastLaneMismatchError as exc:
     print(exc)
     sys.exit(0)
@@ -682,14 +683,14 @@ sys.exit(1)
 )
 def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch, segment_odds):
     # with 2**10 odds per segment [2, 10**4] spans five segments, and the
-    # first contradicted cell the scan-end confirmation meets lies in the first
+    # 64 retained fails are the 9 cells from 9900 on and the 55 highest up
+    # to 1000: the first the scan-end confirmation meets lies in the first
+    # segment, however far the last one is
     real = verify._bound_float
 
     def shifted(spec, x, L, pw):
         vals, suspect = real(spec, x, L, pw)
-        vals = vals.copy()
-        vals[-1] = -1.0
-        return vals, suspect
+        return np.where((x <= 1000) | (x >= 9900), -1.0, vals), suspect
 
     spec = lookup("thm4.1.gap4")
     assert _scan_one(spec, 2, 10**4).failures == 0
@@ -697,14 +698,14 @@ def test_fast_lane_contradicted_by_exact_recheck_raises(monkeypatch, segment_odd
     with pytest.raises(FastLaneMismatchError, match="thm4.1.gap4") as ei:
         _scan_one(spec, 2, 10**4, segment_odds=segment_odds)
     x = int(re.search(r"x = (\d+)", str(ei.value)).group(1))
-    assert x < 2 + 2 * segment_odds
+    assert x == sieve.primes_in_range(2, 1000)[-55]
 
 
 def test_fast_lane_cross_check_survives_optimisation():
     # python -O strips assert statements; the cross-check must still raise
     src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SHIFT_SCRIPT],
+        [sys.executable, "-O", "-c", _SHIFT_SCRIPT, str(2**10)],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
