@@ -94,7 +94,9 @@ _SCAN_S_PER_CLAIM_CELL = 7.4e-9
 # Accumulating the exact sums costs more per prime the higher the primes, as
 # each segment's sieve work grows with sqrt(x): one 2^23-wide segment took
 # 0.8e-7 s per prime at 1e9 and 5.9e-7 at 1e12 (same slow spell of the VM).
-# The price sits at the 1e10 figure, low for prefixes reaching 1e12.
+# The price sits at the 1e10 figure, low for prefixes reaching 1e12.  It is
+# the price in one process; sieve.pi_theta_at shares the prefix among
+# sieve.worker_count processes.
 _ACCUMULATE_S_PER_PRIME = 1.2e-7
 
 
@@ -116,7 +118,8 @@ def _estimate_minutes(
     if prefix_from is not None:
         # x / (log x - 1.1) bounds pi(x) from above for x >= 60184 (Dusart)
         a, b = (x / max(math.log(max(x, 2)) - 1.1, 1.0) for x in (prefix_from, lo - 1))
-        seconds += max(b - a, 0.0) * _ACCUMULATE_S_PER_PRIME
+        workers = sieve.worker_count(-(-max(lo - prefix_from, 0) // (2 * segment_odds)))
+        seconds += max(b - a, 0.0) * _ACCUMULATE_S_PER_PRIME / workers
     return seconds / 60.0
 
 

@@ -7,6 +7,13 @@ is integer addition, the state after consuming [2, x] is bitwise identical
 for every contiguous segmentation of the range, and checkpoint round-trips
 are lossless.
 
+So accumulation is range-additive: a segment's SegmentDelta depends on its
+primes alone, and state(b) = state(a).add(delta of (a, b]) exactly.
+AccumulatorState.add is the one fold rule.  pi_theta_at computes the deltas
+of its spans in a pool of forked processes, one per CPU in the affinity, and
+adds them in order, so its states and checkpoint lines are those of one
+process.
+
 sieve_segment marks only the values 6k + 1 and 6k + 5, starts from a
 pattern with the multiples of 5, 7, 11 and 13 already struck, and finds
 every other base prime's first multiple in numpy; the primes too large to
@@ -16,9 +23,9 @@ hit a segment twice are struck by one scatter.  A segment spans
 The four summed lanes are defined here alone: their per-prime terms
 (lane_terms), state fields and budget multipliers (LANES) and exact sums
 (lane_sum).  A segment sums each SUM_CHUNK of its primes exactly once,
-building their terms one chunk at a time (PrimeSegment.sums); accumulate
-adds the total, and the verifier restarts its float running sums from these
-partial sums at every chunk.
+building their terms one chunk at a time (PrimeSegment.sums); a segment's
+delta takes the total, and the verifier restarts its float running sums
+from these partial sums at every chunk.
 
 Per-term budgets, in binade units of the stored term (dyadic docstring):
 BUDGET_LOG for np.log outputs, BUDGET_RECIP for IEEE 1/p, BUDGET_QUOT for
@@ -33,8 +40,10 @@ import functools
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -45,6 +54,7 @@ from .errors import (
     ChecksumMismatchError,
     CheckpointFormatError,
     InvalidRangeError,
+    MismatchedStateError,
     NonContiguousSegmentError,
 )
 
@@ -277,6 +287,17 @@ def check_segment_odds(segment_odds: int) -> None:
         raise InvalidRangeError("segment size must be a power of two >= 1024 (odd numbers)")
 
 
+def _spans(lo: int, hi: int, segment_odds: int) -> Iterator[tuple[int, int]]:
+    """The cut rule of segments: contiguous [a, b] of 2 * segment_odds
+    integers covering [lo, hi], the last one shorter."""
+    span = 2 * segment_odds
+    a = lo
+    while a <= hi:
+        b = min(a + span - 1, hi)
+        yield a, b
+        a = b + 1
+
+
 def segments(
     lo: int, hi: int, segment_odds: int = DEFAULT_SEGMENT_ODDS, base: Optional[np.ndarray] = None
 ) -> Iterator[PrimeSegment]:
@@ -286,12 +307,8 @@ def segments(
     check_segment_odds(segment_odds)
     if base is None:
         base = base_primes(math.isqrt(hi))
-    span = 2 * segment_odds
-    a = lo
-    while a <= hi:
-        b = min(a + span - 1, hi)
+    for a, b in _spans(lo, hi, segment_odds):
         yield sieve_segment(a, b, base)
-        a = b + 1
 
 
 def next_prime(x: int) -> int:
@@ -347,6 +364,22 @@ class AccumulatorState:
             raise InvalidRangeError("anchor needs x >= 2 and pi >= 1")
         return cls(x=x, pi=pi, anchored=True)
 
+    def add(self, delta: "SegmentDelta") -> "AccumulatorState":
+        """The state after delta's primes, the one rule of every fold (pure).
+        An anchored state takes the count only."""
+        if delta.lo != self.x + 1:
+            raise NonContiguousSegmentError(
+                "segment starts at %d, state ends at %d" % (delta.lo, self.x)
+            )
+        if delta.hi > CAPACITY:
+            raise CapacityError("accumulation beyond 2**53")
+        if self.anchored:
+            return replace(self, x=delta.hi, pi=self.pi + delta.pi)
+        if delta.sums is None:
+            raise MismatchedStateError("a delta without sums cannot extend a state with sums")
+        sums = {f: getattr(self, f) + delta.sums[f] for f in _SUM_FIELDS}
+        return replace(self, x=delta.hi, pi=self.pi + delta.pi, **sums)
+
     def lane(self, name: str) -> tuple[int, int]:
         """Exact scaled (value, budget) of a summed lane (see LANES)."""
         vf, bf, _ = LANES[name]
@@ -397,30 +430,52 @@ def _power_terms(lo: int, hi: int, base: np.ndarray) -> tuple[int, int]:
     return v, b
 
 
+@dataclass(frozen=True)
+class SegmentDelta:
+    """What the primes of [lo, hi] add to an AccumulatorState, from those
+    primes alone: their count pi and, unless sums is None, the exact scaled
+    amount each of _SUM_FIELDS gains."""
+
+    lo: int
+    hi: int
+    pi: int
+    sums: Optional[dict[str, int]] = None
+
+
+# The state fields a delta's sums add to: the prime-power correction of psi
+# and the value and budget of each summed lane.
+_SUM_FIELDS = ("pp_v", "pp_b") + tuple(f for vf, bf, _ in LANES.values() for f in (vf, bf))
+
+
+def segment_delta(
+    segment: PrimeSegment, base: Optional[np.ndarray] = None, sums: bool = True
+) -> SegmentDelta:
+    """The segment's delta; with sums False only its prime count, and the
+    segment's lazy sums are never formed."""
+    pi = int(segment.primes.size)
+    if not sums:
+        return SegmentDelta(segment.lo, segment.hi, pi)
+    if base is None:
+        base = base_primes(math.isqrt(segment.hi))
+    pv, pb = _power_terms(segment.lo, segment.hi, base)
+    out = {"pp_v": pv, "pp_b": pb}
+    for lane, (vf, bf, _) in LANES.items():
+        out[vf], out[bf] = segment.sums[lane][-1]
+    return SegmentDelta(segment.lo, segment.hi, pi, out)
+
+
 def accumulate(state: AccumulatorState, segment: PrimeSegment) -> AccumulatorState:
     """Fold one contiguous segment into the state (pure)."""
-    if segment.lo != state.x + 1:
-        raise NonContiguousSegmentError(
-            "segment starts at %d, state ends at %d" % (segment.lo, state.x)
-        )
-    if segment.hi > CAPACITY:
-        raise CapacityError("accumulation beyond 2**53")
-    npinc = int(segment.primes.size)
-    if state.anchored:
-        return replace(state, x=segment.hi, pi=state.pi + npinc)
-    pv, pb = _power_terms(segment.lo, segment.hi, base_primes(math.isqrt(segment.hi)))
-    totals = {}
-    for lane, (vf, bf, _) in LANES.items():
-        v, b = segment.sums[lane][-1]
-        totals[vf], totals[bf] = getattr(state, vf) + v, getattr(state, bf) + b
-    return replace(
-        state,
-        x=segment.hi,
-        pi=state.pi + npinc,
-        pp_v=state.pp_v + pv,
-        pp_b=state.pp_b + pb,
-        **totals,
-    )
+    return state.add(segment_delta(segment, sums=not state.anchored))
+
+
+def _check_run(state: AccumulatorState, hi: int, segment_odds: int) -> None:
+    """The checks of every run that takes the state on to hi."""
+    check_segment_odds(segment_odds)
+    if state.config_digest != CONFIG_DIGEST:
+        raise ChecksumMismatchError("state built under a different numeric config")
+    if hi > CAPACITY:
+        raise CapacityError("range beyond 2**53")
 
 
 def accumulate_range(
@@ -429,37 +484,47 @@ def accumulate_range(
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
 ) -> Iterator[tuple[AccumulatorState, PrimeSegment, AccumulatorState]]:
     """Drive the state from state.x to hi, yielding (before, segment, after)."""
-    check_segment_odds(segment_odds)
-    if state.config_digest != CONFIG_DIGEST:
-        raise ChecksumMismatchError("state built under a different numeric config")
+    _check_run(state, hi, segment_odds)
     if hi <= state.x:
         return
-    if hi > CAPACITY:
-        raise CapacityError("range beyond 2**53")
     for seg in segments(max(state.x + 1, 2), hi, segment_odds):
         after = accumulate(state, seg)
         yield state, seg, after
         state = after
 
 
-def pi_theta_at(
-    x: int,
-    resume_from: Optional[AccumulatorState] = None,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
+def worker_count(spans: int) -> int:
+    """Processes pi_theta_at forks for that many segment spans: one per CPU
+    in this process's affinity, with at least two spans each.  1 means no
+    process at all, which is also the answer where the platform cannot fork
+    or other threads run, as a fork copies no thread but the caller's."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, spans // 2))
+
+
+def _span_delta(span: tuple[int, int], sums: bool) -> SegmentDelta:
+    """Sieve one span and return its delta: the work of one pool task.  The
+    base primes come from base_primes' cache, filled before any fork."""
+    lo, hi = span
+    base = base_primes(math.isqrt(hi))
+    return segment_delta(sieve_segment(lo, hi, base), base, sums)
+
+
+def _fold(
+    state: AccumulatorState,
+    deltas: Iterable[SegmentDelta],
+    checkpoint_path: Optional[str],
+    checkpoint_every: Optional[int],
 ) -> AccumulatorState:
-    """Accumulator state at x, optionally resuming and writing checkpoints."""
-    state = resume_from if resume_from is not None else AccumulatorState.initial()
-    if x < state.x:
-        raise InvalidRangeError("target %d below state at %d" % (x, state.x))
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise InvalidRangeError("checkpoint spacing must be at least 1, not %d" % checkpoint_every)
+    """Add the deltas in order, appending a checkpoint line once the state
+    is checkpoint_every past the last line, and one at the end."""
     next_mark = state.x + checkpoint_every if checkpoint_every else None
     fh = open(checkpoint_path, "a") if checkpoint_path else None
     try:
-        for _, _, after in accumulate_range(state, x, segment_odds):
-            state = after
+        for delta in deltas:
+            state = state.add(delta)
             if fh and next_mark is not None and state.x >= next_mark:
                 write_checkpoint(state, fh)
                 fh.flush()
@@ -469,6 +534,54 @@ def pi_theta_at(
     finally:
         if fh:
             fh.close()
+    return state
+
+
+def pi_theta_at(
+    x: int,
+    resume_from: Optional[AccumulatorState] = None,
+    segment_odds: int = DEFAULT_SEGMENT_ODDS,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
+) -> AccumulatorState:
+    """Accumulator state at x, optionally resuming and writing checkpoints.
+
+    The range is cut into spans by the rule of segments.  With
+    worker_count(spans) at 2 or more, a pool of that many forked processes
+    computes the spans' deltas; otherwise they are computed here.  Either
+    way the deltas are added in span order, so the state and the checkpoint
+    lines do not depend on the process count.  No process outlives the call.
+    """
+    state = resume_from if resume_from is not None else AccumulatorState.initial()
+    if x < state.x:
+        raise InvalidRangeError("target %d below state at %d" % (x, state.x))
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise InvalidRangeError("checkpoint spacing must be at least 1, not %d" % checkpoint_every)
+    _check_run(state, x, segment_odds)
+    lo = max(state.x + 1, 2)
+    spans = _spans(lo, x, segment_odds)  # lazy: never held as one list
+    base_primes(math.isqrt(x))  # fill the cache before any fork
+    work = functools.partial(_span_delta, sums=not state.anchored)
+    n = worker_count(len(range(lo, x + 1, 2 * segment_odds)))  # the number of spans
+    pool = None
+    try:
+        if n >= 2:
+            import multiprocessing  # here, not at the top: its import is slow
+
+            pool = multiprocessing.get_context("fork").Pool(n)
+            deltas = pool.imap(work, spans, chunksize=1)
+        else:
+            deltas = map(work, spans)
+        state = _fold(state, deltas, checkpoint_path, checkpoint_every)
+        if pool is not None:
+            pool.close()
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.join()
     return state
 
 

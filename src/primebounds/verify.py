@@ -834,6 +834,8 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
     kept, without enclosures, for confirmation at scan end.  The unsure
     cells are decided exactly.
     """
+    if not (fail_idx.size or unsure_idx.size):
+        return
     scan.tally.checked += fail_idx.size
     scan.tally.failures += fail_idx.size
     kept = fail_idx[-COUNTEREXAMPLE_CAP:]

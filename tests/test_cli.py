@@ -284,9 +284,10 @@ class TestExtendedGate:
         est_s = 60.0 * _estimate_minutes(lo, hi, n_claims)
         assert measured_s / 3 <= est_s <= measured_s * 3
 
-    def test_estimate_prices_the_accumulation_prefix(self, capsys):
+    def test_estimate_prices_the_accumulation_prefix(self, capsys, monkeypatch):
         # without --resume a theta claim first accumulates every prime below
-        # --from; gap claims scan without state
+        # --from; gap claims scan without state.  One process accumulates.
+        monkeypatch.setattr(sieve, "worker_count", lambda spans: 1)
         estimates = {}
         for bound_id in ("thm2.4.upper", "thm4.1.gap3"):
             argv = ["verify", "--bound", bound_id, "--from", str(10**12),
@@ -299,6 +300,22 @@ class TestExtendedGate:
         # a resumed state just below --from leaves nothing to accumulate
         lo, hi = 10**12, 10**12 + 10**6
         assert _estimate_minutes(lo, hi, 1, prefix_from=lo - 1) == _estimate_minutes(lo, hi, 1)
+
+    def test_estimate_shares_the_prefix_among_the_workers(self, monkeypatch):
+        lo, hi = 10**12, 10**12 + 10**6
+        seen, prefix_s = [], {}
+        for n in (1, 2):
+            def count(spans, n=n):
+                seen.append(spans)
+                return n
+
+            monkeypatch.setattr(sieve, "worker_count", count)
+            scan = _estimate_minutes(lo, hi, 1)
+            prefix_s[n] = 60 * (_estimate_minutes(lo, hi, 1, prefix_from=2) - scan)
+        # the prefix's spans, as pi_theta_at cuts (2, lo] into 2^23-wide spans
+        assert seen == [-(-(lo - 2) // (2 * sieve.DEFAULT_SEGMENT_ODDS))] * 2
+        assert prefix_s[1] >= 37_607_912_018 * 1.2e-7  # pi(10^12) primes
+        assert prefix_s[2] == pytest.approx(prefix_s[1] / 2)
 
 
 class TestEnvOverrides:

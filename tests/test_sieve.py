@@ -11,6 +11,8 @@ trial-division oracle, which the suite re-checks at the small end.
 import io
 import json
 import math
+import multiprocessing
+import threading
 
 import mpmath
 import numpy as np
@@ -25,6 +27,7 @@ from primebounds.errors import (
     CheckpointFormatError,
     ChecksumMismatchError,
     InvalidRangeError,
+    MismatchedStateError,
     NonContiguousSegmentError,
 )
 from primebounds.sieve import (
@@ -35,6 +38,7 @@ from primebounds.sieve import (
     next_prime,
     pi_theta_at,
     primes_in_range,
+    segment_delta,
     sieve_segment,
     simple_sieve,
 )
@@ -290,6 +294,133 @@ def test_anchored_state_tracks_pi_only():
     assert not state.sum_recip.is_finite()
     with pytest.raises(CheckpointFormatError):
         sieve.write_checkpoint(state, io.StringIO())
+
+
+# -- range-additive accumulation: pool, in-process, shards and resume -------
+
+# 1024-odd segments cut [2, 10**6] into 489 spans
+X, SMALL, EVERY = 10**6, 1 << 10, 10**5
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(sieve, "worker_count", lambda spans: n)
+
+
+def _checkpoint_run(monkeypatch, path, n, resume_from=None):
+    _workers(monkeypatch, n)
+    state = pi_theta_at(X, resume_from=resume_from, segment_odds=SMALL,
+                        checkpoint_path=str(path), checkpoint_every=EVERY)
+    return state, path.read_text().splitlines()
+
+
+def test_pool_and_in_process_runs_write_the_same_bytes(monkeypatch, tmp_path):
+    pool, pool_lines = _checkpoint_run(monkeypatch, tmp_path / "pool.jsonl", 2)
+    here, here_lines = _checkpoint_run(monkeypatch, tmp_path / "here.jsonl", 1)
+    assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
+    assert pool == here
+    assert pool.pi == PI_TABLE[X] and len(pool_lines) == 10
+    # the fold of accumulate over the same segments is the same state
+    folded = AccumulatorState.initial()
+    for _, _, folded in accumulate_range(folded, X, SMALL):
+        pass
+    assert folded == pool
+    assert not multiprocessing.active_children()
+
+
+def test_three_delta_shards_added_by_hand():
+    cuts = [(2, 333_333), (333_334, 765_432), (765_433, X)]
+    deltas = [segment_delta(sieve_segment(lo, hi)) for lo, hi in cuts]
+    state = AccumulatorState.initial()
+    for d in deltas:
+        state = state.add(d)
+    assert state == pi_theta_at(X, segment_odds=SMALL)
+    # a shard out of order, or without its sums, is refused
+    with pytest.raises(NonContiguousSegmentError):
+        AccumulatorState.initial().add(deltas[1])
+    with pytest.raises(MismatchedStateError):
+        AccumulatorState.initial().add(segment_delta(sieve_segment(2, 333_333), sums=False))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_resumed_run_repeats_the_single_pass(monkeypatch, tmp_path, n):
+    whole, lines = _checkpoint_run(monkeypatch, tmp_path / "whole.jsonl", n)
+    # interrupted after the fourth line; its x ends a span of the single pass
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[:4]) + "\n")
+    with open(cut) as fh:
+        mid = sieve.read_checkpoint(fh)
+    resumed, resumed_lines = _checkpoint_run(monkeypatch, cut, n, resume_from=mid)
+    assert resumed == whole
+    assert resumed_lines == lines
+
+
+def test_anchored_resume_through_the_pool_counts_only(monkeypatch):
+    def no_sums(*args):
+        raise AssertionError("an anchored run formed a sum")
+
+    monkeypatch.setattr(sieve, "lane_sum", no_sums)
+    monkeypatch.setattr(sieve, "_power_terms", no_sums)
+    _workers(monkeypatch, 2)
+    state = pi_theta_at(X, resume_from=AccumulatorState.anchored_at(10**5, PI_TABLE[10**5]),
+                        segment_odds=SMALL)
+    assert (state.x, state.pi, state.anchored) == (X, PI_TABLE[X], True)
+    assert not state.theta.is_finite()
+    assert not multiprocessing.active_children()
+
+
+def test_worker_error_reaches_the_caller_and_no_worker_survives(monkeypatch, tmp_path):
+    real = sieve.sieve_segment
+
+    def failing(lo, hi, base=None):
+        if lo > 5 * 10**5:
+            raise CapacityError("raised in a worker")
+        return real(lo, hi, base)
+
+    monkeypatch.setattr(sieve, "sieve_segment", failing)
+    _workers(monkeypatch, 2)
+    with pytest.raises(CapacityError, match="raised in a worker"):
+        pi_theta_at(X, segment_odds=SMALL, checkpoint_path=str(tmp_path / "run.jsonl"),
+                    checkpoint_every=EVERY)
+    assert not multiprocessing.active_children()
+
+
+def test_interrupt_in_the_parent_stops_the_pool(monkeypatch, tmp_path):
+    def interrupt(state, fh):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sieve, "write_checkpoint", interrupt)
+    _workers(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        pi_theta_at(X, segment_odds=SMALL, checkpoint_path=str(tmp_path / "run.jsonl"),
+                    checkpoint_every=EVERY)
+    assert not multiprocessing.active_children()
+
+
+def test_one_worker_starts_no_process(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    _workers(monkeypatch, 1)
+    assert pi_theta_at(X, segment_odds=SMALL).pi == PI_TABLE[X]
+
+
+def test_worker_count_follows_the_affinity(monkeypatch):
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert [sieve.worker_count(s) for s in (0, 1, 3, 4, 120)] == [1, 1, 1, 2, 2]
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sieve.worker_count(120) == 1
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:  # no fork while another thread runs
+        assert sieve.worker_count(120) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert sieve.worker_count(120) == 8
 
 
 def test_prime_navigation():
