@@ -93,6 +93,11 @@ class Enclosure:
     def __setattr__(self, name, value):
         raise AttributeError("Enclosure is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__, as unpickling slots by attribute writes
+        # would meet the immutability guard above
+        return Enclosure, (self.lo, self.hi)
+
     @classmethod
     def from_iv(cls, x) -> "Enclosure":
         a, b = x._mpi_

@@ -36,6 +36,7 @@ these budgets hold with a wide margin.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -494,14 +495,42 @@ def accumulate_range(
 
 
 def worker_count(spans: int) -> int:
-    """Processes pi_theta_at forks for that many segment spans: one per CPU
-    in this process's affinity, with at least two spans each.  1 means no
-    process at all, which is also the answer where the platform cannot fork
-    or other threads run, as a fork copies no thread but the caller's."""
+    """Processes to fork for that many segment spans: one per CPU in this
+    process's affinity, with at least two spans each.  1 means no process
+    at all, which is also the answer where the platform cannot fork, where
+    other threads run, as a fork copies no thread but the caller's, and
+    inside a pool worker, which may not start processes of its own."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, spans // 2))
+    n = max(1, min(cpus, spans // 2))
+    if n > 1:
+        import multiprocessing  # here, not at the top: its import is slow
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return n
+
+
+@contextlib.contextmanager
+def forked_map(n: int):
+    """A map over a pool of n forked processes, or the built-in map when n
+    is below 2.  Results come in the order of the items, and no process
+    outlives the block, whether it ends or raises."""
+    if n < 2:
+        yield map
+        return
+    import multiprocessing  # here, not at the top: its import is slow
+
+    pool = multiprocessing.get_context("fork").Pool(n)
+    try:
+        yield functools.partial(pool.imap, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
 
 
 def _span_delta(span: tuple[int, int], sums: bool) -> SegmentDelta:
@@ -563,25 +592,8 @@ def pi_theta_at(
     base_primes(math.isqrt(x))  # fill the cache before any fork
     work = functools.partial(_span_delta, sums=not state.anchored)
     n = worker_count(len(range(lo, x + 1, 2 * segment_odds)))  # the number of spans
-    pool = None
-    try:
-        if n >= 2:
-            import multiprocessing  # here, not at the top: its import is slow
-
-            pool = multiprocessing.get_context("fork").Pool(n)
-            deltas = pool.imap(work, spans, chunksize=1)
-        else:
-            deltas = map(work, spans)
-        state = _fold(state, deltas, checkpoint_path, checkpoint_every)
-        if pool is not None:
-            pool.close()
-    except BaseException:
-        if pool is not None:
-            pool.terminate()
-        raise
-    finally:
-        if pool is not None:
-            pool.join()
+    with forked_map(n) as pmap:
+        state = _fold(state, pmap(work, spans), checkpoint_path, checkpoint_every)
     return state
 
 

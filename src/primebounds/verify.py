@@ -81,6 +81,17 @@ than Fail raises FastLaneMismatchError.  So the cross-check confirms
 exactly the retained counterexamples, whatever the segmentation.
 Counterexamples record the compared enclosures.
 
+A claim's result never depends on which other claims are scanned with it.
+So scan_claims folds the exact state up to range_lo once (on
+sieve.pi_theta_at's pool), then scans the claims in up to two groups by
+what the sieve must supply: the summed lanes need each segment's exact
+sums, the pi and gap lanes only its primes, and a group of those folds
+counts only.  When sieve.worker_count allows two processes for the scan's
+segment spans, each group plans, streams its segments, confirms its fails
+and resolves its crossings in a forked process; otherwise all claims form
+one group here.  Either way the results come back in the order of the
+claims, identical.
+
 scan_claims is the one public scan entry point.
 """
 
@@ -91,7 +102,7 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -152,6 +163,9 @@ _MARGIN = {
     "log1m": 1e-10,
     "gap": 1e-3,
 }
+
+# The lanes whose quantities need prime counts only, no exact sums.
+_COUNT_LANES = {"pi", "gap"}
 
 _LANE_OF_KIND = {
     BoundKind.THETA_ENVELOPE: "theta",
@@ -712,53 +726,6 @@ class _SegmentData:
         return lambda prec: enc
 
 
-def _scan(
-    specs: Sequence[BoundSpec],
-    range_lo: int,
-    range_hi: int,
-    state: Optional[AccumulatorState],
-    segment_odds: int,
-) -> list[_SpecScan]:
-    if range_lo < 2 or range_hi < range_lo:
-        raise InvalidRangeError("need 2 <= range_lo <= range_hi")
-    if not specs:
-        raise InvalidRangeError("nothing to verify")
-    if range_hi >= sieve.LAST_PRIME:
-        raise CapacityError(
-            "range_hi must be below %d, the largest prime below 2**53, as the "
-            "last cell needs the prime after it" % sieve.LAST_PRIME
-        )
-
-    plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
-    lanes = {p.lane for p in plans}
-    # the last cell's successor, which is never a base
-    top = sieve.next_prime(range_hi)
-
-    if lanes != {"gap"}:
-        if state is None:
-            state = AccumulatorState.initial()
-        if state.x + 1 > range_lo:
-            raise MismatchedStateError(
-                "state is already at %d, past range start %d" % (state.x, range_lo)
-            )
-        if state.anchored and lanes - {"pi", "gap"}:
-            raise MismatchedStateError("anchored states carry pi only")
-        state = sieve.pi_theta_at(range_lo, resume_from=state, segment_odds=segment_odds)
-        segs = sieve.accumulate_range(state, top, segment_odds)
-    else:  # the states stay None on the prime-only path
-        segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
-
-    scans = [_SpecScan(p) for p in plans]
-    base = range_lo
-    for before, seg, _ in segs:
-        data = _SegmentData(before, base, seg)
-        _scan_segment(scans, data)
-        base = int(data.p[-1])
-    for scan in scans:
-        scan.confirm()
-    return scans
-
-
 def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
     """Decide the cell [p[i], p[i + 1]) exactly and record its verdict."""
     base, succ = int(data.p[i]), int(data.p[i + 1])
@@ -780,11 +747,14 @@ def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
     return (q, f, suspect) if plan.lower else (f, q, suspect)
 
 
-def _cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The cells of the disjoint runs [a, b), ascending."""
+def _cells(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The last k cells of the disjoint runs [a, b), ascending.  Only the
+    fewest top runs that hold them are expanded."""
     order = np.argsort(a)
     a, n = a[order], (b - a)[order]
-    return np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum(), dtype=np.int64)
+    m = min(int(np.searchsorted(np.cumsum(n[::-1]), k)) + 1, a.size)
+    a, n = a[a.size - m :], n[a.size - m :]
+    return (np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum(), dtype=np.int64))[-k:]
 
 
 def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
@@ -796,8 +766,9 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
     their best margin max(big) - min(small) is below -plan.delta, and are
     otherwise, or with a suspect end, halved; an undecided single cell is
     unsure.  Both ends of every run of a level are read in one _sides call.
-    Certain passes go straight to the tally; returns the ascending segment
-    indices of the certain fails and of the unsure cells.
+    Certain passes go straight to the tally; returns the runs that failed
+    whole as the arrays (a, b) of the runs [a, b), and the ascending
+    segment indices of the unsure cells.
     """
     plan = scan.plan
     a = np.arange(start // _BLOCK * _BLOCK, cut, _BLOCK, dtype=np.int64)
@@ -824,21 +795,23 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
         a, b = a[rest], b[rest]
         m = (a + b) // 2
         a, b = np.concatenate((a, m)), np.concatenate((m, b))
-    return _cells(np.concatenate(fail_a), np.concatenate(fail_b)), np.sort(np.concatenate(unsure))
+    return np.concatenate(fail_a), np.concatenate(fail_b), np.sort(np.concatenate(unsure))
 
 
-def _settle(scan: _SpecScan, data: _SegmentData, fail_idx, unsure_idx):
-    """Phase 2: one claim's certain fails and unsure cells, in ascending order.
+def _settle(scan: _SpecScan, data: _SegmentData, fail_a, fail_b, unsure_idx):
+    """Phase 2: one claim's certain-fail runs [fail_a, fail_b) and unsure cells.
 
-    The certain fails are counted; the last COUNTEREXAMPLE_CAP of them are
-    kept, without enclosures, for confirmation at scan end.  The unsure
-    cells are decided exactly.
+    The certain fails are counted off the runs' lengths; only the last
+    COUNTEREXAMPLE_CAP of them are expanded into cells and kept, without
+    enclosures, for confirmation at scan end.  The unsure cells are decided
+    exactly, in ascending order with the kept fails.
     """
-    if not (fail_idx.size or unsure_idx.size):
+    failures = int((fail_b - fail_a).sum())
+    if not (failures or unsure_idx.size):
         return
-    scan.tally.checked += fail_idx.size
-    scan.tally.failures += fail_idx.size
-    kept = fail_idx[-COUNTEREXAMPLE_CAP:]
+    scan.tally.checked += failures
+    scan.tally.failures += failures
+    kept = _cells(fail_a, fail_b, COUNTEREXAMPLE_CAP)
     certain = set(kept.tolist())
     for i in np.union1d(kept, unsure_idx).tolist():
         if i in certain:
@@ -930,6 +903,55 @@ def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
     return CrossingResult(largest_failing_x=last.base, implied_threshold=implied)
 
 
+def _scan_group(
+    specs: Sequence[BoundSpec],
+    range_lo: int,
+    range_hi: int,
+    top: int,
+    state: Optional[AccumulatorState],
+    segment_odds: int,
+    resolve_crossings: bool,
+) -> list[ClaimScan]:
+    """Scan one group of claims over (range_lo, top]: the work of one pool task.
+
+    state is the exact state at range_lo, or None when no claim of the scan
+    needs one.  A group on the pi and gap lanes alone folds counts only, so
+    its segments never form their sums, and a gap-only group folds nothing.
+    The reports carry no wall time.
+    """
+    plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
+    lanes = {p.lane for p in plans}
+    if lanes == {"gap"}:  # the prime-only path: no state at all
+        segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
+    else:
+        if lanes <= _COUNT_LANES and not state.anchored:
+            state = AccumulatorState.anchored_at(state.x, state.pi)
+        segs = sieve.accumulate_range(state, top, segment_odds)
+
+    scans = [_SpecScan(p) for p in plans]
+    base = range_lo
+    for before, seg, _ in segs:
+        data = _SegmentData(before, base, seg)
+        _scan_segment(scans, data)
+        base = int(data.p[-1])
+    out = []
+    for scan in scans:
+        scan.confirm()
+        report = VerificationReport(
+            bound_id=scan.plan.spec.id,
+            range_lo=range_lo,
+            range_hi=range_hi,
+            checked=scan.tally.checked,
+            passes=scan.tally.passes,
+            failures=scan.tally.failures,
+            indeterminates=scan.tally.indeterminates,
+            counterexamples=tuple(Counterexample(f.base, f.lhs, f.rhs) for f in scan.fails),
+        )
+        crossing = _resolve_crossing(scan) if resolve_crossings else None
+        out.append(ClaimScan(report=report, crossing=crossing))
+    return out
+
+
 def scan_claims(
     specs: Sequence[BoundSpec],
     range_lo: int,
@@ -944,25 +966,64 @@ def scan_claims(
     Each claim gets its own report; when it failed anywhere and
     resolve_crossings is set, the largest failing cell is resolved into a
     CrossingResult with the threshold the data implies.
+
+    Claims do not depend on each other once the state at range_lo is
+    folded, which happens here first.  So when sieve.worker_count gives two
+    or more processes for the scan's segment spans, the claims on the summed
+    lanes and those on the pi and gap lanes scan as two groups in forked
+    processes, and the results come back in the order of specs: the same as
+    one group in this process.  Every report carries the wall time of the
+    whole call.
     """
     t0 = time.monotonic()
-    scans = _scan(specs, range_lo, range_hi, state, segment_odds)
-    wall = time.monotonic() - t0
-    out = []
-    for scan in scans:
-        report = VerificationReport(
-            bound_id=scan.plan.spec.id,
-            range_lo=range_lo,
-            range_hi=range_hi,
-            checked=scan.tally.checked,
-            passes=scan.tally.passes,
-            failures=scan.tally.failures,
-            indeterminates=scan.tally.indeterminates,
-            counterexamples=tuple(Counterexample(f.base, f.lhs, f.rhs) for f in scan.fails),
-            wall_time=wall,
+    if range_lo < 2 or range_hi < range_lo:
+        raise InvalidRangeError("need 2 <= range_lo <= range_hi")
+    if not specs:
+        raise InvalidRangeError("nothing to verify")
+    if range_hi >= sieve.LAST_PRIME:
+        raise CapacityError(
+            "range_hi must be below %d, the largest prime below 2**53, as the "
+            "last cell needs the prime after it" % sieve.LAST_PRIME
         )
-        crossing = _resolve_crossing(scan) if resolve_crossings else None
-        out.append(ClaimScan(report=report, crossing=crossing))
+    lanes = [_LANE_OF_KIND[spec.kind] for spec in specs]
+    if set(lanes) != {"gap"}:
+        if state is None:
+            state = AccumulatorState.initial()
+        if state.x + 1 > range_lo:
+            raise MismatchedStateError(
+                "state is already at %d, past range start %d" % (state.x, range_lo)
+            )
+        if state.anchored and set(lanes) - _COUNT_LANES:
+            raise MismatchedStateError("anchored states carry pi only")
+        state = sieve.pi_theta_at(range_lo, resume_from=state, segment_odds=segment_odds)
+    else:
+        state = None
+    # the last cell's successor, which is never a base; it also fills the
+    # base prime cache before any fork
+    top = sieve.next_prime(range_hi)
+
+    summed = [i for i, lane in enumerate(lanes) if lane not in _COUNT_LANES]
+    counted = [i for i, lane in enumerate(lanes) if lane in _COUNT_LANES]
+    groups = [g for g in (summed, counted) if g]
+    n = min(sieve.worker_count(len(range(range_lo + 1, top + 1, 2 * segment_odds))), len(groups))
+    if n < 2:
+        groups = [list(range(len(specs)))]
+    work = functools.partial(
+        _scan_group,
+        range_lo=range_lo,
+        range_hi=range_hi,
+        top=top,
+        state=state,
+        segment_odds=segment_odds,
+        resolve_crossings=resolve_crossings,
+    )
+    with sieve.forked_map(n) as pmap:
+        results = list(pmap(work, [[specs[i] for i in g] for g in groups]))
+    wall = time.monotonic() - t0
+    out: list[Optional[ClaimScan]] = [None] * len(specs)
+    for group, claims in zip(groups, results):
+        for i, claim in zip(group, claims):
+            out[i] = replace(claim, report=replace(claim.report, wall_time=wall))
     return tuple(out)
 
 

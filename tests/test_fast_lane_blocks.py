@@ -28,24 +28,32 @@ _GAP_IDS = ["thm4.1.gap3", "thm4.1.gap4", "eq4.2.gap", "eq4.3.gap"]
 _BLOCK = verify._BLOCK
 
 
+def _expand(a, b):
+    """The cells of the runs [a, b), ascending."""
+    cells = [np.arange(x, y, dtype=np.int64) for x, y in zip(a.tolist(), b.tolist())]
+    return np.sort(np.concatenate(cells)) if cells else a[:0]
+
+
 def _recorded_scan(monkeypatch, block, specs, lo, hi, **kw):
     """Scan at the given first run length; also return what _triage returned.
 
     Returns (claims, triaged, evaluated): triaged lists, per segment, the
     (claim id, fast-lane start, fail indices, unsure indices) of every
     fast-lane claim, and evaluated counts the float bound values computed.
+    The recording needs the scan in this process (the one_process fixture).
     """
     monkeypatch.setattr(verify, "_BLOCK", block)
     triaged, evaluated, last = [], [0], [None]
     real_triage, real_bound = verify._triage, verify._bound_float
 
     def triage(scan, data, start, cut):
-        fails, unsure = real_triage(scan, data, start, cut)
+        fail_a, fail_b, unsure = real_triage(scan, data, start, cut)
+        assert fail_a.dtype == fail_b.dtype == np.int64
         if last[0] is not data:  # a new segment
             last[0] = data
             triaged.append([])
-        triaged[-1].append((scan.plan.spec.id, start, fails.copy(), unsure.copy()))
-        return fails, unsure
+        triaged[-1].append((scan.plan.spec.id, start, _expand(fail_a, fail_b), unsure.copy()))
+        return fail_a, fail_b, unsure
 
     def bound_float(spec, x, L, pw):
         evaluated[0] += x.size
@@ -86,17 +94,20 @@ def _assert_matches_oracle(monkeypatch, specs, lo, hi, **kw):
 
 
 @pytest.mark.parametrize("segment_odds", [2**20, 2**12])
+@pytest.mark.usefixtures("one_process")
 def test_blocks_match_cell_oracle_on_desk_claims(monkeypatch, segment_odds):
     specs = [lookup(i) for i in _DESK_IDS]
     claims, _ = _assert_matches_oracle(monkeypatch, specs, 2, 2 * 10**6, segment_odds=segment_odds)
     assert sum(c.report.failures > 0 for c in claims) >= 3
 
 
+@pytest.mark.usefixtures("one_process")
 def test_blocks_match_cell_oracle_on_gap_claims_at_1e12(monkeypatch):
     specs = [lookup(i) for i in _GAP_IDS]
     _assert_matches_oracle(monkeypatch, specs, 10**12, 10**12 + 10**6)
 
 
+@pytest.mark.usefixtures("one_process")
 def test_blocks_match_cell_oracle_on_anchored_pi_window(monkeypatch):
     # pi(19035709163) = 841508302 anchors a pure pi-lane window
     lo, hi = 19_033_744_403, 19_035_709_163
@@ -106,6 +117,7 @@ def test_blocks_match_cell_oracle_on_anchored_pi_window(monkeypatch):
     assert claim.report.passes == k
 
 
+@pytest.mark.usefixtures("one_process")
 def test_runs_that_fail_whole_are_decided_from_their_ends(monkeypatch):
     # prop5.1.upper fails at every cell here, and most runs of the first
     # grid fail whole on their two end cells
@@ -134,6 +146,7 @@ def _segment(lo, hi, n_primes=None, state=True):
 def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_only=False):
     """One claim triaged on [start, cut): (scan, fails, unsure, reads).
 
+    fails lists the cells of the runs that failed whole.
     reads lists, per level, the cells whose two sides _triage read.  With
     first_runs_only every level after the first sees a zero margin, so its
     runs are never decided and their cells end unsure: the passes and fails
@@ -154,10 +167,11 @@ def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_o
 
     monkeypatch.setattr(verify, "_sides", sides)
     try:
-        fails, unsure = verify._triage(scan, data, start, cut)
+        fail_a, fail_b, unsure = verify._triage(scan, data, start, cut)
     finally:
         monkeypatch.setattr(verify, "_sides", real)
-    return scan, fails, unsure, reads
+    assert fail_a.dtype == fail_b.dtype == np.int64
+    return scan, _expand(fail_a, fail_b), unsure, reads
 
 
 def _assert_triage_matches_oracle(monkeypatch, spec, data, start, cut, lo, hi, block=8):
@@ -266,7 +280,7 @@ def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     assert scan.tally.passes == cut
     assert fails.dtype == unsure.dtype == np.int64
     assert fails.size == unsure.size == 0
-    verify._settle(scan, data, fails, unsure)
+    verify._settle(scan, data, fails, fails, unsure)  # no fail runs
     assert scan.tally.checked == scan.tally.passes == cut
     assert not scan.fails
 
@@ -333,3 +347,20 @@ def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
     )
     assert fails.tolist() == marked
     assert np.isin(marked, pending).all()
+
+
+def test_settle_counts_fail_runs_and_keeps_only_the_last_cells():
+    # three fail runs, unsorted, of 10, 100 and 10 cells: all 120 are
+    # counted, and the kept ones are the last 64 of their union
+    lo, hi = 10**6, 10**6 + 10**5
+    data = _segment(lo, hi)
+    a = np.array([200, 0, 150], dtype=np.int64)
+    b = np.array([210, 100, 160], dtype=np.int64)
+    last = np.concatenate([np.arange(56, 100), np.arange(150, 160), np.arange(200, 210)])
+    np.testing.assert_array_equal(verify._cells(a, b, verify.COUNTEREXAMPLE_CAP), last)
+    np.testing.assert_array_equal(verify._cells(a[:1], b[:1], 64), np.arange(200, 210))
+    assert verify._cells(a[:0], b[:0], 64).size == 0
+    scan = verify._SpecScan(verify._make_plan(lookup("thm3.2.upper"), lo, hi))
+    verify._settle(scan, data, a, b, np.empty(0, dtype=np.int64))
+    assert scan.tally.checked == scan.tally.failures == 120
+    assert [f.base for f in scan.fails] == data.p[last].astype(np.int64).tolist()

@@ -541,6 +541,7 @@ def test_composite_shard_start_adds_leading_window_check():
     assert merge_reports(a, b).checked == whole.checked + 1
 
 
+@pytest.mark.usefixtures("one_process")
 def test_tiling_and_segmentation_do_not_change_results(monkeypatch):
     # one 2**20-odd segment holds all 148,933 prime cells of [2, 2e6], so
     # the fast lane rebases its running totals in three chunks of it; 2**12-odd
@@ -803,6 +804,7 @@ def test_pair_trick_matches_direct_definition_on_random_points():
     assert rep.failures == 0 and rep.indeterminates == 0
 
 
+@pytest.mark.usefixtures("one_process")
 def test_public_names_resolve_and_scans_call_eval_bound_by_module_name(monkeypatch):
     for name in verify.__all__:
         assert hasattr(verify, name), name
