@@ -82,12 +82,13 @@ exactly the retained counterexamples, whatever the segmentation.
 Counterexamples record the compared enclosures.
 
 A claim's result never depends on which other claims are scanned with it.
-So scan_claims folds the exact state up to range_lo once (on
-sieve.pi_theta_at's pool), then scans the claims in up to two groups by
-what the sieve must supply: the summed lanes need each segment's exact
-sums, the pi and gap lanes only its primes, and a group of those folds
-counts only.  When sieve.worker_count allows two processes for the scan's
-segment spans, each group plans, streams its segments, confirms its fails
+So scan_claims plans every claim, folds the exact state up to range_lo
+once (on sieve.pi_theta_at's pool), then scans the claims in up to two
+groups by what the sieve must supply: the summed lanes need each segment's
+exact sums, the pi and gap lanes only its primes, and a group of those
+folds counts only.  When sieve.worker_count allows two processes for the
+scan's segment spans and the smaller group holds enough work to pay for a
+fork (_FORK_MIN_WORK), each group streams its segments, confirms its fails
 and resolves its crossings in a forked process; otherwise all claims form
 one group here.  Either way the results come back in the order of the
 claims, identical.
@@ -166,6 +167,15 @@ _MARGIN = {
 
 # The lanes whose quantities need prime counts only, no exact sums.
 _COUNT_LANES = {"pi", "gap"}
+
+# Least work, in claims times estimated cells of the smaller claim group,
+# for which scanning the two groups in forked processes beats one process.
+# Below it the fork, the second sieve pass and the two processes' contention
+# cost more than the smaller group's cells save (measured on 2 CPUs: one
+# theta and one pi claim on [2, 5e7] lose 0.014 s of 0.33 s by forking, four
+# and four on [2, 1e8] gain 0.03 s of 0.82 s, the 22 desk claims to 1e8 gain
+# 0.3 s of 1.7 s).
+_FORK_MIN_WORK = 2 * 10**7
 
 _LANE_OF_KIND = {
     BoundKind.THETA_ENVELOPE: "theta",
@@ -904,7 +914,7 @@ def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
 
 
 def _scan_group(
-    specs: Sequence[BoundSpec],
+    plans: Sequence[_Plan],
     range_lo: int,
     range_hi: int,
     top: int,
@@ -912,14 +922,13 @@ def _scan_group(
     segment_odds: int,
     resolve_crossings: bool,
 ) -> list[ClaimScan]:
-    """Scan one group of claims over (range_lo, top]: the work of one pool task.
+    """Scan one group of planned claims over (range_lo, top]: one pool task.
 
     state is the exact state at range_lo, or None when no claim of the scan
     needs one.  A group on the pi and gap lanes alone folds counts only, so
     its segments never form their sums, and a gap-only group folds nothing.
     The reports carry no wall time.
     """
-    plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
     lanes = {p.lane for p in plans}
     if lanes == {"gap"}:  # the prime-only path: no state at all
         segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
@@ -967,13 +976,15 @@ def scan_claims(
     resolve_crossings is set, the largest failing cell is resolved into a
     CrossingResult with the threshold the data implies.
 
-    Claims do not depend on each other once the state at range_lo is
-    folded, which happens here first.  So when sieve.worker_count gives two
-    or more processes for the scan's segment spans, the claims on the summed
-    lanes and those on the pi and gap lanes scan as two groups in forked
-    processes, and the results come back in the order of specs: the same as
-    one group in this process.  Every report carries the wall time of the
-    whole call.
+    Every claim is planned first, so one that cannot be planned fails
+    before anything is sieved.  Claims do not depend on each other once the
+    state at range_lo is folded, which happens next.  So when
+    sieve.worker_count gives two or more processes for the scan's segment
+    spans and the smaller group holds _FORK_MIN_WORK, the claims on the
+    summed lanes and those on the pi and gap lanes scan as two groups in
+    forked processes, and the results come back in the order of specs: the
+    same as one group in this process.  Every report carries the wall time
+    of the whole call.
     """
     t0 = time.monotonic()
     if range_lo < 2 or range_hi < range_lo:
@@ -985,7 +996,9 @@ def scan_claims(
             "range_hi must be below %d, the largest prime below 2**53, as the "
             "last cell needs the prime after it" % sieve.LAST_PRIME
         )
-    lanes = [_LANE_OF_KIND[spec.kind] for spec in specs]
+    # planned before the fold, so that an unplannable claim fails at once
+    plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
+    lanes = [p.lane for p in plans]
     if set(lanes) != {"gap"}:
         if state is None:
             state = AccumulatorState.initial()
@@ -1005,7 +1018,11 @@ def scan_claims(
     summed = [i for i, lane in enumerate(lanes) if lane not in _COUNT_LANES]
     counted = [i for i, lane in enumerate(lanes) if lane in _COUNT_LANES]
     groups = [g for g in (summed, counted) if g]
-    n = min(sieve.worker_count(len(range(range_lo + 1, top + 1, 2 * segment_odds))), len(groups))
+    cells = (top - range_lo) / math.log(top)  # the prime number theorem's estimate
+    n = 1
+    # the work first: worker_count may import multiprocessing
+    if len(groups) == 2 and min(map(len, groups)) * cells >= _FORK_MIN_WORK:
+        n = min(sieve.worker_count(len(range(range_lo + 1, top + 1, 2 * segment_odds))), 2)
     if n < 2:
         groups = [list(range(len(specs)))]
     work = functools.partial(
@@ -1018,7 +1035,7 @@ def scan_claims(
         resolve_crossings=resolve_crossings,
     )
     with sieve.forked_map(n) as pmap:
-        results = list(pmap(work, [[specs[i] for i in g] for g in groups]))
+        results = list(pmap(work, [[plans[i] for i in g] for g in groups]))
     wall = time.monotonic() - t0
     out: list[Optional[ClaimScan]] = [None] * len(specs)
     for group, claims in zip(groups, results):

@@ -1,11 +1,13 @@
 """Scans whose claim groups run in forked processes, and what crosses a fork.
 
 scan_claims scans the claims on the summed lanes and those on the pi and
-gap lanes in two forked processes when sieve.worker_count allows two.  The
-reports and crossings must be those of one process, no process may outlive
-a scan, and a worker's error must reach the caller with its type.
+gap lanes in two forked processes when sieve.worker_count allows two and
+the smaller group holds verify._FORK_MIN_WORK.  The reports and crossings
+must be those of one process, no process may outlive a scan, and a
+worker's error must reach the caller with its type.
 """
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -15,12 +17,13 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from primebounds import proofkit, sieve, verify
 from primebounds.bounds import lookup, registry_list
 from primebounds.enclosure import Enclosure
-from primebounds.errors import NoCertificateError
+from primebounds.errors import FastLaneMismatchError, NoCertificateError
 from primebounds.verify import report_to_json, scan_claims
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
@@ -32,6 +35,19 @@ def _json(claim):
 
 def _desk_specs():
     return [s for s in registry_list() if s.status == "claimed_paper" and s.threshold_x0 <= 10**8]
+
+
+@pytest.fixture
+def maps(monkeypatch):
+    """The n of every sieve.forked_map call, in order."""
+    real_map, ns = sieve.forked_map, []
+
+    def forked_map(n):
+        ns.append(n)
+        return real_map(n)
+
+    monkeypatch.setattr(sieve, "forked_map", forked_map)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +125,12 @@ def test_worker_count_is_one_inside_a_pool_worker(monkeypatch):
 
 
 @needs_fork
-def test_two_processes_give_the_reports_of_one(monkeypatch):
-    # the 22 desk claims on [2, 10^7], 2^18-odd segments: about twenty spans
+def test_two_processes_give_the_reports_of_one(monkeypatch, maps):
+    # the 22 desk claims on [2, 10^7], 2^18-odd segments: about twenty
+    # spans, and a fork whatever the work
     specs = _desk_specs()
     assert len(specs) == 22
-    real_map, maps = sieve.forked_map, []
-
-    def forked_map(n):
-        maps.append(n)
-        return real_map(n)
-
-    monkeypatch.setattr(sieve, "forked_map", forked_map)
+    monkeypatch.setattr(verify, "_FORK_MIN_WORK", 0)
     runs = {}
     for n in (2, 1):
         monkeypatch.setattr(sieve, "worker_count", lambda spans, n=n: n)
@@ -136,20 +147,64 @@ def test_two_processes_give_the_reports_of_one(monkeypatch):
 
 
 @needs_fork
-def test_a_worker_error_keeps_its_type_and_leaves_no_process(monkeypatch):
-    # thm2.4.upper (theta) loses its certificate, and the range is too wide
-    # to scan without one; thm3.2.upper (pi) scans in the other worker
+def test_a_worker_error_keeps_its_type_and_leaves_no_process(monkeypatch, maps):
+    # the fast lane fails every cell of thm2.4.upper (theta) that the exact
+    # recheck passes, so its worker raises when it confirms its kept fails;
+    # thm3.2.upper (pi) scans in the other worker
+    real = verify._bound_float
+
+    def shifted(spec, x, L, pw):
+        vals, suspect = real(spec, x, L, pw)
+        return (np.full_like(vals, -1.0) if spec.id == "thm2.4.upper" else vals), suspect
+
+    monkeypatch.setattr(verify, "_bound_float", shifted)
+    monkeypatch.setattr(sieve, "worker_count", lambda spans: 2)
+    monkeypatch.setattr(verify, "_FORK_MIN_WORK", 0)
+    specs = [lookup("thm3.2.upper"), lookup("thm2.4.upper")]
+    with pytest.raises(FastLaneMismatchError, match="thm2.4.upper"):
+        scan_claims(specs, 2, 10**6, segment_odds=2**12)
+    assert maps[-1] == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_an_unplannable_claim_fails_before_anything_is_sieved(monkeypatch):
+    # thm2.4.upper loses its certificate, and the range is too wide to scan
+    # without one: the scan refuses before the prefix fold to range_lo
     real = proofkit.certified_start
 
     def certified_start(spec, lo, hi):
         return None if spec.id == "thm2.4.upper" else real(spec, lo, hi)
 
+    def refuse(*args, **kw):
+        raise AssertionError("a segment was sieved before the plans")
+
     monkeypatch.setattr(proofkit, "certified_start", certified_start)
+    monkeypatch.setattr(sieve, "sieve_segment", refuse)
     monkeypatch.setattr(sieve, "worker_count", lambda spans: 2)
     specs = [lookup("thm3.2.upper"), lookup("thm2.4.upper")]
     with pytest.raises(NoCertificateError, match="thm2.4.upper"):
-        scan_claims(specs, 2, 10**6, segment_odds=2**12)
-    assert multiprocessing.active_children() == []
+        scan_claims(specs, 10**7, 2 * 10**7)
+
+
+def test_light_scans_stay_in_one_process(monkeypatch):
+    # one theta and one pi claim on [2, 5*10^7]: six default spans, so two
+    # processes are allowed, but the smaller group is one claim over about
+    # 2.8 million cells, too little to pay for a fork.  The nine and
+    # thirteen desk claims over 5.4 million cells to 10^8 are enough.  The
+    # map stands in for the scan, so nothing is sieved.
+    ns = []
+
+    @contextlib.contextmanager
+    def forked_map(n):
+        ns.append(n)
+        yield lambda work, items: []
+
+    monkeypatch.setattr(sieve, "forked_map", forked_map)
+    monkeypatch.setattr(sieve, "worker_count", lambda spans: 2 if spans >= 4 else 1)
+    scan_claims([lookup("thm2.4.upper"), lookup("prop3.6.upper")], 2, 5 * 10**7)
+    assert ns[-1] == 1
+    scan_claims(_desk_specs(), 2, 10**8)
+    assert ns[-1] == 2
 
 
 @pytest.mark.usefixtures("one_process")
