@@ -33,7 +33,6 @@ from .verify import VerificationReport, exit_code_for, report_to_json
 
 EXTENDED_RANGE_LIMIT = 10**9
 
-ENV_SEGMENT_ODDS = "PRIMEBOUNDS_SEGMENT_ODDS"
 ENV_CHECKPOINT_DIR = "PRIMEBOUNDS_CHECKPOINT_DIR"
 
 _USAGE_EXIT = 3
@@ -477,11 +476,6 @@ class _UsageError(Exception):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="primebounds", description=__doc__.splitlines()[0])
-    env_odds = os.environ.get(ENV_SEGMENT_ODDS, str(sieve.DEFAULT_SEGMENT_ODDS))
-    try:
-        segment_odds = int(env_odds)
-    except ValueError:
-        raise InvalidRangeError("%s must be an integer, not %r" % (ENV_SEGMENT_ODDS, env_odds)) from None
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, bounds=False, many_bounds=False, sieves=False, starts=False):
@@ -501,7 +495,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--to", dest="range_hi", type=int, default=None)
             sp.add_argument(
                 "--segment-size", type=int, dest="segment_odds",
-                default=segment_odds,
+                default=sieve.DEFAULT_SEGMENT_ODDS,
                 help="odd numbers per sieve segment (power of two, at least 1024)",
             )
             sp.add_argument("--extended", action="store_true")

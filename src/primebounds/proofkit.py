@@ -5,9 +5,9 @@ cheap to state but easy to get wrong numerically: a polynomial in y = log x
 stays positive on a ray, a rational bound is monotone past its threshold, a
 zero-counting expression stays below a target, two elementary expressions
 cross exactly once near a hinted location.  This module certifies those
-facts with exact rational arithmetic (Sturm sequences over Fraction) or
-directed interval arithmetic, and returns machine-checkable certificate
-objects rather than bare booleans.
+facts with exact arithmetic (Sturm sequences over integer coefficients,
+rational witnesses) or directed interval arithmetic, and returns
+machine-checkable certificate objects rather than bare booleans.
 
 Contents:
 
@@ -15,7 +15,8 @@ Contents:
 * sturm_positive_on_ray -- decide sign of a polynomial on [a, infinity)
   with an exact rational refutation witness on failure.  Every decision
   reads one fact, memoised per polynomial: a rational just below its last
-  sign change, isolated by Sturm bisection (_last_sign_change).
+  sign change, isolated by bisection on one Sturm chain, that of the
+  squarefree part with integer coefficients (_last_sign_change).
 * shape_on_ray -- reduce monotonicity of a registry bound (in the variable
   x, for x >= a) to ray-positivity of explicit polynomials in y = log x
   (_shape_polys), then certify them; square-root upper envelopes termwise.
@@ -159,26 +160,6 @@ class ExactPolynomial:
         coeffs[0] += c
         return ExactPolynomial(tuple(coeffs))
 
-    def derivative(self) -> "ExactPolynomial":
-        if self.degree == 0:
-            raise ZeroPolynomialError("derivative of a constant is zero")
-        return ExactPolynomial(
-            tuple(i * c for i, c in enumerate(self.coefficients) if i >= 1)
-        )
-
-    def primitive(self) -> "ExactPolynomial":
-        """Integer-coefficient multiple with content 1 and the same sign."""
-        denom_lcm = 1
-        for c in self.coefficients:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(
-                denom_lcm, c.denominator
-            )
-        ints = [int(c * denom_lcm) for c in self.coefficients]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        return ExactPolynomial(tuple(Fraction(v, g) for v in ints))
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_exact(self, y: Rational) -> Fraction:
@@ -191,85 +172,67 @@ class ExactPolynomial:
     def __call__(self, y: Rational) -> Fraction:
         return self.eval_exact(y)
 
-    def eval_enclosure(self, y, prec: int = DEFAULT_PREC) -> Enclosure:
-        ctx = ivctx(prec)
-        yv = lift(ctx, y)
-        acc = ctx.mpf(0)
-        for c in reversed(self.coefficients):
-            acc = acc * yv + lift(ctx, c)
-        return Enclosure.from_iv(acc)
-
-
-def poly_divmod(
-    num: ExactPolynomial, den: ExactPolynomial
-) -> Tuple[Optional[ExactPolynomial], Optional[ExactPolynomial]]:
-    """Exact division: num = q*den + r with deg r < deg den.
-
-    Returns (q, r); either may be None to encode the zero polynomial.
-    """
-    rem = list(num.coefficients)
-    dc = den.coefficients
-    dd = den.degree
-    if len(rem) - 1 < dd:
-        return None, num
-    quo = [Fraction(0)] * (len(rem) - dd)
-    inv_lead = 1 / den.leading
-    for i in range(len(rem) - 1, dd - 1, -1):
-        factor = rem[i] * inv_lead
-        if factor == 0:
-            continue
-        quo[i - dd] = factor
-        for j in range(dd + 1):
-            rem[i - dd + j] -= factor * dc[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    q = ExactPolynomial(tuple(quo)) if any(c != 0 for c in quo) else None
-    r = ExactPolynomial(tuple(rem)) if rem else None
-    return q, r
-
-
-def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    """Monic gcd via the Euclidean algorithm with primitive reduction."""
-    p, q = a.primitive(), b.primitive()
-    while True:
-        _, r = poly_divmod(p, q)
-        if r is None:
-            break
-        p, q = q, r.primitive()
-    return q.scale(1 / q.leading)
-
 
 # ---------------------------------------------------------------------------
 # Sturm sequences and ray positivity
 # ---------------------------------------------------------------------------
+#
+# The chains work on integer coefficients, highest degree first.
 
-
-def sturm_chain(poly: ExactPolynomial) -> Tuple[ExactPolynomial, ...]:
-    """Sturm sequence of poly (valid for counting distinct real roots).
-
-    Every member is primitive, so its coefficients are integers.
-    """
-    if poly.degree == 0:
-        return (poly.primitive(),)
-    chain = [poly.primitive(), poly.derivative().primitive()]
-    while chain[-1].degree > 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r is None:
-            break
-        chain.append(r.scale(-1).primitive())
-    return tuple(chain)
+IntPoly = Tuple[int, ...]
+IntChain = Tuple[IntPoly, ...]
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-IntChain = Tuple[Tuple[int, ...], ...]
+def _primitive(coeffs: Sequence[int]) -> IntPoly:
+    """coeffs without leading zeros, divided by their positive content."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
-def _int_chain(poly: ExactPolynomial) -> IntChain:
-    """poly's Sturm chain as integer coefficients, highest degree first."""
-    return tuple(tuple(int(c) for c in reversed(p.coefficients)) for p in sturm_chain(poly))
+@functools.cache
+def _ints(poly: ExactPolynomial) -> IntPoly:
+    """The primitive integer multiple of poly, with the same sign."""
+    den = math.lcm(*(c.denominator for c in poly.coefficients))
+    return _primitive(
+        [c.numerator * (den // c.denominator) for c in reversed(poly.coefficients)]
+    )
+
+
+def _pdivmod(a: IntPoly, b: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """Quotient and remainder of a by b (deg a >= deg b), both primitive.
+
+    Pseudo-division scaled by |lc b|^k with k = deg a - deg b + 1:
+    |lc b|^k a = q b + r, so q and r are positive multiples of the exact
+    quotient and remainder.  The zero remainder is ().
+    """
+    lead, s = abs(b[0]), _sign(b[0])
+    rem, quo = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        c = rem[i] * s
+        quo = [q * lead for q in quo] + [c]
+        rem = [v * lead for v in rem]
+        for j, bj in enumerate(b):
+            rem[i + j] -= c * bj
+    return _primitive(quo), _primitive(rem)
+
+
+def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd of a and b (deg a >= deg b), with a positive leading coefficient."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return a if a[0] > 0 else tuple(-c for c in a)
+
+
+def _derivative(p: IntPoly) -> IntPoly:
+    n = len(p) - 1
+    return _primitive([c * (n - i) for i, c in enumerate(p[:-1])])
 
 
 def _sign_at(coeffs: Sequence[int], a: Fraction) -> int:
@@ -306,6 +269,24 @@ def _variations_at_inf(chain: IntChain) -> int:
     return _variations([_sign(p[0]) for p in chain])
 
 
+@functools.cache
+def _squarefree_chain(poly: ExactPolynomial) -> IntChain:
+    """Sturm chain of poly / gcd(poly, poly'), whose roots are poly's distinct roots.
+
+    The division matters: the chain of a polynomial with a repeated root
+    vanishes at that root, so it could not count roots above every a.  The
+    first member has the sign of poly's leading coefficient.
+    """
+    p = _ints(poly)
+    if len(p) == 1:
+        return (p,)
+    part = _pdivmod(p, _pgcd(p, _derivative(p)))[0]
+    chain = [part, _derivative(part)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in _pdivmod(chain[-2], chain[-1])[1]))
+    return tuple(chain)
+
+
 def count_distinct_roots_above(poly: ExactPolynomial, a: Rational) -> int:
     """Number of distinct real roots of poly in the open ray (a, infinity).
 
@@ -323,89 +304,36 @@ def root_magnitude_bound(poly: ExactPolynomial) -> Fraction:
     return Fraction(1) + Fraction(biggest) / lead
 
 
-def squarefree_decomposition(
-    poly: ExactPolynomial,
-) -> Tuple[Tuple[int, ExactPolynomial], ...]:
-    """Yun's algorithm: poly = lead * prod f_i**i with f_i squarefree, monic."""
-    p = poly.scale(1 / poly.leading)
-    if p.degree == 0:
-        return ()
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return ((1, p),)
-    out = []
-    w, _ = poly_divmod(p, g)
-    y, _ = poly_divmod(p.derivative(), g)
-    i = 1
-    while w.degree > 0:
-        try:
-            z = y - w.derivative()
-        except ZeroPolynomialError:
-            out.append((i, w.scale(1 / w.leading)))
-            break
-        f = poly_gcd(w, z)
-        if f.degree > 0:
-            out.append((i, f))
-        w, _ = poly_divmod(w, f)
-        y, _ = poly_divmod(z, f)
-        i += 1
-    return tuple(out)
-
-
-def odd_multiplicity_part(poly: ExactPolynomial) -> Optional[ExactPolynomial]:
-    """Monic product of the squarefree factors of odd multiplicity.
-
-    Real roots of the result are exactly the sign-change points of poly.
-    Returns None when poly has no odd-multiplicity factor of positive
-    degree (then poly never changes sign on the real line).
-    """
-    factors = [f for (i, f) in squarefree_decomposition(poly) if i % 2 == 1]
-    factors = [f for f in factors if f.degree > 0]
-    if not factors:
-        return None
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc * f
-    return acc
-
-
-@functools.cache
-def _squarefree_chain(poly: ExactPolynomial) -> IntChain:
-    """Sturm chain of poly's squarefree part, whose roots are poly's distinct roots."""
-    if poly.degree == 0:
-        return _int_chain(poly)
-    part, _ = poly_divmod(poly, poly_gcd(poly, poly.derivative()))
-    return _int_chain(part)
-
-
 @functools.cache
 def _last_sign_change(poly: ExactPolynomial) -> Optional[Fraction]:
     """A rational l below poly's last sign change r with no root of poly in [l, r).
 
     r is the largest root of odd multiplicity; None means there is none, so
-    poly never changes sign.  Bisects (-B, B), B the Cauchy bound, keeping
-    both ends off the roots: the odd part's chain tells which half holds r,
-    and the search stops once the squarefree part's chain counts r as the
-    only root between the ends.
+    poly never changes sign.  Walks poly's distinct roots from the top,
+    B the Cauchy bound: bisection isolates the largest remaining root in
+    (lo, hi], keeping both ends off the roots, on the one squarefree chain.
+    The root has odd multiplicity exactly when poly's signs at lo and hi
+    differ; then l = lo, else the walk goes on in (-B, lo].
     """
-    odd = odd_multiplicity_part(poly)
-    if odd is None:
-        return None
-    odd_chain, chain = _int_chain(odd), _squarefree_chain(poly)
-    hi = root_magnitude_bound(poly)
-    lo = -hi
-    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
-    odd_hi = _variations_at(odd_chain, hi)
-    while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        while _sign_at(chain[0], mid) == 0:
-            mid = (lo + mid) / 2
-        odd_mid = _variations_at(odd_chain, mid)
-        if odd_mid > odd_hi:
-            lo, v_lo = mid, _variations_at(chain, mid)
-        else:
-            hi, v_hi, odd_hi = mid, _variations_at(chain, mid), odd_mid
-    return lo
+    chain, ints = _squarefree_chain(poly), _ints(poly)
+    bottom = -root_magnitude_bound(poly)
+    v_bottom = _variations_at(chain, bottom)
+    lo, hi = bottom, -bottom
+    v_lo, v_hi = v_bottom, _variations_at(chain, hi)
+    while v_lo > v_hi:
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            while _sign_at(ints, mid) == 0:
+                mid = (lo + mid) / 2
+            v_mid = _variations_at(chain, mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        if _sign_at(ints, lo) != _sign_at(ints, hi):
+            return lo
+        lo, hi, v_lo, v_hi = bottom, lo, v_bottom, v_lo
+    return None
 
 
 @dataclass(frozen=True)
@@ -450,7 +378,7 @@ def _deciding_point(poly: ExactPolynomial, a: Fraction) -> Fraction:
     if poly.leading > 0:
         last = _last_sign_change(poly)
         return a if last is None else max(a, last)
-    return a if poly.eval_exact(a) < 0 else max(root_magnitude_bound(poly), a + 1)
+    return a if _sign_at(_ints(poly), a) < 0 else max(root_magnitude_bound(poly), a + 1)
 
 
 def sturm_positive_on_ray(
@@ -761,7 +689,7 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
 
     def holds(x: int) -> bool:
         a = log_ray_start(x)
-        return all(poly.eval_exact(_deciding_point(poly, a)) >= 0 for poly in polys)
+        return all(_sign_at(_ints(poly), _deciding_point(poly, a)) >= 0 for poly in polys)
 
     x = lo
     if polys and not holds(lo):

@@ -401,10 +401,8 @@ def _bound_float(
     L is log(x) and pw(k) gives L ** k; the scanner shares those powers
     across claims.  Returns (values, suspect) where suspect marks entries
     that must not be trusted (nonpositive rational denominator / product
-    body); returns None when the kind has no vector lane (li-based bounds).
+    body).
     """
-    if spec.kind is BoundKind.PI_LI_SQRT:
-        return None
     ops = _FloatOps(pw)
     return bounds.shape(spec, x, L, ops), ops.suspect
 

@@ -19,7 +19,6 @@ from primebounds import sieve, verify
 from primebounds.bounds import lookup, registry_list
 from primebounds.cli import (
     ENV_CHECKPOINT_DIR,
-    ENV_SEGMENT_ODDS,
     RunConfig,
     _checkpoint_path,
     _estimate_minutes,
@@ -319,22 +318,12 @@ class TestExtendedGate:
 
 
 class TestEnvOverrides:
-    def test_segment_size_from_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEGMENT_ODDS, "65536")
-        cfg = config_from_args(["sieve", "--to", "1000"])
-        assert cfg.segment_odds == 65536
-        # an explicit flag still wins
-        cfg = config_from_args(["sieve", "--to", "1000", "--segment-size", "131072"])
-        assert cfg.segment_odds == 131072
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["registry"], ["verify", "--bound", "thm3.2.upper", "--from", "2", "--to", "100"]],
-    )
-    def test_segment_size_from_environment_must_be_an_integer(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv(ENV_SEGMENT_ODDS, "abc")
-        assert main(argv) == 3
-        assert ENV_SEGMENT_ODDS in capsys.readouterr().err
+    def test_segment_size_is_not_read_from_the_environment(self, monkeypatch, capsys):
+        # --segment-size is the one way to set it
+        monkeypatch.setenv("PRIMEBOUNDS_SEGMENT_ODDS", "abc")
+        assert main(["registry", "--prefix", "thm3.2"]) == 0
+        assert "thm3.2.upper" in capsys.readouterr().out
+        assert config_from_args(["sieve", "--to", "1000"]).segment_odds == sieve.DEFAULT_SEGMENT_ODDS
 
     def test_checkpoint_dir_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_CHECKPOINT_DIR, str(tmp_path))

@@ -67,12 +67,6 @@ class TestExactPolynomial:
         p = P((-F(1), F(1))) * P((F(1), F(1)))
         assert p.coefficients == (F(-1), F(0), F(1))
 
-    def test_derivative(self):
-        p = P((F(5), F(3), F(0), F(2)))  # 2y^3 + 3y + 5
-        assert p.derivative().coefficients == (F(3), F(0), F(6))
-        with pytest.raises(ZeroPolynomialError):
-            P((F(7),)).derivative()
-
     def test_eval_exact_horner(self):
         p = P((F(1), F(-2), F(1)))  # (y-1)^2
         assert p.eval_exact(F(3, 2)) == F(1, 4)
@@ -83,16 +77,18 @@ class TestExactPolynomial:
         assert p.add_constant(F(1, 2)).coefficients == (F(3, 2), F(1))
 
     def test_primitive_preserves_sign_and_roots(self):
-        p = P((F(1, 3), F(-2, 3))).primitive()
-        assert p.coefficients == (F(1), F(-2))
-        q = P((F(-4), F(8))).primitive()
-        assert q.coefficients == (F(-1), F(2))
-
-    def test_eval_enclosure_contains_exact(self):
-        p = P((F("0.1"), F("-2.7"), F(3)))
-        exact = p.eval_exact(F(7, 3))
-        enc = p.eval_enclosure(F(7, 3))
-        assert enc.contains(exact)
+        # _ints: the primitive integer multiple, highest degree first
+        assert pk._ints(P((F(1, 3), F(-2, 3)))) == (-2, 1)
+        assert pk._ints(P((F(-4), F(8)))) == (2, -1)
+        rng = random.Random(3)
+        for _ in range(200):
+            roots = [(F(rng.randint(-30, 30), rng.randint(1, 9)), rng.randint(1, 2))
+                     for _ in range(rng.randint(0, 4))]
+            poly = poly_from_roots(F(rng.choice([-7, -1, 1, 3]), rng.randint(1, 6)), roots)
+            ints = pk._ints(poly)
+            assert math.gcd(*ints) == 1 and len(ints) == poly.degree + 1
+            for a in [r for r, _ in roots] + [F(rng.randint(-40, 40), rng.randint(1, 7))]:
+                assert pk._sign_at(ints, a) == pk._sign(poly.eval_exact(a))
 
     def test_monomial(self):
         m = P.monomial(3, F(5))
@@ -101,63 +97,65 @@ class TestExactPolynomial:
             P.monomial(-1)
 
 
+def from_ints(ints):
+    """ExactPolynomial of integer coefficients given highest degree first."""
+    return P(tuple(F(c) for c in reversed(ints)))
+
+
 class TestDivisionAndGcd:
     def test_divmod_identity(self):
+        # _pdivmod's quotient and remainder are positive multiples of the
+        # exact ones, which Fraction division gives
         rng = random.Random(20260815)
-        for _ in range(50):
-            num = P(
-                tuple(
-                    F(rng.randint(-9, 9), rng.randint(1, 4))
-                    for _ in range(rng.randint(1, 7))
-                )
-                + (F(rng.randint(1, 5)),)
-            )
-            den = P(
-                tuple(
-                    F(rng.randint(-9, 9), rng.randint(1, 4))
-                    for _ in range(rng.randint(0, 3))
-                )
-                + (F(rng.randint(1, 5)),)
-            )
-            q, r = pk.poly_divmod(num, den)
-            recomposed = den * q + r if q and r else (den * q if q else r)
-            assert recomposed.coefficients == num.coefficients
-            if r is not None:
-                assert r.degree < den.degree
+        for _ in range(200):
+            a = (rng.choice([-5, -1, 1, 4]),) + tuple(
+                rng.randint(-9, 9) for _ in range(rng.randint(1, 7)))
+            b = (rng.choice([-3, -2, 1, 5]),) + tuple(
+                rng.randint(-9, 9) for _ in range(rng.randint(0, len(a) - 1)))
+            q, r = pk._pdivmod(a, b)
+            num, den, quo = from_ints(a), from_ints(b), from_ints(q)
+            assert math.gcd(*q) == 1 and (not r or math.gcd(*r) == 1)
+            alpha = quo.leading * den.leading / num.leading
+            assert alpha > 0
+            if not r:
+                assert (den * quo).coefficients == num.scale(alpha).coefficients
+                continue
+            rest = num.scale(alpha) - den * quo
+            rem = from_ints(r)
+            assert rem.degree < den.degree
+            assert rest.leading / rem.leading > 0
+            assert rest.scale(rem.leading / rest.leading).coefficients == rem.coefficients
 
     def test_gcd_of_shared_factor(self):
-        a = poly_from_roots(2, [(1, 1), (2, 1)])
-        b = poly_from_roots(-3, [(1, 1), (3, 1)])
-        g = pk.poly_gcd(a, b)
-        assert g.coefficients == (F(-1), F(1))  # monic y - 1
+        a = pk._ints(poly_from_roots(2, [(1, 1), (2, 1)]))
+        b = pk._ints(poly_from_roots(-3, [(1, 1), (3, 1)]))
+        assert pk._pgcd(a, b) == (1, -1)  # y - 1
 
     def test_gcd_coprime_is_one(self):
-        a = poly_from_roots(1, [(1, 1)])
-        b = poly_from_roots(1, [(2, 1)])
-        assert pk.poly_gcd(a, b).coefficients == (F(1),)
+        a = pk._ints(poly_from_roots(1, [(1, 1)]))
+        b = pk._ints(poly_from_roots(-1, [(2, 1)]))
+        assert pk._pgcd(a, b) == (1,)
 
 
 class TestSquarefree:
     def test_decomposition_multiplicities(self):
-        p = poly_from_roots(3, [(1, 2), (-2, 1)])
-        decomp = dict(pk.squarefree_decomposition(p))
-        assert decomp[1].coefficients == (F(2), F(1))  # y + 2
-        assert decomp[2].coefficients == (F(-1), F(1))  # y - 1
+        # the chain starts at the squarefree part, with poly's sign
+        p = poly_from_roots(-3, [(1, 2), (-2, 1)])
+        assert pk._squarefree_chain(p)[0] == (-1, -1, 2)  # -(y - 1)(y + 2)
 
     def test_pure_power(self):
         p = poly_from_roots(1, [(1, 3)])
-        decomp = dict(pk.squarefree_decomposition(p))
-        assert list(decomp) == [3]
-        assert decomp[3].coefficients == (F(-1), F(1))
+        assert pk._squarefree_chain(p) == ((1, -1), (1,))
 
     def test_odd_part_drops_even_factors(self):
+        # the last sign change skips the even root at 1
         p = poly_from_roots(1, [(1, 2), (-2, 1)])
-        odd = pk.odd_multiplicity_part(p)
-        assert odd.coefficients == (F(2), F(1))
+        last = pk._last_sign_change(p)
+        assert last < -2 and pk.count_distinct_roots_above(p, last) == 2
 
     def test_odd_part_none_for_perfect_square(self):
         p = poly_from_roots(5, [(1, 2), (4, 2)])
-        assert pk.odd_multiplicity_part(p) is None
+        assert pk._last_sign_change(p) is None
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +164,22 @@ class TestSquarefree:
 
 
 class TestRootCounting:
-    def test_chain_signs_match_exact_evaluation(self):
-        # the Sturm chains' integer signs against Fraction evaluation
+    def test_chain_signs_match_designed_roots(self):
+        # the squarefree chain's first member has the sign lead * prod
+        # sign(a - r) over the distinct designed roots r, and the chain
+        # counts the distinct roots above a
         rng = random.Random(5)
         for _ in range(300):
             roots = [(F(rng.randint(-60, 60), rng.randint(1, 12)), rng.randint(1, 3))
                      for _ in range(rng.randint(0, 4))]
-            poly = poly_from_roots(F(rng.choice([-3, 1, 2]), rng.randint(1, 5)), roots)
-            points = [r for r, _ in roots] + [F(rng.randint(-90, 90), rng.randint(1, 40))]
-            for member, ints in zip(pk.sturm_chain(poly), pk._int_chain(poly)):
-                for a in points:
-                    assert pk._sign_at(ints, a) == pk._sign(member.eval_exact(a))
+            lead = F(rng.choice([-3, 1, 2]), rng.randint(1, 5))
+            poly = poly_from_roots(lead, roots)
+            distinct = {r for r, _ in roots}
+            chain = pk._squarefree_chain(poly)
+            for a in list(distinct) + [F(rng.randint(-90, 90), rng.randint(1, 40))]:
+                want = pk._sign(lead) * math.prod(pk._sign(a - r) for r in distinct)
+                assert pk._sign_at(chain[0], a) == want
+                assert pk.count_distinct_roots_above(poly, a) == sum(r > a for r in distinct)
 
     def test_counts_above(self):
         p = poly_from_roots(1, [(1, 1), (2, 1), (3, 1)])
@@ -353,6 +356,45 @@ class TestSturmOracle:
         for a in (last, 1, F(3878, 1000)):
             assert_refutation(pk.sturm_positive_on_ray(den, a), den, a)
         assert pk.sturm_positive_on_ray(den, F(3879, 1000)).verdict == "positive"
+
+
+class TestLastSignChange:
+    def test_below_the_largest_odd_root(self):
+        # l lies below the largest designed root r of odd multiplicity, with
+        # no designed root in [l, r); None when every root is even
+        rng = random.Random(17)
+        pool = [F(-5), F(-2), F(-1, 3), F(0), F(1, 2), F(1), F(7, 4), F(3), F(22, 7)]
+        for i in range(600):
+            roots = rng.sample(pool, rng.randint(0, 4))
+            mults = [rng.randint(1, 3) for _ in roots]
+            if i % 3 == 0 and roots:
+                mults[roots.index(max(roots))] = 2  # the largest root is double
+            root_mults = list(zip(roots, mults))
+            poly = poly_from_roots(rng.choice([-2, 1, 3]), root_mults)
+            if i % 4 == 0:
+                poly = poly * P((F(1), F(0), F(1)))  # no real root added
+            odd = [r for r, m in root_mults if m % 2]
+            last = pk._last_sign_change(poly)
+            if not odd:
+                assert last is None, root_mults
+                continue
+            top = max(odd)
+            assert last < top, (root_mults, last)
+            assert not any(last <= r < top for r in roots), (root_mults, last)
+
+    def test_no_real_root_gives_none(self):
+        assert pk._last_sign_change(P((F(1), F(0), F(1)))) is None  # y^2 + 1
+        (poly,) = pk._shape_polys(lookup("lem2.3.k1.lower"))
+        assert pk._last_sign_change(poly) is None
+        for spec in registry_list():
+            try:
+                polys = pk._shape_polys(spec)
+            except UnsupportedKindError:
+                continue
+            for poly in polys:
+                bound = pk.root_magnitude_bound(poly)
+                if pk.count_distinct_roots_above(poly, -bound) == 0:
+                    assert pk._last_sign_change(poly) is None, spec.id
 
 
 class TestSturmSpecExamples:

@@ -1,0 +1,127 @@
+"""Every public name in the library has a caller outside the tests.
+
+A public function, class, method or module-level constant of
+src/primebounds must be referenced from src/, scripts/ or bench/.  Test
+files there do not count, nor do __all__ (its entries are strings) and
+type annotations; type aliases are not constants.  References are matched
+by name: a load of the name, an attribute of that name, or an import of
+it.  Names that only tests reach today are pinned in TEST_ONLY.  A new
+test-only name fails here: give it a caller or delete it.  A pinned name
+that gains a caller must leave the list.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "primebounds"
+
+TEST_ONLY = {
+    # the paper's side facts, which ROADMAP item 10 is to record in one
+    # audit document (add_constant builds acceptance criterion 8's margin)
+    "analytic.JParams",
+    "analytic.j_function",
+    "analytic.panaitopol_coefficients",
+    "proofkit.DERIVATIVE_GAP_POLY",
+    "proofkit.DERIVATIVE_MARGIN",
+    "proofkit.ExactPolynomial.add_constant",
+    "proofkit.LOWER_RANGE_POLY",
+    "proofkit.MODERATE_RANGE_POLY",
+    "proofkit.ElementaryForm",
+    "proofkit.ElementaryForm.of",
+    "proofkit.check_lemma_preconditions",
+    "proofkit.crossing_integer_threshold",
+    "proofkit.dudek_thresholds",
+    "proofkit.growth_identity_holds",
+    "proofkit.zero_count_bound",
+    # oracles and report tools the tests use on purpose
+    "enclosure.Enclosure.contains",
+    "enclosure.Enclosure.is_finite",
+    "enclosure.Enclosure.overlaps",
+    "enclosure.esqrt",
+    "sieve.AccumulatorState.psi",
+    "verify.merge_reports",
+    "verify.promote_verified",
+    "verify.report_from_json",
+    "verify.reports_equivalent",
+}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions():
+    """(module, qualified name, bare name) of every public definition."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                yield module, node.name, node.name
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and _public(item.name):
+                            yield module, "%s.%s" % (node.name, item.name), item.name
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            if isinstance(getattr(node, "value", None), ast.Subscript):
+                continue  # a type alias such as Union[int, Fraction]
+            for t in targets:
+                if isinstance(t, ast.Name) and _public(t.id):
+                    yield module, t.id, t.id
+
+
+class _Refs(ast.NodeVisitor):
+    """Names loaded, attributes read and names imported; type annotations
+    are not callers, so they are skipped."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Name(self, node):
+        if not isinstance(node.ctx, ast.Store):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.names.update(alias.name for alias in node.names)
+
+    def visit_arg(self, node):
+        pass
+
+    def visit_FunctionDef(self, node):
+        for child in node.decorator_list + node.body:
+            self.visit(child)
+        for default in node.args.defaults + node.args.kw_defaults:
+            if default is not None:
+                self.visit(default)
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+
+def _references():
+    refs = _Refs()
+    for folder in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                refs.visit(ast.parse(path.read_text()))
+    return refs.names
+
+
+def test_every_public_name_has_a_non_test_caller():
+    refs = _references()
+    unreferenced = {
+        "%s.%s" % (module, qual)
+        for module, qual, bare in _definitions()
+        if bare not in refs
+    }
+    assert unreferenced - TEST_ONLY == set(), "public names reached only by tests"
+    assert TEST_ONLY - unreferenced == set(), "TEST_ONLY names that now have a caller"
