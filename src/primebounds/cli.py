@@ -254,6 +254,7 @@ def _cmd_sieve(config: RunConfig) -> int:
     print("pi %d" % state.pi)
     print("theta [%s, %s]" % _enc_out(state.theta, 12))
     if config.full:
+        print("psi [%s, %s]" % _enc_out(state.psi, 12))
         print("sum_recip [%s, %s]" % _enc_out(state.sum_recip))
         print("sum_logp [%s, %s]" % _enc_out(state.sum_logp))
         print("sum_log1m [%s, %s]" % _enc_out(state.sum_log1m))

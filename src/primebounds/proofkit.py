@@ -148,12 +148,6 @@ class ExactPolynomial:
                 out[i + j] += a * b
         return ExactPolynomial(tuple(out))
 
-    def scale(self, factor: Rational) -> "ExactPolynomial":
-        f = _as_fraction(factor)
-        if f == 0:
-            raise ZeroPolynomialError("scaling by zero gives the zero polynomial")
-        return ExactPolynomial(tuple(c * f for c in self.coefficients))
-
     def add_constant(self, constant: Rational) -> "ExactPolynomial":
         c = _as_fraction(constant)
         coeffs = list(self.coefficients)

@@ -75,23 +75,24 @@ only counted; certain fails and unsure cells are collected by index.  The
 exact work follows per claim: any unsure cell is re-decided with
 outward-rounded enclosures at 106 bits, retried once at 212 bits, and
 counted Indeterminate if still undecided.  Certain fails are only counted.
-Each claim keeps its 64 highest failing cells, and once the scan ends those
-the fast lane failed are re-decided the same way; an exact verdict other
+Each claim keeps its 64 highest failing cells with their exact quantities
+as plain integers, and once the scan ends those the fast lane failed get
+their enclosures and are re-decided the same way; an exact verdict other
 than Fail raises FastLaneMismatchError.  So the cross-check confirms
 exactly the retained counterexamples, whatever the segmentation.
 Counterexamples record the compared enclosures.
 
 A claim's result never depends on which other claims are scanned with it.
-So scan_claims plans every claim, folds the exact state up to range_lo
-once (on sieve.pi_theta_at's pool), then scans the claims in up to two
-groups by what the sieve must supply: the summed lanes need each segment's
-exact sums, the pi and gap lanes only its primes, and a group of those
-folds counts only.  When sieve.worker_count allows two processes for the
-scan's segment spans and the smaller group holds enough work to pay for a
-fork (_FORK_MIN_WORK), each group streams its segments, confirms its fails
-and resolves its crossings in a forked process; otherwise all claims form
-one group here.  Either way the results come back in the order of the
-claims, identical.
+So scan_claims plans every claim, folds the state up to range_lo once (on
+sieve.pi_theta_at's pool), then scans the claims in up to two groups by
+what the sieve must supply: the summed lanes need each segment's exact
+sums, the pi and gap lanes only its primes.  One rule, _carried, decides
+what the prefix's and each group's fold carries.  When sieve.worker_count
+allows two processes for the scan's segment spans and the smaller group
+holds enough work to pay for a fork (_FORK_MIN_WORK), each group streams
+its segments, confirms its fails and resolves its crossings in a forked
+process; otherwise all claims form one group here.  Either way the results
+come back in the order of the claims, identical.
 
 scan_claims is the one public scan entry point.
 """
@@ -461,10 +462,23 @@ def _split_subcell(a, b):
     return (fa, m), (m, fb)
 
 
-def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosure]):
+def _enclose(lane: str, q, prec: int) -> Enclosure:
+    """The enclosure at prec of a lane's exact quantity q, which is plain
+    integers (see _SegmentData.quantity): a count or a prime as is, the
+    scaled (value, budget) of a summed lane as its dyadic interval, and the
+    Mertens product as the exponential of its log-scale sum."""
+    if lane in _COUNT_LANES:
+        return Enclosure.from_value(q)
+    v, b = q
+    if lane == "log1m":
+        return eexp(Enclosure.from_dyadic(-(v + b), b - v, dyadic.SCALE_BITS), prec)
+    return Enclosure.from_dyadic(v - b, v + b, dyadic.SCALE_BITS)
+
+
+def _check_cell(plan: _Plan, base: int, succ: int, q):
     """Exact verdict of the claim on the cell [base, succ): (verdict, lhs, rhs).
 
-    q_fn(prec) gives the cell's constant quantity.  From plan.pair_start on
+    q is the cell's constant quantity as plain integers.  From plan.pair_start on
     the shape certificate makes the bound monotone, so the cell is decided
     as the degenerate cell at its binding endpoint: succ when
     plan.eval_at_succ, else base.  Below it the bound is evaluated over the
@@ -480,9 +494,8 @@ def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosu
     if plan.pair_start is not None and base >= plan.pair_start:
         base = succ = succ if plan.eval_at_succ else base
     spec, lower = plan.spec, plan.lower
-    q = last_rhs = None
     for prec in (DEFAULT_PREC, RETRY_PREC):
-        q = q_fn(prec)
+        lhs = _enclose(plan.lane, q, prec)
         stack = [(base, succ)]
         budget = _CELL_EVAL_BUDGET
         undecided = False
@@ -495,7 +508,7 @@ def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosu
                 break
             try:
                 rhs = eval_bound(spec, a if a == b else Enclosure(a, b), prec)
-                verdict = _decide(spec, q, rhs)
+                verdict = _decide(spec, lhs, rhs)
             except DenominatorNonpositiveError:
                 rhs = Enclosure.top()
                 if lower:
@@ -519,10 +532,10 @@ def _check_cell(plan: _Plan, base: int, succ: int, q_fn: Callable[[int], Enclosu
             stack.append(halves[1])
             stack.append(halves[0])
         if failed is not None:
-            return Verdict.Fail, q, failed
+            return Verdict.Fail, lhs, failed
         if not undecided:
-            return Verdict.Pass, q, last_rhs
-    return Verdict.Indeterminate, q, last_rhs
+            return Verdict.Pass, lhs, last_rhs
+    return Verdict.Indeterminate, lhs, last_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -583,56 +596,31 @@ def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
 
 @dataclass
 class _Fail:
-    """One failing cell [base, succ) and its exactly compared enclosures.
-
-    A fast-lane certain fail is kept with lhs and rhs None until the scan
-    ends and confirms it.  q_fn never holds a segment's arrays, only the
-    cell's quantity.
-    """
+    """One failing cell [base, succ): its exact quantity q as plain integers
+    and the compared enclosures, None for a fast-lane fail until the scan
+    ends and confirms it."""
 
     base: int
     succ: int
-    q_fn: Callable[[int], Enclosure]
+    q: object
     lhs: Optional[Enclosure] = None
     rhs: Optional[Enclosure] = None
 
 
-@dataclass
-class _Tally:
-    checked: int = 0
-    passes: int = 0
-    failures: int = 0
-    indeterminates: int = 0
-
-    def add(self, verdict: Verdict):
-        self.checked += 1
-        if verdict is Verdict.Pass:
-            self.passes += 1
-        elif verdict is Verdict.Fail:
-            self.failures += 1
-        else:
-            self.indeterminates += 1
-
-
 class _SpecScan:
-    """Per-spec mutable scan state."""
+    """One claim's scan record, plain data: its plan, its verdict counts and
+    its highest failing cells so far, ascending by base."""
 
     def __init__(self, plan: _Plan):
         self.plan = plan
-        self.tally = _Tally()
-        # the highest failing cells so far, ascending by base
+        self.passes = self.failures = self.indeterminates = 0
         self.fails: deque[_Fail] = deque(maxlen=COUNTEREXAMPLE_CAP)
-
-    def record(self, verdict: Verdict, lhs, rhs, base: int, succ: int, q_fn):
-        self.tally.add(verdict)
-        if verdict is Verdict.Fail:
-            self.fails.append(_Fail(base, succ, q_fn, lhs, rhs))
 
     def confirm(self):
         """Decide the retained fast-lane fails exactly; all must fail."""
         for f in self.fails:
             if f.lhs is None:
-                verdict, f.lhs, f.rhs = _check_cell(self.plan, f.base, f.succ, f.q_fn)
+                verdict, f.lhs, f.rhs = _check_cell(self.plan, f.base, f.succ, f.q)
                 if verdict is not Verdict.Fail:
                     raise FastLaneMismatchError(
                         "%s: the float lane failed x = %d beyond its margin, but the "
@@ -718,27 +706,29 @@ class _SegmentData:
         self._cursors[lane] = (n, v, b)
         return v, b
 
-    def quantity_fn(self, lane: str, i: int) -> Callable[[int], Enclosure]:
-        """Exact lane quantity on the cell of row i, by precision."""
+    def quantity(self, lane: str, i: int):
+        """Exact lane quantity on the cell of row i as plain integers: the
+        successor prime of a gap claim, pi, or a summed lane's scaled
+        (value, budget).  _enclose makes it an enclosure."""
         if lane == "gap":
-            enc = Enclosure.from_value(int(self.p[i + 1]))
-            return lambda prec: enc
+            return int(self.p[i + 1])
         if lane == "pi":
-            enc = Enclosure.from_value(self.before.pi + i)
-            return lambda prec: enc
-        v, b = self.exact(lane, i)
-        if lane == "log1m":
-            inner = Enclosure.from_dyadic(-(v + b), b - v, dyadic.SCALE_BITS)
-            return lambda prec: eexp(inner, prec)
-        enc = Enclosure.from_dyadic(v - b, v + b, dyadic.SCALE_BITS)
-        return lambda prec: enc
+            return self.before.pi + i
+        return self.exact(lane, i)
 
 
 def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
     """Decide the cell [p[i], p[i + 1]) exactly and record its verdict."""
     base, succ = int(data.p[i]), int(data.p[i + 1])
-    q_fn = data.quantity_fn(scan.plan.lane, i)
-    scan.record(*_check_cell(scan.plan, base, succ, q_fn), base, succ, q_fn)
+    q = data.quantity(scan.plan.lane, i)
+    verdict, lhs, rhs = _check_cell(scan.plan, base, succ, q)
+    if verdict is Verdict.Pass:
+        scan.passes += 1
+    elif verdict is Verdict.Fail:
+        scan.failures += 1
+        scan.fails.append(_Fail(base, succ, q, lhs, rhs))
+    else:
+        scan.indeterminates += 1
 
 
 def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
@@ -774,7 +764,7 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
     their best margin max(big) - min(small) is below -plan.delta, and are
     otherwise, or with a suspect end, halved; an undecided single cell is
     unsure.  Both ends of every run of a level are read in one _sides call.
-    Certain passes go straight to the tally; returns the runs that failed
+    Certain passes are counted at once; returns the runs that failed
     whole as the arrays (a, b) of the runs [a, b), and the ascending
     segment indices of the unsure cells.
     """
@@ -792,9 +782,7 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
             trusted = ~(suspect[:n] | suspect[n:])
             passed &= trusted
             failed &= trusted
-        n_pass = int((b - a)[passed].sum())
-        scan.tally.checked += n_pass
-        scan.tally.passes += n_pass
+        scan.passes += int((b - a)[passed].sum())
         fail_a.append(a[failed])
         fail_b.append(b[failed])
         rest = ~(passed | failed)
@@ -810,21 +798,20 @@ def _settle(scan: _SpecScan, data: _SegmentData, fail_a, fail_b, unsure_idx):
     """Phase 2: one claim's certain-fail runs [fail_a, fail_b) and unsure cells.
 
     The certain fails are counted off the runs' lengths; only the last
-    COUNTEREXAMPLE_CAP of them are expanded into cells and kept, without
-    enclosures, for confirmation at scan end.  The unsure cells are decided
-    exactly, in ascending order with the kept fails.
+    COUNTEREXAMPLE_CAP of them are expanded into cells and kept, with their
+    exact quantity but no enclosures, for confirmation at scan end.  The
+    unsure cells are decided exactly, in ascending order with the kept fails.
     """
     failures = int((fail_b - fail_a).sum())
     if not (failures or unsure_idx.size):
         return
-    scan.tally.checked += failures
-    scan.tally.failures += failures
+    scan.failures += failures
     kept = _cells(fail_a, fail_b, COUNTEREXAMPLE_CAP)
     certain = set(kept.tolist())
     for i in np.union1d(kept, unsure_idx).tolist():
         if i in certain:
-            q_fn = data.quantity_fn(scan.plan.lane, i)
-            scan.fails.append(_Fail(int(data.p[i]), int(data.p[i + 1]), q_fn))
+            q = data.quantity(scan.plan.lane, i)
+            scan.fails.append(_Fail(int(data.p[i]), int(data.p[i + 1]), q))
         else:
             _exact_cell(scan, data, i)
 
@@ -873,9 +860,7 @@ class ClaimScan:
     crossing: Optional[CrossingResult]
 
 
-def _least_passing_integer(
-    plan: _Plan, q_fn: Callable[[int], Enclosure], base: int, succ: int
-) -> Optional[int]:
+def _least_passing_integer(plan: _Plan, q, base: int, succ: int) -> Optional[int]:
     """Least integer t in (base, succ] whose check passes, by bisection.
 
     Used when the binding endpoint of a failing cell is its base: the
@@ -885,7 +870,7 @@ def _least_passing_integer(
     """
 
     def passes(t: int) -> bool:
-        verdict, _, _ = _check_cell(plan, t, t, q_fn)
+        verdict, _, _ = _check_cell(plan, t, t, q)
         return verdict is Verdict.Pass
 
     if not passes(succ):
@@ -907,8 +892,22 @@ def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
     if plan.eval_at_succ:
         implied = last.succ
     else:
-        implied = _least_passing_integer(plan, last.q_fn, last.base, last.succ)
+        implied = _least_passing_integer(plan, last.q, last.base, last.succ)
     return CrossingResult(largest_failing_x=last.base, implied_threshold=implied)
+
+
+def _carried(lanes: set[str], state: Optional[AccumulatorState]) -> Optional[AccumulatorState]:
+    """The one rule for what a fold for claims on these lanes carries:
+    nothing but the primes for gap claims alone (None), the prime count for
+    pi and gap claims (an anchored state), else the exact sums too."""
+    if lanes == {"gap"}:
+        return None
+    if lanes <= _COUNT_LANES and not state.anchored:
+        # the initial state at 1 anchors as the count at 2, pi(2) = 1; the
+        # digest stays, so a state of another numeric config is still refused
+        counts = AccumulatorState.anchored_at(max(state.x, 2), max(state.pi, 1))
+        return replace(counts, config_digest=state.config_digest)
+    return state
 
 
 def _scan_group(
@@ -923,16 +922,14 @@ def _scan_group(
     """Scan one group of planned claims over (range_lo, top]: one pool task.
 
     state is the exact state at range_lo, or None when no claim of the scan
-    needs one.  A group on the pi and gap lanes alone folds counts only, so
-    its segments never form their sums, and a gap-only group folds nothing.
-    The reports carry no wall time.
+    needs one.  The group folds what _carried gives for its lanes, so a
+    group on the pi and gap lanes never forms its segments' sums.  The
+    reports carry no wall time.
     """
-    lanes = {p.lane for p in plans}
-    if lanes == {"gap"}:  # the prime-only path: no state at all
+    state = _carried({p.lane for p in plans}, state)
+    if state is None:
         segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
     else:
-        if lanes <= _COUNT_LANES and not state.anchored:
-            state = AccumulatorState.anchored_at(state.x, state.pi)
         segs = sieve.accumulate_range(state, top, segment_odds)
 
     scans = [_SpecScan(p) for p in plans]
@@ -948,10 +945,10 @@ def _scan_group(
             bound_id=scan.plan.spec.id,
             range_lo=range_lo,
             range_hi=range_hi,
-            checked=scan.tally.checked,
-            passes=scan.tally.passes,
-            failures=scan.tally.failures,
-            indeterminates=scan.tally.indeterminates,
+            checked=scan.passes + scan.failures + scan.indeterminates,
+            passes=scan.passes,
+            failures=scan.failures,
+            indeterminates=scan.indeterminates,
             counterexamples=tuple(Counterexample(f.base, f.lhs, f.rhs) for f in scan.fails),
         )
         crossing = _resolve_crossing(scan) if resolve_crossings else None
@@ -996,25 +993,23 @@ def scan_claims(
         )
     # planned before the fold, so that an unplannable claim fails at once
     plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
-    lanes = [p.lane for p in plans]
-    if set(lanes) != {"gap"}:
-        if state is None:
-            state = AccumulatorState.initial()
+    lanes = {p.lane for p in plans}
+    if state is not None and lanes != {"gap"}:
         if state.x + 1 > range_lo:
             raise MismatchedStateError(
                 "state is already at %d, past range start %d" % (state.x, range_lo)
             )
-        if state.anchored and set(lanes) - _COUNT_LANES:
+        if state.anchored and lanes - _COUNT_LANES:
             raise MismatchedStateError("anchored states carry pi only")
+    state = _carried(lanes, state or AccumulatorState.initial())
+    if state is not None:
         state = sieve.pi_theta_at(range_lo, resume_from=state, segment_odds=segment_odds)
-    else:
-        state = None
     # the last cell's successor, which is never a base; it also fills the
     # base prime cache before any fork
     top = sieve.next_prime(range_hi)
 
-    summed = [i for i, lane in enumerate(lanes) if lane not in _COUNT_LANES]
-    counted = [i for i, lane in enumerate(lanes) if lane in _COUNT_LANES]
+    summed = [i for i, p in enumerate(plans) if p.lane not in _COUNT_LANES]
+    counted = [i for i, p in enumerate(plans) if p.lane in _COUNT_LANES]
     groups = [g for g in (summed, counted) if g]
     cells = (top - range_lo) / math.log(top)  # the prime number theorem's estimate
     n = 1

@@ -356,12 +356,11 @@ def test_compare_rational_denominator_failure_convention():
     # enclosure to decide on: the check at the point 3 fails the claimed
     # upper bound and holds the lower bound trivially
     st = sieve.pi_theta_at(3)
-    q_fn = lambda prec: Enclosure.from_value(st.pi)
     for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
         spec = bounds.lookup(bound_id)
         with pytest.raises(DenominatorNonpositiveError):
             bounds.eval_bound(spec, 3)
-        verdict, _, rhs = verify._check_cell(verify._make_plan(spec, 3, 3), 3, 3, q_fn)
+        verdict, _, rhs = verify._check_cell(verify._make_plan(spec, 3, 3), 3, 3, st.pi)
         assert verdict is expected
         assert not rhs.is_finite()
 

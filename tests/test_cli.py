@@ -349,8 +349,12 @@ class TestSieveCommand:
     def test_full_adds_prime_sums(self, capsys):
         assert main(["sieve", "--to", "10000", "--full"]) == 0
         out = capsys.readouterr().out
-        for label in ("sum_recip [", "sum_logp [", "sum_log1m ["):
+        for label in ("psi [", "sum_recip [", "sum_logp [", "sum_log1m ["):
             assert label in out
+        # psi adds the logs of the prime powers, 4 among them, to theta
+        (theta_hi,) = re.findall(r"^theta \[\S+, (\S+)\]$", out, re.M)
+        (psi_lo,) = re.findall(r"^psi \[(\S+), \S+\]$", out, re.M)
+        assert Fraction(psi_lo) > Fraction(theta_hi)
 
     def test_checkpoint_resume_matches_direct_run(self, tmp_path, capsys):
         ck = tmp_path / "state.jsonl"
@@ -361,6 +365,8 @@ class TestSieveCommand:
         assert main(["sieve", "--to", "3000000", "--full"]) == 0
         direct = capsys.readouterr().out
         assert resumed == direct  # exact accumulators are split-invariant
+        psi = [line for line in direct.splitlines() if line.startswith("psi [")]
+        assert len(psi) == 1 and psi[0] in resumed.splitlines()
 
 
 class TestEvalCommand:

@@ -143,6 +143,11 @@ def _segment(lo, hi, n_primes=None, state=True):
     return verify._SegmentData(before, base, sieve.PrimeSegment(base + 1, last, primes[1:]))
 
 
+def _counts(scan):
+    """A claim's (passes, failures, indeterminates)."""
+    return scan.passes, scan.failures, scan.indeterminates
+
+
 def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_only=False):
     """One claim triaged on [start, cut): (scan, fails, unsure, reads).
 
@@ -184,11 +189,11 @@ def _assert_triage_matches_oracle(monkeypatch, spec, data, start, cut, lo, hi, b
     """
     got, gf, gu, reads = _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi)
     want, wf, wu, _ = _triage_one(monkeypatch, 1, spec, data, start, cut, lo, hi)
-    assert got.tally == want.tally
+    assert _counts(got) == _counts(want)
     np.testing.assert_array_equal(gf, wf)
     np.testing.assert_array_equal(gu, wu)
     # every cell is counted once: as a pass here, or listed for phase 2
-    assert got.tally.passes + gf.size + gu.size == cut - start
+    assert got.passes + gf.size + gu.size == cut - start
     assert gf.dtype == gu.dtype == np.int64
     # the first runs tile [start, cut), clipped from the grid of the run length
     first, last = np.split(reads[0], 2)
@@ -199,7 +204,7 @@ def _assert_triage_matches_oracle(monkeypatch, spec, data, start, cut, lo, hi, b
     bare, bare_fails, pending, _ = _triage_one(
         monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_only=True
     )
-    whole = bare.tally.passes + bare_fails.size
+    whole = bare.passes + bare_fails.size
     assert whole + pending.size == cut - start
     return got, gf, gu, (a, b), whole, pending
 
@@ -265,7 +270,7 @@ def test_successor_claim_last_block_ends_on_final_successor(monkeypatch):
     scan, _, _, (a, b), whole, pending = _assert_triage_matches_oracle(
         monkeypatch, spec, data, 0, cut, lo, hi
     )
-    assert scan.tally.passes == cut and (a[-1], b[-1]) == (cut - 8, cut)
+    assert scan.passes == cut and (a[-1], b[-1]) == (cut - 8, cut)
     assert whole > 0 and not np.isin(np.arange(cut - 8, cut), pending).any()
     assert data.p[cut] in evaluated_at[0]
 
@@ -277,11 +282,11 @@ def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     spec = lookup("thm4.1.gap3")
     scan, fails, unsure, reads = _triage_one(monkeypatch, _BLOCK, spec, data, 0, cut, lo, hi)
     assert len(reads) == 1  # every first run passes whole
-    assert scan.tally.passes == cut
+    assert scan.passes == cut
     assert fails.dtype == unsure.dtype == np.int64
     assert fails.size == unsure.size == 0
     verify._settle(scan, data, fails, fails, unsure)  # no fail runs
-    assert scan.tally.checked == scan.tally.passes == cut
+    assert _counts(scan) == (cut, 0, 0)
     assert not scan.fails
 
 
@@ -318,7 +323,7 @@ def test_suspect_bracket_end_is_never_decided(monkeypatch):
         run = np.arange(marked, marked + 8)
         assert unsure[np.isin(unsure, run)].tolist() == [marked], spec_id
         assert np.isin(run, pending).all() and whole == clean_whole - 8
-        assert scan.tally.passes + fails.size == clean.tally.passes + clean_fails.size - 1
+        assert scan.passes + fails.size == clean.passes + clean_fails.size - 1
 
 
 def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
@@ -362,5 +367,8 @@ def test_settle_counts_fail_runs_and_keeps_only_the_last_cells():
     assert verify._cells(a[:0], b[:0], 64).size == 0
     scan = verify._SpecScan(verify._make_plan(lookup("thm3.2.upper"), lo, hi))
     verify._settle(scan, data, a, b, np.empty(0, dtype=np.int64))
-    assert scan.tally.checked == scan.tally.failures == 120
+    assert _counts(scan) == (0, 120, 0)
     assert [f.base for f in scan.fails] == data.p[last].astype(np.int64).tolist()
+    # kept as plain quantities, with no enclosures until confirmation
+    assert [f.q for f in scan.fails] == [data.quantity("pi", i) for i in last.tolist()]
+    assert all(f.lhs is None and f.rhs is None for f in scan.fails)

@@ -76,6 +76,29 @@ def test_claim_scans_round_trip_through_pickle():
     assert report_to_json(back.report) == report_to_json(claim.report)
 
 
+def test_claim_records_round_trip_through_pickle():
+    # a claim's scan record is plain data: the kept fast-lane fails hold
+    # their exact quantities, and enclosures come only at confirmation.
+    # Both claims fail every cell near 10**6, on a summed lane and on the
+    # Mertens product's, whose enclosure is an exponential.
+    lo, hi = 10**6, 10**6 + 10**5
+    data = verify._SegmentData(sieve.pi_theta_at(lo), lo, sieve.sieve_segment(lo + 1, hi))
+    for bound_id in ("prop5.4.upper", "prop6.1.lower"):
+        scan = verify._SpecScan(verify._make_plan(lookup(bound_id), lo, hi))
+        verify._scan_segment([scan], data)
+        assert len(scan.fails) == verify.COUNTEREXAMPLE_CAP
+        assert all(f.lhs is None for f in scan.fails)
+        back = pickle.loads(pickle.dumps(scan))
+        scan.confirm()
+        back.confirm()
+        assert (back.passes, back.failures, back.indeterminates) == (
+            scan.passes, scan.failures, scan.indeterminates
+        )
+        assert [(f.base, f.lhs, f.rhs) for f in back.fails] == [
+            (f.base, f.lhs, f.rhs) for f in scan.fails
+        ]
+
+
 # A fork pool that hangs on an unpicklable result never returns, so the
 # round trip runs in a process of its own, under a timeout.
 _POOL_SCRIPT = """
@@ -209,21 +232,23 @@ def test_light_scans_stay_in_one_process(monkeypatch):
 
 @pytest.mark.usefixtures("one_process")
 def test_count_lane_scans_never_form_segment_sums(monkeypatch):
-    # a state with sums at range_lo: the pi and gap claims fold counts only
-    # past it, while a theta claim needs every segment's sums
-    lo, hi = 10**5, 6 * 10**5
+    # from the initial state, the pi and gap claims fold counts only, the
+    # prefix to range_lo included; a theta claim needs every segment's sums
+    lo, hi = 10**6 + 1, 10**6 + 5 * 10**5
     state = sieve.pi_theta_at(lo - 1)
     real, summed = sieve.PrimeSegment.sums, []
+
+    def no_sums(segment):
+        raise AssertionError("the segment at %d formed its sums" % segment.lo)
 
     def sums(segment):
         summed.append(segment.lo)
         return real.func(segment)
 
-    monkeypatch.setattr(sieve.PrimeSegment, "sums", property(sums))
+    monkeypatch.setattr(sieve.PrimeSegment, "sums", property(no_sums))
     count_specs = [lookup("thm3.2.upper"), lookup("thm4.1.gap4")]
-    counted = scan_claims(count_specs, lo, hi, state=state, segment_odds=2**12)
-    assert all(a <= lo for a in summed)  # only the prefix fold's
-    summed.clear()
+    counted = scan_claims(count_specs, lo, hi, segment_odds=2**12)
+    monkeypatch.setattr(sieve.PrimeSegment, "sums", property(sums))
     mixed = scan_claims(count_specs + [lookup("thm2.4.upper")], lo, hi, state=state, segment_odds=2**12)
     assert max(summed) > lo
     for a, b in zip(counted, mixed):

@@ -118,13 +118,13 @@ class TestDivisionAndGcd:
             alpha = quo.leading * den.leading / num.leading
             assert alpha > 0
             if not r:
-                assert (den * quo).coefficients == num.scale(alpha).coefficients
+                assert (den * quo).coefficients == (num * P((alpha,))).coefficients
                 continue
-            rest = num.scale(alpha) - den * quo
+            rest = num * P((alpha,)) - den * quo
             rem = from_ints(r)
             assert rem.degree < den.degree
             assert rest.leading / rem.leading > 0
-            assert rest.scale(rem.leading / rest.leading).coefficients == rem.coefficients
+            assert (rest * P((rem.leading / rest.leading,))).coefficients == rem.coefficients
 
     def test_gcd_of_shared_factor(self):
         a = pk._ints(poly_from_roots(2, [(1, 1), (2, 1)]))
@@ -335,7 +335,7 @@ class TestSturmOracle:
         cert = pk.sturm_positive_on_ray(poly, 3)
         assert cert.verdict == "nonnegative" and cert.distinct_roots_beyond == 1
         assert_refutation(pk.sturm_positive_on_ray(poly, F(299, 100)), poly, F(299, 100))
-        down = poly.scale(-1)
+        down = poly * P((-1,))
         assert_refutation(pk.sturm_positive_on_ray(down, 3), down, 3)
 
     def test_ray_start_at_an_even_root(self):

@@ -5,7 +5,9 @@ src/primebounds must be referenced from src/, scripts/ or bench/.  Test
 files there do not count, nor do __all__ (its entries are strings) and
 type annotations; type aliases are not constants.  References are matched
 by name: a load of the name, an attribute of that name, or an import of
-it.  Names that only tests reach today are pinned in TEST_ONLY.  A new
+it.  A method counts as called only through an attribute or an import, so
+a local variable that shares its name is no caller.  Names that only tests
+reach today are pinned in TEST_ONLY.  A new
 test-only name fails here: give it a caller or delete it.  A pinned name
 that gains a caller must leave the list.
 """
@@ -39,7 +41,6 @@ TEST_ONLY = {
     "enclosure.Enclosure.is_finite",
     "enclosure.Enclosure.overlaps",
     "enclosure.esqrt",
-    "sieve.AccumulatorState.psi",
     "verify.merge_reports",
     "verify.promote_verified",
     "verify.report_from_json",
@@ -75,22 +76,23 @@ def _definitions():
 
 
 class _Refs(ast.NodeVisitor):
-    """Names loaded, attributes read and names imported; type annotations
-    are not callers, so they are skipped."""
+    """Names loaded (names), and attributes read and names imported
+    (attrs); type annotations are not callers, so they are skipped."""
 
     def __init__(self):
         self.names = set()
+        self.attrs = set()
 
     def visit_Name(self, node):
         if not isinstance(node.ctx, ast.Store):
             self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        self.names.add(node.attr)
+        self.attrs.add(node.attr)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        self.names.update(alias.name for alias in node.names)
+        self.attrs.update(alias.name for alias in node.names)
 
     def visit_arg(self, node):
         pass
@@ -113,7 +115,7 @@ def _references():
         for path in sorted((ROOT / folder).rglob("*.py")):
             if not path.name.startswith("test_"):
                 refs.visit(ast.parse(path.read_text()))
-    return refs.names
+    return refs
 
 
 def test_every_public_name_has_a_non_test_caller():
@@ -121,7 +123,7 @@ def test_every_public_name_has_a_non_test_caller():
     unreferenced = {
         "%s.%s" % (module, qual)
         for module, qual, bare in _definitions()
-        if bare not in refs
+        if bare not in (refs.attrs if "." in qual else refs.names | refs.attrs)
     }
     assert unreferenced - TEST_ONLY == set(), "public names reached only by tests"
     assert TEST_ONLY - unreferenced == set(), "TEST_ONLY names that now have a caller"

@@ -19,6 +19,7 @@ from primebounds.bounds import Verdict, eval_bound, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
 from primebounds.errors import (
     CapacityError,
+    ChecksumMismatchError,
     FastLaneMismatchError,
     InvalidRangeError,
     MismatchedStateError,
@@ -302,6 +303,14 @@ def test_state_past_range_start_rejected():
         _scan_one(lookup("thm3.8.lower"), 10**5, 2 * 10**5, state=state)
 
 
+def test_state_of_another_numeric_config_rejected_for_pi_lane():
+    # a pi-only scan folds counts only, yet still refuses a state that
+    # another numeric config built
+    state = replace(sieve.pi_theta_at(10**5), config_digest="0" * 16)
+    with pytest.raises(ChecksumMismatchError):
+        _scan_one(lookup("thm3.2.upper"), 10**5 + 1, 2 * 10**5, state=state)
+
+
 def test_invalid_ranges_rejected():
     spec = lookup("thm2.4.lower")
     with pytest.raises(InvalidRangeError):
@@ -579,19 +588,14 @@ def test_tiling_and_segmentation_do_not_change_results(monkeypatch):
     assert sum(c.crossing is not None for c in wide) >= 3
 
 
-def _state_q_fn(lane, state, succ):
-    """The exact quantity on the cell [state.x, succ), read off the state."""
-
-    def q_fn(prec):
-        if lane == "gap":
-            return Enclosure.from_value(succ)
-        if lane == "pi":
-            return Enclosure.from_value(state.pi)
-        if lane == "log1m":
-            return eexp(state.sum_log1m, prec)
-        return {"theta": state.theta, "recip": state.sum_recip, "logp": state.sum_logp}[lane]
-
-    return q_fn
+def _state_quantity(lane, state, succ):
+    """The exact quantity on the cell [state.x, succ) as plain integers,
+    read off the state."""
+    if lane == "gap":
+        return succ
+    if lane == "pi":
+        return state.pi
+    return state.lane(lane)
 
 
 def test_interval_cells_agree_with_pair_checks_from_the_certificate():
@@ -614,9 +618,9 @@ def test_interval_cells_agree_with_pair_checks_from_the_certificate():
         seen = set()
         for base, succ in zip(primes, primes[1:]):
             state = sieve.pi_theta_at(base, resume_from=state)
-            q_fn = _state_q_fn(plan.lane, state, succ)
-            pair, _, _ = verify._check_cell(plan, base, succ, q_fn)
-            cell, _, _ = verify._check_cell(replace(plan, pair_start=None), base, succ, q_fn)
+            q = _state_quantity(plan.lane, state, succ)
+            pair, _, _ = verify._check_cell(plan, base, succ, q)
+            cell, _, _ = verify._check_cell(replace(plan, pair_start=None), base, succ, q)
             assert pair is cell, (bound_id, base)
             seen.add(pair)
         assert seen == expected, bound_id
@@ -638,8 +642,13 @@ def test_exact_quantity_across_chunk_edges():
         run = data.run(lane)
         assert run.size == last + 1
         for i in cells + cells[::-1] + [c + 1, c + 1, c, c - 1, c - 1, 0, 0]:
-            got = data.quantity_fn(lane, i)(DEFAULT_PREC)
-            want = _state_q_fn(lane, states[i], None)(DEFAULT_PREC)
+            q = data.quantity(lane, i)
+            assert q == _state_quantity(lane, states[i], None), (lane, i)
+            # the enclosure of the plain quantity is the state's own
+            got = verify._enclose(lane, q, DEFAULT_PREC)
+            st = states[i]
+            want = {"theta": st.theta, "recip": st.sum_recip, "logp": st.sum_logp,
+                    "log1m": eexp(st.sum_log1m, DEFAULT_PREC)}[lane]
             assert (got.lo, got.hi) == (want.lo, want.hi), (lane, i)
             # the float running sum restarts from the exact one at each chunk
             v, _ = data.exact(lane, i)
