@@ -14,11 +14,18 @@ of its spans in a pool of forked processes, one per CPU in the affinity, and
 adds them in order, so its states and checkpoint lines are those of one
 process.
 
-sieve_segment marks only the values 6k + 1 and 6k + 5, starts from a
-pattern with the multiples of 5, 7, 11 and 13 already struck, and finds
-every other base prime's first multiple in numpy; the primes too large to
-hit a segment twice are struck by one scatter.  A segment spans
-2 * segment_odds integers: the size counts the odd numbers in it.
+sieve_segment marks only the values 6k + 1 and 6k + 5, in two separate
+columns, starts from a pattern with the multiples of 5, 7, 11 and 13
+already struck, and finds every other base prime's first multiple in numpy;
+the primes too large to hit a segment twice are struck by one scatter.
+Each column is struck in its own pass over the base primes, so at the
+default size the column being struck (1.4 MB) stays in a core's cache, and
+the two are then interleaved into wheel order.  The column mask and the
+interleaved mask are buffers kept per thread and reused by every segment
+the thread sieves: each thread holds two arrays of the largest segment it
+has sieved, 2 * rows bytes each, or 5.6 MB in all at the default size.  A
+segment spans 2 * segment_odds integers: the size counts the odd numbers
+in it.
 
 The four summed lanes are defined here alone: their per-prime terms
 (lane_terms), state fields and budget multipliers (LANES) and exact sums
@@ -124,14 +131,14 @@ _PRESIEVE_ROWS = 5 * 7 * 11 * 13
 
 
 def _presieve_pattern() -> np.ndarray:
-    """The wheel rows 6k + 1, 6k + 5 with the multiples of 5, 7, 11 and 13
-    struck, the start of every sieve_segment mask.  The pattern repeats every
-    _PRESIEVE_ROWS rows; it is built twice over so that one slice copies a
-    full period from any row."""
-    pattern = np.ones((2 * _PRESIEVE_ROWS, 2), dtype=bool)
+    """The wheel columns 6k + 1 and 6k + 5 with the multiples of 5, 7, 11
+    and 13 struck, the start of every sieve_segment mask.  The pattern
+    repeats every _PRESIEVE_ROWS rows; it is built twice over so that one
+    slice copies a full period from any row."""
+    pattern = np.ones((2, 2 * _PRESIEVE_ROWS), dtype=bool)
     for p in _PRESIEVE_PRIMES:
         for col, r in enumerate((1, 5)):
-            pattern[-r * pow(6, -1, p) % p :: p, col] = False  # 6k + r = 0 (mod p)
+            pattern[col, -r * pow(6, -1, p) % p :: p] = False  # 6k + r = 0 (mod p)
     return pattern
 
 
@@ -224,46 +231,74 @@ def _first_rows(p: np.ndarray, v0: int) -> np.ndarray:
     return j
 
 
+# Per thread: the column mask and the flat mask of sieve_segment, kept
+# between calls.
+_buffers = threading.local()
+
+
+def _masks(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's column mask, shape (2, rows), and flat mask of 2 * rows
+    entries: views of two buffers kept between calls and grown to the most
+    rows the thread has asked for.  Fresh arrays of a segment's size would
+    be handed back to the system and faulted in again on every segment."""
+    n = 2 * rows
+    if getattr(_buffers, "flat", None) is None or _buffers.flat.size < n:
+        _buffers.cols = _buffers.flat = None  # free the smaller pair first
+        _buffers.cols = np.empty(n, dtype=bool)
+        _buffers.flat = np.empty(n, dtype=bool)
+    return _buffers.cols[:n].reshape(2, rows), _buffers.flat[:n]
+
+
 def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeSegment:
     """Sieve the primes of [lo, hi] using base primes <= isqrt(hi).
 
-    Row k, column c of the wheel mask holds start + 6k + 1 + 4c, where
-    start = lo - lo % 6.  The mask starts as the pre-sieve pattern.  Every
-    larger base prime p then clears its multiples p*j, j >= p: by a slice of
-    stride p rows in each column, or, once p >= rows and so hits each column
-    at most once, by one scatter per column for a whole chunk of primes."""
+    Row k of wheel column c holds start + 6k + 1 + 4c, where
+    start = lo - lo % 6.  The two columns lie apart, each contiguous, and
+    start as the pre-sieve pattern.  Each column is then struck in its own
+    pass over the larger base primes, so that at the default segment size
+    one column stays in cache while it is struck: every base prime p clears
+    its multiples p*j, j >= p, by a slice of stride p rows, or, once
+    p >= rows and so hits the column at most once, by one scatter for a
+    whole chunk of primes.  Interleaved row by row into the flat mask, the
+    columns hold the wheel values in order.
+
+    Both masks are this thread's buffers (_masks), so a thread keeps two
+    arrays of 2 * rows bytes for the largest segment it has sieved; the
+    primes returned never share memory with them."""
+    if not 2 <= lo <= hi:
+        raise InvalidRangeError("segment range must satisfy 2 <= lo <= hi")
     if hi > CAPACITY:
         raise CapacityError("sieve limit above 2**53")
     if base is None:
         base = base_primes(math.isqrt(hi))
     start = lo - lo % 6
     rows = (hi - start) // 6 + 1
-    mask = np.empty((rows, 2), dtype=bool)
+    cols, flat = _masks(rows)
     filled = min(rows, _PRESIEVE_ROWS)
     s = (start // 6) % _PRESIEVE_ROWS
-    mask[:filled] = _PRESIEVE[s : s + filled]
+    cols[:, :filled] = _PRESIEVE[:, s : s + filled]
     while filled < rows:  # the pattern repeats every _PRESIEVE_ROWS rows
         n = min(filled, rows - filled)
-        mask[filled : filled + n] = mask[:n]
+        cols[:, filled : filled + n] = cols[:, :n]
         filled += n
     for p in _PRESIEVE_PRIMES:
         if start <= p < start + 6 * rows:
-            mask[(p - start) // 6, (p - start) % 6 // 4] = True  # residue 1, 5 -> column 0, 1
-    c1, c5 = mask[:, 0], mask[:, 1]
+            cols[(p - start) % 6 // 4, (p - start) // 6] = True  # residue 1, 5 -> column 0, 1
     first = np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right")
     last = np.searchsorted(base, math.isqrt(hi), side="right")
     ps = base[first:last].astype(np.int64, copy=False)
-    for a in range(0, ps.size, _OFFSET_CHUNK):
-        pc = ps[a : a + _OFFSET_CHUNK]
-        k1, k5 = _first_rows(pc, start + 1), _first_rows(pc, start + 5)
-        n = int(np.searchsorted(pc, rows))  # pc[:n] < rows take strided slices
-        for k, col in ((k1[n:], c1), (k5[n:], c5)):
-            col[k[k < rows]] = False
-        for p, r1, r5 in zip(pc[:n].tolist(), k1[:n].tolist(), k5[:n].tolist()):
-            c1[r1::p] = False
-            c5[r5::p] = False
-    flat = mask.reshape(-1)  # clear the values outside [lo, hi], 1 among them
-    flat[: _wheel_count(lo - 1 - start)] = False
+    for col, v0 in ((cols[0], start + 1), (cols[1], start + 5)):
+        for a in range(0, ps.size, _OFFSET_CHUNK):
+            pc = ps[a : a + _OFFSET_CHUNK]
+            k = _first_rows(pc, v0)
+            n = int(np.searchsorted(pc, rows))  # pc[:n] < rows take strided slices
+            far = k[n:]
+            col[far[far < rows]] = False
+            for p, r in zip(pc[:n].tolist(), k[:n].tolist()):
+                col[r::p] = False
+    flat[0::2] = cols[0]
+    flat[1::2] = cols[1]
+    flat[: _wheel_count(lo - 1 - start)] = False  # clear the values outside [lo, hi], 1 among them
     flat[_wheel_count(hi - start) :] = False
     primes = np.flatnonzero(flat).astype(np.int64, copy=False)
     # flat index i holds start + 6(i >> 1) + 1 + 4(i & 1) = (start + 3i + 1) | 1

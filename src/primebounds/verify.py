@@ -400,9 +400,9 @@ def _bound_float(
     """Float64 bound values at x (log-scale for the Mertens product).
 
     L is log(x) and pw(k) gives L ** k; the scanner shares those powers
-    across claims.  Returns (values, suspect) where suspect marks entries
-    that must not be trusted (nonpositive rational denominator / product
-    body).
+    across the terms of one claim's bound.  Returns (values, suspect) where
+    suspect marks entries that must not be trusted (nonpositive rational
+    denominator / product body).
     """
     ops = _FloatOps(pw)
     return bounds.shape(spec, x, L, ops), ops.suspect
@@ -740,7 +740,14 @@ def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
     """
     at = cells + 1 if plan.eval_at_succ else cells
     x, L = data.p[at], data.logs[at]
-    f, suspect = _bound_float(plan.spec, x, L, functools.cache(L.__pow__))
+    powers = {}
+
+    def pw(k):
+        if k not in powers:
+            powers[k] = L**k
+        return powers[k]
+
+    f, suspect = _bound_float(plan.spec, x, L, pw)
     q = data.run(plan.lane)[cells]
     return (q, f, suspect) if plan.lower else (f, q, suspect)
 

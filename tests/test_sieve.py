@@ -8,10 +8,12 @@ Frozen counts (78498 primes below 10**6, etc.) agree with the
 trial-division oracle, which the suite re-checks at the small end.
 """
 
+import functools
 import io
 import json
 import math
 import multiprocessing
+import sys
 import threading
 
 import mpmath
@@ -129,6 +131,90 @@ def test_segments_of_large_primes_only():
     assert np.array_equal(small, primes_in_range(lo, hi, segment_odds=2**20))
     sub = small[(small >= 10**12 - 500) & (small <= 10**12 + 500)]
     assert sub.tolist() == sympy_primes(10**12 - 500, 10**12 + 500)
+
+
+def _in_threads(*calls, switch_s=None):
+    """Run each call in its own thread, all at once, and return their
+    results (or the exceptions they raised) in order."""
+    results = [None] * len(calls)
+
+    def run(i, call):
+        try:
+            results[i] = call()
+        except BaseException as e:  # handed back to the test, not swallowed
+            results[i] = e
+
+    threads = [threading.Thread(target=run, args=(i, c)) for i, c in enumerate(calls)]
+    old_switch = sys.getswitchinterval()
+    if switch_s is not None:
+        sys.setswitchinterval(switch_s)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_switch)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+@pytest.mark.parametrize(
+    "lo, hi, error",
+    [
+        (100, 50, InvalidRangeError),
+        (10**6, 10, InvalidRangeError),
+        (0, 10**7, InvalidRangeError),
+        (1, 10, InvalidRangeError),
+        (2**53 - 10, 2**53 + 10, CapacityError),
+    ],
+)
+def test_range_is_checked_before_any_work(lo, hi, error):
+    def attempt():
+        with pytest.raises(error):
+            sieve_segment(lo, hi)
+        return getattr(sieve._buffers, "flat", None)
+
+    # a fresh thread has no sieve buffers until it sieves a segment
+    (buffer,) = _in_threads(attempt)
+    assert buffer is None
+
+
+def test_reused_buffers_after_a_narrower_segment():
+    wide, narrow = (2, 300_000), (10**14 - 1000, 10**14 + 1000)
+
+    def wide_narrow_wide():
+        return [sieve_segment(*w).primes.tolist() for w in (wide, narrow, wide)]
+
+    # in a fresh thread, so the first wide segment sizes the buffers
+    (got,) = _in_threads(wide_narrow_wide)
+    assert got == [sympy_primes(*wide), sympy_primes(*narrow), sympy_primes(*wide)]
+
+
+def test_primes_do_not_alias_the_buffers():
+    # the later segments are no wider than the first, so they reuse its buffers
+    first = sieve_segment(10**6, 2 * 10**6)
+    kept = first.primes.copy()
+    for lo, hi in ((3 * 10**6, 3 * 10**6 + 5 * 10**5), (10**12, 10**12 + 10**5), (2, 10**6)):
+        later = sieve_segment(lo, hi)
+        assert not np.shares_memory(later.primes, sieve._buffers.flat)
+        assert not np.shares_memory(later.primes, sieve._buffers.cols)
+    assert np.array_equal(first.primes, kept)
+
+
+def test_threads_sieve_at_once():
+    # more threads than cores, switching often, each sieving its own window
+    # again and again; a buffer shared between threads would mix them up
+    windows = [(2, 200_000), (10**6, 1_200_000), (10**12 - 30_000, 10**12 + 30_000),
+               (2**53 - 3000, 2**53 - 1)]
+    want = [sympy_primes(lo, hi) for lo, hi in windows]
+
+    def repeat(lo, hi):
+        return [sieve_segment(lo, hi).primes.tolist() for _ in range(5)]
+
+    calls = [functools.partial(repeat, lo, hi) for lo, hi in windows]
+    got = _in_threads(*calls, switch_s=1e-5)
+    assert got == [[w] * 5 for w in want]
 
 
 def test_pi_values():
