@@ -2,11 +2,13 @@
 
 One subcommand per capability: sieve (exact prime accumulation), eval
 (bound enclosures at a point), verify (range checks with reports), crossing
-(threshold recovery), constants (gamma, Mertens B, Landau E), proof
-(monotonicity certificates), registry (the bound catalogue).
+(threshold recovery), reproduce (the paper's thresholds up to --to in one
+scan), constants (gamma, Mertens B, Landau E), proof (monotonicity
+certificates), registry (the bound catalogue).
 
 Exit codes follow the verification contract: 0 all pass, 1 failures
-present, 2 indeterminates present, 3 usage or configuration error.
+present, 2 indeterminates present, 3 usage or configuration error;
+reproduce exits 1 when any printed threshold disagrees with the scan.
 Reports are written with wall_time_s zeroed so identical runs produce
 byte-identical files; timing goes to stderr instead.
 """
@@ -229,6 +231,15 @@ def _write_reports(config: RunConfig, reports: Sequence[VerificationReport]):
 # ---------------------------------------------------------------------------
 
 
+def _read_resume(config: RunConfig) -> tuple[Optional[str], Optional[sieve.AccumulatorState]]:
+    """The resolved --resume path and the state on its last line."""
+    path = _checkpoint_path(config.checkpoint_in)
+    if not path:
+        return path, None
+    with open(path) as fh:
+        return path, sieve.read_checkpoint(fh)
+
+
 def _cmd_sieve(config: RunConfig) -> int:
     target = config.range_hi
     if target is None:
@@ -236,11 +247,7 @@ def _cmd_sieve(config: RunConfig) -> int:
     gate = _gate_extended(config)
     if gate is not None:
         return gate
-    resume = None
-    ck_in = _checkpoint_path(config.checkpoint_in)
-    if ck_in:
-        with open(ck_in) as fh:
-            resume = sieve.read_checkpoint(fh)
+    _, resume = _read_resume(config)
     t0 = time.monotonic()
     state = sieve.pi_theta_at(
         target,
@@ -266,7 +273,10 @@ def _parse_x(text: str):
         return int(text.replace("_", ""))
     except ValueError:
         pass
-    val = float(text)
+    try:
+        val = float(text)
+    except ValueError:
+        raise InvalidRangeError("--x must be a number, not %r" % text) from None
     if math.isfinite(val) and val == int(val):
         return int(val)
     return val
@@ -291,11 +301,7 @@ def _cmd_verify(config: RunConfig) -> int:
     if config.range_lo is None or config.range_hi is None:
         raise InvalidRangeError("verify needs --from and --to")
     specs = [lookup(b) for b in config.bound_ids]
-    resume = None
-    ck_in = _checkpoint_path(config.checkpoint_in)
-    if ck_in:
-        with open(ck_in) as fh:
-            resume = sieve.read_checkpoint(fh)
+    ck_in, resume = _read_resume(config)
     prefix_from = None
     if any(s.kind is not BoundKind.GAP for s in specs):
         prefix_from = 2 if resume is None else resume.x
@@ -350,6 +356,62 @@ def _cmd_crossing(config: RunConfig) -> int:
         }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
+
+
+def _cmd_reproduce(config: RunConfig) -> int:
+    to = config.range_hi
+    if to is None or to < 2:
+        raise InvalidRangeError("reproduce needs --to of at least 2")
+    specs = [
+        s for s in registry_list() if s.status == "claimed_paper" and s.threshold_x0 <= to
+    ]
+    gate = _gate_extended(config, len(specs))
+    if gate is not None:
+        return gate
+    print("scanning %d claims over [2, %d] in one pass" % (len(specs), to), file=sys.stderr)
+    t0 = time.monotonic()
+    claims = verify.scan_claims(specs, 2, to, segment_odds=config.segment_odds)
+    elapsed = time.monotonic() - t0
+    x0_of = {s.id: s.threshold_x0 for s in specs}
+    rows, all_ok = [], True
+    for claim in sorted(claims, key=lambda c: x0_of[c.report.bound_id]):
+        report = claim.report
+        x0 = x0_of[report.bound_id]
+        implied = claim.crossing.implied_threshold if claim.crossing else None
+        # consistent: no failures at or above the printed threshold, no
+        # indeterminate verdicts.  tight: the implied threshold is the
+        # printed one exactly (the largest failure sits right below x0).
+        consistent = report.indeterminates == 0 and (
+            claim.crossing is None or claim.crossing.largest_failing_x < x0
+        )
+        tight = implied == x0
+        all_ok &= consistent
+        rows.append(
+            {
+                "bound_id": report.bound_id,
+                "printed_threshold": x0,
+                "implied_threshold": implied,
+                "failures": report.failures,
+                "checked": report.checked,
+                "indeterminates": report.indeterminates,
+                "consistent": consistent,
+                "tight": tight,
+            }
+        )
+        print(
+            "%-18s x0=%-10d implied=%-10s failures=%-9d %s"
+            % (
+                report.bound_id,
+                x0,
+                implied if implied is not None else "-",
+                report.failures,
+                ("ok tight" if tight else "ok") if consistent else "MISMATCH",
+            ),
+            file=sys.stderr,
+        )
+    print("ALL CONSISTENT: %s  (%.1fs)" % (all_ok, elapsed), file=sys.stderr)
+    print(json.dumps({"ceiling": to, "claims": rows}, indent=2, sort_keys=True))
+    return 0 if all_ok else 1
 
 
 def _cmd_constants(config: RunConfig) -> int:
@@ -438,6 +500,7 @@ _COMMANDS = {
     "eval": _cmd_eval,
     "verify": _cmd_verify,
     "crossing": _cmd_crossing,
+    "reproduce": _cmd_reproduce,
     "constants": _cmd_constants,
     "proof": _cmd_proof,
     "registry": _cmd_registry,
@@ -522,6 +585,11 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("crossing", help="largest violation and implied threshold")
     common(sp, bounds=True, sieves=True, starts=True)
+
+    sp = sub.add_parser(
+        "reproduce", help="scan every claimed threshold up to --to against the paper's"
+    )
+    common(sp, sieves=True)
 
     sp = sub.add_parser("constants", help="print gamma, Mertens B, Landau E")
     sp.add_argument("--digits", type=int, default=28)

@@ -11,7 +11,6 @@ comes back undecided.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -157,16 +156,6 @@ class Enclosure:
     def mid_float(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def float_pair(self) -> tuple[float, float]:
-        """Directed float64 endpoints (lo rounded down, hi rounded up)."""
-        lo = float(self.lo)
-        if mpmath.mpf(lo) > self.lo:
-            lo = _next_down(lo)
-        hi = float(self.hi)
-        if mpmath.mpf(hi) < self.hi:
-            hi = _next_up(hi)
-        return lo, hi
-
     def is_finite(self) -> bool:
         return mpmath.isfinite(self.lo) and mpmath.isfinite(self.hi)
 
@@ -256,14 +245,6 @@ class Enclosure:
 
     def __repr__(self):
         return "Enclosure[%s, %s]" % (mpmath.nstr(self.lo, 24), mpmath.nstr(self.hi, 24))
-
-
-def _next_up(f: float) -> float:
-    return math.nextafter(f, math.inf)
-
-
-def _next_down(f: float) -> float:
-    return math.nextafter(f, -math.inf)
 
 
 def _checked_div(a, b):

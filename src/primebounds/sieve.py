@@ -23,7 +23,7 @@ default size the column being struck (1.4 MB) stays in a core's cache, and
 the two are then interleaved into wheel order.  The column mask and the
 interleaved mask are buffers kept per thread and reused by every segment
 the thread sieves: each thread holds two arrays of the largest segment it
-has sieved, 2 * rows bytes each, or 5.6 MB in all at the default size.  A
+has sieved up to the default size, 2 * rows bytes each, or 5.6 MB in all.  A
 segment spans 2 * segment_odds integers: the size counts the odd numbers
 in it.
 
@@ -232,16 +232,22 @@ def _first_rows(p: np.ndarray, v0: int) -> np.ndarray:
 
 
 # Per thread: the column mask and the flat mask of sieve_segment, kept
-# between calls.
+# between calls up to the rows of a default-size span (2 * DEFAULT_SEGMENT_ODDS
+# integers from at most 5 past a multiple of 6).
 _buffers = threading.local()
+_KEPT_ROWS = (2 * DEFAULT_SEGMENT_ODDS + 4) // 6 + 1
 
 
 def _masks(rows: int) -> tuple[np.ndarray, np.ndarray]:
     """This thread's column mask, shape (2, rows), and flat mask of 2 * rows
     entries: views of two buffers kept between calls and grown to the most
-    rows the thread has asked for.  Fresh arrays of a segment's size would
-    be handed back to the system and faulted in again on every segment."""
+    rows the thread has asked for, up to _KEPT_ROWS.  Fresh arrays of a
+    segment's size would be handed back to the system and faulted in again
+    on every segment.  A wider segment gets fresh arrays all the same, freed
+    with the call, so that it does not pin its memory for the thread's life."""
     n = 2 * rows
+    if rows > _KEPT_ROWS:
+        return np.empty((2, rows), dtype=bool), np.empty(n, dtype=bool)
     if getattr(_buffers, "flat", None) is None or _buffers.flat.size < n:
         _buffers.cols = _buffers.flat = None  # free the smaller pair first
         _buffers.cols = np.empty(n, dtype=bool)
@@ -263,8 +269,9 @@ def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeS
     columns hold the wheel values in order.
 
     Both masks are this thread's buffers (_masks), so a thread keeps two
-    arrays of 2 * rows bytes for the largest segment it has sieved; the
-    primes returned never share memory with them."""
+    arrays of 2 * rows bytes for the largest segment it has sieved, no
+    larger than a default-size one; the primes returned never share memory
+    with them."""
     if not 2 <= lo <= hi:
         raise InvalidRangeError("segment range must satisfy 2 <= lo <= hi")
     if hi > CAPACITY:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from primebounds import sieve, verify
+from primebounds import bounds, sieve, verify
 from primebounds.bounds import lookup, registry_list
 from primebounds.cli import (
     ENV_CHECKPOINT_DIR,
@@ -197,6 +197,7 @@ class TestUsageErrors:
             ["sieve"],
             ["eval", "--bound", "nosuch", "--x", "10"],
             ["eval", "--bound", "thm3.2.upper"],
+            ["eval", "--bound", "thm3.2.upper", "--x", "abc"],
             ["crossing", "--bound", "a.l", "--bound", "b.l", "--to", "100"],
             ["verify", "--bound", "thm3.2.upper", "--from", "9", "--to", "2"],
             ["verify", "--bound", "thm3.2.upper", "--from", "2", "--to", "100",
@@ -214,6 +215,8 @@ class TestUsageErrors:
             ["sieve", "--from", "500", "--to", "1000"],
             ["eval", "--bound", "thm3.2.upper", "--x", "10", "--extended"],
             ["proof", "--bound", "thm3.8.lower", "--segment-size", "4096"],
+            ["reproduce", "--from", "5", "--to", "1000"],
+            ["reproduce", "--bound", "x", "--to", "1000"],
         ],
     )
     def test_exit_three(self, argv, capsys, monkeypatch, tmp_path):
@@ -414,6 +417,44 @@ class TestCrossingCommand:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["crossing"] is None
+
+
+class TestReproduceCommand:
+    def _run(self, argv, capsys):
+        code = main(["reproduce"] + argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_thresholds_to_one_million_are_consistent(self, capsys):
+        code, out, err = self._run(["--to", "1000000"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ceiling"] == 1_000_000
+        assert len(doc["claims"]) == 17
+        assert all(row["consistent"] for row in doc["claims"])
+        row = {r["bound_id"]: r for r in doc["claims"]}["prop3.10.lower"]
+        assert (row["implied_threshold"], row["failures"], row["tight"]) == (19423, 310, True)
+        # the table goes to stderr, one line per claim
+        assert "ALL CONSISTENT: True" in err
+        assert sum(" x0=" in line for line in err.splitlines()) == 17
+
+    def test_segment_size_does_not_change_the_record(self, capsys):
+        _, default, _ = self._run(["--to", "1000000"], capsys)
+        _, tiny, _ = self._run(["--to", "1000000", "--segment-size", "1024"], capsys)
+        assert tiny == default
+
+    def test_threshold_printed_too_low_exits_one(self, capsys, monkeypatch):
+        # prop3.10.lower fails at 19421, above a printed 19000
+        spec = lookup("prop3.10.lower")
+        monkeypatch.setitem(bounds._REGISTRY, spec.id, replace(spec, threshold_x0=19000))
+        code, out, err = self._run(["--to", "1000000"], capsys)
+        assert code == 1
+        row = {r["bound_id"]: r for r in json.loads(out)["claims"]}[spec.id]
+        assert (row["printed_threshold"], row["consistent"]) == (19000, False)
+        assert "MISMATCH" in err
+
+    def test_ceiling_below_two_exits_three(self, capsys):
+        assert self._run(["--to", "1"], capsys)[0] == 3
 
 
 class TestProofCommand:

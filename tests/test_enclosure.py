@@ -69,13 +69,6 @@ def test_from_dyadic_is_exact(v, b):
     assert Fraction(*e.hi_rational()) == exact_hi
 
 
-def test_float_pair_brackets():
-    e = elog(Enclosure.from_value(2))
-    lo, hi = e.float_pair()
-    assert lo <= 0.6931471805599453 <= hi
-    assert hi - lo <= 3 * 2.0**-52
-
-
 def test_truncated_digits_bracket():
     # 28 decimal digits of a known constant, truncated toward zero
     e = Enclosure.from_truncated_digits("0.2614972128476427837554268386")

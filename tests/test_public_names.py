@@ -1,8 +1,9 @@
 """Every public name in the library has a caller outside the tests.
 
 A public function, class, method or module-level constant of
-src/primebounds must be referenced from src/, scripts/ or bench/.  Test
-files there do not count, nor do __all__ (its entries are strings) and
+src/primebounds must be referenced from src/ or bench/ (the command line
+is src/primebounds/cli.py; there is no scripts/ folder).  Test files
+there do not count, nor do __all__ (its entries are strings) and
 type annotations; type aliases are not constants.  References are matched
 by name: a load of the name, an attribute of that name, or an import of
 it.  A method counts as called only through an attribute or an import, so
@@ -111,7 +112,7 @@ class _Refs(ast.NodeVisitor):
 
 def _references():
     refs = _Refs()
-    for folder in ("src", "scripts", "bench"):
+    for folder in ("src", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if not path.name.startswith("test_"):
                 refs.visit(ast.parse(path.read_text()))

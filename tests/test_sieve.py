@@ -202,6 +202,30 @@ def test_primes_do_not_alias_the_buffers():
     assert np.array_equal(first.primes, kept)
 
 
+def test_a_wide_segment_does_not_grow_the_buffers():
+    default = (10**9 + 1, 10**9 + 2 * sieve.DEFAULT_SEGMENT_ODDS)
+    wide = (10**9 + 1, 10**9 + (1 << 27))
+
+    def default_then_wide():
+        sieve_segment(*default)
+        kept = sieve._buffers.flat.size
+        primes = sieve_segment(*wide).primes
+        return kept, sieve._buffers.flat.size, primes
+
+    # in a fresh thread, so the default segment sizes the buffers
+    (got,) = _in_threads(default_then_wide)
+    kept, after, primes = got
+    assert after == kept
+    # the 6,456,753 primes of test_wide_segment_equals_its_halves, and
+    # the oracle's at both ends and in the middle
+    assert primes.size == 6_456_753
+    lo, hi = wide
+    mid = (lo + hi) // 2
+    for a, b in ((lo, lo + 3000), (mid, mid + 3000), (hi - 3000, hi)):
+        window = primes[(primes >= a) & (primes <= b)]
+        assert window.tolist() == sympy_primes(a, b)
+
+
 def test_threads_sieve_at_once():
     # more threads than cores, switching often, each sieving its own window
     # again and again; a buffer shared between threads would mix them up
