@@ -67,15 +67,6 @@ def _mpf_decimal(x: mpmath.mpf) -> str:
     return dyadic.to_decimal(-man if sign else man, -exp)
 
 
-def _mpf_from_decimal(s: str) -> mpmath.mpf:
-    if s in ("inf", "-inf"):
-        return mpmath.mpf(s)
-    parsed = dyadic.from_decimal(s)
-    if parsed is None:
-        raise InvalidRangeError("endpoint %r is not a dyadic decimal" % s)
-    return mpmath.mp.make_mpf(from_man_exp(parsed[0], -parsed[1]))
-
-
 class Enclosure:
     """Closed interval [lo, hi] containing an exact real value."""
 
@@ -113,11 +104,6 @@ class Enclosure:
             mpmath.mp.make_mpf(from_man_exp(lo_scaled, -scale_bits)),
             mpmath.mp.make_mpf(from_man_exp(hi_scaled, -scale_bits)),
         )
-
-    @classmethod
-    def from_decimal_pair(cls, pair) -> "Enclosure":
-        """Inverse of decimal_pair; InvalidRangeError for a non-dyadic endpoint."""
-        return cls(*(_mpf_from_decimal(s) for s in pair))
 
     @classmethod
     def from_truncated_digits(cls, digits: str) -> "Enclosure":

@@ -20,8 +20,10 @@ Contents:
 * shape_on_ray -- reduce monotonicity of a registry bound (in the variable
   x, for x >= a) to ray-positivity of explicit polynomials in y = log x
   (_shape_polys), then certify them; square-root upper envelopes termwise.
+* least_integer -- the least integer of a window where a monotone
+  predicate holds, by bisection: the one integer search of the package.
 * certified_start -- the least x in a window from which shape_on_ray
-  holds, read off the same last sign changes.
+  holds, found by least_integer on the same last sign changes.
 * Frozen helper polynomials used by the registry derivations, with exact
   decimal coefficients.
 * zero_count_bound -- enclosure of an explicit upper bound for the number
@@ -30,7 +32,9 @@ Contents:
 * dudek_thresholds -- compare two threshold expressions attached to an
   integer parameter m, in log space.
 * ElementaryForm / elementary_crossing -- rigorous sign-change bracketing
-  for sums of terms c * t^alpha * log(t)^beta.
+  for sums of terms c * t^alpha * log(t)^beta: the one real-valued
+  threshold search, which dudek_thresholds and crossing_integer_threshold
+  both use.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .bounds import BoundKind, BoundSpec, Verdict
 from .enclosure import (
@@ -667,14 +671,31 @@ def shape_on_ray(
     return _certify(spec, x_start, _shape_polys(spec), prec)
 
 
+def least_integer(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Least integer t in (lo, hi] with holds(t), by bisection.
+
+    holds must be monotone: false up to some integer and true from it on.
+    lo is taken to fail and is never tested; None when holds(hi) is false.
+    """
+    if not holds(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
     """Least integer x in [lo, hi] from which shape_on_ray(spec, x) holds.
 
     None when spec's kind has no certificate or it fails at hi; lo for the
     termwise kinds.  A certificate polynomial P is >= 0 on [a, infinity)
     exactly when P >= 0 at _deciding_point(P, a); that predicate is exact and
-    monotone in a, so bisecting it over a = log_ray_start(x) gives the least
-    x.  The certificate there is then built once to confirm it.
+    monotone in a, so bisecting it over x, with a = log_ray_start(x), gives
+    the least x.  The certificate there is then built once to confirm it.
     """
     try:
         polys = _shape_polys(spec)
@@ -685,17 +706,9 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
         a = log_ray_start(x)
         return all(_sign_at(_ints(poly), _deciding_point(poly, a)) >= 0 for poly in polys)
 
-    x = lo
-    if polys and not holds(lo):
-        if not holds(hi):
-            return None
-        bad, x = lo, hi
-        while x - bad > 1:
-            mid = (bad + x) // 2
-            if holds(mid):
-                x = mid
-            else:
-                bad = mid
+    x = lo if not polys or holds(lo) else least_integer(holds, lo, hi)
+    if x is None:
+        return None
     if not shape_on_ray(spec, x).holds():
         raise NoCertificateError(
             "%s: the last sign changes put the certified start at %d, but the "
@@ -870,58 +883,6 @@ def check_lemma_preconditions(
 # ---------------------------------------------------------------------------
 
 
-def _bracket_u(c: Fraction, prec: int) -> Tuple[Fraction, Fraction]:
-    """Rational bracket for the root u > 4 of  u - 4 log u = c  (c > 4).
-
-    The left side is increasing for u > 4, so the root is simple; a float
-    Newton seed is verified and tightened with interval arithmetic.
-    """
-    cf = float(c)
-    u = max(cf + 4.0 * math.log(max(cf, 2.0)), 8.0)
-    for _ in range(60):
-        u_next = cf + 4.0 * math.log(u)
-        if abs(u_next - u) < 1e-12 * u:
-            u = u_next
-            break
-        u = u_next
-
-    ctx = ivctx(prec)
-    cv = lift(ctx, c)
-
-    def sign_at(point: Fraction) -> int:
-        val = lift(ctx, point) - 4 * ctx.log(lift(ctx, point)) - cv
-        if val.a > 0:
-            return 1
-        if val.b < 0:
-            return -1
-        return 0
-
-    delta = Fraction(str(max(abs(u), 1.0))) / 10**9
-    lo = Fraction(str(u)) - delta
-    hi = Fraction(str(u)) + delta
-    for _ in range(120):
-        if lo > 4 and sign_at(lo) < 0 and sign_at(hi) > 0:
-            break
-        delta *= 8
-        lo = Fraction(str(u)) - delta
-        hi = Fraction(str(u)) + delta
-    else:
-        raise NoSignChangeError("failed to bracket the threshold root")
-
-    for _ in range(140):
-        if hi - lo <= Fraction(1, 10**25):
-            break
-        mid = (lo + hi) / 2
-        s = sign_at(mid)
-        if s < 0:
-            lo = mid
-        elif s > 0:
-            hi = mid
-        else:
-            break
-    return lo, hi
-
-
 def _enclosure_from_rationals(
     lo: Fraction, hi: Fraction, prec: int = 200
 ) -> Enclosure:
@@ -954,12 +915,20 @@ def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
     """Compare the two threshold expressions attached to the integer m.
 
     Let n0(m) = max{ n integer : 198.2 n / log(n)^4 <= m^5 } and
-    n1(m) = exp(1000 * exp(19.807) / m).  In log space, log n0 is within
-    1/n0 of the root u of  u - 4 log u = log(m^5 / 19.82 / 10), and the
-    comparison n1 <= n0 is decided rigorously on enclosures.
+    n1(m) = exp(1000 * exp(19.807) / m).  n0 is the floor of N, where
+    u = log N is the root u > 4 of  u - 4 log u = c,  c = log(m^5 / 198.2):
+    the crossing of t and 4 log t + c, bracketed by elementary_crossing from
+    both ends of c's enclosure.  The comparison n1 <= n0 is decided
+    rigorously on enclosures.
     """
     if not isinstance(m, int) or m < 1000:
         raise InvalidRangeError("m must be an integer >= 1000")
+
+    def log_n(c: Fraction, p: int) -> Enclosure:
+        """The u > 4 with u - 4 log u = c; the difference is negative at c."""
+        return elementary_crossing(
+            ElementaryForm((1, 1, 0)), ElementaryForm((4, 0, 1), (c, 0, 0)), c, p
+        )
 
     verdict = Verdict.Indeterminate
     floor_enc = exp_enc = None
@@ -967,13 +936,12 @@ def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
         ctx = ivctx(p)
         # c = log(m^5 * 10 / 1982), exact rational inside the log.
         c_enc = elog(Fraction(10 * m**5, 1982), p)
-        # Interval-safe: bracket using the outward rational endpoints.
-        lo_lo, _ = _bracket_u(Fraction(*c_enc.lo_rational()), p)
-        _, hi_hi = _bracket_u(Fraction(*c_enc.hi_rational()), p)
-        # n0 is the floor, so log n0 lies in [u - 1/n0, u]; 1/n0 < 1e-50
-        # for every admissible m (n0 > 10^50 once m >= 1000).
+        lo = Fraction(*log_n(Fraction(*c_enc.lo_rational()), p).lo_rational())
+        hi = Fraction(*log_n(Fraction(*c_enc.hi_rational()), p).hi_rational())
+        # log n0 lies in [log(N - 1), u], and log(N - 1) >= u - 2/N, where
+        # N = e^u > e^c = 10 m^5 / 1982.
         floor_enc = _enclosure_from_rationals(
-            lo_lo - Fraction(1, 10**50), hi_hi, max(p, 200)
+            lo - Fraction(2 * 1982, 10 * m**5), hi, max(p, 200)
         )
         scale = lift(ctx, Fraction(1000, m))
         exp_iv = scale * ctx.exp(lift(ctx, Fraction(19807, 1000)))
@@ -994,34 +962,29 @@ def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
 # Elementary crossing search
 # ---------------------------------------------------------------------------
 
+# A crossing bracket this narrow is final.
+_CROSSING_WIDTH = Fraction(1, 10**25)
+# Cap on the doublings that look for a sign change, and on the bisections.
+_CROSSING_STEPS = 200
 
-@dataclass(frozen=True)
+
 class ElementaryForm:
     """Finite sum of terms  c * t**alpha * log(t)**beta  for t > 1.
 
-    terms is a tuple of (c, alpha, beta) with c and alpha rational and
-    beta a (possibly negative) integer; log t > 0 on the domain, so
-    negative log powers are well defined.
+    Built from (c, alpha, beta) triples with c and alpha rational (int,
+    Fraction or decimal string) and beta a (possibly negative) integer; log
+    t > 0 on the domain, so negative log powers are well defined.  Terms
+    with c = 0 are dropped.
     """
 
-    terms: Tuple[Tuple[Fraction, Fraction, int], ...]
-
-    def __post_init__(self):
-        cleaned = []
-        for c, alpha, beta in self.terms:
-            cf = _as_fraction(c)
-            af = _as_fraction(alpha)
-            bi = int(beta)
-            if cf != 0:
-                cleaned.append((cf, af, bi))
-        if not cleaned:
+    def __init__(self, *terms):
+        self.terms = tuple(
+            (_as_fraction(c), _as_fraction(alpha), int(beta))
+            for c, alpha, beta in terms
+            if c != 0
+        )
+        if not self.terms:
             raise InvalidRangeError("a form needs at least one nonzero term")
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    @classmethod
-    def of(cls, *terms) -> "ElementaryForm":
-        return cls(tuple((Fraction(str(c)) if isinstance(c, float) else Fraction(c),
-                          Fraction(a), int(b)) for (c, a, b) in terms))
 
     def value(self, t, prec: int = DEFAULT_PREC) -> Enclosure:
         ctx = ivctx(prec)
@@ -1054,78 +1017,49 @@ def _difference_sign(
 
 
 def elementary_crossing(
-    lhs: ElementaryForm,
-    rhs: ElementaryForm,
-    hint,
-    prec: int = DEFAULT_PREC,
-    max_doublings: int = 64,
-    bisections: int = 90,
+    lhs: ElementaryForm, rhs: ElementaryForm, hint, prec: int = DEFAULT_PREC
 ) -> Enclosure:
     """Bracket a sign change of lhs - rhs near the hinted location.
 
-    Walks geometrically away from the hint in both directions until the
-    difference has certain opposite signs, then bisects keeping certified
-    signs at both ends.  Returns an enclosure [a, b] with
-    sign(lhs - rhs)(a) != sign(lhs - rhs)(b), both certain; the final width
-    is driven below 1 when possible so integer thresholds are pinned.
-    Raises NoSignChangeError when no certain sign change is found.
+    The difference must have a certain sign at the hint.  The search doubles
+    and halves away from it until the difference has the certain opposite
+    sign, then bisects keeping certain signs at both ends, until the
+    bracket is narrower than _CROSSING_WIDTH or the sign at its midpoint is
+    undecided at prec and at RETRY_PREC bits; each phase takes at most
+    _CROSSING_STEPS steps.  Returns an enclosure [a, b] with
+    sign(lhs - rhs)(a) != sign(lhs - rhs)(b), both certain.  Raises
+    NoSignChangeError when no certain sign change is found.
     """
-    base = _as_fraction(hint) if not isinstance(hint, float) else Fraction(str(hint))
-    if base <= 1:
+    anchor = _as_fraction(hint)
+    if anchor <= 1:
         raise InvalidRangeError("hint must exceed 1")
 
-    s_base = _difference_sign(lhs, rhs, base, prec)
-    anchor, anchor_sign = base, s_base
-    if anchor_sign == 0:
-        for nudge in (Fraction(65, 64), Fraction(63, 64), Fraction(9, 8)):
-            candidate = base * nudge
-            if candidate <= 1:
-                continue
-            s = _difference_sign(lhs, rhs, candidate, prec)
-            if s != 0:
-                anchor, anchor_sign = candidate, s
-                break
-        else:
-            raise NoSignChangeError("difference is indeterminate near the hint")
+    def sign(t: Fraction) -> int:
+        return _difference_sign(lhs, rhs, t, prec)
 
-    lo = hi = None
+    anchor_sign = sign(anchor)
+    if anchor_sign == 0:
+        raise NoSignChangeError("difference is indeterminate at the hint")
     up = down = anchor
-    for _ in range(max_doublings):
+    for _ in range(_CROSSING_STEPS):
         up = up * 2
-        if _difference_sign(lhs, rhs, up, prec) == -anchor_sign:
-            lo, hi = anchor, up
+        if sign(up) == -anchor_sign:
+            lo, hi, sign_lo = anchor, up, anchor_sign
             break
         down = down / 2
-        if down > 1 and _difference_sign(lhs, rhs, down, prec) == -anchor_sign:
-            lo, hi = down, anchor
+        if down > 1 and sign(down) == -anchor_sign:
+            lo, hi, sign_lo = down, anchor, -anchor_sign
             break
-    if lo is None:
+    else:
         raise NoSignChangeError("no certain sign change within the search range")
 
-    sign_lo = _difference_sign(lhs, rhs, lo, prec)
-    for _ in range(bisections):
-        if hi - lo <= Fraction(1, 2):
+    for _ in range(_CROSSING_STEPS):
+        if hi - lo < _CROSSING_WIDTH:
             break
-        if hi < 4 * lo:
-            mid = (lo + hi) / 2
-        else:
-            mid = Fraction(str(math.sqrt(float(lo) * float(hi))))
-            if not lo < mid < hi:
-                mid = (lo + hi) / 2
-        s = _difference_sign(lhs, rhs, mid, prec)
+        mid = (lo + hi) / 2
+        s = sign(mid)
         if s == 0:
-            for nudge in (
-                mid + (hi - lo) / 37,
-                mid - (hi - lo) / 37,
-                mid + (hi - lo) / 11,
-            ):
-                if lo < nudge < hi:
-                    s = _difference_sign(lhs, rhs, nudge, prec)
-                    if s != 0:
-                        mid = nudge
-                        break
-            else:
-                break
+            break
         if s == sign_lo:
             lo = mid
         else:

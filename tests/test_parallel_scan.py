@@ -59,7 +59,7 @@ def test_enclosures_round_trip_through_pickle():
     for enc in (
         Enclosure.from_value(3),
         Enclosure.from_dyadic(-5, 7, 40),
-        Enclosure.from_decimal_pair(("0.5", "0.75")),
+        Enclosure(0.5, 0.75),
         Enclosure.top(),
     ):
         back = pickle.loads(pickle.dumps(enc))

@@ -12,11 +12,12 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from primebounds import proofkit as pk
 from primebounds.bounds import Verdict, lookup, registry_list
-from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp, ivctx, lift
+from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp, elog, ivctx, lift
 from primebounds.errors import (
     InvalidRangeError,
     NoCertificateError,
@@ -676,6 +677,19 @@ class TestDudekThresholds:
         margin_orig = float(orig.n0_log.lo) - float(orig.n1_log.hi)
         assert margin_orig > margin_ref
 
+    @pytest.mark.parametrize(
+        "m, n0",
+        [
+            (1000, 19651404817466043135),
+            (3_239_773_013, 418498732070962035189512691546218231459649627581827448),
+        ],
+    )
+    def test_n0_log_encloses_the_log_of_n0(self, m, n0):
+        with mpmath.workdps(80):
+            holds = lambda n: 1982 * n <= 10 * m**5 * mpmath.log(n) ** 4
+            assert holds(n0) and not holds(n0 + 1)
+        assert pk.dudek_thresholds(m).n0_log.contains(elog(n0, 300))
+
     def test_domain_rejection(self):
         with pytest.raises(InvalidRangeError):
             pk.dudek_thresholds(999)
@@ -695,23 +709,23 @@ class TestDudekThresholds:
 
 class TestElementaryCrossing:
     def test_sqrt_versus_cubed_log(self):
-        lhs = pk.ElementaryForm.of((F("0.15"), F(1, 2), 0))
-        rhs = pk.ElementaryForm.of((F("1.95"), 0, 3))
+        lhs = pk.ElementaryForm((F("0.15"), F(1, 2), 0))
+        rhs = pk.ElementaryForm((F("1.95"), 0, 3))
         enc = pk.elementary_crossing(lhs, rhs, 3 * 10**10)
         assert float(enc.hi) <= 34_485_879_392
         assert float(enc.lo) >= 34_485_879_391
         assert pk.crossing_integer_threshold(lhs, rhs, 3 * 10**10) == 34_485_879_392
 
     def test_mixed_powers_crossing(self):
-        lhs = pk.ElementaryForm.of((1, F(1, 5), 0), (2, F(1, 13), 1))
-        rhs = pk.ElementaryForm.of((1, F(1, 3), 0))
+        lhs = pk.ElementaryForm((1, F(1, 5), 0), (2, F(1, 13), 1))
+        rhs = pk.ElementaryForm((1, F(1, 3), 0))
         enc = pk.elementary_crossing(lhs, rhs, 10**6)
         assert float(enc.hi) <= 783_674
         assert pk.crossing_integer_threshold(lhs, rhs, 10**6) == 783_674
 
     def test_ratio_form_with_negative_log_power(self):
-        lhs = pk.ElementaryForm.of((F("0.15"), 1, -3))
-        rhs = pk.ElementaryForm.of(
+        lhs = pk.ElementaryForm((F("0.15"), 1, -3))
+        rhs = pk.ElementaryForm(
             (F("1.81"), F(1, 2), 0),
             (F("0.8"), F(1, 4), 0),
             (F("2.07766"), F(1, 3), 0),
@@ -721,19 +735,19 @@ class TestElementaryCrossing:
         )
 
     def test_identical_forms_have_no_crossing(self):
-        form = pk.ElementaryForm.of((1, 1, 0))
+        form = pk.ElementaryForm((1, 1, 0))
         with pytest.raises(NoSignChangeError):
             pk.elementary_crossing(form, form, 100)
 
     def test_disjoint_forms_have_no_crossing(self):
-        lhs = pk.ElementaryForm.of((2, 1, 0))
-        rhs = pk.ElementaryForm.of((1, 1, 0))
+        lhs = pk.ElementaryForm((2, 1, 0))
+        rhs = pk.ElementaryForm((1, 1, 0))
         with pytest.raises(NoSignChangeError):
             pk.elementary_crossing(lhs, rhs, 100)
 
     def test_bracket_endpoints_have_opposite_certain_signs(self):
-        lhs = pk.ElementaryForm.of((1, F(1, 3), 0))  # cube root of t
-        rhs = pk.ElementaryForm.of((1, 0, 1))  # log t
+        lhs = pk.ElementaryForm((1, F(1, 3), 0))  # cube root of t
+        rhs = pk.ElementaryForm((1, 0, 1))  # log t
         enc = pk.elementary_crossing(lhs, rhs, 50)
         lo = F(*enc.lo_rational())
         hi = F(*enc.hi_rational())
@@ -742,18 +756,18 @@ class TestElementaryCrossing:
         assert s_lo != 0 and s_hi != 0 and s_lo == -s_hi
 
     def test_hint_domain_rejection(self):
-        form = pk.ElementaryForm.of((1, 1, 0))
-        other = pk.ElementaryForm.of((1, 0, 1))
+        form = pk.ElementaryForm((1, 1, 0))
+        other = pk.ElementaryForm((1, 0, 1))
         with pytest.raises(InvalidRangeError):
             pk.elementary_crossing(form, other, 1)
 
     def test_empty_form_rejected(self):
         with pytest.raises(InvalidRangeError):
-            pk.ElementaryForm.of((0, 1, 0))
+            pk.ElementaryForm((0, 1, 0))
 
     def test_form_value_encloses_closed_form(self):
         # 2 * t^(1/2) * log(t) at t = e^2 equals 4e
-        form = pk.ElementaryForm.of((2, F(1, 2), 1))
+        form = pk.ElementaryForm((2, F(1, 2), 1))
         t = eexp(2, 300)
         val = form.value(t)
         ctx = ivctx(300)

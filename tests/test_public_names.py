@@ -30,8 +30,6 @@ TEST_ONLY = {
     "proofkit.ExactPolynomial.add_constant",
     "proofkit.LOWER_RANGE_POLY",
     "proofkit.MODERATE_RANGE_POLY",
-    "proofkit.ElementaryForm",
-    "proofkit.ElementaryForm.of",
     "proofkit.check_lemma_preconditions",
     "proofkit.crossing_integer_threshold",
     "proofkit.dudek_thresholds",
@@ -44,7 +42,6 @@ TEST_ONLY = {
     "enclosure.esqrt",
     "verify.merge_reports",
     "verify.promote_verified",
-    "verify.report_from_json",
     "verify.reports_equivalent",
 }
 

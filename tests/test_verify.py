@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -35,7 +36,6 @@ from primebounds.verify import (
     exit_code_for,
     merge_reports,
     promote_verified,
-    report_from_json,
     report_to_json,
     reports_equivalent,
     scan_claims,
@@ -178,12 +178,6 @@ def test_exit_codes():
 # ---------------------------------------------------------------------------
 
 
-def test_json_round_trip_is_exact():
-    r = _report(2, 100, fail_xs=[5, 11], passes=20, wall_time=1.25, checkpoint_ref="ck-7")
-    back = report_from_json(report_to_json(r))
-    assert back == r
-
-
 def test_json_schema_keys_and_tool_version():
     doc = json.loads(report_to_json(_report(2, 10, fail_xs=[5], passes=1)))
     assert set(doc) == {
@@ -202,39 +196,29 @@ def test_json_handles_infinite_and_dyadic_endpoints():
         "b", 2, 10, checked=1, passes=0, failures=1, indeterminates=0,
         counterexamples=(cx,),
     )
-    assert report_from_json(report_to_json(r)) == r
+    (doc,) = json.loads(report_to_json(r))["counterexamples"]
+    assert doc == {"x": 7, "lhs": ["7", "7"], "rhs": ["-inf", "inf"]}
     deep = Enclosure(-3.0, 5.0) / Enclosure.from_value(1 << 40)
     r2 = VerificationReport(
         "b", 2, 10, checked=1, passes=0, failures=1, indeterminates=0,
         counterexamples=(Counterexample(3, deep, deep),),
     )
-    assert report_from_json(report_to_json(r2)) == r2
+    (doc,) = json.loads(report_to_json(r2))["counterexamples"]
+    assert [Fraction(s) for s in doc["lhs"]] == [Fraction(-3, 1 << 40), Fraction(5, 1 << 40)]
 
 
 def test_json_rejects_counterexample_outside_range():
-    doc = json.loads(report_to_json(_report(100, 200, fail_xs=[150], passes=3)))
     for x in (50, 99, 201):
-        doc["counterexamples"][0]["x"] = x
         with pytest.raises(InvalidRangeError):
-            report_from_json(json.dumps(doc))
-    doc["counterexamples"][0]["x"] = 100
-    assert report_from_json(json.dumps(doc)).counterexamples[0].x == 100
-
-
-def test_json_rejects_non_dyadic_endpoint():
-    doc = json.loads(report_to_json(_report(2, 10, fail_xs=[5], passes=0)))
-    doc["counterexamples"][0]["lhs"][0] = "0.1"  # not a dyadic decimal
-    with pytest.raises(InvalidRangeError):
-        report_from_json(json.dumps(doc))
+            _report(100, 200, fail_xs=[x], passes=3)
+    assert _report(100, 200, fail_xs=[100], passes=3).counterexamples[0].x == 100
 
 
 def test_mpf_decimal_strings_are_exact():
     for v in (0.0, 1.0, -1.0, 0.5, -0.75, 3.5e-9, 123456789.0, 2.0**-60, -(2.0**52 + 0.5)):
         s, _ = Enclosure(v, v).decimal_pair()
-        assert float(s) == v
-        assert Enclosure.from_decimal_pair((s, s)).lo == mpmath.mpf(v)
+        assert Fraction(s) == Fraction(v)
     assert Enclosure.top().decimal_pair() == ("-inf", "inf")
-    assert Enclosure.from_decimal_pair(("-inf", "0")).lo == mpmath.mpf("-inf")
 
 
 # ---------------------------------------------------------------------------
