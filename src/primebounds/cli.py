@@ -92,13 +92,29 @@ _SIEVE_S_PER_BASE_PRIME_VISIT = 3.1e-7
 # Where the sieve is cheap, the time grows with claims times prime cells:
 # the 22-claim reproduction scan to 1e8 checks 1.2e8 of those in 0.89 s.
 _SCAN_S_PER_CLAIM_CELL = 7.4e-9
-# Accumulating the exact sums costs more per prime the higher the primes, as
-# each segment's sieve work grows with sqrt(x): one 2^23-wide segment took
-# 0.8e-7 s per prime at 1e9 and 5.9e-7 at 1e12 (same slow spell of the VM).
-# The price sits at the 1e10 figure, low for prefixes reaching 1e12.  It is
-# the price in one process; sieve.pi_theta_at shares the prefix among
+# Accumulating the exact sums costs a price per prime plus, like the scan,
+# each segment's visits to the base primes below the root of its end, whose
+# number grows with sqrt(x).  The two prices are fitted to one 2^23-wide
+# segment, sieved and summed, at 0.84e-7 s per prime at 1e9 and 5.9e-7 at
+# 1e12 (same slow spell of the VM).  A visit costs more than in the scan's
+# fit at 1e14: below the segment's 1.4e6 rows a base prime is struck by two
+# strided slices, not by one numpy scatter with the others.  These are the
+# prices in one process; sieve.pi_theta_at shares the prefix among
 # sieve.worker_count processes.
-_ACCUMULATE_S_PER_PRIME = 1.2e-7
+_ACCUMULATE_S_PER_PRIME = 6.7e-8
+_ACCUMULATE_S_PER_BASE_PRIME_VISIT = 2.0e-6
+
+
+def _accumulate_seconds(a: int, b: int, segment_odds: int) -> float:
+    """Seconds that accumulating the primes in (a, b] should take in one
+    process.  The segments' base-prime visits are summed as the integral of
+    pi(sqrt(t)) ~ sqrt(t) / (log sqrt(t) - 1) over the range, per span."""
+    if b <= a:
+        return 0.0
+    # x / (log x - 1.1) bounds pi(x) from above for x >= 60184 (Dusart)
+    pa, pb = (x / max(math.log(max(x, 2)) - 1.1, 1.0) for x in (a, b))
+    visits = (b**1.5 - a**1.5) / 1.5 / max(math.log(b) / 2 - 1.0, 1.0) / (2 * segment_odds)
+    return (pb - pa) * _ACCUMULATE_S_PER_PRIME + visits * _ACCUMULATE_S_PER_BASE_PRIME_VISIT
 
 
 def _estimate_minutes(
@@ -117,10 +133,8 @@ def _estimate_minutes(
         + max(n_specs, 1) * cells * _SCAN_S_PER_CLAIM_CELL
     )
     if prefix_from is not None:
-        # x / (log x - 1.1) bounds pi(x) from above for x >= 60184 (Dusart)
-        a, b = (x / max(math.log(max(x, 2)) - 1.1, 1.0) for x in (prefix_from, lo - 1))
         workers = sieve.worker_count(-(-max(lo - prefix_from, 0) // (2 * segment_odds)))
-        seconds += max(b - a, 0.0) * _ACCUMULATE_S_PER_PRIME / workers
+        seconds += _accumulate_seconds(prefix_from, lo - 1, segment_odds) / workers
     return seconds / 60.0
 
 

@@ -25,7 +25,9 @@ interleaved mask are buffers kept per thread and reused by every segment
 the thread sieves: each thread holds two arrays of the largest segment it
 has sieved up to the default size, 2 * rows bytes each, or 5.6 MB in all.  A
 segment spans 2 * segment_odds integers: the size counts the odd numbers
-in it.
+in it.  The base primes come from the same sieve: base_primes takes only
+those up to the root of its limit from a plain full-array sieve and the
+rest from sieve_segment, one default-size span at a time.
 
 The four summed lanes are defined here alone: their per-prime terms
 (lane_terms), state fields and budget multipliers (LANES) and exact sums
@@ -36,16 +38,17 @@ from these partial sums at every chunk.
 
 Per-term budgets, in binade units of the stored term (dyadic docstring):
 BUDGET_LOG for np.log outputs, BUDGET_RECIP for IEEE 1/p, BUDGET_QUOT for
-log(p)/p and -log1p(-1/p). np.log/np.log1p are correctly rounded to <= 0.61
-ulp on this platform (re-verified against a 200-bit oracle in the tests), so
-these budgets hold with a wide margin.
+log(p)/p and -log1p(-1/p). np.log/np.log1p are within 0.61 ulp on this
+platform, so these budgets hold with a wide margin.
+tests/test_sieve.py::test_lane_terms_stay_within_their_budgets re-verifies
+both, and every lane's terms against its budget, at 200 bits for 2,042 odd
+x from 3 to LAST_PRIME.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -96,9 +99,10 @@ _NUMERIC_CONFIG = {
     "budget_quot": BUDGET_QUOT,
     "term_backend": "numpy",
 }
-CONFIG_DIGEST = hashlib.sha256(
-    json.dumps(_NUMERIC_CONFIG, sort_keys=True).encode()
-).hexdigest()[:16]
+# The first 16 hex digits of the sha256 of json.dumps(_NUMERIC_CONFIG,
+# sort_keys=True), kept as a literal so that no process maps OpenSSL (3.6 MB
+# resident) to hash one constant; a test recomputes it from the config.
+CONFIG_DIGEST = "ab1e8e20ed6db9ea"
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -117,12 +121,18 @@ _base_cache: dict[str, np.ndarray] = {}
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Cached primes <= limit (grown monotonically)."""
+    """Cached primes <= limit (grown monotonically).  Only the primes up to
+    isqrt(limit) come from simple_sieve; the rest are sieved by
+    sieve_segment one default-size span at a time, so no mask over the
+    whole range is ever built."""
     arr = _base_cache.get("primes")
     if arr is None or _base_cache["limit"] < limit:
-        arr = simple_sieve(max(limit, 1 << 10))
+        top = max(limit, 1 << 10)
+        root = math.isqrt(top)
+        small = simple_sieve(root)
+        arr = np.concatenate([small] + [seg.primes for seg in segments(root + 1, top, base=small)])
         _base_cache["primes"] = arr
-        _base_cache["limit"] = max(limit, 1 << 10)
+        _base_cache["limit"] = top
     return arr[: np.searchsorted(arr, limit, side="right")]
 
 

@@ -9,6 +9,7 @@ byte identity: the same verification run must always produce the same file.
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -281,6 +282,20 @@ class TestExtendedGate:
     def test_estimate_within_3x_of_measured_medians(self, lo, hi, n_claims, measured_s):
         est_s = 60.0 * _estimate_minutes(lo, hi, n_claims)
         assert measured_s / 3 <= est_s <= measured_s * 3
+
+    @pytest.mark.parametrize(
+        "x, measured_s_per_prime",
+        # the prices are fitted to 10^9 and 10^12; 10^10 and 10^11 are not in the fit
+        [(10**9, 0.84e-7), (10**10, 1.1e-7), (10**11, 2.1e-7), (10**12, 5.9e-7)],
+    )
+    def test_prefix_price_per_prime_within_3x_of_measured(self, monkeypatch, x, measured_s_per_prime):
+        # one 2^23-wide segment at x, sieved and summed in one process,
+        # against its primes 2^23 / log x
+        monkeypatch.setattr(sieve, "worker_count", lambda spans: 1)
+        lo, span = x + 2**23 + 1, 2**23
+        seconds = 60 * (_estimate_minutes(lo, lo, 1, prefix_from=x) - _estimate_minutes(lo, lo, 1))
+        per_prime = seconds / (span / math.log(x))
+        assert measured_s_per_prime / 3 <= per_prime <= measured_s_per_prime * 3
 
     def test_estimate_prices_the_accumulation_prefix(self, capsys, monkeypatch):
         # without --resume a theta claim first accumulates every prime below

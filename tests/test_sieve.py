@@ -9,12 +9,16 @@ trial-division oracle, which the suite re-checks at the small end.
 """
 
 import functools
+import hashlib
 import io
 import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -60,6 +64,100 @@ def trial_division_primes(lo, hi):
 
 # frozen prime counts; the first three are re-derived by the oracle below
 PI_TABLE = {10: 4, 100: 25, 1000: 168, 10**4: 1229, 10**5: 9592, 10**6: 78498}
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [
+        2,
+        17**2 - 1,
+        1 << 10,
+        # the first span after isqrt(limit) ends exactly at limit ...
+        2896 + 2 * sieve.DEFAULT_SEGMENT_ODDS,
+        # ... and one more integer makes a second span of one
+        2897 + 2 * sieve.DEFAULT_SEGMENT_ODDS,
+        31_623,
+        10**7,
+    ],
+)
+def test_base_primes_equal_the_plain_sieve(monkeypatch, limit):
+    monkeypatch.setattr(sieve, "_base_cache", {})
+    assert np.array_equal(sieve.base_primes(limit), simple_sieve(limit))
+
+
+def test_base_primes_span_boundary_cases_are_boundaries():
+    span = 2 * sieve.DEFAULT_SEGMENT_ODDS
+    limit = 2896 + span
+    root = math.isqrt(limit)
+    assert list(sieve._spans(root + 1, limit, sieve.DEFAULT_SEGMENT_ODDS)) == [(root + 1, limit)]
+    assert math.isqrt(limit + 1) == root
+    assert list(sieve._spans(root + 1, limit + 1, sieve.DEFAULT_SEGMENT_ODDS))[-1] == (limit + 1,) * 2
+
+
+def test_base_primes_slice_a_larger_cached_run(monkeypatch):
+    monkeypatch.setattr(sieve, "_base_cache", {})
+    big = sieve.base_primes(10**6)
+    small = sieve.base_primes(10**4)
+    assert np.array_equal(small, simple_sieve(10**4))
+    assert np.shares_memory(small, big)  # a slice of the cached run, not a new sieve
+    assert sieve._base_cache["limit"] == 10**6
+
+
+def test_config_digest_is_the_hash_of_the_config():
+    config = json.dumps(sieve._NUMERIC_CONFIG, sort_keys=True).encode()
+    assert sieve.CONFIG_DIGEST == hashlib.sha256(config).hexdigest()[:16]
+
+
+_SET_UP_SCRIPT = """
+import sys
+from primebounds import analytic, bounds, dyadic, enclosure, proofkit, sieve, verify
+
+bounds.registry_list()
+analytic.constants(28)
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_importing_the_package_maps_no_openssl():
+    # the imports and set-up of bench/workload.py; hashlib maps OpenSSL
+    src = Path(sieve.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SET_UP_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def _units(got, exact, of):
+    """|got - exact| in units 2**(e - 53), e the frexp exponent of of."""
+    return abs(mpmath.mpf(float(got)) - exact) / mpmath.ldexp(1, mpmath.frexp(of)[1] - 53)
+
+
+def test_lane_terms_stay_within_their_budgets():
+    # 40 odd x in each binade [2**e, 2**(e + 1)), e = 2..52, with both ends
+    rng = np.random.default_rng(1703)
+    xs = [3, sieve.LAST_PRIME]
+    for e in range(2, 53):
+        lo, hi = 1 << e, min((1 << (e + 1)) - 1, sieve.LAST_PRIME)
+        xs += (2 * rng.integers(lo // 2, (hi - 1) // 2 + 1, size=40) + 1).tolist()
+    pf = np.array(xs, dtype=np.float64)
+    logs, recip = np.log(pf), 1.0 / pf
+    with mpmath.workprec(200):
+        exact = {"theta": [mpmath.log(x) for x in xs], "recip": [1 / mpmath.mpf(x) for x in xs]}
+        exact["logp"] = [v / x for v, x in zip(exact["theta"], xs)]
+        exact["log1m"] = [-mpmath.log1p(-1 / mpmath.mpf(x)) for x in xs]
+        for lane, (_, _, budget) in sieve.LANES.items():
+            terms = sieve.lane_terms(lane, pf, logs, recip)
+            worst = max(_units(t, v, float(t)) for t, v in zip(terms, exact[lane]))
+            assert worst <= budget, (lane, float(worst))
+        # np.log and np.log1p, each at its own float input, in ulps of the exact value
+        log1p_exact = [mpmath.log1p(-mpmath.mpf(float(r))) for r in recip]
+        for got, want in ((logs, exact["theta"]), (np.log1p(-recip), log1p_exact)):
+            assert max(_units(g, v, v) for g, v in zip(got, want)) <= 0.61
 
 
 def test_simple_sieve_matches_trial_division():
