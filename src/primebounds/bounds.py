@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic
@@ -72,7 +72,7 @@ class Verdict(enum.Enum):
     Indeterminate = "Indeterminate"
 
 
-VALID_STATUSES = ("verified_here", "claimed_paper", "claimed_external")
+VALID_STATUSES = ("claimed_paper", "claimed_external")
 
 
 @dataclass(frozen=True)
@@ -413,8 +413,3 @@ def eval_bound(spec: BoundSpec, x, prec: int = DEFAULT_PREC) -> Enclosure:
     if xv.a <= 1:
         raise InvalidRangeError("bounds evaluate for x > 1 only")
     return Enclosure.from_iv(shape(spec, xv, ctx.log(xv), _IntervalOps(ctx, spec, x, prec)))
-
-
-def promote(spec: BoundSpec) -> BoundSpec:
-    """Copy of the given bound with status verified_here (set by the verifier)."""
-    return replace(spec, status="verified_here")

@@ -1,12 +1,13 @@
 """Outward-rounded interval values.
 
 An Enclosure is a closed interval [lo, hi] certified to contain an exact real
-quantity. Endpoints are arbitrary-precision mpmath floats, so an Enclosure is
-plain immutable data; arithmetic lifts endpoints into a shared interval
-context (directed rounding at a chosen working precision) and wraps the
-result. The default working precision is 106 bits, two float64 significands;
-re-evaluation at 212 bits is the single retry tier used when a comparison
-comes back undecided.
+quantity. Endpoints are exact arbitrary-precision mpmath floats, so an
+Enclosure is plain immutable data with no arithmetic of its own. Arithmetic
+is the mpmath interval context: lift values into a shared context (directed
+rounding at a chosen working precision), compute there, and wrap the result
+with Enclosure.from_iv. The default working precision is 106 bits, two
+float64 significands; re-evaluation at 212 bits is the single retry tier used
+when a comparison comes back undecided.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import mpmath
 from mpmath.libmp import from_man_exp
 
 from . import dyadic
-from .errors import InvalidRangeError, SingularInputError
+from .errors import InvalidRangeError
 
 DEFAULT_PREC = 106
 RETRY_PREC = 212
@@ -38,11 +39,15 @@ def ivctx(prec: int = DEFAULT_PREC) -> mpmath.ctx_iv.MPIntervalContext:
     return ctx
 
 
-def mpf_exact(v: int | float) -> mpmath.mpf:
-    """Exact mpf for an int or float of any size (no rounding)."""
+def mpf_exact(v: mpmath.mpf | int | float) -> mpmath.mpf:
+    """Exact mpf for an mpf, int or float of any size (no rounding)."""
+    if isinstance(v, mpmath.mpf):
+        return v
     if isinstance(v, int):
         return mpmath.mp.make_mpf(from_man_exp(v, 0))
-    return mpmath.mpf(v)  # float conversion is exact
+    if isinstance(v, float):
+        return mpmath.mpf(v)  # float conversion is exact
+    raise TypeError("no exact mpf for a %s; Enclosure.from_value rounds it outward" % type(v).__name__)
 
 
 def lift(ctx, v: Real):
@@ -73,8 +78,7 @@ class Enclosure:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = lo if isinstance(lo, mpmath.mpf) else mpf_exact(lo) if isinstance(lo, (int, float)) else mpmath.mpf(lo)
-        hi = hi if isinstance(hi, mpmath.mpf) else mpf_exact(hi) if isinstance(hi, (int, float)) else mpmath.mpf(hi)
+        lo, hi = mpf_exact(lo), mpf_exact(hi)
         if not lo <= hi:
             raise ValueError("enclosure endpoints out of order: %s > %s" % (lo, hi))
         object.__setattr__(self, "lo", lo)
@@ -142,9 +146,6 @@ class Enclosure:
     def mid_float(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def is_finite(self) -> bool:
-        return mpmath.isfinite(self.lo) and mpmath.isfinite(self.hi)
-
     def _rational(self, endpoint) -> tuple[int, int]:
         if not mpmath.isfinite(endpoint):
             raise InvalidRangeError("endpoint is not finite")
@@ -170,58 +171,17 @@ class Enclosure:
             return self.lo <= mpmath.mp.make_mpf(x._mpi_[0]) and mpmath.mp.make_mpf(x._mpi_[1]) <= self.hi
         return self.lo <= v <= self.hi
 
-    def overlaps(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+    def certainly_lt(self, other: "Enclosure") -> bool:
+        return self.hi < other.lo
 
-    def certainly_lt(self, other: Real) -> bool:
-        o = other if isinstance(other, Enclosure) else Enclosure.from_value(other)
-        return self.hi < o.lo
+    def certainly_gt(self, other: "Enclosure") -> bool:
+        return self.lo > other.hi
 
-    def certainly_gt(self, other: Real) -> bool:
-        o = other if isinstance(other, Enclosure) else Enclosure.from_value(other)
-        return self.lo > o.hi
+    def certainly_le(self, other: "Enclosure") -> bool:
+        return self.hi <= other.lo
 
-    def certainly_le(self, other: Real) -> bool:
-        o = other if isinstance(other, Enclosure) else Enclosure.from_value(other)
-        return self.hi <= o.lo
-
-    def certainly_ge(self, other: Real) -> bool:
-        o = other if isinstance(other, Enclosure) else Enclosure.from_value(other)
-        return self.lo >= o.hi
-
-    # -- arithmetic at the default precision --------------------------------
-
-    def _binop(self, other: Real, op, reflected: bool = False):
-        ctx = ivctx(DEFAULT_PREC)
-        a, b = lift(ctx, self), lift(ctx, other)
-        if reflected:
-            a, b = b, a
-        return Enclosure.from_iv(op(a, b))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: a - b, reflected=True)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, _checked_div)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, _checked_div, reflected=True)
-
-    def __neg__(self):
-        return Enclosure(-self.hi, -self.lo)
+    def certainly_ge(self, other: "Enclosure") -> bool:
+        return self.lo >= other.hi
 
     def __eq__(self, other):
         return isinstance(other, Enclosure) and self.lo == other.lo and self.hi == other.hi
@@ -231,12 +191,6 @@ class Enclosure:
 
     def __repr__(self):
         return "Enclosure[%s, %s]" % (mpmath.nstr(self.lo, 24), mpmath.nstr(self.hi, 24))
-
-
-def _checked_div(a, b):
-    if b.a <= 0 and b.b >= 0:
-        raise SingularInputError("division by an interval containing zero")
-    return a / b
 
 
 def elog(x: Real, prec: int = DEFAULT_PREC) -> Enclosure:
@@ -250,11 +204,3 @@ def elog(x: Real, prec: int = DEFAULT_PREC) -> Enclosure:
 def eexp(x: Real, prec: int = DEFAULT_PREC) -> Enclosure:
     ctx = ivctx(prec)
     return Enclosure.from_iv(ctx.exp(lift(ctx, x)))
-
-
-def esqrt(x: Real, prec: int = DEFAULT_PREC) -> Enclosure:
-    ctx = ivctx(prec)
-    v = lift(ctx, x)
-    if v.a < 0:
-        raise InvalidRangeError("sqrt requires a nonnegative interval")
-    return Enclosure.from_iv(ctx.sqrt(v))

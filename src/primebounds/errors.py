@@ -21,10 +21,6 @@ class CheckpointFormatError(PrimeBoundsError):
     """Checkpoint line is malformed or has an unsupported version."""
 
 
-class SingularInputError(PrimeBoundsError):
-    """Evaluation at a singular point (li at 1, log-power integral at 1)."""
-
-
 class InvalidRangeError(PrimeBoundsError):
     """Integration or verification range is empty or out of domain."""
 
@@ -63,10 +59,6 @@ class MismatchedStateError(PrimeBoundsError):
 
 class OverlappingRangesError(PrimeBoundsError):
     """Reports cover overlapping ranges and cannot be merged."""
-
-
-class SoundnessGateError(PrimeBoundsError):
-    """Report has failures or indeterminates; cannot mark the bound verified."""
 
 
 class ReportMismatchError(PrimeBoundsError):

@@ -124,14 +124,22 @@ def base_primes(limit: int) -> np.ndarray:
     """Cached primes <= limit (grown monotonically).  Only the primes up to
     isqrt(limit) come from simple_sieve; the rest are sieved by
     sieve_segment one default-size span at a time, so no mask over the
-    whole range is ever built."""
+    whole range is ever built.  Each span's primes are copied into one array
+    sized by pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld,
+    Illinois J. Math. 6 (1962), Cor. 1), whose filled prefix is kept, so the
+    result is never held twice and the unfilled tail is never touched."""
     arr = _base_cache.get("primes")
     if arr is None or _base_cache["limit"] < limit:
         top = max(limit, 1 << 10)
         root = math.isqrt(top)
         small = simple_sieve(root)
-        arr = np.concatenate([small] + [seg.primes for seg in segments(root + 1, top, base=small)])
-        _base_cache["primes"] = arr
+        arr = np.empty(int(1.25506 * top / math.log(top)) + 1, dtype=np.int64)
+        n = len(small)
+        arr[:n] = small
+        for seg in segments(root + 1, top, base=small):
+            arr[n : n + len(seg.primes)] = seg.primes
+            n += len(seg.primes)
+        _base_cache["primes"] = arr = arr[:n]
         _base_cache["limit"] = top
     return arr[: np.searchsorted(arr, limit, side="right")]
 

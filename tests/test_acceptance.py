@@ -26,7 +26,7 @@ from primebounds.bounds import (
     lookup,
     sum_bound_from_eta,
 )
-from primebounds.enclosure import DEFAULT_PREC, Enclosure, elog
+from primebounds.enclosure import DEFAULT_PREC, Enclosure, elog, ivctx, lift
 
 
 def _scan_one(spec, lo, hi, **kw):
@@ -164,7 +164,9 @@ def test_criterion_05_j_function_gap(big_run):
     )
     j_val = analytic.j_function(params, 5 * 10**9)
     bound = eval_bound(lookup("thm3.8.lower"), 5 * 10**9, DEFAULT_PREC)
-    assert (j_val - bound).certainly_gt(Fraction("18.955"))
+    ctx = ivctx(DEFAULT_PREC)
+    gap = Enclosure.from_iv(lift(ctx, j_val) - lift(ctx, bound))
+    assert gap.certainly_gt(Enclosure.from_value(Fraction("18.955")))
 
 
 def test_criterion_06_panaitopol_coefficients():
@@ -198,7 +200,7 @@ def test_criterion_08_sturm_certificates():
 
 def test_criterion_09_zero_count_logic():
     t_zero = 4_768_099_715_087
-    assert proofkit.zero_count_bound(t_zero).certainly_le(2 * 10**13)
+    assert proofkit.zero_count_bound(t_zero).certainly_le(Enclosure.from_value(2 * 10**13))
     assert proofkit.check_lemma_preconditions(55 * 10**24, t_zero) is Verdict.Pass
 
 
@@ -219,17 +221,16 @@ def _identity_residual_contains_pi(x, primes):
     over prime cells: on [a, b) with theta constant it equals
     theta * (1/log a - 1/log b).
     """
+    ctx = ivctx(DEFAULT_PREC)
     upto = [int(p) for p in primes if p <= x]
-    theta = Enclosure.from_value(0)
-    integral = Enclosure.from_value(0)
+    theta = integral = ctx.mpf(0)
     for i, p in enumerate(upto):
-        theta = theta + elog(p)
+        log_p = ctx.log(lift(ctx, p))
+        theta = theta + log_p
         cell_hi = min(upto[i + 1] if i + 1 < len(upto) else x, x)
         if cell_hi > p:
-            integral = integral + theta * (
-                Enclosure.from_value(1) / elog(p) - Enclosure.from_value(1) / elog(cell_hi)
-            )
-    rhs = theta / elog(x) + integral
+            integral = integral + theta * (1 / log_p - 1 / ctx.log(lift(ctx, cell_hi)))
+    rhs = Enclosure.from_iv(theta / ctx.log(lift(ctx, x)) + integral)
     return rhs.lo <= len(upto) <= rhs.hi and float(rhs.width) < 1e-6
 
 

@@ -22,7 +22,7 @@ from primebounds.analytic import (
     log_power_integral,
     panaitopol_coefficients,
 )
-from primebounds.enclosure import Enclosure, elog
+from primebounds.enclosure import DEFAULT_PREC, Enclosure, ivctx, lift
 from primebounds.errors import InvalidRangeError, PrecisionUnsupportedError
 
 
@@ -53,10 +53,11 @@ def test_log_power_integral_zero_length():
 
 
 def test_log_power_integral_m1_is_li_difference():
+    ctx = ivctx(DEFAULT_PREC)
     for x in (10, 1000, 10**6):
         e = log_power_integral(1, 2, x)
-        diff = li(x) - li(2)
-        assert e.overlaps(diff)
+        diff = Enclosure.from_iv(lift(ctx, li(x)) - lift(ctx, li(2)))
+        assert not e.certainly_lt(diff) and not e.certainly_gt(diff)  # they overlap
         with mpmath.workprec(200):
             assert e.contains(mpmath.li(x) - mpmath.li(2))
 
@@ -81,11 +82,13 @@ def test_log_power_integral_rejects_bad_ranges():
 
 def test_li_recurrence_identity_on_grid():
     # li(x) - x/log x - I_2(2, x) - (li(2) - 2/log 2) must enclose 0
-    offset = li(2) - Enclosure.from_value(2) / elog(Enclosure.from_value(2))
+    ctx = ivctx(DEFAULT_PREC)
+    two = lift(ctx, 2)
+    offset = lift(ctx, li(2)) - two / ctx.log(two)
     for x in (10, 100, 10**4, 10**6, 10**8):
-        ex = Enclosure.from_value(x)
-        lhs = li(x) - ex / elog(ex) - log_power_integral(2, 2, x) - offset
-        assert lhs.contains(0)
+        ex = lift(ctx, x)
+        lhs = lift(ctx, li(x)) - ex / ctx.log(ex) - lift(ctx, log_power_integral(2, 2, x)) - offset
+        assert Enclosure.from_iv(lhs).contains(0)
 
 
 def _demo_params():
@@ -181,7 +184,8 @@ def test_constant_b_consistent_with_prime_sum():
     n = 10**7
     state = sieve.pi_theta_at(n)
     g, b, _ = constants(28)
-    tail = Enclosure.from_value(Fraction(-1, int(n * math.log(n)))) * Enclosure.from_value(Fraction(1))
-    partial = g + state.sum_log1m + state.sum_recip
-    full = partial + Enclosure(tail.lo, mpmath.mpf(0))
-    assert full.overlaps(b)
+    ctx = ivctx(DEFAULT_PREC)
+    tail = lift(ctx, Fraction(-1, int(n * math.log(n))))
+    partial = lift(ctx, g) + lift(ctx, state.sum_log1m) + lift(ctx, state.sum_recip)
+    full = Enclosure.from_iv(partial + ctx.mpf([tail.a, 0]))
+    assert not full.certainly_lt(b) and not full.certainly_gt(b)  # they overlap

@@ -252,7 +252,7 @@ def test_eval_gap_window_closed_form():
         x = mpmath.mpf(10**7)
         oracle = x * (1 + mpmath.mpf(87) / 1000 / mpmath.log(x) ** 3)
         assert mpmath.mpf(got.lo) <= oracle <= mpmath.mpf(got.hi)
-    assert got.certainly_gt(10**7)
+    assert got.certainly_gt(Enclosure.from_value(10**7))
 
 
 def test_eval_running_sum_brackets_stored_constant():
@@ -362,7 +362,7 @@ def test_compare_rational_denominator_failure_convention():
             bounds.eval_bound(spec, 3)
         verdict, _, rhs = verify._check_cell(verify._make_plan(spec, 3, 3), 3, 3, st.pi)
         assert verdict is expected
-        assert not rhs.is_finite()
+        assert rhs == Enclosure.top()
 
 
 def test_decide_ties_between_touching_endpoints():
@@ -385,11 +385,3 @@ def test_decide_overlap_is_indeterminate():
     for bound_id in ("thm3.2.upper", "thm3.8.lower", "thm4.1.gap3"):
         spec = bounds.lookup(bound_id)
         assert verify._decide(spec, q, wide) is Verdict.Indeterminate
-
-
-def test_promote_sets_status():
-    s = bounds.lookup("thm2.4.upper")
-    p = bounds.promote(s)
-    assert p.status == "verified_here"
-    assert s.status == "claimed_paper"
-    assert p.coefficients == s.coefficients

@@ -37,11 +37,7 @@ TEST_ONLY = {
     "proofkit.zero_count_bound",
     # oracles and report tools the tests use on purpose
     "enclosure.Enclosure.contains",
-    "enclosure.Enclosure.is_finite",
-    "enclosure.Enclosure.overlaps",
-    "enclosure.esqrt",
     "verify.merge_reports",
-    "verify.promote_verified",
     "verify.reports_equivalent",
 }
 

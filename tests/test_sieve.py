@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primebounds import sieve
+from primebounds.enclosure import Enclosure
 from primebounds.errors import (
     CapacityError,
     CheckpointFormatError,
@@ -101,6 +102,40 @@ def test_base_primes_slice_a_larger_cached_run(monkeypatch):
     assert np.array_equal(small, simple_sieve(10**4))
     assert np.shares_memory(small, big)  # a slice of the cached run, not a new sieve
     assert sieve._base_cache["limit"] == 10**6
+
+
+_BASE_PRIMES_SCRIPT = """
+import hashlib
+from primebounds import sieve
+
+def peak_kb():  # VmHWM starts afresh at exec, unlike ru_maxrss
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+before = peak_kb()
+primes = sieve.base_primes(9 * 10**7)
+rise_kb = peak_kb() - before
+print(len(primes), int(primes[-1]), hashlib.sha256(primes.astype("<i8").tobytes()).hexdigest(), rise_kb)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak from procfs")
+def test_base_primes_hold_their_result_once():
+    # 5,216,954 primes are 41.7 MB; a second copy of them (the spans and
+    # their concatenation) pushed the peak rise to 85 MB
+    src = Path(sieve.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASE_PRIMES_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    count, last, digest, rise_kb = proc.stdout.split()
+    assert (int(count), int(last)) == (5_216_954, 89_999_999)  # pi(9e7), the last prime below it
+    assert digest == "599c631ec6757742ce9301052dd2127d68c79ce671b282a6015cc55c264e2951"
+    assert int(rise_kb) <= 60 * 1024, "peak rose by %.1f MB" % (int(rise_kb) / 1024)
 
 
 def test_config_digest_is_the_hash_of_the_config():
@@ -498,8 +533,7 @@ def test_anchored_state_tracks_pi_only():
     state = pi_theta_at(1000, resume_from=anchor)
     assert state.pi == 25 + (PI_TABLE[1000] - PI_TABLE[100])
     assert state.anchored
-    assert not state.theta.is_finite()
-    assert not state.sum_recip.is_finite()
+    assert state.theta == state.sum_recip == Enclosure.top()
     with pytest.raises(CheckpointFormatError):
         sieve.write_checkpoint(state, io.StringIO())
 
@@ -572,7 +606,7 @@ def test_anchored_resume_through_the_pool_counts_only(monkeypatch):
     state = pi_theta_at(X, resume_from=AccumulatorState.anchored_at(10**5, PI_TABLE[10**5]),
                         segment_odds=SMALL)
     assert (state.x, state.pi, state.anchored) == (X, PI_TABLE[X], True)
-    assert not state.theta.is_finite()
+    assert state.theta == Enclosure.top()
     assert not multiprocessing.active_children()
 
 
