@@ -96,17 +96,18 @@ class BoundSpec:
             raise InvalidRangeError("threshold_x0 must be at least 2")
         if self.kind is BoundKind.PI_RATIONAL and len(self.coefficients) > 6:
             raise InvalidRangeError("rational denominators take at most 6 terms")
-        if any(isinstance(c, float) for c in self.coefficients):
-            raise InvalidRangeError("coefficients must be exact rationals, not floats")
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(as_fraction(c) for c in self.coefficients))
 
 
-def _F(v) -> Fraction:
-    return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
+def as_fraction(v) -> Fraction:
+    """The exact rational of an int, a Fraction or a decimal string.
 
-
-def _entry(id, kind, direction, coeffs, x0, status, anchor):
-    return BoundSpec(id, kind, direction, tuple(_F(c) for c in coeffs), x0, status, anchor)
+    A float is refused: every constant is meant as its printed decimal,
+    which the float's binary rounding is not.
+    """
+    if isinstance(v, float):
+        raise InvalidRangeError("%r is a float; pass an int, a Fraction or a decimal string" % v)
+    return Fraction(v)
 
 
 def _two_sided(base_id, kind, coeffs_mag, x0, status, anchor, lower_x0=None, negate=True):
@@ -115,14 +116,14 @@ def _two_sided(base_id, kind, coeffs_mag, x0, status, anchor, lower_x0=None, neg
     Series-style kinds get their lower coefficients negated (the printed
     form carries the sign); magnitude-style kinds keep positive magnitudes.
     """
-    mag = tuple(_F(c) for c in coeffs_mag)
+    mag = tuple(as_fraction(c) for c in coeffs_mag)
     if negate:
         low = tuple(-c if i % 2 == 0 else c for i, c in enumerate(mag))
     else:
         low = mag
     return [
-        _entry(base_id + ".lower", kind, "lower", low, lower_x0 or x0, status, anchor),
-        _entry(base_id + ".upper", kind, "upper", mag, x0, status, anchor),
+        BoundSpec(base_id + ".lower", kind, "lower", low, lower_x0 or x0, status, anchor),
+        BoundSpec(base_id + ".upper", kind, "upper", mag, x0, status, anchor),
     ]
 
 
@@ -144,12 +145,12 @@ def _build_registry() -> dict[str, BoundSpec]:
             _two_sided(bid, BoundKind.THETA_ENVELOPE, (eta, k), x0,
                        "claimed_external", "Lemma 2.3 (Dusart)", negate=False)
         )
-    add(_entry("thm2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
-               (Fraction(3, 20), 3), 19_035_709_163, "claimed_paper", "Theorem 2.4"))
-    add(_entry("thm2.4.upper", BoundKind.THETA_ENVELOPE, "upper",
-               (Fraction(3, 20), 3), 2, "claimed_paper", "Theorem 2.4"))
-    add(_entry("rem2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
-               (Fraction(7, 20), 3), 1_332_492_593, "claimed_paper", "Remark after Theorem 2.4"))
+    add(BoundSpec("thm2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
+                  (Fraction(3, 20), 3), 19_035_709_163, "claimed_paper", "Theorem 2.4"))
+    add(BoundSpec("thm2.4.upper", BoundKind.THETA_ENVELOPE, "upper",
+                  (Fraction(3, 20), 3), 2, "claimed_paper", "Theorem 2.4"))
+    add(BoundSpec("rem2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
+                  (Fraction(7, 20), 3), 1_332_492_593, "claimed_paper", "Remark after Theorem 2.4"))
     entries.extend(
         _two_sided("prop2.5", BoundKind.THETA_ENVELOPE, (Fraction(100), 4),
                    70_111, "claimed_paper", "Proposition 2.5", negate=False)
@@ -162,8 +163,8 @@ def _build_registry() -> dict[str, BoundSpec]:
         _two_sided("eq4.6", BoundKind.THETA_ENVELOPE, (Fraction(9907, 100), 4),
                    72_004_899_338, "claimed_paper", "Equation 4.6", negate=False)
     )
-    add(_entry("buethe.theta.upper", BoundKind.THETA_ENVELOPE, "upper",
-               (Fraction(0), 1), 2, "claimed_external", "Buethe theta bound"))
+    add(BoundSpec("buethe.theta.upper", BoundKind.THETA_ENVELOPE, "upper",
+                  (Fraction(0), 1), 2, "claimed_external", "Buethe theta bound"))
 
     # -- exponential envelope ---------------------------------------------
     entries.extend(
@@ -178,78 +179,78 @@ def _build_registry() -> dict[str, BoundSpec]:
                    (Fraction(1, 8), Fraction(1, 2), 2, 1), 599,
                    "claimed_external", "Equation 2.6 (Schoenfeld, Buethe)", negate=False)
     )
-    add(_entry("buethe.theta.sqrt.lower", BoundKind.THETA_SQRT, "lower",
-               (Fraction(39, 20), Fraction(1, 2), 0, 0), 1_423,
-               "claimed_external", "Buethe square-root theta bound"))
-    add(_entry("eq2.14.lower", BoundKind.THETA_SQRT, "lower",
-               (Fraction(181, 100), Fraction(1, 2), 0, 0,
-                Fraction(4, 5), Fraction(1, 4), 0, 0,
-                Fraction(103883, 50000), Fraction(1, 3), 0, 0),
-               783_674, "claimed_external", "Equation 2.14 (Buethe)"))
+    add(BoundSpec("buethe.theta.sqrt.lower", BoundKind.THETA_SQRT, "lower",
+                  (Fraction(39, 20), Fraction(1, 2), 0, 0), 1_423,
+                  "claimed_external", "Buethe square-root theta bound"))
+    add(BoundSpec("eq2.14.lower", BoundKind.THETA_SQRT, "lower",
+                  (Fraction(181, 100), Fraction(1, 2), 0, 0,
+                   Fraction(4, 5), Fraction(1, 4), 0, 0,
+                   Fraction(103883, 50000), Fraction(1, 3), 0, 0),
+                  783_674, "claimed_external", "Equation 2.14 (Buethe)"))
     entries.extend(
         _two_sided("eq3.1", BoundKind.PI_LI_SQRT,
                    (Fraction(1, 8), Fraction(1, 2), 1, 1), 2_657,
                    "claimed_external", "Equation 3.1 (Schoenfeld, Buethe)", negate=False)
     )
-    add(_entry("buethe.pi.li.upper", BoundKind.PI_LI_SQRT, "upper",
-               (), 2, "claimed_external", "Buethe li comparison"))
+    add(BoundSpec("buethe.pi.li.upper", BoundKind.PI_LI_SQRT, "upper",
+                  (), 2, "claimed_external", "Buethe li comparison"))
 
     # -- rational pi bounds -----------------------------------------------
-    add(_entry("thm3.2.upper", BoundKind.PI_RATIONAL, "upper",
-               (1, _F("3.15"), _F("12.85"), _F("71.3"), _F("463.2275"), 4585),
-               49, "claimed_paper", "Theorem 3.2"))
+    add(BoundSpec("thm3.2.upper", BoundKind.PI_RATIONAL, "upper",
+                  (1, "3.15", "12.85", "71.3", "463.2275", 4585),
+                  49, "claimed_paper", "Theorem 3.2"))
     cor33 = [
-        ("cor3.3.a.upper", (1, _F("3.15"), _F("12.85"), _F("71.3"), _F("540.59")), 32),
-        ("cor3.3.b.upper", (1, _F("3.15"), _F("12.85"), _F("80.43"), 0), 22),
-        ("cor3.3.c.upper", (1, _F("3.15"), _F("14.21"), 0, 0), 14),
-        ("cor3.3.d.upper", (1, _F("3.69"), 0, 0, 0), 10_031_975_087),
-        ("cor3.3.e.upper", (_F("1.15"), 0, 0, 0, 0), 38_284_442_297),
+        ("cor3.3.a.upper", (1, "3.15", "12.85", "71.3", "540.59"), 32),
+        ("cor3.3.b.upper", (1, "3.15", "12.85", "80.43", 0), 22),
+        ("cor3.3.c.upper", (1, "3.15", "14.21", 0, 0), 14),
+        ("cor3.3.d.upper", (1, "3.69", 0, 0, 0), 10_031_975_087),
+        ("cor3.3.e.upper", ("1.15", 0, 0, 0, 0), 38_284_442_297),
     ]
     for bid, coeffs, x0 in cor33:
-        add(_entry(bid, BoundKind.PI_RATIONAL, "upper", coeffs, x0,
-                   "claimed_paper", "Corollary 3.3"))
-    add(_entry("cor3.4.upper", BoundKind.PI_RATIONAL, "upper",
-               (1, _F("3.35"), _F("12.65"), _F("71.7"), _F("466.1275"), _F("3489.8225")),
-               45, "claimed_paper", "Corollary 3.4"))
-    add(_entry("prop3.5.upper", BoundKind.PI_RATIONAL, "upper",
-               (1, 3, 113), 41, "claimed_paper", "Proposition 3.5"))
-    add(_entry("thm3.8.lower", BoundKind.PI_RATIONAL, "lower",
-               (1, _F("2.85"), _F("13.15"), _F("70.7"), _F("458.7275"), _F("3428.7225")),
-               19_033_744_403, "claimed_paper", "Theorem 3.8"))
+        add(BoundSpec(bid, BoundKind.PI_RATIONAL, "upper", coeffs, x0,
+                      "claimed_paper", "Corollary 3.3"))
+    add(BoundSpec("cor3.4.upper", BoundKind.PI_RATIONAL, "upper",
+                  (1, "3.35", "12.65", "71.7", "466.1275", "3489.8225"),
+                  45, "claimed_paper", "Corollary 3.4"))
+    add(BoundSpec("prop3.5.upper", BoundKind.PI_RATIONAL, "upper",
+                  (1, 3, 113), 41, "claimed_paper", "Proposition 3.5"))
+    add(BoundSpec("thm3.8.lower", BoundKind.PI_RATIONAL, "lower",
+                  (1, "2.85", "13.15", "70.7", "458.7275", "3428.7225"),
+                  19_033_744_403, "claimed_paper", "Theorem 3.8"))
     cor39 = [
-        ("cor3.9.a.lower", (1, _F("2.85"), _F("13.15"), _F("70.7"), _F("458.7275")), 11_532_441_449),
-        ("cor3.9.b.lower", (1, _F("2.85"), _F("13.15"), _F("70.7"), 0), 7_822_207_951),
-        ("cor3.9.c.lower", (1, _F("2.85"), _F("13.15"), 0, 0), 1_331_532_233),
-        ("cor3.9.d.lower", (1, _F("2.85"), 0, 0, 0), 38_099_531),
+        ("cor3.9.a.lower", (1, "2.85", "13.15", "70.7", "458.7275"), 11_532_441_449),
+        ("cor3.9.b.lower", (1, "2.85", "13.15", "70.7", 0), 7_822_207_951),
+        ("cor3.9.c.lower", (1, "2.85", "13.15", 0, 0), 1_331_532_233),
+        ("cor3.9.d.lower", (1, "2.85", 0, 0, 0), 38_099_531),
         ("cor3.9.e.lower", (1, 0, 0, 0, 0), 468_049),
     ]
     for bid, coeffs, x0 in cor39:
-        add(_entry(bid, BoundKind.PI_RATIONAL, "lower", coeffs, x0,
-                   "claimed_paper", "Corollary 3.9"))
-    add(_entry("prop3.10.lower", BoundKind.PI_RATIONAL, "lower",
-               (1, 3, -87), 19_423, "claimed_paper", "Proposition 3.10"))
+        add(BoundSpec(bid, BoundKind.PI_RATIONAL, "lower", coeffs, x0,
+                      "claimed_paper", "Corollary 3.9"))
+    add(BoundSpec("prop3.10.lower", BoundKind.PI_RATIONAL, "lower",
+                  (1, 3, -87), 19_423, "claimed_paper", "Proposition 3.10"))
 
     # -- log-power pi bounds ----------------------------------------------
-    add(_entry("prop3.6.upper", BoundKind.PI_LOGPOW, "upper",
-               (1, 1, 2, _F("6.15"), _F("24.15"), _F("120.75"), _F("724.5"), 6601),
-               2, "claimed_paper", "Proposition 3.6"))
-    add(_entry("rem3.6.upper", BoundKind.PI_LOGPOW, "upper",
-               (1, 1, 2, 6, 133), 2, "claimed_paper", "Remark after Proposition 3.6"))
-    add(_entry("cor3.7.upper", BoundKind.PI_LOGPOW, "upper",
-               (1, 1, _F("2.3")), 27_777_762_891, "claimed_paper", "Corollary 3.7"))
-    add(_entry("prop3.11.lower", BoundKind.PI_LOGPOW, "lower",
-               (1, 1, 2, _F("5.85"), _F("23.85"), _F("119.25"), _F("715.5"), _F("5008.5")),
-               19_027_490_297, "claimed_paper", "Proposition 3.11"))
+    add(BoundSpec("prop3.6.upper", BoundKind.PI_LOGPOW, "upper",
+                  (1, 1, 2, "6.15", "24.15", "120.75", "724.5", 6601),
+                  2, "claimed_paper", "Proposition 3.6"))
+    add(BoundSpec("rem3.6.upper", BoundKind.PI_LOGPOW, "upper",
+                  (1, 1, 2, 6, 133), 2, "claimed_paper", "Remark after Proposition 3.6"))
+    add(BoundSpec("cor3.7.upper", BoundKind.PI_LOGPOW, "upper",
+                  (1, 1, "2.3"), 27_777_762_891, "claimed_paper", "Corollary 3.7"))
+    add(BoundSpec("prop3.11.lower", BoundKind.PI_LOGPOW, "lower",
+                  (1, 1, 2, "5.85", "23.85", "119.25", "715.5", "5008.5"),
+                  19_027_490_297, "claimed_paper", "Proposition 3.11"))
 
     # -- prime gaps ---------------------------------------------------------
-    add(_entry("thm4.1.gap3", BoundKind.GAP, "upper",
-               (Fraction(87, 1000), 3), 6_034_256, "claimed_paper", "Theorem 4.1"))
-    add(_entry("thm4.1.gap4", BoundKind.GAP, "upper",
-               (Fraction(1982, 10), 4), 2, "claimed_paper", "Theorem 4.1"))
-    add(_entry("eq4.2.gap", BoundKind.GAP, "upper",
-               (Fraction(1, 5000), 2), 468_991_632, "claimed_external", "Equation 4.2 (Dusart)"))
-    add(_entry("eq4.3.gap", BoundKind.GAP, "upper",
-               (Fraction(1), 3), 89_693, "claimed_external", "Equation 4.3 (Dusart)"))
+    add(BoundSpec("thm4.1.gap3", BoundKind.GAP, "upper",
+                  (Fraction(87, 1000), 3), 6_034_256, "claimed_paper", "Theorem 4.1"))
+    add(BoundSpec("thm4.1.gap4", BoundKind.GAP, "upper",
+                  (Fraction(1982, 10), 4), 2, "claimed_paper", "Theorem 4.1"))
+    add(BoundSpec("eq4.2.gap", BoundKind.GAP, "upper",
+                  (Fraction(1, 5000), 2), 468_991_632, "claimed_external", "Equation 4.2 (Dusart)"))
+    add(BoundSpec("eq4.3.gap", BoundKind.GAP, "upper",
+                  (Fraction(1), 3), 89_693, "claimed_external", "Equation 4.3 (Dusart)"))
 
     # -- running prime sums -------------------------------------------------
     r1, r2 = sum_bound_from_eta(3, Fraction(3, 20), "recip")
@@ -273,11 +274,11 @@ def _build_registry() -> dict[str, BoundSpec]:
                    2, "claimed_external", "Equation 6.1 (Rosser, Schoenfeld)",
                    lower_x0=285)
     )
-    add(_entry("prop6.1.lower", BoundKind.PRODUCT_MERTENS, "lower",
-               (Fraction(-1, 20), 3, Fraction(-3, 16), 4), 46_909_038,
-               "claimed_paper", "Proposition 6.1"))
-    add(_entry("prop6.1.upper", BoundKind.PRODUCT_MERTENS, "upper",
-               (Fraction(7, 100), 3), 2, "claimed_paper", "Proposition 6.1"))
+    add(BoundSpec("prop6.1.lower", BoundKind.PRODUCT_MERTENS, "lower",
+                  (Fraction(-1, 20), 3, Fraction(-3, 16), 4), 46_909_038,
+                  "claimed_paper", "Proposition 6.1"))
+    add(BoundSpec("prop6.1.upper", BoundKind.PRODUCT_MERTENS, "upper",
+                  (Fraction(7, 100), 3), 2, "claimed_paper", "Proposition 6.1"))
 
     reg = {}
     for spec in entries:
@@ -294,7 +295,7 @@ def sum_bound_from_eta(k: int, eta, template: str) -> tuple[tuple[Fraction, int]
     recip: eta/(k log^k x) + (k+2) eta/((k+1) log^(k+1) x)
     logp:  eta/((k-1) log^(k-1) x) + eta/log^k x
     """
-    eta = _F(eta)
+    eta = as_fraction(eta)
     if eta <= 0:
         raise InvalidRangeError("eta must be positive")
     if template == "recip":

@@ -18,8 +18,10 @@ Contents:
   sign change, isolated by bisection on one Sturm chain, that of the
   squarefree part with integer coefficients (_last_sign_change).
 * shape_on_ray -- reduce monotonicity of a registry bound (in the variable
-  x, for x >= a) to ray-positivity of explicit polynomials in y = log x
-  (_shape_polys), then certify them; square-root upper envelopes termwise.
+  x, for x >= a) to ray-positivity of explicit polynomials in y = log x,
+  then certify them; square-root upper envelopes termwise.  Each kind's
+  polynomials are written once, as sparse (degree, coefficient) terms
+  beside their derivation, in _shape_polys.
 * least_integer -- the least integer of a window where a monotone
   predicate holds, by bisection: the one integer search of the package.
 * certified_start -- the least x in a window from which shape_on_ray
@@ -43,14 +45,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .bounds import BoundKind, BoundSpec, Verdict
+from .bounds import BoundKind, BoundSpec, Verdict, as_fraction, lookup
 from .enclosure import (
     DEFAULT_PREC,
     RETRY_PREC,
     Enclosure,
-    eexp,
     elog,
     ivctx,
     lift,
@@ -64,19 +65,6 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
-
-
-def _as_fraction(v) -> Fraction:
-    """Exact conversion of int / Fraction / decimal string to Fraction.
-
-    Floats are rejected: every constant in this module is meant to be the
-    printed decimal, not its binary rounding.
-    """
-    if isinstance(v, float):
-        raise InvalidRangeError(
-            "float coefficients are ambiguous; pass str, int, or Fraction"
-        )
-    return Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +84,12 @@ class ExactPolynomial:
     coefficients: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
+        coeffs = tuple(as_fraction(c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         object.__setattr__(self, "coefficients", coeffs)
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_strings(cls, ascending: Sequence[str]) -> "ExactPolynomial":
-        return cls(tuple(Fraction(s) for s in ascending))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Rational = 1) -> "ExactPolynomial":
-        if degree < 0:
-            raise InvalidRangeError("monomial degree must be >= 0")
-        c = _as_fraction(coefficient)
-        return cls((Fraction(0),) * degree + (c,))
 
     # -- basic queries ----------------------------------------------------
 
@@ -152,23 +127,14 @@ class ExactPolynomial:
                 out[i + j] += a * b
         return ExactPolynomial(tuple(out))
 
-    def add_constant(self, constant: Rational) -> "ExactPolynomial":
-        c = _as_fraction(constant)
-        coeffs = list(self.coefficients)
-        coeffs[0] += c
-        return ExactPolynomial(tuple(coeffs))
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_exact(self, y: Rational) -> Fraction:
-        yf = _as_fraction(y)
+        yf = as_fraction(y)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * yf + c
         return acc
-
-    def __call__(self, y: Rational) -> Fraction:
-        return self.eval_exact(y)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +258,7 @@ def count_distinct_roots_above(poly: ExactPolynomial, a: Rational) -> int:
     every a: a root at a itself is not counted.
     """
     chain = _squarefree_chain(poly)
-    return _variations_at(chain, _as_fraction(a)) - _variations_at_inf(chain)
+    return _variations_at(chain, as_fraction(a)) - _variations_at_inf(chain)
 
 
 def root_magnitude_bound(poly: ExactPolynomial) -> Fraction:
@@ -390,7 +356,7 @@ def sturm_positive_on_ray(
     carries a rational witness with its exact negative value, so the
     refutation can be re-checked independently by plain Fraction arithmetic.
     """
-    a = _as_fraction(ray_start)
+    a = as_fraction(ray_start)
     value_at_start = poly.eval_exact(a)
     bound = max(root_magnitude_bound(poly), a + 1)
     witness = _deciding_point(poly, a)
@@ -449,125 +415,6 @@ class MonotonicityCertificate:
         return self.certificate is not None and self.certificate.holds()
 
 
-def rational_denominator_poly(coeffs: Sequence[Fraction]) -> ExactPolynomial:
-    """y^m * (denominator of the rational bound) with m = len(coeffs).
-
-    The bound is x / (y - 1 - sum a_i / y^i); clearing y^m gives
-    y^m (y - 1) - sum a_i y^(m-i), a polynomial that must be positive for
-    the bound to be finite and positive.
-    """
-    m = len(coeffs)
-    poly = ExactPolynomial.monomial(m + 1) - ExactPolynomial.monomial(m)
-    for i, a in enumerate(coeffs, start=1):
-        if a == 0:
-            continue
-        poly = poly - ExactPolynomial.monomial(m - i, a)
-    return poly
-
-
-def rational_derivative_numerator(coeffs: Sequence[Fraction]) -> ExactPolynomial:
-    """Numerator (up to positive factors) of d/dx of x / (y - 1 - sum a_i/y^i).
-
-    With y = log x the derivative has the sign of
-    y^(m+1) (y - 2) - sum a_i (y^(m+1-i) + i y^(m-i)).
-    """
-    m = len(coeffs)
-    poly = ExactPolynomial.monomial(m + 2) - ExactPolynomial.monomial(m + 1, 2)
-    for i, a in enumerate(coeffs, start=1):
-        if a == 0:
-            continue
-        poly = poly - ExactPolynomial.monomial(m + 1 - i, a)
-        poly = poly - ExactPolynomial.monomial(m - i, i * a)
-    return poly
-
-
-def logpow_derivative_numerator(coeffs: Sequence[Fraction]) -> ExactPolynomial:
-    """Sign polynomial for d/dx of sum_j c_j x / y^j  (y = log x).
-
-    Differentiating term j gives c_j (y - j) / y^(j+1); clearing y^(m+1)
-    with m = len(coeffs) leaves sum_j c_j y^(m-j) (y - j).
-    """
-    m = len(coeffs)
-    poly = None
-    for j, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        term = ExactPolynomial.monomial(m - j + 1, c) - ExactPolynomial.monomial(
-            m - j, j * c
-        )
-        poly = term if poly is None else poly + term
-    if poly is None:
-        raise ZeroPolynomialError("all coefficients vanish")
-    return poly
-
-
-def envelope_derivative_numerator(
-    c: Fraction, k: int, sign: int
-) -> ExactPolynomial:
-    """Sign polynomial for d/dx of x + sign * c * x / y^k  (y = log x).
-
-    The derivative has the sign of y^(k+1) + sign*c*y - sign*c*k.
-    """
-    poly = ExactPolynomial.monomial(k + 1)
-    if c != 0:
-        poly = poly + ExactPolynomial.monomial(1, sign * c)
-        poly = poly - ExactPolynomial.monomial(0, sign * c * k)
-    return poly
-
-
-def recip_sum_derivative_numerator(
-    pairs: Sequence[Tuple[Fraction, int]]
-) -> ExactPolynomial:
-    """Sign polynomial for d/dx of loglog x + B + sum c_i / y^(p_i).
-
-    Scaling d/dy by y^(m+1) with m = max power gives
-    y^m - sum p_i c_i y^(m - p_i).
-    """
-    m = max(p for (_c, p) in pairs) if pairs else 0
-    poly = ExactPolynomial.monomial(m)
-    for c, p in pairs:
-        if c == 0:
-            continue
-        poly = poly - ExactPolynomial.monomial(m - p, p * c)
-    return poly
-
-
-def logp_sum_derivative_numerator(
-    pairs: Sequence[Tuple[Fraction, int]]
-) -> ExactPolynomial:
-    """Sign polynomial for d/dx of y + E + sum c_i / y^(p_i)."""
-    m = max(p for (_c, p) in pairs) if pairs else 0
-    poly = ExactPolynomial.monomial(m + 1)
-    for c, p in pairs:
-        if c == 0:
-            continue
-        poly = poly - ExactPolynomial.monomial(m - p, p * c)
-    return poly
-
-
-def mertens_decrease_numerator(
-    pairs: Sequence[Tuple[Fraction, int]]
-) -> ExactPolynomial:
-    """Positivity of this polynomial certifies that
-    (1/y) * (1 + sum c_i / y^(p_i)) is decreasing in y:
-    y^m + sum (p_i + 1) c_i y^(m - p_i) > 0 with m = max power.
-    """
-    m = max(p for (_c, p) in pairs) if pairs else 0
-    poly = ExactPolynomial.monomial(m)
-    for c, p in pairs:
-        if c == 0:
-            continue
-        poly = poly + ExactPolynomial.monomial(m - p, (p + 1) * c)
-    return poly
-
-
-def _pairs(coeffs: Sequence[Fraction]) -> Tuple[Tuple[Fraction, int], ...]:
-    flat = list(coeffs)
-    return tuple(
-        (flat[2 * i], int(flat[2 * i + 1])) for i in range(len(flat) // 2)
-    )
-
-
 def canonical_sense(kind: BoundKind) -> str:
     """Monotone sense of kind's comparison function, which sets the binding
     endpoint of each prime cell in verify."""
@@ -578,17 +425,29 @@ def canonical_sense(kind: BoundKind) -> str:
 
 def log_ray_start(x_start: Rational, prec: int = DEFAULT_PREC) -> Fraction:
     """Exact rational lower bound on log(x_start)."""
-    xs = _as_fraction(x_start)
+    xs = as_fraction(x_start)
     if xs <= 1:
         raise InvalidRangeError("ray start must exceed 1")
     return Fraction(*elog(xs, prec).lo_rational())
 
 
+def _poly(terms: Sequence[Tuple[int, Rational]]) -> ExactPolynomial:
+    """sum c * y^d over the (d, c) pairs of terms; a degree may repeat."""
+    coeffs = [Fraction(0)] * (1 + max((d for d, _c in terms), default=0))
+    for d, c in terms:
+        coeffs[d] += c
+    return ExactPolynomial(tuple(coeffs))
+
+
 def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
     """Polynomials in y = log x whose positivity on a ray certifies spec's shape.
 
-    PI_RATIONAL gives its denominator first, then its derivative numerator.
-    Square-root upper envelopes with nonnegative coefficients give none:
+    Each kind's polynomials are written here once, as (degree, coefficient)
+    terms with their derivation beside them.  A derivative numerator is the
+    comparison function's derivative times a positive factor (a negative
+    one for PRODUCT_MERTENS, which decreases).  PI_RATIONAL gives its
+    denominator first, then its derivative numerator.  Square-root upper
+    envelopes with nonnegative coefficients give none:
     they are monotone termwise, since each summand c * x^p * y^q / pi^w
     with c, p > 0 and q >= 0 is increasing in x, as is the leading x or
     li(x) term.  Kinds with no certificate raise UnsupportedKindError.
@@ -605,27 +464,46 @@ def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
                     "termwise rule needs c >= 0, p > 0, q >= 0 in every term"
                 )
         return ()
+    m = len(coeffs)
     if kind is BoundKind.PI_RATIONAL:
-        return (
-            rational_denominator_poly(coeffs),
-            rational_derivative_numerator(coeffs),
-        )
+        # x / D with D = y - 1 - sum a_i / y^i: y^m D must be positive, and
+        # d/dx (x / D) = (D - dD/dy) / D^2 has the sign of y^(m+1) (D - dD/dy)
+        # = y^(m+2) - 2 y^(m+1) - sum a_i (y^(m+1-i) + i y^(m-i)).
+        den = [(m + 1, 1), (m, -1)] + [(m - i, -a) for i, a in enumerate(coeffs, 1)]
+        num = [(m + 2, 1), (m + 1, -2)]
+        for i, a in enumerate(coeffs, 1):
+            num += [(m + 1 - i, -a), (m - i, -i * a)]
+        return _poly(den), _poly(num)
     if kind is BoundKind.PI_LOGPOW:
-        poly = logpow_derivative_numerator(coeffs)
-    elif kind is BoundKind.THETA_ENVELOPE:
-        sgn = 1 if spec.direction == "upper" else -1
-        poly = envelope_derivative_numerator(coeffs[0], int(coeffs[1]), sgn)
-    elif kind is BoundKind.GAP:
-        poly = envelope_derivative_numerator(coeffs[0], int(coeffs[1]), 1)
-    elif kind is BoundKind.SUM_RECIP:
-        poly = recip_sum_derivative_numerator(_pairs(coeffs))
-    elif kind is BoundKind.SUM_LOGP:
-        poly = logp_sum_derivative_numerator(_pairs(coeffs))
-    elif kind is BoundKind.PRODUCT_MERTENS:
-        poly = mertens_decrease_numerator(_pairs(coeffs))
+        # d/dx sum c_j x / y^j = sum c_j (y - j) / y^(j+1); times y^(m+1).
+        terms = []
+        for j, c in enumerate(coeffs, 1):
+            terms += [(m + 1 - j, c), (m - j, -j * c)]
+    elif kind in (BoundKind.THETA_ENVELOPE, BoundKind.GAP):
+        # d/dx (x + s c x / y^k) = 1 + s c (y - k) / y^(k+1); times y^(k+1).
+        # A gap's bound x (1 + c / y^k) is the upper one, s = 1.
+        s = 1 if spec.direction == "upper" else -1
+        c, k = coeffs[0], int(coeffs[1])
+        terms = [(k + 1, 1), (1, s * c), (0, -s * c * k)]
+    elif kind in (BoundKind.SUM_RECIP, BoundKind.SUM_LOGP, BoundKind.PRODUCT_MERTENS):
+        pairs = [(c, int(p)) for c, p in zip(coeffs[::2], coeffs[1::2])]
+        m = max((p for _c, p in pairs), default=0)
+        if kind is BoundKind.SUM_RECIP:
+            # d/dy (log y + B + sum c_i / y^p_i) = 1/y - sum p_i c_i / y^(p_i+1);
+            # times y^(m+1), m the largest p_i.
+            terms = [(m, 1)] + [(m - p, -p * c) for c, p in pairs]
+        elif kind is BoundKind.SUM_LOGP:
+            # d/dy (y + E + sum c_i / y^p_i) = 1 - sum p_i c_i / y^(p_i+1);
+            # times y^(m+1).
+            terms = [(m + 1, 1)] + [(m - p, -p * c) for c, p in pairs]
+        else:
+            # d/dy ((1 + sum c_i / y^p_i) / y)
+            #   = -(1/y^2 + sum (p_i + 1) c_i / y^(p_i+2)); times -y^(m+2),
+            # so positive where the product's bound decreases.
+            terms = [(m, 1)] + [(m - p, (p + 1) * c) for c, p in pairs]
     else:
         raise UnsupportedKindError(f"no derivative polynomial for kind {kind.name}")
-    return (poly,)
+    return (_poly(terms),)
 
 
 def _certify(
@@ -636,7 +514,7 @@ def _certify(
 ) -> MonotonicityCertificate:
     """Certify each of polys on [log_ray_start(x_start), infinity) in turn,
     stopping at the first that fails."""
-    xs = _as_fraction(x_start)
+    xs = as_fraction(x_start)
     a = log_ray_start(xs, prec)
     certs = []
     for poly in polys:
@@ -725,7 +603,7 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
 # after adding DERIVATIVE_MARGIN, witnesses that a degree-6 rational
 # upper bound dominates a shifted variant at large heights.  Ascending
 # coefficients; the constant term is zero.
-DERIVATIVE_GAP_POLY = ExactPolynomial.from_strings(
+DERIVATIVE_GAP_POLY = ExactPolynomial(
     [
         "0",
         "-1241825.47125",
@@ -747,7 +625,7 @@ DERIVATIVE_MARGIN = Fraction("9460001.25")
 
 # Degree-11 polynomial whose nonnegativity for y >= 12.2714 closes the
 # same derivation at moderate heights.  Ascending coefficients.
-MODERATE_RANGE_POLY = ExactPolynomial.from_strings(
+MODERATE_RANGE_POLY = ExactPolynomial(
     [
         "-21022225",
         "-4247796.175",
@@ -766,7 +644,7 @@ MODERATE_RANGE_POLY = ExactPolynomial.from_strings(
 
 # Degree-10 polynomial, positive on the whole real line, that controls the
 # matching lower-bound derivation past log(5 * 10**9).  Ascending.
-LOWER_RANGE_POLY = ExactPolynomial.from_strings(
+LOWER_RANGE_POLY = ExactPolynomial(
     [
         "5290262",
         "-347857",
@@ -787,7 +665,7 @@ LOWER_RANGE_POLY = ExactPolynomial.from_strings(
 # where S is the denominator of the rational lower bound thm3.8.lower and
 # R collects the reciprocal-power coefficients of prop3.11.lower.  All
 # coefficients are positive, which shows R*S < y^14 termwise for y > 0.
-GROWTH_IDENTITY_POLY = ExactPolynomial.from_strings(
+GROWTH_IDENTITY_POLY = ExactPolynomial(
     [
         "17172756.64125",
         "4750787.6325",
@@ -800,26 +678,13 @@ GROWTH_IDENTITY_POLY = ExactPolynomial.from_strings(
 )
 
 
-def _growth_identity_poly_from_registry() -> ExactPolynomial:
-    """Reconstruct GROWTH_IDENTITY_POLY from the registry coefficients."""
-    from .bounds import lookup
-
-    rational = lookup("thm3.8.lower")
-    series = lookup("prop3.11.lower")
-    s_poly = rational_denominator_poly(rational.coefficients)
-    m = len(series.coefficients)
-    r_poly = None
-    for j, c in enumerate(series.coefficients, start=1):
-        term = ExactPolynomial.monomial(m - j, c)
-        r_poly = term if r_poly is None else r_poly + term
-    product = r_poly * s_poly
-    return ExactPolynomial.monomial(14) - product
-
-
 def growth_identity_holds() -> bool:
-    """Exact check of the algebraic identity behind GROWTH_IDENTITY_POLY."""
-    derived = _growth_identity_poly_from_registry()
-    return derived.coefficients == GROWTH_IDENTITY_POLY.coefficients
+    """Exact check of the algebraic identity behind GROWTH_IDENTITY_POLY,
+    rebuilt from the registry coefficients."""
+    s_poly = _shape_polys(lookup("thm3.8.lower"))[0]
+    series = lookup("prop3.11.lower").coefficients
+    r_poly = _poly([(len(series) - j, c) for j, c in enumerate(series, 1)])
+    return _poly([(14, 1)]) - r_poly * s_poly == GROWTH_IDENTITY_POLY
 
 
 # ---------------------------------------------------------------------------
@@ -891,24 +756,19 @@ def _enclosure_from_rationals(
     return Enclosure.from_iv(iv)
 
 
-@dataclass(frozen=True)
-class ThresholdComparison:
+class ThresholdComparison(NamedTuple):
     """Result of comparing two m-indexed thresholds in log space.
 
     n0_log is an enclosure of log of the largest integer n with
     198.2 n / log(n)**4 <= m**5; n1_log encloses the log of
     exp(1000 * exp(19.807) / m).  verdict is Pass when n1_log is certainly
     below n0_log (the required ordering), Fail when certainly above,
-    Indeterminate otherwise.  Iterates as (n0_log, n1_log, verdict).
+    Indeterminate otherwise.
     """
 
-    m: int
     n0_log: Enclosure
     n1_log: Enclosure
     verdict: Verdict
-
-    def __iter__(self):
-        return iter((self.n0_log, self.n1_log, self.verdict))
 
 
 def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
@@ -953,9 +813,7 @@ def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
         if lift(ctx2, exp_enc).a > lift(ctx2, floor_enc).b:
             verdict = Verdict.Fail
             break
-    return ThresholdComparison(
-        m=m, n0_log=floor_enc, n1_log=exp_enc, verdict=verdict
-    )
+    return ThresholdComparison(floor_enc, exp_enc, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +837,7 @@ class ElementaryForm:
 
     def __init__(self, *terms):
         self.terms = tuple(
-            (_as_fraction(c), _as_fraction(alpha), int(beta))
+            (as_fraction(c), as_fraction(alpha), int(beta))
             for c, alpha, beta in terms
             if c != 0
         )
@@ -1030,7 +888,7 @@ def elementary_crossing(
     sign(lhs - rhs)(a) != sign(lhs - rhs)(b), both certain.  Raises
     NoSignChangeError when no certain sign change is found.
     """
-    anchor = _as_fraction(hint)
+    anchor = as_fraction(hint)
     if anchor <= 1:
         raise InvalidRangeError("hint must exceed 1")
 

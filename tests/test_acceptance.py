@@ -183,7 +183,7 @@ def test_criterion_07_sum_templates():
 def test_criterion_08_sturm_certificates():
     jobs = [
         (
-            proofkit.DERIVATIVE_GAP_POLY.add_constant(proofkit.DERIVATIVE_MARGIN),
+            proofkit.DERIVATIVE_GAP_POLY + proofkit.ExactPolynomial((proofkit.DERIVATIVE_MARGIN,)),
             Fraction("34.53"),  # below log(10^15) = 34.5387..., so covers it
         ),
         (proofkit.MODERATE_RANGE_POLY, Fraction("12.2714")),

@@ -173,6 +173,18 @@ def test_sum_template_rejections():
         bounds.sum_bound_from_eta(3, Fraction(1, 2), "squares")
 
 
+def test_one_exact_rational_rule_refuses_floats():
+    # 0.15 is not 3/20 in binary; the decimal string is
+    with pytest.raises(InvalidRangeError):
+        bounds.sum_bound_from_eta(3, 0.15, "recip")
+    assert bounds.sum_bound_from_eta(3, "0.15", "recip") == ((Fraction(1, 20), 3), (Fraction(3, 16), 4))
+    with pytest.raises(InvalidRangeError):
+        BoundSpec("tmp.upper", BoundKind.PI_RATIONAL, "upper", (1, 0.5), 2,
+                  "claimed_paper", "synthetic")
+    with pytest.raises(InvalidRangeError):
+        bounds._two_sided("tmp", BoundKind.SUM_RECIP, (0.2, 3), 2, "claimed_paper", "synthetic")
+
+
 # -- evaluation oracles -----------------------------------------------------
 
 def test_eval_empty_rational_closed_form():

@@ -16,9 +16,10 @@ import mpmath
 import pytest
 
 from primebounds import proofkit as pk
-from primebounds.bounds import Verdict, lookup, registry_list
+from primebounds.bounds import BoundKind, Verdict, eval_bound, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp, elog, ivctx, lift
 from primebounds.errors import (
+    DenominatorNonpositiveError,
     InvalidRangeError,
     NoCertificateError,
     NoSignChangeError,
@@ -71,11 +72,7 @@ class TestExactPolynomial:
     def test_eval_exact_horner(self):
         p = P((F(1), F(-2), F(1)))  # (y-1)^2
         assert p.eval_exact(F(3, 2)) == F(1, 4)
-        assert p(1) == 0
-
-    def test_add_constant(self):
-        p = P((F(1), F(1)))
-        assert p.add_constant(F(1, 2)).coefficients == (F(3, 2), F(1))
+        assert p.eval_exact(1) == 0
 
     def test_primitive_preserves_sign_and_roots(self):
         # _ints: the primitive integer multiple, highest degree first
@@ -90,12 +87,6 @@ class TestExactPolynomial:
             assert math.gcd(*ints) == 1 and len(ints) == poly.degree + 1
             for a in [r for r, _ in roots] + [F(rng.randint(-40, 40), rng.randint(1, 7))]:
                 assert pk._sign_at(ints, a) == pk._sign(poly.eval_exact(a))
-
-    def test_monomial(self):
-        m = P.monomial(3, F(5))
-        assert m.coefficients == (F(0), F(0), F(0), F(5))
-        with pytest.raises(InvalidRangeError):
-            P.monomial(-1)
 
 
 def from_ints(ints):
@@ -349,7 +340,7 @@ class TestSturmOracle:
         assert_refutation(pk.sturm_positive_on_ray(poly, 2), poly, 2)
 
     def test_rational_denominator_with_a_wide_root_bound(self):
-        den = pk.rational_denominator_poly(lookup("thm3.2.upper").coefficients)
+        den = pk._shape_polys(lookup("thm3.2.upper"))[0]
         assert 4585 < pk.root_magnitude_bound(den) < 4587
         # its one real root, the sign change, lies near log 48.3 = 3.878
         last = pk._last_sign_change(den)
@@ -426,7 +417,7 @@ class TestSturmSpecExamples:
 
 class TestFrozenCertificates:
     def test_derivative_gap_poly_with_margin(self):
-        poly = pk.DERIVATIVE_GAP_POLY.add_constant(pk.DERIVATIVE_MARGIN)
+        poly = pk.DERIVATIVE_GAP_POLY + P((pk.DERIVATIVE_MARGIN,))
         start = time.monotonic()
         cert = pk.sturm_positive_on_ray(poly, F("34.53"))
         elapsed = time.monotonic() - start
@@ -477,6 +468,15 @@ class TestFrozenCertificates:
 # ---------------------------------------------------------------------------
 
 
+# thm3.2.upper is x / D, D = y - 1 - sum a_i / y^i with (a_1..a_6) =
+# (1, 3.15, 12.85, 71.3, 463.2275, 4585).  Its certificate polynomials, by
+# hand: y^6 D, and y^7 (D - dD/dy) = y^8 - 2 y^7 - sum a_i (y^(7-i) + i y^(6-i)).
+THM32_DENOMINATOR = P(("-4585", "-463.2275", "-71.3", "-12.85", "-3.15", -1, -1, 1))
+THM32_DERIVATIVE = P(
+    ("-27510", "-6901.1375", "-748.4275", "-109.85", "-19.15", "-4.15", -1, -2, 1)
+)
+
+
 class TestMonotoneOnRay:
     """shape_on_ray's certificates; .certificate is the derivative numerator's."""
 
@@ -494,8 +494,7 @@ class TestMonotoneOnRay:
         # the refutation is the denominator's, and the numerator is not tried
         assert cert.certificate is None
         assert cert.denominator_certificate.verdict == "refuted"
-        den = pk.rational_denominator_poly(lookup("thm3.2.upper").coefficients)
-        assert cert.denominator_certificate.polynomial.coefficients == den.coefficients
+        assert cert.denominator_certificate.polynomial == THM32_DENOMINATOR
 
     def test_rational_upper_valley_past_pole(self):
         # at 49 the denominator is already positive but the bound still
@@ -504,8 +503,7 @@ class TestMonotoneOnRay:
         cert = pk.shape_on_ray(lookup("thm3.2.upper"), 49)
         assert cert.denominator_certificate.holds()
         assert cert.certificate.verdict == "refuted"
-        num = pk.rational_derivative_numerator(lookup("thm3.2.upper").coefficients)
-        assert cert.certificate.polynomial.coefficients == num.coefficients
+        assert cert.certificate.polynomial == THM32_DERIVATIVE
         # past the valley the same bound is certified increasing
         cert_past = pk.shape_on_ray(lookup("thm3.2.upper"), 100)
         assert cert_past.certificate.verdict == "positive"
@@ -594,6 +592,53 @@ def test_certified_start_past_a_dip_beyond_lo():
     assert not pk.shape_on_ray(spec, 2).holds()
     assert pk.certified_start(spec, 2, 10**6) == 6013
     assert pk.certified_start(spec, 2, 6012) is None
+
+
+def test_certificate_polynomials_have_the_sign_of_the_derivative():
+    """Each certificate polynomial has the sign of its bound's derivative.
+
+    The oracle is eval_bound's symmetric difference at 212 bits, which owes
+    nothing to the derivations in _shape_polys.  x runs over 151 log-spaced
+    points of [3, 2^53 - 200], the integers 3..41, and exp(r +- 0.01) and
+    exp(r +- 0.05) around each polynomial's last sign change r.  A point is
+    kept where every polynomial has one sign over a 300-bit enclosure of
+    log x.  The step h = x / 2^40 stays clear of stationary points, which an
+    integer step would not at small x.
+    """
+    top = 2**53 - 200
+    grid = {min(top, round(3 * (top / 3) ** (i / 150))) for i in range(151)} | set(range(3, 42))
+    checks, mismatches = 0, []
+    for spec in registry_list():
+        try:
+            polys = pk._shape_polys(spec)
+        except UnsupportedKindError:
+            continue
+        if not polys:
+            continue
+        points = set(grid)
+        for poly in polys:
+            r = pk._last_sign_change(poly)
+            if r is not None:
+                points |= {F(math.exp(float(r) + d)) for d in (-0.05, -0.01, 0.01, 0.05)}
+        sense = 1 if pk.canonical_sense(spec.kind) == "increasing" else -1
+        for x in sorted(p for p in points if 3 <= p <= top):
+            log_x = elog(x, 300)
+            lo, hi = F(*log_x.lo_rational()), F(*log_x.hi_rational())
+            signs = [pk._sign(poly.eval_exact(lo)) for poly in polys]
+            if 0 in signs or signs != [pk._sign(poly.eval_exact(hi)) for poly in polys]:
+                continue
+            checks += 1
+            if spec.kind is BoundKind.PI_RATIONAL and signs[0] < 0:
+                with pytest.raises(DenominatorNonpositiveError):
+                    eval_bound(spec, x, 212)
+                continue
+            h = F(x, 2**40)
+            up, down = eval_bound(spec, x + h, 212), eval_bound(spec, x - h, 212)
+            step = 1 if down.certainly_lt(up) else -1 if up.certainly_lt(down) else 0
+            if step != signs[-1] * sense:
+                mismatches.append((spec.id, x))
+    assert checks > 9000
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

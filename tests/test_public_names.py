@@ -21,13 +21,12 @@ PACKAGE = ROOT / "src" / "primebounds"
 
 TEST_ONLY = {
     # the paper's side facts, which ROADMAP item 10 is to record in one
-    # audit document (add_constant builds acceptance criterion 8's margin)
+    # audit document
     "analytic.JParams",
     "analytic.j_function",
     "analytic.panaitopol_coefficients",
     "proofkit.DERIVATIVE_GAP_POLY",
     "proofkit.DERIVATIVE_MARGIN",
-    "proofkit.ExactPolynomial.add_constant",
     "proofkit.LOWER_RANGE_POLY",
     "proofkit.MODERATE_RANGE_POLY",
     "proofkit.check_lemma_preconditions",
