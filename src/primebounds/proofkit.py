@@ -19,15 +19,17 @@ Contents:
   squarefree part with integer coefficients (_last_sign_change).
 * shape_on_ray -- reduce monotonicity of a registry bound (in the variable
   x, for x >= a) to ray-positivity of explicit polynomials in y = log x,
-  then certify them; square-root upper envelopes termwise.  Each kind's
-  polynomials are written once, as sparse (degree, coefficient) terms
-  beside their derivation, in _shape_polys.
+  then certify them; square-root upper envelopes termwise.  In
+  _shape_polys each kind states its comparison function once, as sparse
+  (degree, coefficient) terms in y, and one exact rule derives its
+  polynomials: _d differentiates a term list, _times multiplies two and
+  _poly clears the negative powers of y.
 * least_integer -- the least integer of a window where a monotone
   predicate holds, by bisection: the one integer search of the package.
 * certified_start -- the least x in a window from which shape_on_ray
   holds, found by least_integer on the same last sign changes.
-* Frozen helper polynomials used by the registry derivations, with exact
-  decimal coefficients.
+* growth_identity_holds -- prop3.11.lower stays below thm3.8.lower, by the
+  same rule on their registry coefficients.
 * zero_count_bound -- enclosure of an explicit upper bound for the number
   of zeta zeros with imaginary part in (0, T].
 * check_lemma_preconditions -- verify 4.92*sqrt(x0/log x0) <= T.
@@ -90,6 +92,11 @@ class ExactPolynomial:
         if not coeffs:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         object.__setattr__(self, "coefficients", coeffs)
+        # the Sturm caches key on polynomials: hash the Fractions once
+        object.__setattr__(self, "_hash", hash(coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic queries ----------------------------------------------------
 
@@ -100,32 +107,6 @@ class ExactPolynomial:
     @property
     def leading(self) -> Fraction:
         return self.coefficients[-1]
-
-    # -- arithmetic (exact) ------------------------------------------------
-
-    def _coeff(self, i: int) -> Fraction:
-        return self.coefficients[i] if i < len(self.coefficients) else Fraction(0)
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPolynomial(
-            tuple(self._coeff(i) + other._coeff(i) for i in range(n))
-        )
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPolynomial(
-            tuple(self._coeff(i) - other._coeff(i) for i in range(n))
-        )
-
-    def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return ExactPolynomial(tuple(out))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -431,23 +412,54 @@ def log_ray_start(x_start: Rational, prec: int = DEFAULT_PREC) -> Fraction:
     return Fraction(*elog(xs, prec).lo_rational())
 
 
-def _poly(terms: Sequence[Tuple[int, Rational]]) -> ExactPolynomial:
-    """sum c * y^d over the (d, c) pairs of terms; a degree may repeat."""
-    coeffs = [Fraction(0)] * (1 + max((d for d, _c in terms), default=0))
+Terms = Sequence[Tuple[int, Rational]]
+
+
+def _d(terms: Terms) -> Terms:
+    """d/dy of sum c * y^d over the (d, c) pairs of terms."""
+    return [(d - 1, d * c) for d, c in terms]
+
+
+def _times(a: Terms, b: Terms) -> Terms:
+    """The product of two term lists: (d + e, c * f) for every pair."""
+    return [(d + e, c * f) for d, c in a for e, f in b]
+
+
+_MINUS = ((0, -1),)
+
+
+def _poly(terms: Terms) -> ExactPolynomial:
+    """y^k * sum c * y^d over the (d, c) pairs of terms; a degree may repeat.
+
+    k >= 0 is the least power that clears every negative degree the terms
+    state, zero coefficients included, so a polynomial's power of y is read
+    from the shape it was derived from, not from what cancels.
+    """
+    degrees = [d for d, _c in terms] + [0]
+    low = min(degrees)
+    coeffs = [Fraction(0)] * (1 + max(degrees) - low)
     for d, c in terms:
-        coeffs[d] += c
+        coeffs[d - low] += c
     return ExactPolynomial(tuple(coeffs))
+
+
+def _denominator(coeffs: Sequence[Fraction]) -> Terms:
+    """D = y - 1 - sum a_i / y^i of the PI_RATIONAL bound x / D."""
+    return [(1, 1), (0, -1)] + [(-i, -a) for i, a in enumerate(coeffs, 1)]
 
 
 def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
     """Polynomials in y = log x whose positivity on a ray certifies spec's shape.
 
-    Each kind's polynomials are written here once, as (degree, coefficient)
-    terms with their derivation beside them.  A derivative numerator is the
-    comparison function's derivative times a positive factor (a negative
-    one for PRODUCT_MERTENS, which decreases).  PI_RATIONAL gives its
-    denominator first, then its derivative numerator.  Square-root upper
-    envelopes with nonnegative coefficients give none:
+    Each kind states its comparison function once, as (degree, coefficient)
+    terms in y, and the one rule derives the polynomials from it: _d
+    differentiates, _times multiplies and _poly clears the negative powers.
+    With dy/dx = 1/x, a bound x f(y) has d/dx = f + f' and x / D has
+    d/dx = (D - D') / D^2.  A derivative numerator is the comparison
+    function's derivative times a positive factor, a power of y and for
+    PI_RATIONAL D^2 (times -1 for PRODUCT_MERTENS, which decreases).
+    PI_RATIONAL gives its denominator first, then its derivative numerator.
+    Square-root upper envelopes with nonnegative coefficients give none:
     they are monotone termwise, since each summand c * x^p * y^q / pi^w
     with c, p > 0 and q >= 0 is increasing in x, as is the leading x or
     li(x) term.  Kinds with no certificate raise UnsupportedKindError.
@@ -464,46 +476,36 @@ def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
                     "termwise rule needs c >= 0, p > 0, q >= 0 in every term"
                 )
         return ()
-    m = len(coeffs)
     if kind is BoundKind.PI_RATIONAL:
-        # x / D with D = y - 1 - sum a_i / y^i: y^m D must be positive, and
-        # d/dx (x / D) = (D - dD/dy) / D^2 has the sign of y^(m+1) (D - dD/dy)
-        # = y^(m+2) - 2 y^(m+1) - sum a_i (y^(m+1-i) + i y^(m-i)).
-        den = [(m + 1, 1), (m, -1)] + [(m - i, -a) for i, a in enumerate(coeffs, 1)]
-        num = [(m + 2, 1), (m + 1, -2)]
-        for i, a in enumerate(coeffs, 1):
-            num += [(m + 1 - i, -a), (m - i, -i * a)]
-        return _poly(den), _poly(num)
+        # x / D: D, cleared, must be positive, and D - D' has the
+        # derivative's sign.
+        den = _denominator(coeffs)
+        return _poly(den), _poly(den + _times(_d(den), _MINUS))
     if kind is BoundKind.PI_LOGPOW:
-        # d/dx sum c_j x / y^j = sum c_j (y - j) / y^(j+1); times y^(m+1).
-        terms = []
-        for j, c in enumerate(coeffs, 1):
-            terms += [(m + 1 - j, c), (m - j, -j * c)]
+        # x f(y), f = sum c_j / y^j.
+        f = [(-j, c) for j, c in enumerate(coeffs, 1)]
     elif kind in (BoundKind.THETA_ENVELOPE, BoundKind.GAP):
-        # d/dx (x + s c x / y^k) = 1 + s c (y - k) / y^(k+1); times y^(k+1).
-        # A gap's bound x (1 + c / y^k) is the upper one, s = 1.
+        # x f(y), f = 1 + s c / y^k; a gap's bound x (1 + c / y^k) is the
+        # upper one, s = 1.
         s = 1 if spec.direction == "upper" else -1
-        c, k = coeffs[0], int(coeffs[1])
-        terms = [(k + 1, 1), (1, s * c), (0, -s * c * k)]
+        f = [(0, 1), (-int(coeffs[1]), s * coeffs[0])]
     elif kind in (BoundKind.SUM_RECIP, BoundKind.SUM_LOGP, BoundKind.PRODUCT_MERTENS):
-        pairs = [(c, int(p)) for c, p in zip(coeffs[::2], coeffs[1::2])]
-        m = max((p for _c, p in pairs), default=0)
+        # series = sum c_i / y^p_i after the term (0, 0) for the constant B
+        # or E: its value never reaches a derivative, but the degree -1 of
+        # its derivative reaches _poly.
+        series = [(0, 0)] + [(-int(p), c) for c, p in zip(coeffs[::2], coeffs[1::2])]
         if kind is BoundKind.SUM_RECIP:
-            # d/dy (log y + B + sum c_i / y^p_i) = 1/y - sum p_i c_i / y^(p_i+1);
-            # times y^(m+1), m the largest p_i.
-            terms = [(m, 1)] + [(m - p, -p * c) for c, p in pairs]
-        elif kind is BoundKind.SUM_LOGP:
-            # d/dy (y + E + sum c_i / y^p_i) = 1 - sum p_i c_i / y^(p_i+1);
-            # times y^(m+1).
-            terms = [(m + 1, 1)] + [(m - p, -p * c) for c, p in pairs]
-        else:
-            # d/dy ((1 + sum c_i / y^p_i) / y)
-            #   = -(1/y^2 + sum (p_i + 1) c_i / y^(p_i+2)); times -y^(m+2),
-            # so positive where the product's bound decreases.
-            terms = [(m, 1)] + [(m - p, (p + 1) * c) for c, p in pairs]
+            # d/dy (log y + B + series)
+            return (_poly([(-1, 1)] + _d(series)),)
+        if kind is BoundKind.SUM_LOGP:
+            # d/dy (y + E + series)
+            return (_poly(_d([(1, 1)] + series)),)
+        # exp(-gamma) (1 + series) / y decreases where -((1 + series) / y)' > 0.
+        body = _times([(0, 1)] + series, [(-1, 1)])
+        return (_poly(_times(_d(body), _MINUS)),)
     else:
         raise UnsupportedKindError(f"no derivative polynomial for kind {kind.name}")
-    return (_poly(terms),)
+    return (_poly(f + _d(f)),)
 
 
 def _certify(
@@ -595,96 +597,17 @@ def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
     return x
 
 
-# ---------------------------------------------------------------------------
-# Frozen auxiliary polynomials (exact decimal coefficients)
-# ---------------------------------------------------------------------------
-
-# Degree-11 polynomial (in y = log x) whose positivity past log(10**15),
-# after adding DERIVATIVE_MARGIN, witnesses that a degree-6 rational
-# upper bound dominates a shifted variant at large heights.  Ascending
-# coefficients; the constant term is zero.
-DERIVATIVE_GAP_POLY = ExactPolynomial(
-    [
-        "0",
-        "-1241825.47125",
-        "-246389.1037096875",
-        "-47509.2738384375",
-        "-21029165.2496875",
-        "-4248412.96105",
-        "-865668.98286875",
-        "-189106.352125",
-        "-45007.842875",
-        "-13858.278375",
-        "-38212.4575",
-        "1119.6775",
-    ]
-)
-
-# Constant added to DERIVATIVE_GAP_POLY before certifying positivity.
-DERIVATIVE_MARGIN = Fraction("9460001.25")
-
-# Degree-11 polynomial whose nonnegativity for y >= 12.2714 closes the
-# same derivation at moderate heights.  Ascending coefficients.
-MODERATE_RANGE_POLY = ExactPolynomial(
-    [
-        "-21022225",
-        "-4247796.175",
-        "-868400.71675625",
-        "-183890.7415",
-        "-45874.13675",
-        "-13920.74325",
-        "-38220.7675",
-        "1118.8525",
-        "-0.195",
-        "0.75",
-        "-0.75",
-        "0.15",
-    ]
-)
-
-# Degree-10 polynomial, positive on the whole real line, that controls the
-# matching lower-bound derivation past log(5 * 10**9).  Ascending.
-LOWER_RANGE_POLY = ExactPolynomial(
-    [
-        "5290262",
-        "-347857",
-        "-158992",
-        "-34521",
-        "11749355",
-        "3145306",
-        "697310",
-        "151211",
-        "37131",
-        "11393",
-        "28930",
-    ]
-)
-
-# Degree-6 remainder in the exact identity
-#   (y^7 R(y)) * (y^6 S(y)) = y^14 - GROWTH_IDENTITY_POLY(y)
-# where S is the denominator of the rational lower bound thm3.8.lower and
-# R collects the reciprocal-power coefficients of prop3.11.lower.  All
-# coefficients are positive, which shows R*S < y^14 termwise for y > 0.
-GROWTH_IDENTITY_POLY = ExactPolynomial(
-    [
-        "17172756.64125",
-        "4750787.6325",
-        "1091195.634375",
-        "252925.911",
-        "63112.7025",
-        "19843.008375",
-        "11137.2625",
-    ]
-)
-
-
 def growth_identity_holds() -> bool:
-    """Exact check of the algebraic identity behind GROWTH_IDENTITY_POLY,
-    rebuilt from the registry coefficients."""
-    s_poly = _shape_polys(lookup("thm3.8.lower"))[0]
-    series = lookup("prop3.11.lower").coefficients
-    r_poly = _poly([(len(series) - j, c) for j, c in enumerate(series, 1)])
-    return _poly([(14, 1)]) - r_poly * s_poly == GROWTH_IDENTITY_POLY
+    """Whether prop3.11.lower's x f(y) stays below thm3.8.lower's x / D(y).
+
+    f = sum c_j / y^j and D come from the registry.  Where D > 0 the claim
+    is f D < 1, and y^14 (1 - f D) = y^14 - (y^7 R(y)) (y^6 S(y)), with
+    R = y f and S = D, has only positive coefficients, so it holds for
+    every y > 0.
+    """
+    den = _denominator(lookup("thm3.8.lower").coefficients)
+    minus_f = [(-j, -c) for j, c in enumerate(lookup("prop3.11.lower").coefficients, 1)]
+    return all(c > 0 for c in _poly([(0, 1)] + _times(minus_f, den)).coefficients)
 
 
 # ---------------------------------------------------------------------------

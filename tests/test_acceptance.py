@@ -180,14 +180,14 @@ def test_criterion_07_sum_templates():
     assert logp == ((Fraction(3, 40), 2), (Fraction(3, 20), 3))
 
 
-def test_criterion_08_sturm_certificates():
+def test_criterion_08_sturm_certificates(printed):
     jobs = [
         (
-            proofkit.DERIVATIVE_GAP_POLY + proofkit.ExactPolynomial((proofkit.DERIVATIVE_MARGIN,)),
+            proofkit._poly(printed["DERIVATIVE_GAP_POLY"] + printed["DERIVATIVE_MARGIN"]),
             Fraction("34.53"),  # below log(10^15) = 34.5387..., so covers it
         ),
-        (proofkit.MODERATE_RANGE_POLY, Fraction("12.2714")),
-        (proofkit.LOWER_RANGE_POLY, Fraction(22)),  # below log(5e9) = 22.33...
+        (proofkit._poly(printed["MODERATE_RANGE_POLY"]), Fraction("12.2714")),
+        (proofkit._poly(printed["LOWER_RANGE_POLY"]), Fraction(22)),  # below log(5e9) = 22.33...
     ]
     assert float(jobs[0][1]) < math.log(10**15)
     assert float(jobs[2][1]) < math.log(5 * 10**9)

@@ -31,13 +31,28 @@ P = pk.ExactPolynomial
 F = Fraction
 
 
+def terms(p):
+    """p's (degree, coefficient) terms."""
+    return list(enumerate(p.coefficients))
+
+
+def times(p, q):
+    """p * q, by proofkit's term rule."""
+    return pk._poly(pk._times(terms(p), terms(q)))
+
+
+def minus(p, q):
+    """p - q, by proofkit's term rule."""
+    return pk._poly(terms(p) + pk._times(terms(q), pk._MINUS))
+
+
 def poly_from_roots(lead, root_mults):
     """Product lead * prod (y - r)^m, built by repeated multiplication."""
     acc = P((F(lead),))
     for r, m in root_mults:
         linear = P((-F(r), F(1)))
         for _ in range(m):
-            acc = acc * linear
+            acc = times(acc, linear)
     return acc
 
 
@@ -63,10 +78,10 @@ class TestExactPolynomial:
     def test_subtraction_to_zero_rejected(self):
         p = P((F(1), F(2)))
         with pytest.raises(ZeroPolynomialError):
-            p - p
+            minus(p, p)
 
     def test_product_difference_of_squares(self):
-        p = P((-F(1), F(1))) * P((F(1), F(1)))
+        p = times(P((-F(1), F(1))), P((F(1), F(1))))
         assert p.coefficients == (F(-1), F(0), F(1))
 
     def test_eval_exact_horner(self):
@@ -110,13 +125,13 @@ class TestDivisionAndGcd:
             alpha = quo.leading * den.leading / num.leading
             assert alpha > 0
             if not r:
-                assert (den * quo).coefficients == (num * P((alpha,))).coefficients
+                assert times(den, quo).coefficients == times(num, P((alpha,))).coefficients
                 continue
-            rest = num * P((alpha,)) - den * quo
+            rest = minus(times(num, P((alpha,))), times(den, quo))
             rem = from_ints(r)
             assert rem.degree < den.degree
             assert rest.leading / rem.leading > 0
-            assert (rest * P((rem.leading / rest.leading,))).coefficients == rem.coefficients
+            assert times(rest, P((rem.leading / rest.leading,))).coefficients == rem.coefficients
 
     def test_gcd_of_shared_factor(self):
         a = pk._ints(poly_from_roots(2, [(1, 1), (2, 1)]))
@@ -327,7 +342,7 @@ class TestSturmOracle:
         cert = pk.sturm_positive_on_ray(poly, 3)
         assert cert.verdict == "nonnegative" and cert.distinct_roots_beyond == 1
         assert_refutation(pk.sturm_positive_on_ray(poly, F(299, 100)), poly, F(299, 100))
-        down = poly * P((-1,))
+        down = times(poly, P((-1,)))
         assert_refutation(pk.sturm_positive_on_ray(down, 3), down, 3)
 
     def test_ray_start_at_an_even_root(self):
@@ -364,7 +379,7 @@ class TestLastSignChange:
             root_mults = list(zip(roots, mults))
             poly = poly_from_roots(rng.choice([-2, 1, 3]), root_mults)
             if i % 4 == 0:
-                poly = poly * P((F(1), F(0), F(1)))  # no real root added
+                poly = times(poly, P((F(1), F(0), F(1))))  # no real root added
             odd = [r for r, m in root_mults if m % 2]
             last = pk._last_sign_change(poly)
             if not odd:
@@ -402,22 +417,22 @@ class TestSturmSpecExamples:
         assert cert.witness >= F("34.525")
         assert poly.eval_exact(cert.witness) < 0
 
-    def test_moderate_range_poly_holds_on_ray(self):
-        cert = pk.sturm_positive_on_ray(pk.MODERATE_RANGE_POLY, F("12.2714"))
+    def test_moderate_range_poly_holds_on_ray(self, printed):
+        cert = pk.sturm_positive_on_ray(pk._poly(printed["MODERATE_RANGE_POLY"]), F("12.2714"))
         # certified strictly positive, which implies the claimed >= 0
         assert cert.holds()
         assert cert.verdict == "positive"
 
-    def test_moderate_range_poly_root_just_below_ray(self):
+    def test_moderate_range_poly_root_just_below_ray(self, printed):
         # the sole real root sits in (12.2713, 12.2714): nudging the ray
         # start below it flips the verdict
-        cert = pk.sturm_positive_on_ray(pk.MODERATE_RANGE_POLY, F("12.2713"))
+        cert = pk.sturm_positive_on_ray(pk._poly(printed["MODERATE_RANGE_POLY"]), F("12.2713"))
         assert cert.verdict == "refuted"
 
 
 class TestFrozenCertificates:
-    def test_derivative_gap_poly_with_margin(self):
-        poly = pk.DERIVATIVE_GAP_POLY + P((pk.DERIVATIVE_MARGIN,))
+    def test_derivative_gap_poly_with_margin(self, printed):
+        poly = pk._poly(printed["DERIVATIVE_GAP_POLY"] + printed["DERIVATIVE_MARGIN"])
         start = time.monotonic()
         cert = pk.sturm_positive_on_ray(poly, F("34.53"))
         elapsed = time.monotonic() - start
@@ -426,28 +441,31 @@ class TestFrozenCertificates:
         assert F("34.53") < F("34.5387")
         assert elapsed < 1.0
 
-    def test_derivative_gap_poly_bare_ray_fails(self):
+    def test_derivative_gap_poly_bare_ray_fails(self, printed):
         # without the additive margin the polynomial dips negative just
         # past 34.525 (largest real root near 34.52505), so the bare
         # claim on [34.525, inf) is refutable
-        cert = pk.sturm_positive_on_ray(pk.DERIVATIVE_GAP_POLY, F("34.525"))
+        gap = pk._poly(printed["DERIVATIVE_GAP_POLY"])
+        cert = pk.sturm_positive_on_ray(gap, F("34.525"))
         assert cert.verdict == "refuted"
-        assert pk.DERIVATIVE_GAP_POLY.eval_exact(cert.witness) < 0
+        assert gap.eval_exact(cert.witness) < 0
 
-    def test_lower_range_poly_positive_everywhere_relevant(self):
+    def test_lower_range_poly_positive_everywhere_relevant(self, printed):
+        lower = pk._poly(printed["LOWER_RANGE_POLY"])
         start = time.monotonic()
-        cert = pk.sturm_positive_on_ray(pk.LOWER_RANGE_POLY, F(22))
+        cert = pk.sturm_positive_on_ray(lower, F(22))
         elapsed = time.monotonic() - start
         assert cert.verdict == "positive"
         # 22 < log(5e9) = 22.33..., so the certified ray covers the claim
         assert 22 < math.log(5 * 10**9)
         assert elapsed < 1.0
         # in fact there are no real roots at all
-        assert pk.count_distinct_roots_above(pk.LOWER_RANGE_POLY, F(-10**6)) == 0
+        assert pk.count_distinct_roots_above(lower, F(-10**6)) == 0
 
-    def test_moderate_range_poly_timing(self):
+    def test_moderate_range_poly_timing(self, printed):
+        moderate = pk._poly(printed["MODERATE_RANGE_POLY"])
         start = time.monotonic()
-        cert = pk.sturm_positive_on_ray(pk.MODERATE_RANGE_POLY, F("12.2714"))
+        cert = pk.sturm_positive_on_ray(moderate, F("12.2714"))
         elapsed = time.monotonic() - start
         assert cert.holds()
         assert elapsed < 1.0
@@ -455,12 +473,49 @@ class TestFrozenCertificates:
     def test_growth_identity_exact(self):
         assert pk.growth_identity_holds()
 
-    def test_growth_identity_poly_all_positive(self):
+    def test_growth_identity_poly_all_positive(self, printed):
         # positivity of every coefficient is what makes the identity
         # useful: it shows the two threshold polynomials multiply to
         # strictly less than y^14 for y > 0
-        assert all(c > 0 for c in pk.GROWTH_IDENTITY_POLY.coefficients)
-        assert pk.GROWTH_IDENTITY_POLY.degree == 6
+        growth = pk._poly(printed["GROWTH_IDENTITY_POLY"])
+        assert all(c > 0 for c in growth.coefficients)
+        assert growth.degree == 6
+
+    def test_printed_polynomials_follow_from_the_registry(self, printed):
+        """Each printed polynomial is what the term rule derives from the
+        registry coefficients of thm3.2.upper, thm3.8.lower and
+        prop3.11.lower, exactly (LOWER_RANGE_POLY: termwise floor).
+
+        x / D(y) has slope (D - D') / D^2 in x, li has slope 1/y, and
+        J_eta = x f(y) + integral of e(y) / y^2, with e = 1 + eta / y^3 and
+        f = e / y, has slope f + f' + e / y^2.
+        """
+
+        def slope_and_square(bound_id):
+            den = pk._denominator(lookup(bound_id).coefficients)
+            return den + pk._times(pk._d(den), pk._MINUS), pk._times(den, den)
+
+        def j_slope(eta):
+            e = [(0, 1), (-3, eta)]
+            f = pk._times(e, [(-1, 1)])
+            return f + pk._d(f) + pk._times(e, [(-2, 1)])
+
+        slope, square = slope_and_square("thm3.2.upper")
+        gap = pk._poly(slope + pk._times(pk._times(square, j_slope(F(3, 20))), pk._MINUS))
+        assert gap == pk._poly(printed["DERIVATIVE_GAP_POLY"] + printed["DERIVATIVE_MARGIN"])
+        assert gap.coefficients[0] == printed["DERIVATIVE_MARGIN"][0][1]
+        moderate = pk._poly(slope + pk._times(square, [(-1, -1)]))
+        assert moderate == pk._poly(printed["MODERATE_RANGE_POLY"])
+
+        slope, square = slope_and_square("thm3.8.lower")
+        lower = pk._poly(pk._times(square, j_slope(F(-3, 20))) + pk._times(slope, pk._MINUS))
+        floor = tuple(math.floor(c) for c in lower.coefficients)
+        assert floor == pk._poly(printed["LOWER_RANGE_POLY"]).coefficients
+
+        den = pk._denominator(lookup("thm3.8.lower").coefficients)
+        minus_f = [(-j, -c) for j, c in enumerate(lookup("prop3.11.lower").coefficients, 1)]
+        growth = pk._poly([(0, 1)] + pk._times(minus_f, den))
+        assert growth == pk._poly(printed["GROWTH_IDENTITY_POLY"])
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ TEST_ONLY = {
     "analytic.JParams",
     "analytic.j_function",
     "analytic.panaitopol_coefficients",
-    "proofkit.DERIVATIVE_GAP_POLY",
-    "proofkit.DERIVATIVE_MARGIN",
-    "proofkit.LOWER_RANGE_POLY",
-    "proofkit.MODERATE_RANGE_POLY",
     "proofkit.check_lemma_preconditions",
     "proofkit.crossing_integer_threshold",
     "proofkit.dudek_thresholds",
