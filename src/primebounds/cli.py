@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analytic, proofkit, sieve, verify
-from .bounds import BoundKind, eval_bound, lookup, registry_list
+from .bounds import eval_bound, lookup, registry_list
 from .enclosure import DEFAULT_PREC, Enclosure
 from .errors import InvalidRangeError, PrimeBoundsError
 from .verify import VerificationReport, exit_code_for, report_to_json
@@ -55,7 +55,6 @@ class RunConfig:
     report_path: Optional[str] = None
     report_format: str = "json"
     extended: bool = False
-    assume_yes: bool = False
     x: Optional[str] = None
     x_start: Optional[int] = None
     digits: int = 28
@@ -83,84 +82,14 @@ def _checkpoint_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
-# Scan-time model of the 6k+-1 wheel sieve, fitted to the two scan medians
-# under "Measured speed" in the README (one thread on a 2-vCPU VM).  Every
-# segment handles each base prime up to sqrt(hi) once, by strided slices or
-# a numpy scatter: the four gap claims on a 2e7-wide window at 1e14 take
-# 0.64 s, nearly all of it over 3 segments of 661k base primes.
-_SIEVE_S_PER_BASE_PRIME_VISIT = 3.1e-7
-# Where the sieve is cheap, the time grows with claims times prime cells:
-# the 22-claim reproduction scan to 1e8 checks 1.2e8 of those in 0.89 s.
-_SCAN_S_PER_CLAIM_CELL = 7.4e-9
-# Accumulating the exact sums costs a price per prime plus, like the scan,
-# each segment's visits to the base primes below the root of its end, whose
-# number grows with sqrt(x).  The two prices are fitted to one 2^23-wide
-# segment, sieved and summed, at 0.84e-7 s per prime at 1e9 and 5.9e-7 at
-# 1e12 (same slow spell of the VM).  A visit costs more than in the scan's
-# fit at 1e14: below the segment's 1.4e6 rows a base prime is struck by two
-# strided slices, not by one numpy scatter with the others.  These are the
-# prices in one process; sieve.pi_theta_at shares the prefix among
-# sieve.worker_count processes.
-_ACCUMULATE_S_PER_PRIME = 6.7e-8
-_ACCUMULATE_S_PER_BASE_PRIME_VISIT = 2.0e-6
-
-
-def _accumulate_seconds(a: int, b: int, segment_odds: int) -> float:
-    """Seconds that accumulating the primes in (a, b] should take in one
-    process.  The segments' base-prime visits are summed as the integral of
-    pi(sqrt(t)) ~ sqrt(t) / (log sqrt(t) - 1) over the range, per span."""
-    if b <= a:
-        return 0.0
-    # x / (log x - 1.1) bounds pi(x) from above for x >= 60184 (Dusart)
-    pa, pb = (x / max(math.log(max(x, 2)) - 1.1, 1.0) for x in (a, b))
-    visits = (b**1.5 - a**1.5) / 1.5 / max(math.log(b) / 2 - 1.0, 1.0) / (2 * segment_odds)
-    return (pb - pa) * _ACCUMULATE_S_PER_PRIME + visits * _ACCUMULATE_S_PER_BASE_PRIME_VISIT
-
-
-def _estimate_minutes(
-    lo: int, hi: int, n_specs: int, segment_odds: int = sieve.DEFAULT_SEGMENT_ODDS,
-    prefix_from: Optional[int] = None,
-) -> float:
-    """Minutes that scanning n_specs claims over [lo, hi] should take,
-    after accumulating the primes in (prefix_from, lo) if prefix_from is
-    given: a claim with a summed lane starts from the state at lo - 1."""
-    root = max(math.isqrt(hi), 3)
-    base_primes = root / max(math.log(root) - 1.0, 1.0)
-    segments = -(-(hi - lo + 1) // (2 * segment_odds))
-    cells = max(hi, 3) / math.log(max(hi, 3)) - max(lo, 2) / math.log(max(lo, 3))
-    seconds = (
-        segments * base_primes * _SIEVE_S_PER_BASE_PRIME_VISIT
-        + max(n_specs, 1) * cells * _SCAN_S_PER_CLAIM_CELL
-    )
-    if prefix_from is not None:
-        workers = sieve.worker_count(-(-max(lo - prefix_from, 0) // (2 * segment_odds)))
-        seconds += _accumulate_seconds(prefix_from, lo - 1, segment_odds) / workers
-    return seconds / 60.0
-
-
-def _gate_extended(
-    config: RunConfig, n_specs: int = 1, prefix_from: Optional[int] = None
-) -> Optional[int]:
-    """Refuse hour-scale ranges unless explicitly confirmed.  None = go."""
+def _gate_extended(config: RunConfig) -> None:
+    """Refuse a --to beyond EXTENDED_RANGE_LIMIT unless --extended is given."""
     hi = config.range_hi
-    if hi is None or hi <= EXTENDED_RANGE_LIMIT:
-        return None
-    est = _estimate_minutes(config.range_lo or 2, hi, n_specs, config.segment_odds, prefix_from)
-    print(
-        "range reaches %d (> %d); estimated %.1f min of scanning"
-        % (hi, EXTENDED_RANGE_LIMIT, est),
-        file=sys.stderr,
-    )
-    if not config.extended:
-        print("pass --extended to allow ranges beyond 10^9", file=sys.stderr)
-        return _USAGE_EXIT
-    if config.assume_yes:
-        return None
-    if sys.stdin.isatty():
-        answer = input("proceed? [y/N] ").strip().lower()
-        return None if answer in ("y", "yes") else _USAGE_EXIT
-    print("non-interactive run: confirm extended ranges with --yes", file=sys.stderr)
-    return _USAGE_EXIT
+    if hi is not None and hi > EXTENDED_RANGE_LIMIT and not config.extended:
+        raise InvalidRangeError(
+            "range reaches %d (> %d); pass --extended to allow ranges beyond 10^9"
+            % (hi, EXTENDED_RANGE_LIMIT)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +187,6 @@ def _cmd_sieve(config: RunConfig) -> int:
     target = config.range_hi
     if target is None:
         raise InvalidRangeError("sieve needs --to")
-    gate = _gate_extended(config)
-    if gate is not None:
-        return gate
     _, resume = _read_resume(config)
     t0 = time.monotonic()
     state = sieve.pi_theta_at(
@@ -316,12 +242,6 @@ def _cmd_verify(config: RunConfig) -> int:
         raise InvalidRangeError("verify needs --from and --to")
     specs = [lookup(b) for b in config.bound_ids]
     ck_in, resume = _read_resume(config)
-    prefix_from = None
-    if any(s.kind is not BoundKind.GAP for s in specs):
-        prefix_from = 2 if resume is None else resume.x
-    gate = _gate_extended(config, len(specs), prefix_from)
-    if gate is not None:
-        return gate
     claims = verify.scan_claims(
         specs,
         config.range_lo,
@@ -347,9 +267,6 @@ def _cmd_crossing(config: RunConfig) -> int:
     if config.range_hi is None:
         raise InvalidRangeError("crossing needs --to")
     spec = lookup(config.bound_ids[0])
-    gate = _gate_extended(config, 1, None if spec.kind is BoundKind.GAP else 2)
-    if gate is not None:
-        return gate
     (claim,) = verify.scan_claims(
         [spec],
         config.range_lo if config.range_lo is not None else 2,
@@ -379,9 +296,6 @@ def _cmd_reproduce(config: RunConfig) -> int:
     specs = [
         s for s in registry_list() if s.status == "claimed_paper" and s.threshold_x0 <= to
     ]
-    gate = _gate_extended(config, len(specs))
-    if gate is not None:
-        return gate
     print("scanning %d claims over [2, %d] in one pass" % (len(specs), to), file=sys.stderr)
     t0 = time.monotonic()
     claims = verify.scan_claims(specs, 2, to, segment_odds=config.segment_odds)
@@ -528,6 +442,7 @@ def dispatch(config: RunConfig) -> int:
         print("unknown command %r" % config.command, file=sys.stderr)
         return _USAGE_EXIT
     try:
+        _gate_extended(config)
         return handler(config)
     except PrimeBoundsError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -559,8 +474,10 @@ def _build_parser() -> _Parser:
     def common(sp, bounds=False, many_bounds=False, sieves=False, starts=False):
         """Add the shared options a subcommand reads.
 
-        sieves: it sieves up to --to, so it takes the segment size and the
-        extended-range gate; starts: it also takes --from.
+        sieves: it sieves up to --to, so it takes the segment size and
+        --extended, without which a --to beyond 10^9 exits 3 before any
+        sieving; no run-time estimate is printed.  starts: it also takes
+        --from.
         """
         if bounds:
             sp.add_argument(
@@ -576,8 +493,9 @@ def _build_parser() -> _Parser:
                 default=sieve.DEFAULT_SEGMENT_ODDS,
                 help="odd numbers per sieve segment (power of two, at least 1024)",
             )
-            sp.add_argument("--extended", action="store_true")
-            sp.add_argument("--yes", action="store_true", dest="assume_yes")
+            sp.add_argument(
+                "--extended", action="store_true", help="allow a --to beyond 10^9"
+            )
 
     sp = sub.add_parser("sieve", help="accumulate exact pi/theta/sums up to --to")
     common(sp, sieves=True)

@@ -9,7 +9,6 @@ byte identity: the same verification run must always produce the same file.
 import csv
 import io
 import json
-import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -22,7 +21,6 @@ from primebounds.cli import (
     ENV_CHECKPOINT_DIR,
     RunConfig,
     _checkpoint_path,
-    _estimate_minutes,
     _gate_extended,
     config_from_args,
     emit_report,
@@ -251,84 +249,46 @@ class TestUsageErrors:
 
 
 class TestExtendedGate:
-    def test_refused_without_flag(self, capsys):
-        assert main(["sieve", "--to", "2000000000"]) == 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve"],
+            ["verify", "--bound", "thm4.1.gap3", "--from", "1999000000"],
+            ["crossing", "--bound", "thm4.1.gap3"],
+            ["reproduce"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_without_flag(self, argv, capsys, monkeypatch):
+        # refused before anything is sieved
+        def no_sieving(*args, **kwargs):
+            raise AssertionError("sieved past the gate")
+
+        monkeypatch.setattr(sieve, "pi_theta_at", no_sieving)
+        monkeypatch.setattr(verify, "scan_claims", no_sieving)
+        assert main(argv + ["--to", "2000000000"]) == 3
         assert "--extended" in capsys.readouterr().err
 
-    def test_refused_without_confirmation(self, capsys):
-        assert main(["sieve", "--to", "2000000000", "--extended"]) == 3
+    def test_runs_without_a_terminal(self, capsys, monkeypatch):
+        # --extended alone opens the gate; nothing asks for confirmation
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        argv = ["verify", "--bound", "thm4.1.gap3", "--from", "1000000000000",
+                "--to", "1000000100000", "--extended"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["checked"], report["failures"]) == (3615, 0)
+
+    def test_yes_is_a_usage_error(self, capsys):
+        assert main(["sieve", "--to", "2000000000", "--extended", "--yes"]) == 3
         assert "--yes" in capsys.readouterr().err
 
-    def test_gate_opens_with_yes(self):
-        cfg = RunConfig(
-            command="sieve", range_lo=2, range_hi=2 * 10**9,
-            extended=True, assume_yes=True,
-        )
+    def test_gate_opens_with_extended(self):
+        cfg = RunConfig(command="sieve", range_lo=2, range_hi=2 * 10**9, extended=True)
         assert _gate_extended(cfg) is None
 
     def test_gate_inactive_at_desk_scale(self):
         cfg = RunConfig(command="sieve", range_lo=2, range_hi=10**9)
         assert _gate_extended(cfg) is None
-
-    @pytest.mark.parametrize(
-        "lo, hi, n_claims, measured_s",
-        [
-            # README "Measured speed": the 22-claim desk scan to 10^8 ...
-            (2, 10**8, 22, 0.89),
-            # ... and the four gap claims on a 2e7-wide window at 10^14
-            (10**14, 10**14 + 2 * 10**7 - 1, 4, 0.64),
-        ],
-    )
-    def test_estimate_within_3x_of_measured_medians(self, lo, hi, n_claims, measured_s):
-        est_s = 60.0 * _estimate_minutes(lo, hi, n_claims)
-        assert measured_s / 3 <= est_s <= measured_s * 3
-
-    @pytest.mark.parametrize(
-        "x, measured_s_per_prime",
-        # the prices are fitted to 10^9 and 10^12; 10^10 and 10^11 are not in the fit
-        [(10**9, 0.84e-7), (10**10, 1.1e-7), (10**11, 2.1e-7), (10**12, 5.9e-7)],
-    )
-    def test_prefix_price_per_prime_within_3x_of_measured(self, monkeypatch, x, measured_s_per_prime):
-        # one 2^23-wide segment at x, sieved and summed in one process,
-        # against its primes 2^23 / log x
-        monkeypatch.setattr(sieve, "worker_count", lambda spans: 1)
-        lo, span = x + 2**23 + 1, 2**23
-        seconds = 60 * (_estimate_minutes(lo, lo, 1, prefix_from=x) - _estimate_minutes(lo, lo, 1))
-        per_prime = seconds / (span / math.log(x))
-        assert measured_s_per_prime / 3 <= per_prime <= measured_s_per_prime * 3
-
-    def test_estimate_prices_the_accumulation_prefix(self, capsys, monkeypatch):
-        # without --resume a theta claim first accumulates every prime below
-        # --from; gap claims scan without state.  One process accumulates.
-        monkeypatch.setattr(sieve, "worker_count", lambda spans: 1)
-        estimates = {}
-        for bound_id in ("thm2.4.upper", "thm4.1.gap3"):
-            argv = ["verify", "--bound", bound_id, "--from", str(10**12),
-                    "--to", str(10**12 + 10**6)]
-            assert main(argv) == 3
-            err = capsys.readouterr().err
-            estimates[bound_id] = 60 * float(re.search(r"estimated ([0-9.]+) min", err).group(1))
-        assert estimates["thm2.4.upper"] >= 37_607_912_018 * 1.2e-7  # pi(10^12) primes
-        assert estimates["thm4.1.gap3"] < 60
-        # a resumed state just below --from leaves nothing to accumulate
-        lo, hi = 10**12, 10**12 + 10**6
-        assert _estimate_minutes(lo, hi, 1, prefix_from=lo - 1) == _estimate_minutes(lo, hi, 1)
-
-    def test_estimate_shares_the_prefix_among_the_workers(self, monkeypatch):
-        lo, hi = 10**12, 10**12 + 10**6
-        seen, prefix_s = [], {}
-        for n in (1, 2):
-            def count(spans, n=n):
-                seen.append(spans)
-                return n
-
-            monkeypatch.setattr(sieve, "worker_count", count)
-            scan = _estimate_minutes(lo, hi, 1)
-            prefix_s[n] = 60 * (_estimate_minutes(lo, hi, 1, prefix_from=2) - scan)
-        # the prefix's spans, as pi_theta_at cuts (2, lo] into 2^23-wide spans
-        assert seen == [-(-(lo - 2) // (2 * sieve.DEFAULT_SEGMENT_ODDS))] * 2
-        assert prefix_s[1] >= 37_607_912_018 * 1.2e-7  # pi(10^12) primes
-        assert prefix_s[2] == pytest.approx(prefix_s[1] / 2)
 
 
 class TestEnvOverrides:
