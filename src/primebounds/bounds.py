@@ -25,7 +25,9 @@ GAP                 a prime exists in (x, x*(1 + c/L**j)]   coeffs (c, j)
 
 Magnitude-style kinds (the first four) store nonnegative coefficients and
 take their sign from the direction; series-style kinds store coefficients
-with the signs they are printed with.
+with the signs they are printed with.  The PI_RATIONAL and PI_LOGPOW
+coefficients are not typed in: _pi_terms derives them from the theta
+premise eta/log^3 x of each entry, up to the paper's closing constant.
 
 The arithmetic o is the backend: o.const lifts an exact rational, o.lpow(L,
 k) is L**k, o.xpow(x, p) is x**p, o.log, o.exp, o.sqrt and o.pi are what
@@ -40,6 +42,8 @@ masks for the two guarded quantities and the product on the log scale.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,6 +131,44 @@ def _two_sided(base_id, kind, coeffs_mag, x0, status, anchor, lower_x0=None, neg
     ]
 
 
+# enough for the longest printed pi expansions: prop3.6.upper's eight c_j
+# and the six a_i of thm3.2.upper, which take 1/S to 1/L**7
+_PI_SERIES_TERMS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_series(eta: Fraction, kind: BoundKind) -> tuple[Fraction, ...]:
+    """The coefficients of kind that the theta premise t*(1 + eta/log^3 t) gives.
+
+    pi(x) = theta(x)/L + integral of theta(t)/(t log^2 t) dt, with that
+    premise for theta, is x/L * S, S = sum s_j/L**j = L*J_eta(x)/x.  The
+    integrand is 1/log^2 t + eta/log^5 t; a term c/log^m t gives c/L**(m-2)
+    through theta(x)/L and c*(m)_k/L**(m-1+k) through the integral, (m)_k
+    the rising factorial.  PI_LOGPOW takes c_j = s_(j-1).  PI_RATIONAL
+    writes x/L * S as x/(L * 1/S) = x/(L - 1 - a_1/L - a_2/L**2 - ...), so
+    a_i = -r_(i+1) with 1/S = sum r_j/L**j.
+    """
+    n = _PI_SERIES_TERMS
+    s = [Fraction(0)] * n
+    for c, m in ((Fraction(1), 2), (eta, 5)):
+        s[m - 2] += c
+        for k in range(n - m + 1):
+            s[m - 1 + k] += c * math.prod(range(m, m + k))
+    if kind is BoundKind.PI_LOGPOW:
+        return tuple(s)
+    r = [Fraction(1)]
+    for j in range(1, n):
+        r.append(-sum(s[i] * r[j - i] for i in range(1, j + 1)))
+    return tuple(-rj for rj in r[2:])
+
+
+def _pi_terms(eta, kind: BoundKind, n: int, close=None) -> tuple[Fraction, ...]:
+    """The first n coefficients of _pi_series(eta, kind), the last replaced
+    by the closing constant close when the paper states one."""
+    terms = _pi_series(as_fraction(eta), kind)[:n]
+    return terms if close is None else terms[:-1] + (as_fraction(close),)
+
+
 def _build_registry() -> dict[str, BoundSpec]:
     entries: list[BoundSpec] = []
     add = entries.append
@@ -140,15 +182,16 @@ def _build_registry() -> dict[str, BoundSpec]:
         ("lem2.3.k3b", Fraction(1, 2), 3, 767_135_587),
         ("lem2.3.k4", Fraction(1513, 10), 4, 2),
     ]
-    for bid, eta, k, x0 in dusart_env:
+    for bid, c, k, x0 in dusart_env:
         entries.extend(
-            _two_sided(bid, BoundKind.THETA_ENVELOPE, (eta, k), x0,
+            _two_sided(bid, BoundKind.THETA_ENVELOPE, (c, k), x0,
                        "claimed_external", "Lemma 2.3 (Dusart)", negate=False)
         )
+    eta = Fraction(3, 20)  # Theorem 2.4: |theta(x) - x| < eta*x/log^3 x
     add(BoundSpec("thm2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
-                  (Fraction(3, 20), 3), 19_035_709_163, "claimed_paper", "Theorem 2.4"))
+                  (eta, 3), 19_035_709_163, "claimed_paper", "Theorem 2.4"))
     add(BoundSpec("thm2.4.upper", BoundKind.THETA_ENVELOPE, "upper",
-                  (Fraction(3, 20), 3), 2, "claimed_paper", "Theorem 2.4"))
+                  (eta, 3), 2, "claimed_paper", "Theorem 2.4"))
     add(BoundSpec("rem2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
                   (Fraction(7, 20), 3), 1_332_492_593, "claimed_paper", "Remark after Theorem 2.4"))
     entries.extend(
@@ -195,51 +238,45 @@ def _build_registry() -> dict[str, BoundSpec]:
     add(BoundSpec("buethe.pi.li.upper", BoundKind.PI_LI_SQRT, "upper",
                   (), 2, "claimed_external", "Buethe li comparison"))
 
-    # -- rational pi bounds -----------------------------------------------
-    add(BoundSpec("thm3.2.upper", BoundKind.PI_RATIONAL, "upper",
-                  (1, "3.15", "12.85", "71.3", "463.2275", 4585),
+    # -- pi bounds from a theta premise eta/log^3 x (_pi_terms) ----------
+    R, P = BoundKind.PI_RATIONAL, BoundKind.PI_LOGPOW
+    add(BoundSpec("thm3.2.upper", R, "upper", _pi_terms(eta, R, 6, 4585),
                   49, "claimed_paper", "Theorem 3.2"))
     cor33 = [
-        ("cor3.3.a.upper", (1, "3.15", "12.85", "71.3", "540.59"), 32),
-        ("cor3.3.b.upper", (1, "3.15", "12.85", "80.43", 0), 22),
-        ("cor3.3.c.upper", (1, "3.15", "14.21", 0, 0), 14),
-        ("cor3.3.d.upper", (1, "3.69", 0, 0, 0), 10_031_975_087),
-        ("cor3.3.e.upper", ("1.15", 0, 0, 0, 0), 38_284_442_297),
+        ("cor3.3.a.upper", 5, "540.59", 32),
+        ("cor3.3.b.upper", 4, "80.43", 22),
+        ("cor3.3.c.upper", 3, "14.21", 14),
+        ("cor3.3.d.upper", 2, "3.69", 10_031_975_087),
+        ("cor3.3.e.upper", 1, "1.15", 38_284_442_297),
     ]
-    for bid, coeffs, x0 in cor33:
-        add(BoundSpec(bid, BoundKind.PI_RATIONAL, "upper", coeffs, x0,
+    for bid, n, close, x0 in cor33:
+        add(BoundSpec(bid, R, "upper", _pi_terms(eta, R, n, close) + (0,) * (5 - n), x0,
                       "claimed_paper", "Corollary 3.3"))
-    add(BoundSpec("cor3.4.upper", BoundKind.PI_RATIONAL, "upper",
-                  (1, "3.35", "12.65", "71.7", "466.1275", "3489.8225"),
+    add(BoundSpec("cor3.4.upper", R, "upper", _pi_terms(Fraction(7, 20), R, 6),
                   45, "claimed_paper", "Corollary 3.4"))
-    add(BoundSpec("prop3.5.upper", BoundKind.PI_RATIONAL, "upper",
-                  (1, 3, 113), 41, "claimed_paper", "Proposition 3.5"))
-    add(BoundSpec("thm3.8.lower", BoundKind.PI_RATIONAL, "lower",
-                  (1, "2.85", "13.15", "70.7", "458.7275", "3428.7225"),
+    add(BoundSpec("prop3.5.upper", R, "upper", _pi_terms(0, R, 3, 113),
+                  41, "claimed_paper", "Proposition 3.5"))
+    add(BoundSpec("thm3.8.lower", R, "lower", _pi_terms(-eta, R, 6),
                   19_033_744_403, "claimed_paper", "Theorem 3.8"))
     cor39 = [
-        ("cor3.9.a.lower", (1, "2.85", "13.15", "70.7", "458.7275"), 11_532_441_449),
-        ("cor3.9.b.lower", (1, "2.85", "13.15", "70.7", 0), 7_822_207_951),
-        ("cor3.9.c.lower", (1, "2.85", "13.15", 0, 0), 1_331_532_233),
-        ("cor3.9.d.lower", (1, "2.85", 0, 0, 0), 38_099_531),
-        ("cor3.9.e.lower", (1, 0, 0, 0, 0), 468_049),
+        ("cor3.9.a.lower", 5, 11_532_441_449),
+        ("cor3.9.b.lower", 4, 7_822_207_951),
+        ("cor3.9.c.lower", 3, 1_331_532_233),
+        ("cor3.9.d.lower", 2, 38_099_531),
+        ("cor3.9.e.lower", 1, 468_049),
     ]
-    for bid, coeffs, x0 in cor39:
-        add(BoundSpec(bid, BoundKind.PI_RATIONAL, "lower", coeffs, x0,
+    for bid, n, x0 in cor39:
+        add(BoundSpec(bid, R, "lower", _pi_terms(-eta, R, n) + (0,) * (5 - n), x0,
                       "claimed_paper", "Corollary 3.9"))
-    add(BoundSpec("prop3.10.lower", BoundKind.PI_RATIONAL, "lower",
-                  (1, 3, -87), 19_423, "claimed_paper", "Proposition 3.10"))
-
-    # -- log-power pi bounds ----------------------------------------------
-    add(BoundSpec("prop3.6.upper", BoundKind.PI_LOGPOW, "upper",
-                  (1, 1, 2, "6.15", "24.15", "120.75", "724.5", 6601),
+    add(BoundSpec("prop3.10.lower", R, "lower", _pi_terms(0, R, 3, -87),
+                  19_423, "claimed_paper", "Proposition 3.10"))
+    add(BoundSpec("prop3.6.upper", P, "upper", _pi_terms(eta, P, 8, 6601),
                   2, "claimed_paper", "Proposition 3.6"))
-    add(BoundSpec("rem3.6.upper", BoundKind.PI_LOGPOW, "upper",
-                  (1, 1, 2, 6, 133), 2, "claimed_paper", "Remark after Proposition 3.6"))
-    add(BoundSpec("cor3.7.upper", BoundKind.PI_LOGPOW, "upper",
-                  (1, 1, "2.3"), 27_777_762_891, "claimed_paper", "Corollary 3.7"))
-    add(BoundSpec("prop3.11.lower", BoundKind.PI_LOGPOW, "lower",
-                  (1, 1, 2, "5.85", "23.85", "119.25", "715.5", "5008.5"),
+    add(BoundSpec("rem3.6.upper", P, "upper", _pi_terms(0, P, 5, 133),
+                  2, "claimed_paper", "Remark after Proposition 3.6"))
+    add(BoundSpec("cor3.7.upper", P, "upper", _pi_terms(eta, P, 3, "2.3"),
+                  27_777_762_891, "claimed_paper", "Corollary 3.7"))
+    add(BoundSpec("prop3.11.lower", P, "lower", _pi_terms(-eta, P, 8),
                   19_027_490_297, "claimed_paper", "Proposition 3.11"))
 
     # -- prime gaps ---------------------------------------------------------
@@ -253,7 +290,7 @@ def _build_registry() -> dict[str, BoundSpec]:
                   (Fraction(1), 3), 89_693, "claimed_external", "Equation 4.3 (Dusart)"))
 
     # -- running prime sums -------------------------------------------------
-    r1, r2 = sum_bound_from_eta(3, Fraction(3, 20), "recip")
+    r1, r2 = sum_bound_from_eta(3, eta, "recip")
     entries.extend(
         _two_sided("prop5.1", BoundKind.SUM_RECIP, (r1[0], r1[1], r2[0], r2[1]),
                    46_909_074, "claimed_paper", "Proposition 5.1", lower_x0=2)
@@ -262,7 +299,7 @@ def _build_registry() -> dict[str, BoundSpec]:
         _two_sided("eq5.5", BoundKind.SUM_RECIP, (Fraction(1, 5), 3),
                    2_278_383, "claimed_external", "Equation 5.5 (Dusart)")
     )
-    l1, l2 = sum_bound_from_eta(3, Fraction(3, 20), "logp")
+    l1, l2 = sum_bound_from_eta(3, eta, "logp")
     entries.extend(
         _two_sided("prop5.4", BoundKind.SUM_LOGP, (l1[0], l1[1], l2[0], l2[1]),
                    30_972_320, "claimed_paper", "Proposition 5.4", lower_x0=2)
@@ -275,7 +312,7 @@ def _build_registry() -> dict[str, BoundSpec]:
                    lower_x0=285)
     )
     add(BoundSpec("prop6.1.lower", BoundKind.PRODUCT_MERTENS, "lower",
-                  (Fraction(-1, 20), 3, Fraction(-3, 16), 4), 46_909_038,
+                  (-r1[0], r1[1], -r2[0], r2[1]), 46_909_038,
                   "claimed_paper", "Proposition 6.1"))
     add(BoundSpec("prop6.1.upper", BoundKind.PRODUCT_MERTENS, "upper",
                   (Fraction(7, 100), 3), 2, "claimed_paper", "Proposition 6.1"))

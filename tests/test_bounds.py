@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -141,12 +142,56 @@ def test_rational_pair_averages_to_recurrence_integers():
     assert mean[5] - Fraction(3441) == Fraction("565.86125")
 
 
+PRINTED_PI = Path(__file__).parent / "data" / "printed_pi_coefficients.txt"
+
+
+def test_pi_coefficients_follow_from_their_theta_premise():
+    """Each pi entry is its premise's series up to its last stated term,
+    which is either the series term or a closing constant that differs
+    from it; the registry holds the printed decimals, padding included."""
+    pi_ids = {s.id for s in bounds.registry_list()
+              if s.kind in (BoundKind.PI_RATIONAL, BoundKind.PI_LOGPOW)}
+    seen, closing = set(), 0
+    for line in PRINTED_PI.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        bid, eta, *printed = line.split()
+        closes = "*" in line
+        coeffs = tuple(Fraction(c.rstrip("*")) for c in printed)
+        spec = bounds.lookup(bid)
+        assert spec.coefficients == coeffs, bid
+        n = max(i for i, c in enumerate(coeffs) if c) + 1
+        assert closes == printed[n - 1].endswith("*"), bid
+        series = bounds._pi_terms(Fraction(eta), spec.kind, n)
+        assert series[:-1] == coeffs[:n - 1], bid
+        assert (series[-1] != coeffs[n - 1]) == closes, bid
+        seen.add(bid)
+        closing += closes
+    assert seen == pi_ids and len(seen) == 19
+    assert closing == 11
+
+
+def test_panaitopol_difference_is_recorded_not_settled():
+    """At eta = 0 the series rule gives the factorial recurrence's 3447 as
+    its sixth denominator term, where the published table keeps 3441; the
+    paper's own sixth terms at eta = -3/20 and 7/20 follow the rule."""
+    rational = BoundKind.PI_RATIONAL
+    zero = bounds._pi_terms(0, rational, 6)
+    assert zero == (1, 3, 13, 71, 461, 3447)
+    assert list(zero[:5]) == analytic.panaitopol_coefficients(5)
+    sixth = bounds._pi_terms(Fraction(-3, 20), rational, 6)[5]
+    assert sixth == Fraction("3428.7225") == Fraction(1371489, 400)
+    sixth = bounds._pi_terms(Fraction(7, 20), rational, 6)[5]
+    assert sixth == Fraction("3489.8225") == Fraction(1395929, 400)
+
+
 def test_sum_templates_match_registry_coefficients():
     (c1, p1), (c2, p2) = bounds.sum_bound_from_eta(3, Fraction(3, 20), "recip")
     up = bounds.lookup("prop5.1.upper").coefficients
     assert up == (c1, p1, c2, p2)
     lo = bounds.lookup("prop5.1.lower").coefficients
     assert lo == (-c1, p1, -c2, p2)
+    assert bounds.lookup("prop6.1.lower").coefficients == lo
     assert (c1, p1, c2, p2) == (Fraction(1, 20), 3, Fraction(3, 16), 4)
 
     (c1, p1), (c2, p2) = bounds.sum_bound_from_eta(3, Fraction(3, 20), "logp")
