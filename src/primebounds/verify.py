@@ -55,26 +55,23 @@ chunk and the few terms after it.
 
 Most cells are decided in a float64 fast lane.  Its running sums restart
 at every chunk from the correctly rounded exact partial sum, so float
-drift never carries from one chunk to the next, and within a chunk it
-stays orders of magnitude below the lane's recheck margin delta.  One rule
-decides the lane's cells, applied to runs of them: the runs start as the
-grid of _BLOCK = 128 cells clipped to the lane's cells, and undecided runs
-are halved.  From the fast lane's start on, the shape certificate proves
-the bound monotone (for rational pi bounds also the denominator positive),
-and the quantities -- the prime count, running sums of positive terms, and
-the successor prime of a gap claim -- are monotone too; a run never
-straddles a chunk, so this holds for the float running sums as well.  So
-over a run the margin (quantity minus bound for a lower bound, bound or
-window end minus quantity for an upper one) lies between a worst and a
-best margin read off its first and last cell.  A run passes whole when its
-worst margin exceeds delta and fails whole when its best margin is below
--delta; otherwise, or when an end is suspect (see _bound_float), it is
-halved.  delta is the one a single cell is held to, since the end values
-carry the same float error as a cell's own check, and a single cell's two
-margins are its own, so an undecided cell is unsure.  Certain passes are
-only counted; certain fails and unsure cells are collected by index.  The
-exact work follows per claim: any unsure cell is re-decided with
-outward-rounded enclosures at 106 bits, retried once at 212 bits, and
+drift never carries from one chunk to the next.  One rule decides the
+lane's cells, applied to runs of them: the runs start as the grid of
+_BLOCK = 128 cells clipped to the lane's cells, and undecided runs are
+halved.  From the fast lane's start on, the shape certificate proves the
+bound monotone (for rational pi bounds also the denominator positive), and
+the quantities -- the prime count, running sums of positive terms, and the
+successor prime of a gap claim -- are monotone too, the float running sums
+included, as no run straddles a chunk.  So over a run the margin (quantity
+minus bound for a lower bound, bound or window end minus quantity for an
+upper one) lies between a worst and a best margin read off its first and
+last cell.  A run passes whole when its worst margin exceeds tol, a bound
+on the float error of its ends (see _EPS), and fails whole when its best
+margin is below -tol; otherwise, or when an end is suspect (see
+_bound_float), it is halved, and an undecided cell is unsure.  Certain
+passes are only counted; certain fails and unsure cells are collected by
+index.  The exact work follows per claim: any unsure cell is re-decided
+with outward-rounded enclosures at 106 bits, retried once at 212 bits, and
 counted Indeterminate if still undecided.  Certain fails are only counted.
 Each claim keeps its 64 highest failing cells with their exact quantities
 as plain integers, and once the scan ends those the fast lane failed get
@@ -152,20 +149,26 @@ MAX_EXACT_PAIRS = 60_000
 # of the running sums.
 _BLOCK = 1 << 7
 
-# Fast-lane recheck margins per quantity lane.  Anything closer to the
-# boundary than this is re-decided with enclosures.  The float64 error of a
-# bound value grows about in proportion to x, so the margins cover it only
-# to about 10^11 (50 times over there); it is 7.9e-4 to 0.016 at 10^14 and
-# 0.07 to 1.18 at 9e15.  See ROADMAP item 1 and the two xfails in
-# tests/test_fast_lane_oracle.py, a false Pass and a false Fail at 8e15.
-_MARGIN = {
-    "theta": 1e-2,
-    "pi": 1e-3,
-    "recip": 1e-10,
-    "logp": 1e-10,
-    "log1m": 1e-10,
-    "gap": 1e-3,
-}
+# The fast lane's one tolerance: a run passes when its worst margin exceeds
+# tol = _EPS * (max|big| + max|small|) over the ends read in one _sides
+# call, and fails when its best margin is below -tol.  That is sound when
+# at each end the float bound f and quantity q together err by at most
+# _EPS (|f| + |q|) from any point of their exact enclosures.  In units of
+# u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1):
+# * the pi count and the gap successor are exact below 2**53;
+# * a running sum adds fewer than 2**16 positive terms to the correctly
+#   rounded exact total of its chunk: (2**16 + 1) |q|, plus the terms'
+#   budgets (see sieve), at most 2 * BUDGET_QUOT |q| = 32 |q|;
+# * bounds.shape is at most 64 float operations, each within one ulp, 2u
+#   (np.log within 0.61 ulp, see sieve): 2**7 times its terms' magnitudes,
+#   which stay below 2**8 (|f| + |q|).  Only the PI_RATIONAL denominator
+#   and the Mertens body cancel far; their subtracted terms sum to less than
+#   their leading term, L or 1 (bar prop3.10.lower's added one, whose
+#   denominator exceeds 3.9), and _FloatOps marks them suspect below 2**-7
+#   of it.  A lower envelope such as x - g cancels only where q is near g.
+# So f and q err by under (2**16 + 2**15 + 33) u, which leaves 2**17 u =
+# _EPS room for the rounding of tol and of the 106-bit enclosures.
+_EPS = 2.0**-36
 
 # The lanes whose quantities need prime counts only, no exact sums.
 _COUNT_LANES = {"pi", "gap"}
@@ -351,29 +354,29 @@ def report_to_json(report: VerificationReport) -> str:
 class _FloatOps:
     """float64 arithmetic of the fast lane for bounds.shape.
 
-    Entries whose rational denominator or Mertens body is not safely
-    positive are marked in suspect and computed with 1 in its place.  The
-    Mertens product is returned on the log scale of its lane.
+    Entries whose rational denominator or Mertens body lies below 2**-7 of
+    its leading term, L or 1, are marked in suspect and computed with 1 in
+    its place (see _EPS).  The Mertens product is on its lane's log scale.
     """
 
     const = staticmethod(float)
     log, exp, sqrt, pi = np.log, np.exp, np.sqrt, math.pi
     gamma, B, E = (e.mid_float() for e in analytic.constants(28))
 
-    def __init__(self, pw: Callable[[float], np.ndarray]):
+    def __init__(self, L: np.ndarray, pw: Callable[[float], np.ndarray]):
+        self.L, self.suspect = L, None
         self.lpow = lambda _L, k: pw(k)
-        self.suspect = None
 
     @staticmethod
     def xpow(x, p):
         return x ** float(p)
 
     def denominator(self, den):
-        self.suspect = den < 1e-6
+        self.suspect = den < self.L * 2.0**-7
         return np.where(self.suspect, 1.0, den)
 
     def mertens(self, L, body):
-        self.suspect = body < 1e-9
+        self.suspect = body < 2.0**-7
         return -self.gamma - np.log(L) + np.log(np.where(self.suspect, 1.0, body))
 
 
@@ -383,11 +386,9 @@ def _bound_float(
     """Float64 bound values at x (log-scale for the Mertens product).
 
     L is log(x) and pw(k) gives L ** k; the scanner shares those powers
-    across the terms of one claim's bound.  Returns (values, suspect) where
-    suspect marks entries that must not be trusted (nonpositive rational
-    denominator / product body).
+    across the terms of one claim's bound.  Returns (values, suspect).
     """
-    ops = _FloatOps(pw)
+    ops = _FloatOps(L, pw)
     return bounds.shape(spec, x, L, ops), ops.suspect
 
 
@@ -532,7 +533,6 @@ class _Plan:
     lane: str
     lower: bool
     eval_at_succ: bool
-    delta: float
     pair_start: Optional[int]  # smallest x with a shape certificate; None = cells only
     exact_pairs: bool  # no vector lane; every pair decided by enclosures
 
@@ -566,7 +566,6 @@ def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
         lane=lane,
         lower=lower,
         eval_at_succ=eval_at_succ,
-        delta=_MARGIN[lane],
         pair_start=pair_start,
         exact_pairs=exact_pairs,
     )
@@ -718,8 +717,8 @@ def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
     """Float sides of the fast-lane check at the given cells.
 
     Returns (big, small, suspect): the check passes where big - small
-    exceeds plan.delta.  big is the quantity of a lower bound and the bound
-    of an upper one.  suspect is as in _bound_float.
+    exceeds the tolerance of _triage.  big is the quantity of a lower bound
+    and the bound of an upper one.  suspect is as in _FloatOps.
     """
     at = cells + 1 if plan.eval_at_succ else cells
     x, L = data.p[at], data.logs[at]
@@ -750,13 +749,13 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
 
     The one rule of the module docstring, on a nonempty range: runs [a, b),
     first the _BLOCK grid clipped to [start, cut), pass whole when their
-    worst margin min(big) - max(small) exceeds plan.delta, fail whole when
-    their best margin max(big) - min(small) is below -plan.delta, and are
-    otherwise, or with a suspect end, halved; an undecided single cell is
-    unsure.  Both ends of every run of a level are read in one _sides call.
-    Certain passes are counted at once; returns the runs that failed
-    whole as the arrays (a, b) of the runs [a, b), and the ascending
-    segment indices of the unsure cells.
+    worst margin min(big) - max(small) exceeds tol, fail whole when their
+    best margin max(big) - min(small) is below -tol, and are otherwise, or
+    with a suspect end, halved; an undecided single cell is unsure.  Both
+    ends of every run of a level are read in one _sides call, which sets
+    tol (see _EPS).  Certain passes are counted at once; returns the runs
+    that failed whole as the arrays (a, b) of the runs [a, b), and the
+    ascending segment indices of the unsure cells.
     """
     plan = scan.plan
     a = np.arange(start // _BLOCK * _BLOCK, cut, _BLOCK, dtype=np.int64)
@@ -766,8 +765,9 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
     while a.size:
         n = a.size
         big, small, suspect = _sides(plan, data, np.concatenate((a, b - 1)))
-        passed = np.minimum(big[:n], big[n:]) - np.maximum(small[:n], small[n:]) > plan.delta
-        failed = np.maximum(big[:n], big[n:]) - np.minimum(small[:n], small[n:]) < -plan.delta
+        tol = _EPS * (np.abs(big).max() + np.abs(small).max())
+        passed = np.minimum(big[:n], big[n:]) - np.maximum(small[:n], small[n:]) > tol
+        failed = np.maximum(big[:n], big[n:]) - np.minimum(small[:n], small[n:]) < -tol
         if suspect is not None:
             trusted = ~(suspect[:n] | suspect[n:])
             passed &= trusted

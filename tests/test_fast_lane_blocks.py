@@ -6,11 +6,13 @@ default.
 """
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from primebounds import sieve, verify
+from primebounds import dyadic, sieve, verify
 from primebounds.bounds import BoundKind, lookup
 from primebounds.verify import report_to_json, scan_claims
 
@@ -372,3 +374,39 @@ def test_settle_counts_fail_runs_and_keeps_only_the_last_cells():
     # kept as plain quantities, with no enclosures until confirmation
     assert [f.q for f in scan.fails] == [data.quantity("pi", i) for i in last.tolist()]
     assert all(f.lhs is None and f.rhs is None for f in scan.fails)
+
+
+@pytest.mark.parametrize("lo", [10**12, sieve.LAST_PRIME - 2**22], ids=["1e12", "2**53"])
+def test_running_sums_stay_within_their_share_of_the_tolerance(lo):
+    # the derivation of verify._EPS: fewer than SUM_CHUNK additions to the
+    # correctly rounded exact chunk total leave a running sum within
+    # (SUM_CHUNK + 1) u of the exact sum of its float terms, whose budgets
+    # add at most 2 * BUDGET u.  The 152,000 and 114,000 primes span three
+    # and two chunks; the state through the base holds each lane near its
+    # true size.
+    u = Fraction(1, 2**53)
+    primes = sieve.sieve_segment(lo, lo + 2**22).primes
+    base, L = int(primes[0]), math.log(primes[0])
+    ops = verify._FloatOps
+    sizes = {"theta": base, "recip": math.log(L) + ops.B, "logp": L + ops.E}
+    sizes["log1m"] = math.log(L) + ops.gamma
+    fields = {}
+    for lane, size in sizes.items():
+        value, budget, _ = sieve.LANES[lane]
+        v = int(math.ldexp(size, dyadic.SCALE_BITS))
+        fields.update({value: v, budget: v >> 50})
+    before = sieve.AccumulatorState(x=base, pi=0, **fields)
+    segment = sieve.PrimeSegment(base + 1, int(primes[-1]), primes[1:])
+    data = verify._SegmentData(before, base, segment)
+    cut = data.p.size - 1
+    assert cut > sieve.SUM_CHUNK
+    chunk_ends = np.arange(sieve.SUM_CHUNK - 1, cut, sieve.SUM_CHUNK)
+    rows = np.union1d(np.arange(0, cut, 997), np.r_[chunk_ends, chunk_ends + 1, cut - 1])
+    for lane, (_, _, multiplier) in sieve.LANES.items():
+        run = data.run(lane)
+        v0, b0 = before.lane(lane)
+        for i in rows.tolist():
+            v, b = data.exact(lane, i)
+            exact = Fraction(v, 1 << dyadic.SCALE_BITS)
+            assert abs(Fraction(abs(float(run[i]))) - exact) <= (sieve.SUM_CHUNK + 1) * u * exact
+            assert Fraction(b - b0) <= 2 * multiplier * u * (v - v0), (lane, i)

@@ -71,7 +71,9 @@ AGREEMENT_XS = sorted({int(10 ** (0.5 + 15.4 * i / 39)) for i in range(40)})
 def test_float_lane_agrees_with_eval_bound(spec):
     """_bound_float lies within 1e-12 relative of eval_bound's midpoint at
     every point that is not suspect; the Mertens product is compared on
-    the log scale that its float lane uses."""
+    the log scale that its float lane uses.  1e-12 lies within the share
+    of verify._EPS that its derivation gives a bound value, 2**15 u."""
+    assert 1e-12 <= 2**15 * 2.0**-53 == verify._EPS / 4
     assert AGREEMENT_XS[0] == 3 and AGREEMENT_XS[-1] < 2**53 and len(AGREEMENT_XS) >= 38
     x = np.array(AGREEMENT_XS, dtype=np.float64)
     L = np.log(x)
@@ -86,6 +88,30 @@ def test_float_lane_agrees_with_eval_bound(spec):
         rel = abs(vals[i] - float(mid)) / abs(float(mid))
         assert rel < 1e-12, (spec.id, xi, rel)
         assert math.isfinite(vals[i])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in registry_list() if s.kind in (BoundKind.PI_RATIONAL, BoundKind.PRODUCT_MERTENS)],
+    ids=lambda s: s.id,
+)
+def test_suspect_guards_bound_the_cancellation(spec):
+    """Where _bound_float trusts a rational denominator L - 1 - sum a_i/L^i
+    or a Mertens body 1 + sum c_i/L^p_i, its terms' magnitudes sum to at
+    most 2**8 times it, the amplification the derivation of verify._EPS
+    allows, at 2,000 points from x = 3 to 2**53."""
+    L = np.linspace(math.log(3), 53 * math.log(2), 2000)
+    c = [float(v) for v in spec.coefficients]
+    if spec.kind is BoundKind.PI_RATIONAL:
+        terms = [L, -np.ones_like(L)] + [-a / L**i for i, a in enumerate(c, start=1)]
+    else:
+        terms = [np.ones_like(L)] + [c[i] / L ** c[i + 1] for i in range(0, len(c), 2)]
+    value = sum(terms)
+    _, suspect = verify._bound_float(spec, np.exp(L), L, functools.cache(L.__pow__))
+    trusted = ~suspect
+    assert trusted.sum() > 1000
+    size = sum(np.abs(t) for t in terms)
+    assert (size[trusted] <= 2**8 * value[trusted]).all()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ type annotations; type aliases are not constants.  References are matched
 by name: a load of the name, an attribute of that name, or an import of
 it.  A method counts as called only through an attribute or an import, so
 a local variable that shares its name is no caller.  Names that only tests
-reach today are pinned in TEST_ONLY.  A new
+reach today are pinned in TEST_ONLY, and their bodies are no callers
+either: a name that only a pinned definition uses is test-only too.  A new
 test-only name fails here: give it a caller or delete it.  A pinned name
 that gains a caller must leave the list.
 """
@@ -30,6 +31,13 @@ TEST_ONLY = {
     "proofkit.dudek_thresholds",
     "proofkit.growth_identity_holds",
     "proofkit.zero_count_bound",
+    # reached only from the side facts above: the log-power integral of
+    # j_function, and the certified search of dudek_thresholds and
+    # crossing_integer_threshold with its two argument types
+    "analytic.log_power_integral",
+    "proofkit.ElementaryForm",
+    "proofkit.ThresholdComparison",
+    "proofkit.elementary_crossing",
     # oracles and report tools the tests use on purpose
     "enclosure.Enclosure.contains",
     "verify.merge_reports",
@@ -66,11 +74,23 @@ def _definitions():
 
 class _Refs(ast.NodeVisitor):
     """Names loaded (names), and attributes read and names imported
-    (attrs); type annotations are not callers, so they are skipped."""
+    (attrs); type annotations are not callers, so they are skipped, and
+    neither are the bodies of the TEST_ONLY definitions of module."""
 
     def __init__(self):
         self.names = set()
         self.attrs = set()
+        self.module = None
+        self.classes = []
+
+    def _test_only(self, node):
+        return ".".join([self.module] + self.classes + [node.name]) in TEST_ONLY
+
+    def visit_ClassDef(self, node):
+        if not self._test_only(node):
+            self.classes.append(node.name)
+            self.generic_visit(node)
+            self.classes.pop()
 
     def visit_Name(self, node):
         if not isinstance(node.ctx, ast.Store):
@@ -87,6 +107,8 @@ class _Refs(ast.NodeVisitor):
         pass
 
     def visit_FunctionDef(self, node):
+        if self._test_only(node):
+            return
         for child in node.decorator_list + node.body:
             self.visit(child)
         for default in node.args.defaults + node.args.kw_defaults:
@@ -103,6 +125,7 @@ def _references():
     for folder in ("src", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if not path.name.startswith("test_"):
+                refs.module = path.stem
                 refs.visit(ast.parse(path.read_text()))
     return refs
 
