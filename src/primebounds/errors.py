@@ -45,10 +45,6 @@ class ZeroPolynomialError(PrimeBoundsError):
     """Sturm certificate requested for the zero polynomial."""
 
 
-class NoSignChangeError(PrimeBoundsError):
-    """Crossing search could not bracket a sign change."""
-
-
 class NoCertificateError(PrimeBoundsError):
     """verify refused to scan: no shape certificate for the bound side."""
 

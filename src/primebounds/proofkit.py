@@ -3,11 +3,11 @@
 Several bounds in the registry are justified by auxiliary facts that are
 cheap to state but easy to get wrong numerically: a polynomial in y = log x
 stays positive on a ray, a rational bound is monotone past its threshold, a
-zero-counting expression stays below a target, two elementary expressions
-cross exactly once near a hinted location.  This module certifies those
-facts with exact arithmetic (Sturm sequences over integer coefficients,
-rational witnesses) or directed interval arithmetic, and returns
-machine-checkable certificate objects rather than bare booleans.
+zero-counting expression stays below a target, a threshold is the integer
+where a comparison turns.  This module certifies those facts with exact
+arithmetic (Sturm sequences over integer coefficients, rational witnesses)
+or directed interval arithmetic, and returns machine-checkable certificate
+objects rather than bare booleans.
 
 Contents:
 
@@ -25,7 +25,9 @@ Contents:
   polynomials: _d differentiates a term list, _times multiplies two and
   _poly clears the negative powers of y.
 * least_integer -- the least integer of a window where a monotone
-  predicate holds, by bisection: the one integer search of the package.
+  predicate holds, by bisection: the one threshold search of the package.
+  Every threshold it reproduces is an integer: certified starts, implied
+  thresholds and Dudek's n0.
 * certified_start -- the least x in a window from which shape_on_ray
   holds, found by least_integer on the same last sign changes.
 * growth_identity_holds -- prop3.11.lower stays below thm3.8.lower, by the
@@ -34,11 +36,8 @@ Contents:
   of zeta zeros with imaginary part in (0, T].
 * check_lemma_preconditions -- verify 4.92*sqrt(x0/log x0) <= T.
 * dudek_thresholds -- compare two threshold expressions attached to an
-  integer parameter m, in log space.
-* ElementaryForm / elementary_crossing -- rigorous sign-change bracketing
-  for sums of terms c * t^alpha * log(t)^beta: the one real-valued
-  threshold search, which dudek_thresholds and crossing_integer_threshold
-  both use.
+  integer parameter m, in log space, with n0 found by least_integer on
+  interval signs.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .enclosure import (
 from .errors import (
     InvalidRangeError,
     NoCertificateError,
-    NoSignChangeError,
     UnsupportedKindError,
     ZeroPolynomialError,
 )
@@ -671,14 +669,6 @@ def check_lemma_preconditions(
 # ---------------------------------------------------------------------------
 
 
-def _enclosure_from_rationals(
-    lo: Fraction, hi: Fraction, prec: int = 200
-) -> Enclosure:
-    ctx = ivctx(prec)
-    iv = ctx.mpf([lift(ctx, lo).a, lift(ctx, hi).b])
-    return Enclosure.from_iv(iv)
-
-
 class ThresholdComparison(NamedTuple):
     """Result of comparing two m-indexed thresholds in log space.
 
@@ -697,174 +687,38 @@ class ThresholdComparison(NamedTuple):
 def dudek_thresholds(m: int, prec: int = DEFAULT_PREC) -> ThresholdComparison:
     """Compare the two threshold expressions attached to the integer m.
 
-    Let n0(m) = max{ n integer : 198.2 n / log(n)^4 <= m^5 } and
-    n1(m) = exp(1000 * exp(19.807) / m).  n0 is the floor of N, where
-    u = log N is the root u > 4 of  u - 4 log u = c,  c = log(m^5 / 198.2):
-    the crossing of t and 4 log t + c, bracketed by elementary_crossing from
-    both ends of c's enclosure.  The comparison n1 <= n0 is decided
-    rigorously on enclosures.
+    Let n0(m) = max{ n integer : 1982 n <= 10 m^5 log(n)^4 } and
+    n1(m) = exp(1000 * exp(19.807) / m).  g(n) = 1982 n - 10 m^5 log(n)^4
+    is convex for n > e^3 and g(lo) <= 0 at lo = floor(10 m^5 / 1982), so
+    g > 0 from one integer on, which least_integer finds in (lo, lo^2],
+    deciding each sign on intervals at prec bits beyond n's own.  n0 is
+    the integer below it when g is certainly negative there; otherwise n0
+    is only known to lie in [lo, that integer) and the verdict is
+    Indeterminate.  Then n1 <= n0 is decided on the enclosures of the logs.
     """
     if not isinstance(m, int) or m < 1000:
         raise InvalidRangeError("m must be an integer >= 1000")
 
-    def log_n(c: Fraction, p: int) -> Enclosure:
-        """The u > 4 with u - 4 log u = c; the difference is negative at c."""
-        return elementary_crossing(
-            ElementaryForm((1, 1, 0)), ElementaryForm((4, 0, 1), (c, 0, 0)), c, p
-        )
+    def sign(n: int) -> int:
+        """The certain sign of g(n), 0 when undecided."""
+        ctx = ivctx(prec + n.bit_length())
+        g = 1982 * n - 10 * m**5 * ctx.log(lift(ctx, n)) ** 4
+        return (g.a > 0) - (g.b < 0)
 
+    # g(lo^2) > 0, as lo > 16 (1 + 1/lo) log(lo)^4 for m >= 1000
+    lo = 10 * m**5 // 1982
+    hi = least_integer(lambda n: sign(n) > 0, lo, lo * lo) or lo * lo
+    exact = sign(hi - 1) < 0
+    if exact:
+        lo = hi - 1
+    p = prec + hi.bit_length()
+    n0_log = Enclosure(elog(lo, p).lo, elog(hi - 1, p).hi)
+    ctx = ivctx(p)
+    n1_iv = lift(ctx, Fraction(1000, m)) * ctx.exp(lift(ctx, Fraction(19807, 1000)))
+    n1_log = Enclosure.from_iv(n1_iv)
     verdict = Verdict.Indeterminate
-    floor_enc = exp_enc = None
-    for p in (prec, RETRY_PREC):
-        ctx = ivctx(p)
-        # c = log(m^5 * 10 / 1982), exact rational inside the log.
-        c_enc = elog(Fraction(10 * m**5, 1982), p)
-        lo = Fraction(*log_n(Fraction(*c_enc.lo_rational()), p).lo_rational())
-        hi = Fraction(*log_n(Fraction(*c_enc.hi_rational()), p).hi_rational())
-        # log n0 lies in [log(N - 1), u], and log(N - 1) >= u - 2/N, where
-        # N = e^u > e^c = 10 m^5 / 1982.
-        floor_enc = _enclosure_from_rationals(
-            lo - Fraction(2 * 1982, 10 * m**5), hi, max(p, 200)
-        )
-        scale = lift(ctx, Fraction(1000, m))
-        exp_iv = scale * ctx.exp(lift(ctx, Fraction(19807, 1000)))
-        exp_enc = Enclosure.from_iv(exp_iv)
-        ctx2 = ivctx(max(p, 200))
-        if lift(ctx2, exp_enc).b < lift(ctx2, floor_enc).a:
-            verdict = Verdict.Pass
-            break
-        if lift(ctx2, exp_enc).a > lift(ctx2, floor_enc).b:
-            verdict = Verdict.Fail
-            break
-    return ThresholdComparison(floor_enc, exp_enc, verdict)
-
-
-# ---------------------------------------------------------------------------
-# Elementary crossing search
-# ---------------------------------------------------------------------------
-
-# A crossing bracket this narrow is final.
-_CROSSING_WIDTH = Fraction(1, 10**25)
-# Cap on the doublings that look for a sign change, and on the bisections.
-_CROSSING_STEPS = 200
-
-
-class ElementaryForm:
-    """Finite sum of terms  c * t**alpha * log(t)**beta  for t > 1.
-
-    Built from (c, alpha, beta) triples with c and alpha rational (int,
-    Fraction or decimal string) and beta a (possibly negative) integer; log
-    t > 0 on the domain, so negative log powers are well defined.  Terms
-    with c = 0 are dropped.
-    """
-
-    def __init__(self, *terms):
-        self.terms = tuple(
-            (as_fraction(c), as_fraction(alpha), int(beta))
-            for c, alpha, beta in terms
-            if c != 0
-        )
-        if not self.terms:
-            raise InvalidRangeError("a form needs at least one nonzero term")
-
-    def value(self, t, prec: int = DEFAULT_PREC) -> Enclosure:
-        ctx = ivctx(prec)
-        tv = lift(ctx, t)
-        if not tv.a > 1:
-            raise InvalidRangeError("forms are evaluated for t > 1")
-        log_t = ctx.log(tv)
-        acc = ctx.mpf(0)
-        for c, alpha, beta in self.terms:
-            term = lift(ctx, c)
-            if alpha != 0:
-                term = term * ctx.exp(lift(ctx, alpha) * log_t)
-            if beta:
-                term = term * log_t**beta
-            acc = acc + term
-        return Enclosure.from_iv(acc)
-
-
-def _difference_sign(
-    lhs: ElementaryForm, rhs: ElementaryForm, t: Fraction, prec: int
-) -> int:
-    for p in (prec, RETRY_PREC):
-        ctx = ivctx(p)
-        val = lift(ctx, lhs.value(t, p)) - lift(ctx, rhs.value(t, p))
-        if val.a > 0:
-            return 1
-        if val.b < 0:
-            return -1
-    return 0
-
-
-def elementary_crossing(
-    lhs: ElementaryForm, rhs: ElementaryForm, hint, prec: int = DEFAULT_PREC
-) -> Enclosure:
-    """Bracket a sign change of lhs - rhs near the hinted location.
-
-    The difference must have a certain sign at the hint.  The search doubles
-    and halves away from it until the difference has the certain opposite
-    sign, then bisects keeping certain signs at both ends, until the
-    bracket is narrower than _CROSSING_WIDTH or the sign at its midpoint is
-    undecided at prec and at RETRY_PREC bits; each phase takes at most
-    _CROSSING_STEPS steps.  Returns an enclosure [a, b] with
-    sign(lhs - rhs)(a) != sign(lhs - rhs)(b), both certain.  Raises
-    NoSignChangeError when no certain sign change is found.
-    """
-    anchor = as_fraction(hint)
-    if anchor <= 1:
-        raise InvalidRangeError("hint must exceed 1")
-
-    def sign(t: Fraction) -> int:
-        return _difference_sign(lhs, rhs, t, prec)
-
-    anchor_sign = sign(anchor)
-    if anchor_sign == 0:
-        raise NoSignChangeError("difference is indeterminate at the hint")
-    up = down = anchor
-    for _ in range(_CROSSING_STEPS):
-        up = up * 2
-        if sign(up) == -anchor_sign:
-            lo, hi, sign_lo = anchor, up, anchor_sign
-            break
-        down = down / 2
-        if down > 1 and sign(down) == -anchor_sign:
-            lo, hi, sign_lo = down, anchor, -anchor_sign
-            break
-    else:
-        raise NoSignChangeError("no certain sign change within the search range")
-
-    for _ in range(_CROSSING_STEPS):
-        if hi - lo < _CROSSING_WIDTH:
-            break
-        mid = (lo + hi) / 2
-        s = sign(mid)
-        if s == 0:
-            break
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return _enclosure_from_rationals(lo, hi)
-
-
-def crossing_integer_threshold(
-    lhs: ElementaryForm,
-    rhs: ElementaryForm,
-    hint,
-    prec: int = DEFAULT_PREC,
-) -> int:
-    """Smallest integer strictly above the bracketed sign change.
-
-    Requires the final bracket to avoid straddling an integer; when an
-    integer lies inside the bracket the location is still ambiguous and
-    NoCertificateError is raised.
-    """
-    enc = elementary_crossing(lhs, rhs, hint, prec)
-    lo = Fraction(*enc.lo_rational())
-    hi = Fraction(*enc.hi_rational())
-    if math.floor(lo) != math.floor(hi):
-        raise NoCertificateError(
-            "an integer lies inside the crossing bracket; tighten the search"
-        )
-    return math.floor(hi) + 1
+    if exact and n1_log.certainly_lt(n0_log):
+        verdict = Verdict.Pass
+    elif exact and n1_log.certainly_gt(n0_log):
+        verdict = Verdict.Fail
+    return ThresholdComparison(n0_log, n1_log, verdict)

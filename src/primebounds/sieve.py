@@ -608,8 +608,10 @@ def _fold(
     checkpoint_every: Optional[int],
 ) -> AccumulatorState:
     """Add the deltas in order, appending a checkpoint line once the state
-    is checkpoint_every past the last line, and one at the end."""
+    is checkpoint_every past the last line, and one at the end unless the
+    last line already holds the end state."""
     next_mark = state.x + checkpoint_every if checkpoint_every else None
+    written = None  # the x of the last line written
     fh = open(checkpoint_path, "a") if checkpoint_path else None
     try:
         for delta in deltas:
@@ -617,8 +619,8 @@ def _fold(
             if fh and next_mark is not None and state.x >= next_mark:
                 write_checkpoint(state, fh)
                 fh.flush()
-                next_mark = state.x + checkpoint_every
-        if fh:
+                written, next_mark = state.x, state.x + checkpoint_every
+        if fh and state.x != written:
             write_checkpoint(state, fh)
     finally:
         if fh:

@@ -965,7 +965,7 @@ def scan_claims(
     plans = [_make_plan(spec, range_lo, range_hi) for spec in specs]
     lanes = {p.lane for p in plans}
     if state is not None and lanes != {"gap"}:
-        if state.x + 1 > range_lo:
+        if state.x > range_lo:
             raise MismatchedStateError(
                 "state is already at %d, past range start %d" % (state.x, range_lo)
             )

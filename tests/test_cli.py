@@ -180,6 +180,19 @@ class TestVerifyCommand:
         del doc["checkpoint_ref"]
         assert doc == direct
 
+    def test_resume_from_the_checkpoints_own_x(self, tmp_path, capsys):
+        # the checkpoint's last line is at x = 100000, and --from may be x
+        ck, resumed = tmp_path / "ck.jsonl", tmp_path / "resumed.json"
+        assert main(["sieve", "--to", "100000", "--checkpoint-out", str(ck)]) == 0
+        argv = ["verify", "--bound", "prop5.1.upper", "--from", "100000", "--to", "200000"]
+        assert main(argv + ["--resume", str(ck), "--report", str(resumed)]) == 1
+        capsys.readouterr()
+        assert main(argv) == 1
+        direct = json.loads(capsys.readouterr().out)
+        doc = json.loads(resumed.read_text())
+        del doc["checkpoint_ref"]
+        assert doc == direct
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

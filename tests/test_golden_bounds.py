@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from primebounds import verify
+from primebounds import proofkit, sieve, verify
 from primebounds.bounds import BoundKind, eval_bound, registry_list
 from primebounds.enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure
 from primebounds.errors import PrimeBoundsError
@@ -112,6 +112,26 @@ def test_suspect_guards_bound_the_cancellation(spec):
     assert trusted.sum() > 1000
     size = sum(np.abs(t) for t in terms)
     assert (size[trusted] <= 2**8 * value[trusted]).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in registry_list() if s.kind in (BoundKind.PI_RATIONAL, BoundKind.PRODUCT_MERTENS)],
+    ids=lambda s: s.id,
+)
+def test_no_suspect_end_from_the_certified_start(spec):
+    """The fast lane reads a bound only from its certified start x*, and no
+    entry has a suspect _bound_float value there or past it: at every
+    integer from x* to 3e5 and at 5,000 points from there to 2**53.  So
+    the stand-in 1 of a suspect end never reaches a fast-lane tolerance."""
+    start = proofkit.certified_start(spec, 2, sieve.LAST_PRIME)
+    assert start is not None and start < 3 * 10**5
+    x = np.concatenate(
+        (np.arange(start, 3 * 10**5, dtype=np.float64), np.geomspace(3 * 10**5, 2.0**53, 5000))
+    )
+    L = np.log(x)
+    _, suspect = verify._bound_float(spec, x, L, functools.cache(L.__pow__))
+    assert not suspect.any()
 
 
 if __name__ == "__main__":

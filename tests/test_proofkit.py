@@ -22,7 +22,6 @@ from primebounds.errors import (
     DenominatorNonpositiveError,
     InvalidRangeError,
     NoCertificateError,
-    NoSignChangeError,
     UnsupportedKindError,
     ZeroPolynomialError,
 )
@@ -790,6 +789,14 @@ class TestDudekThresholds:
             assert holds(n0) and not holds(n0 + 1)
         assert pk.dudek_thresholds(m).n0_log.contains(elog(n0, 300))
 
+    def test_undecided_n0_is_indeterminate(self):
+        # with no bits beyond n's own the sign of 1982 n - 10 m^5 log(n)^4
+        # stays undecided next to n0, so n0 is only enclosed, not found
+        result = pk.dudek_thresholds(1000, prec=0)
+        assert result.verdict is Verdict.Indeterminate
+        assert result.n0_log.contains(elog(19651404817466043135, 300))
+        assert result.n0_log.width > 1
+
     def test_domain_rejection(self):
         with pytest.raises(InvalidRangeError):
             pk.dudek_thresholds(999)
@@ -803,74 +810,73 @@ class TestDudekThresholds:
 
 
 # ---------------------------------------------------------------------------
-# Elementary crossing search
+# Elementary crossings, found by the one integer search
 # ---------------------------------------------------------------------------
+
+
+def diff_sign(diff, t):
+    """The certain sign of diff(ctx, t) at the integer t, 0 when undecided,
+    on intervals at DEFAULT_PREC bits beyond t's own."""
+    ctx = ivctx(DEFAULT_PREC + t.bit_length())
+    v = diff(ctx, lift(ctx, t))
+    return (v.a > 0) - (v.b < 0)
+
+
+def crossing(diff, lo, hi):
+    """The least integer of (lo, hi] where diff is certainly positive,
+    confirmed by a certain negative sign at the integer below; None when
+    least_integer finds none or the integer below is not certainly
+    negative."""
+    t = pk.least_integer(lambda n: diff_sign(diff, n) > 0, lo, hi)
+    return t if t is not None and diff_sign(diff, t - 1) < 0 else None
 
 
 class TestElementaryCrossing:
     def test_sqrt_versus_cubed_log(self):
-        lhs = pk.ElementaryForm((F("0.15"), F(1, 2), 0))
-        rhs = pk.ElementaryForm((F("1.95"), 0, 3))
-        enc = pk.elementary_crossing(lhs, rhs, 3 * 10**10)
-        assert float(enc.hi) <= 34_485_879_392
-        assert float(enc.lo) >= 34_485_879_391
-        assert pk.crossing_integer_threshold(lhs, rhs, 3 * 10**10) == 34_485_879_392
+        # 0.15 sqrt(t) overtakes 1.95 log(t)^3
+        def diff(ctx, t):
+            return lift(ctx, F("0.15")) * ctx.sqrt(t) - lift(ctx, F("1.95")) * ctx.log(t) ** 3
+
+        assert crossing(diff, 3 * 10**10, 4 * 10**10) == 34_485_879_392
 
     def test_mixed_powers_crossing(self):
-        lhs = pk.ElementaryForm((1, F(1, 5), 0), (2, F(1, 13), 1))
-        rhs = pk.ElementaryForm((1, F(1, 3), 0))
-        enc = pk.elementary_crossing(lhs, rhs, 10**6)
-        assert float(enc.hi) <= 783_674
-        assert pk.crossing_integer_threshold(lhs, rhs, 10**6) == 783_674
+        # t^(1/3) overtakes t^(1/5) + 2 t^(1/13) log t
+        def diff(ctx, t):
+            lhs = t ** lift(ctx, F(1, 5)) + 2 * t ** lift(ctx, F(1, 13)) * ctx.log(t)
+            return t ** lift(ctx, F(1, 3)) - lhs
+
+        assert crossing(diff, 10**5, 10**6) == 783_674
 
     def test_ratio_form_with_negative_log_power(self):
-        lhs = pk.ElementaryForm((F("0.15"), 1, -3))
-        rhs = pk.ElementaryForm(
-            (F("1.81"), F(1, 2), 0),
-            (F("0.8"), F(1, 4), 0),
-            (F("2.07766"), F(1, 3), 0),
-        )
-        assert (
-            pk.crossing_integer_threshold(lhs, rhs, 3 * 10**10) == 29_946_085_320
-        )
+        # 0.15 t / log(t)^3 overtakes 1.81 t^(1/2) + 0.8 t^(1/4) + 2.07766 t^(1/3)
+        def diff(ctx, t):
+            rhs = (
+                lift(ctx, F("1.81")) * t ** lift(ctx, F(1, 2))
+                + lift(ctx, F("0.8")) * t ** lift(ctx, F(1, 4))
+                + lift(ctx, F("2.07766")) * t ** lift(ctx, F(1, 3))
+            )
+            return lift(ctx, F("0.15")) * t / ctx.log(t) ** 3 - rhs
+
+        assert crossing(diff, 2 * 10**10, 3 * 10**10) == 29_946_085_320
 
     def test_identical_forms_have_no_crossing(self):
-        form = pk.ElementaryForm((1, 1, 0))
-        with pytest.raises(NoSignChangeError):
-            pk.elementary_crossing(form, form, 100)
+        # log t - log t is an interval about 0 at every t: never certain
+        def diff(ctx, t):
+            return ctx.log(t) - ctx.log(t)
+
+        assert crossing(diff, 2, 10**6) is None
 
     def test_disjoint_forms_have_no_crossing(self):
-        lhs = pk.ElementaryForm((2, 1, 0))
-        rhs = pk.ElementaryForm((1, 1, 0))
-        with pytest.raises(NoSignChangeError):
-            pk.elementary_crossing(lhs, rhs, 100)
+        # t - 2t < 0 everywhere, and 2t - t > 0 down to the bracket's low
+        # end, so neither has a confirmed crossing
+        assert crossing(lambda ctx, t: t - 2 * t, 2, 10**6) is None
+        assert crossing(lambda ctx, t: 2 * t - t, 2, 10**6) is None
 
     def test_bracket_endpoints_have_opposite_certain_signs(self):
-        lhs = pk.ElementaryForm((1, F(1, 3), 0))  # cube root of t
-        rhs = pk.ElementaryForm((1, 0, 1))  # log t
-        enc = pk.elementary_crossing(lhs, rhs, 50)
-        lo = F(*enc.lo_rational())
-        hi = F(*enc.hi_rational())
-        s_lo = pk._difference_sign(lhs, rhs, lo, DEFAULT_PREC)
-        s_hi = pk._difference_sign(lhs, rhs, hi, DEFAULT_PREC)
-        assert s_lo != 0 and s_hi != 0 and s_lo == -s_hi
+        # t^(1/3) overtakes log t between 90 and 100
+        def diff(ctx, t):
+            return t ** lift(ctx, F(1, 3)) - ctx.log(t)
 
-    def test_hint_domain_rejection(self):
-        form = pk.ElementaryForm((1, 1, 0))
-        other = pk.ElementaryForm((1, 0, 1))
-        with pytest.raises(InvalidRangeError):
-            pk.elementary_crossing(form, other, 1)
-
-    def test_empty_form_rejected(self):
-        with pytest.raises(InvalidRangeError):
-            pk.ElementaryForm((0, 1, 0))
-
-    def test_form_value_encloses_closed_form(self):
-        # 2 * t^(1/2) * log(t) at t = e^2 equals 4e
-        form = pk.ElementaryForm((2, F(1, 2), 1))
-        t = eexp(2, 300)
-        val = form.value(t)
-        ctx = ivctx(300)
-        target = 4 * ctx.exp(1)
-        assert float(val.lo) <= float(Enclosure.from_iv(target).hi)
-        assert float(Enclosure.from_iv(target).lo) <= float(val.hi)
+        t = pk.least_integer(lambda n: diff_sign(diff, n) > 0, 20, 1000)
+        assert 90 < t < 100
+        assert diff_sign(diff, t - 1) == -1 and diff_sign(diff, t) == 1

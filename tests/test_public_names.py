@@ -27,17 +27,13 @@ TEST_ONLY = {
     "analytic.j_function",
     "analytic.panaitopol_coefficients",
     "proofkit.check_lemma_preconditions",
-    "proofkit.crossing_integer_threshold",
     "proofkit.dudek_thresholds",
     "proofkit.growth_identity_holds",
     "proofkit.zero_count_bound",
     # reached only from the side facts above: the log-power integral of
-    # j_function, and the certified search of dudek_thresholds and
-    # crossing_integer_threshold with its two argument types
+    # j_function, and the result type of dudek_thresholds
     "analytic.log_power_integral",
-    "proofkit.ElementaryForm",
     "proofkit.ThresholdComparison",
-    "proofkit.elementary_crossing",
     # oracles and report tools the tests use on purpose
     "enclosure.Enclosure.contains",
     "verify.merge_reports",

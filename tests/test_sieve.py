@@ -478,7 +478,8 @@ def test_checkpoint_keeps_last_line_and_rejects_garbage():
 
 def test_checkpoint_file_resume(tmp_path):
     path = tmp_path / "run.jsonl"
-    pi_theta_at(50000, checkpoint_path=str(path), checkpoint_every=20000)
+    # 1024-odd segments, so that marks fall between spans: three lines
+    pi_theta_at(50000, segment_odds=1 << 10, checkpoint_path=str(path), checkpoint_every=20000)
     with open(path) as fh:
         lines = [ln for ln in fh if ln.strip()]
     assert len(lines) >= 2
@@ -581,6 +582,17 @@ def test_three_delta_shards_added_by_hand():
         AccumulatorState.initial().add(deltas[1])
     with pytest.raises(MismatchedStateError):
         AccumulatorState.initial().add(segment_delta(sieve_segment(2, 333_333), sums=False))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_two_checkpoint_lines_share_an_x(monkeypatch, tmp_path, n):
+    # a line after every span, so the last span's line holds the end state
+    _workers(monkeypatch, n)
+    path = tmp_path / "ck.jsonl"
+    pi_theta_at(X, segment_odds=SMALL, checkpoint_path=str(path), checkpoint_every=1)
+    xs = [json.loads(line)["x"] for line in path.read_text().splitlines()]
+    assert len(xs) == 489 and xs[-1] == X
+    assert len(set(xs)) == len(xs)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -285,6 +285,26 @@ def test_state_past_range_start_rejected():
         _scan_one(lookup("thm3.8.lower"), 10**5, 2 * 10**5, state=state)
 
 
+@pytest.mark.parametrize("lo", [99_991, 10**5])
+@pytest.mark.parametrize("anchored", [False, True], ids=["sums", "anchored"])
+def test_state_at_range_start_accepted(lo, anchored):
+    # a state at x continues a scan whose range starts at x itself, prime
+    # (99,991) or not: the reports and crossings equal a fold from 2
+    ids = ["cor3.9.e.lower", "thm3.2.upper"]
+    if not anchored:
+        ids += ["thm2.4.upper", "lem2.3.k2a.lower", "prop5.1.upper", "prop6.1.lower"]
+    specs = [lookup(i) for i in ids]
+    state = sieve.AccumulatorState.anchored_at(lo, 9592) if anchored else sieve.pi_theta_at(lo)
+    fresh = scan_claims(specs, lo, 2 * 10**5)
+    resumed = scan_claims(specs, lo, 2 * 10**5, state=state)
+    for a, b in zip(fresh, resumed):
+        assert report_to_json(replace(a.report, wall_time=0.0)) == report_to_json(
+            replace(b.report, wall_time=0.0)
+        )
+        assert a.crossing == b.crossing
+    assert any(a.crossing is not None for a in fresh)
+
+
 def test_state_of_another_numeric_config_rejected_for_pi_lane():
     # a pi-only scan folds counts only, yet still refuses a state that
     # another numeric config built
