@@ -35,8 +35,9 @@ they say, o.B and o.E are the prime-sum constants (lifted with o.const) and
 o.li is the logarithmic integral.  Two hooks hold what is not arithmetic:
 o.denominator guards the PI_RATIONAL denominator, and o.mertens(L, body)
 puts exp(-gamma)/L * body on the backend's scale.  eval_bound is the
-interval backend; verify._bound_float is the float64 one, with suspect
-masks for the two guarded quantities and the product on the log scale.
+interval backend; verify._bound_float is the float64 one, with the product
+on the log scale, read only where proofkit.certified_start bounds the
+cancellation of the denominator and the Mertens body.
 """
 
 from __future__ import annotations
@@ -114,17 +115,16 @@ def as_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-def _two_sided(base_id, kind, coeffs_mag, x0, status, anchor, lower_x0=None, negate=True):
+def _two_sided(base_id, kind, coeffs_mag, x0, status, anchor, lower_x0=None):
     """Expand a symmetric claim into .lower and .upper entries.
 
     Series-style kinds get their lower coefficients negated (the printed
     form carries the sign); magnitude-style kinds keep positive magnitudes.
     """
     mag = tuple(as_fraction(c) for c in coeffs_mag)
-    if negate:
-        low = tuple(-c if i % 2 == 0 else c for i, c in enumerate(mag))
-    else:
-        low = mag
+    series = kind not in (BoundKind.THETA_ENVELOPE, BoundKind.THETA_ENVELOPE_EXP,
+                          BoundKind.THETA_SQRT, BoundKind.PI_LI_SQRT)
+    low = tuple(-c if series and i % 2 == 0 else c for i, c in enumerate(mag))
     return [
         BoundSpec(base_id + ".lower", kind, "lower", low, lower_x0 or x0, status, anchor),
         BoundSpec(base_id + ".upper", kind, "upper", mag, x0, status, anchor),
@@ -185,7 +185,7 @@ def _build_registry() -> dict[str, BoundSpec]:
     for bid, c, k, x0 in dusart_env:
         entries.extend(
             _two_sided(bid, BoundKind.THETA_ENVELOPE, (c, k), x0,
-                       "claimed_external", "Lemma 2.3 (Dusart)", negate=False)
+                       "claimed_external", "Lemma 2.3 (Dusart)")
         )
     eta = Fraction(3, 20)  # Theorem 2.4: |theta(x) - x| < eta*x/log^3 x
     add(BoundSpec("thm2.4.lower", BoundKind.THETA_ENVELOPE, "lower",
@@ -196,15 +196,15 @@ def _build_registry() -> dict[str, BoundSpec]:
                   (Fraction(7, 20), 3), 1_332_492_593, "claimed_paper", "Remark after Theorem 2.4"))
     entries.extend(
         _two_sided("prop2.5", BoundKind.THETA_ENVELOPE, (Fraction(100), 4),
-                   70_111, "claimed_paper", "Proposition 2.5", negate=False)
+                   70_111, "claimed_paper", "Proposition 2.5")
     )
     entries.extend(
         _two_sided("eq4.5", BoundKind.THETA_ENVELOPE, (Fraction(43, 1000), 3),
-                   235_385_266_837_019_986, "claimed_paper", "Equation 4.5", negate=False)
+                   235_385_266_837_019_986, "claimed_paper", "Equation 4.5")
     )
     entries.extend(
         _two_sided("eq4.6", BoundKind.THETA_ENVELOPE, (Fraction(9907, 100), 4),
-                   72_004_899_338, "claimed_paper", "Equation 4.6", negate=False)
+                   72_004_899_338, "claimed_paper", "Equation 4.6")
     )
     add(BoundSpec("buethe.theta.upper", BoundKind.THETA_ENVELOPE, "upper",
                   (Fraction(0), 1), 2, "claimed_external", "Buethe theta bound"))
@@ -213,14 +213,14 @@ def _build_registry() -> dict[str, BoundSpec]:
     entries.extend(
         _two_sided("eq2.12", BoundKind.THETA_ENVELOPE_EXP,
                    (Fraction(8), Fraction(569693, 100000)), 3,
-                   "claimed_external", "Equation 2.12 (Dusart)", negate=False)
+                   "claimed_external", "Equation 2.12 (Dusart)")
     )
 
     # -- square-root shaped theta and pi bounds ---------------------------
     entries.extend(
         _two_sided("eq2.6", BoundKind.THETA_SQRT,
                    (Fraction(1, 8), Fraction(1, 2), 2, 1), 599,
-                   "claimed_external", "Equation 2.6 (Schoenfeld, Buethe)", negate=False)
+                   "claimed_external", "Equation 2.6 (Schoenfeld, Buethe)")
     )
     add(BoundSpec("buethe.theta.sqrt.lower", BoundKind.THETA_SQRT, "lower",
                   (Fraction(39, 20), Fraction(1, 2), 0, 0), 1_423,
@@ -233,7 +233,7 @@ def _build_registry() -> dict[str, BoundSpec]:
     entries.extend(
         _two_sided("eq3.1", BoundKind.PI_LI_SQRT,
                    (Fraction(1, 8), Fraction(1, 2), 1, 1), 2_657,
-                   "claimed_external", "Equation 3.1 (Schoenfeld, Buethe)", negate=False)
+                   "claimed_external", "Equation 3.1 (Schoenfeld, Buethe)")
     )
     add(BoundSpec("buethe.pi.li.upper", BoundKind.PI_LI_SQRT, "upper",
                   (), 2, "claimed_external", "Buethe li comparison"))

@@ -501,7 +501,9 @@ def _build_parser() -> _Parser:
     common(sp, sieves=True)
     sp.add_argument("--resume", dest="checkpoint_in", default=None)
     sp.add_argument("--checkpoint-out", dest="checkpoint_out", default=None)
-    sp.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
+    sp.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None,
+                    help="checkpoint spacing: a line at the first span end (a span"
+                    " being 2 * --segment-size integers) at or past each mark")
     sp.add_argument("--full", action="store_true", help="also print the prime sums")
 
     sp = sub.add_parser("eval", help="evaluate a bound enclosure at a point")

@@ -28,8 +28,8 @@ Contents:
   predicate holds, by bisection: the one threshold search of the package.
   Every threshold it reproduces is an integer: certified starts, implied
   thresholds and Dudek's n0.
-* certified_start -- the least x in a window from which shape_on_ray
-  holds, found by least_integer on the same last sign changes.
+* certified_start -- the least x in a window from which shape_on_ray and
+  the cancellation guards hold, by least_integer on the last sign changes.
 * growth_identity_holds -- prop3.11.lower stays below thm3.8.lower, by the
   same rule on their registry coefficients.
 * zero_count_bound -- enclosure of an explicit upper bound for the number
@@ -446,6 +446,26 @@ def _denominator(coeffs: Sequence[Fraction]) -> Terms:
     return [(1, 1), (0, -1)] + [(-i, -a) for i, a in enumerate(coeffs, 1)]
 
 
+def _series(coeffs: Sequence[Fraction]) -> Terms:
+    """sum c_i / y^p_i over the (c_i, p_i) pairs of a series-style kind."""
+    return [(-int(p), c) for c, p in zip(coeffs[::2], coeffs[1::2])]
+
+
+# The fast lane's float64 error bound (verify._EPS) holds where the two
+# sums that can cancel far stay at least _GUARD of their leading term.
+_GUARD = Fraction(1, 128)
+
+
+def _guard_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
+    """y^k (D - _GUARD y) for PI_RATIONAL, D its denominator, and y^k (1 +
+    series - _GUARD) for PRODUCT_MERTENS; the other kinds need none."""
+    if spec.kind is BoundKind.PI_RATIONAL:
+        return (_poly(_denominator(spec.coefficients) + [(1, -_GUARD)]),)
+    if spec.kind is BoundKind.PRODUCT_MERTENS:
+        return (_poly([(0, 1 - _GUARD)] + _series(spec.coefficients)),)
+    return ()
+
+
 def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
     """Polynomials in y = log x whose positivity on a ray certifies spec's shape.
 
@@ -491,7 +511,7 @@ def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
         # series = sum c_i / y^p_i after the term (0, 0) for the constant B
         # or E: its value never reaches a derivative, but the degree -1 of
         # its derivative reaches _poly.
-        series = [(0, 0)] + [(-int(p), c) for c, p in zip(coeffs[::2], coeffs[1::2])]
+        series = [(0, 0)] + _series(coeffs)
         if kind is BoundKind.SUM_RECIP:
             # d/dy (log y + B + series)
             return (_poly([(-1, 1)] + _d(series)),)
@@ -567,16 +587,17 @@ def least_integer(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[in
 
 
 def certified_start(spec: BoundSpec, lo: int, hi: int) -> Optional[int]:
-    """Least integer x in [lo, hi] from which shape_on_ray(spec, x) holds.
+    """Least integer x in [lo, hi] from which shape_on_ray(spec, x) and the
+    guards of _guard_polys hold.
 
     None when spec's kind has no certificate or it fails at hi; lo for the
-    termwise kinds.  A certificate polynomial P is >= 0 on [a, infinity)
-    exactly when P >= 0 at _deciding_point(P, a); that predicate is exact and
-    monotone in a, so bisecting it over x, with a = log_ray_start(x), gives
-    the least x.  The certificate there is then built once to confirm it.
+    termwise kinds.  A polynomial P is >= 0 on [a, infinity) exactly when
+    P >= 0 at _deciding_point(P, a); that predicate is exact and monotone in
+    a, so bisecting it over x, with a = log_ray_start(x), gives the least x.
+    The certificate there is then built once to confirm it.
     """
     try:
-        polys = _shape_polys(spec)
+        polys = _shape_polys(spec) + _guard_polys(spec)
     except UnsupportedKindError:
         return None
 

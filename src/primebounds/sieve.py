@@ -701,8 +701,8 @@ def _unpair(rec: dict, name: str) -> tuple[int, int]:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
         raise CheckpointFormatError("checkpoint field %r is not a pair of decimal strings" % name)
     lo, hi = _dec_parse(pair[0]), _dec_parse(pair[1])
-    if (lo + hi) % 2:
-        raise CheckpointFormatError("midpoint not on the dyadic grid")
+    if lo > hi or (lo + hi) % 2:
+        raise CheckpointFormatError("checkpoint field %r is reversed or off the dyadic grid" % name)
     v = (lo + hi) // 2
     return v, hi - v
 
@@ -737,6 +737,9 @@ def read_checkpoint(fh: TextIO) -> AccumulatorState:
     rv, rb = _unpair(rec, "sum_recip")
     qv, qb = _unpair(rec, "sum_logp")
     mv, mb = _unpair(rec, "sum_log1m")
+    if rec["x"] < 1 or not 0 <= rec["pi"] <= rec["x"] or sv < tv or sb < tb:
+        raise CheckpointFormatError("checkpoint needs x >= 1, 0 <= pi <= x, and psi's"
+                                    " value and budget at least theta's")
     return AccumulatorState(
         x=rec["x"],
         pi=rec["pi"],

@@ -66,9 +66,9 @@ included, as no run straddles a chunk.  So over a run the margin (quantity
 minus bound for a lower bound, bound or window end minus quantity for an
 upper one) lies between a worst and a best margin read off its first and
 last cell.  A run passes whole when its worst margin exceeds tol, a bound
-on the float error of its ends (see _EPS), and fails whole when its best
-margin is below -tol; otherwise, or when an end is suspect (see
-_bound_float), it is halved, and an undecided cell is unsure.  Certain
+on the float error of its ends (see _EPS, which the certified start keeps
+sound), and fails whole when its best margin is below -tol; otherwise it
+is halved, and an undecided cell is unsure.  Certain
 passes are only counted; certain fails and unsure cells are collected by
 index.  The exact work follows per claim: any unsure cell is re-decided
 with outward-rounded enclosures at 106 bits, retried once at 212 bits, and
@@ -100,10 +100,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -160,12 +161,11 @@ _BLOCK = 1 << 7
 #   rounded exact total of its chunk: (2**16 + 1) |q|, plus the terms'
 #   budgets (see sieve), at most 2 * BUDGET_QUOT |q| = 32 |q|;
 # * bounds.shape is at most 64 float operations, each within one ulp, 2u
-#   (np.log within 0.61 ulp, see sieve): 2**7 times its terms' magnitudes,
+#   (libm within 0.69 ulp, see the tests): 2**7 times its terms' magnitudes,
 #   which stay below 2**8 (|f| + |q|).  Only the PI_RATIONAL denominator
-#   and the Mertens body cancel far; their subtracted terms sum to less than
-#   their leading term, L or 1 (bar prop3.10.lower's added one, whose
-#   denominator exceeds 3.9), and _FloatOps marks them suspect below 2**-7
-#   of it.  A lower envelope such as x - g cancels only where q is near g.
+#   and the Mertens body cancel far, and the fast lane starts where they
+#   are at least 2**-7 of their leading term, L or 1 (proofkit._GUARD).
+#   A lower envelope such as x - g cancels only where q is near g.
 # So f and q err by under (2**16 + 2**15 + 33) u, which leaves 2**17 u =
 # _EPS room for the rounding of tol and of the 106-bit enclosures.
 _EPS = 2.0**-36
@@ -352,44 +352,30 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 class _FloatOps:
-    """float64 arithmetic of the fast lane for bounds.shape.
-
-    Entries whose rational denominator or Mertens body lies below 2**-7 of
-    its leading term, L or 1, are marked in suspect and computed with 1 in
-    its place (see _EPS).  The Mertens product is on its lane's log scale.
-    """
+    """float64 arithmetic of the fast lane for bounds.shape; the Mertens
+    product is on its lane's log scale."""
 
     const = staticmethod(float)
     log, exp, sqrt, pi = np.log, np.exp, np.sqrt, math.pi
+    lpow = staticmethod(operator.pow)
     gamma, B, E = (e.mid_float() for e in analytic.constants(28))
-
-    def __init__(self, L: np.ndarray, pw: Callable[[float], np.ndarray]):
-        self.L, self.suspect = L, None
-        self.lpow = lambda _L, k: pw(k)
 
     @staticmethod
     def xpow(x, p):
         return x ** float(p)
 
-    def denominator(self, den):
-        self.suspect = den < self.L * 2.0**-7
-        return np.where(self.suspect, 1.0, den)
+    @staticmethod
+    def denominator(den):
+        return den
 
     def mertens(self, L, body):
-        self.suspect = body < 2.0**-7
-        return -self.gamma - np.log(L) + np.log(np.where(self.suspect, 1.0, body))
+        return -self.gamma - np.log(L) + np.log(body)
 
 
-def _bound_float(
-    spec: BoundSpec, x: np.ndarray, L: np.ndarray, pw: Callable[[float], np.ndarray]
-):
-    """Float64 bound values at x (log-scale for the Mertens product).
-
-    L is log(x) and pw(k) gives L ** k; the scanner shares those powers
-    across the terms of one claim's bound.  Returns (values, suspect).
-    """
-    ops = _FloatOps(L, pw)
-    return bounds.shape(spec, x, L, ops), ops.suspect
+def _bound_float(spec: BoundSpec, x: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Float64 bound values at x, L = log(x) (log-scale for the Mertens
+    product); read only from spec's certified start (see _EPS)."""
+    return bounds.shape(spec, x, L, _FloatOps())
 
 
 # ---------------------------------------------------------------------------
@@ -716,22 +702,13 @@ def _exact_cell(scan: _SpecScan, data: _SegmentData, i: int):
 def _sides(plan: _Plan, data: _SegmentData, cells: np.ndarray):
     """Float sides of the fast-lane check at the given cells.
 
-    Returns (big, small, suspect): the check passes where big - small
-    exceeds the tolerance of _triage.  big is the quantity of a lower bound
-    and the bound of an upper one.  suspect is as in _FloatOps.
-    """
+    Returns (big, small): the check passes where big - small exceeds the
+    tolerance of _triage.  big is the quantity of a lower bound and the
+    bound of an upper one."""
     at = cells + 1 if plan.eval_at_succ else cells
-    x, L = data.p[at], data.logs[at]
-    powers = {}
-
-    def pw(k):
-        if k not in powers:
-            powers[k] = L**k
-        return powers[k]
-
-    f, suspect = _bound_float(plan.spec, x, L, pw)
+    f = _bound_float(plan.spec, data.p[at], data.logs[at])
     q = data.run(plan.lane)[cells]
-    return (q, f, suspect) if plan.lower else (f, q, suspect)
+    return (q, f) if plan.lower else (f, q)
 
 
 def _cells(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -750,12 +727,12 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
     The one rule of the module docstring, on a nonempty range: runs [a, b),
     first the _BLOCK grid clipped to [start, cut), pass whole when their
     worst margin min(big) - max(small) exceeds tol, fail whole when their
-    best margin max(big) - min(small) is below -tol, and are otherwise, or
-    with a suspect end, halved; an undecided single cell is unsure.  Both
-    ends of every run of a level are read in one _sides call, which sets
-    tol (see _EPS).  Certain passes are counted at once; returns the runs
-    that failed whole as the arrays (a, b) of the runs [a, b), and the
-    ascending segment indices of the unsure cells.
+    best margin max(big) - min(small) is below -tol, and are otherwise
+    halved; an undecided single cell is unsure.  Both ends of every run of
+    a level are read in one _sides call, which sets tol (see _EPS).  Certain
+    passes are counted at once; returns the runs that failed whole as the
+    arrays (a, b) of the runs [a, b), and the ascending segment indices of
+    the unsure cells.
     """
     plan = scan.plan
     a = np.arange(start // _BLOCK * _BLOCK, cut, _BLOCK, dtype=np.int64)
@@ -764,14 +741,10 @@ def _triage(scan: _SpecScan, data: _SegmentData, start: int, cut: int):
     fail_a, fail_b, unsure = [], [], []
     while a.size:
         n = a.size
-        big, small, suspect = _sides(plan, data, np.concatenate((a, b - 1)))
+        big, small = _sides(plan, data, np.concatenate((a, b - 1)))
         tol = _EPS * (np.abs(big).max() + np.abs(small).max())
         passed = np.minimum(big[:n], big[n:]) - np.maximum(small[:n], small[n:]) > tol
         failed = np.maximum(big[:n], big[n:]) - np.minimum(small[:n], small[n:]) < -tol
-        if suspect is not None:
-            trusted = ~(suspect[:n] | suspect[n:])
-            passed &= trusted
-            failed &= trusted
         scan.passes += int((b - a)[passed].sum())
         fail_a.append(a[failed])
         fail_b.append(b[failed])

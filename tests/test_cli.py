@@ -233,7 +233,9 @@ class TestUsageErrors:
         capsys.readouterr()  # drain usage noise
         assert not (tmp_path / "ck.jsonl").exists()
 
-    @pytest.mark.parametrize("bad", ["missing_fields", "not_json", "x_as_text"])
+    @pytest.mark.parametrize(
+        "bad", ["missing_fields", "not_json", "x_as_text", "theta_reversed", "pi_negative"]
+    )
     @pytest.mark.parametrize("command", ["sieve", "verify"])
     def test_malformed_last_checkpoint_line_exits_three(self, command, bad, tmp_path, capsys):
         # a valid line followed by a malformed one: the last line is the one read
@@ -244,6 +246,8 @@ class TestUsageErrors:
             "missing_fields": json.dumps({k: rec[k] for k in ("version", "config_digest")}),
             "not_json": "not json",
             "x_as_text": json.dumps(dict(rec, x=str(rec["x"]))),
+            "theta_reversed": json.dumps(dict(rec, theta=rec["theta"][::-1])),
+            "pi_negative": json.dumps(dict(rec, pi=-3)),
         }[bad]
         with open(ck, "a") as fh:
             fh.write(line + "\n")
@@ -354,6 +358,16 @@ class TestSieveCommand:
         assert resumed == direct  # exact accumulators are split-invariant
         psi = [line for line in direct.splitlines() if line.startswith("psi [")]
         assert len(psi) == 1 and psi[0] in resumed.splitlines()
+
+    def test_checkpoint_lines_fall_at_span_ends(self, tmp_path, capsys):
+        # a line goes at the first span end at or past each mark; the first
+        # default span, 2 * --segment-size integers from 2, ends at 8,388,609
+        ck = tmp_path / "ck.jsonl"
+        argv = ["sieve", "--to", "10000000", "--checkpoint-every", "1000000"]
+        assert main(argv + ["--checkpoint-out", str(ck)]) == 0
+        xs = [json.loads(line)["x"] for line in ck.read_text().splitlines()]
+        assert 2 + 2 * sieve.DEFAULT_SEGMENT_ODDS - 1 == 8_388_609
+        assert xs == [8_388_609, 10_000_000]
 
 
 class TestEvalCommand:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from primebounds import dyadic, sieve, verify
-from primebounds.bounds import BoundKind, lookup
+from primebounds.bounds import lookup
 from primebounds.verify import report_to_json, scan_claims
 
 _DESK_IDS = [
@@ -57,9 +57,9 @@ def _recorded_scan(monkeypatch, block, specs, lo, hi, **kw):
         triaged[-1].append((scan.plan.spec.id, start, _expand(fail_a, fail_b), unsure.copy()))
         return fail_a, fail_b, unsure
 
-    def bound_float(spec, x, L, pw):
+    def bound_float(spec, x, L):
         evaluated[0] += x.size
-        return real_bound(spec, x, L, pw)
+        return real_bound(spec, x, L)
 
     monkeypatch.setattr(verify, "_triage", triage)
     monkeypatch.setattr(verify, "_bound_float", bound_float)
@@ -166,11 +166,11 @@ def _triage_one(monkeypatch, block, spec, data, start, cut, lo, hi, first_runs_o
     real, reads = verify._sides, []
 
     def sides(plan, data, cells):
-        big, small, suspect = real(plan, data, cells)
+        big, small = real(plan, data, cells)
         reads.append(cells.copy())
         if first_runs_only and len(reads) > 1:
-            return small, small, suspect
-        return big, small, suspect
+            return small, small
+        return big, small
 
     monkeypatch.setattr(verify, "_sides", sides)
     try:
@@ -264,9 +264,9 @@ def test_successor_claim_last_block_ends_on_final_successor(monkeypatch):
     cut = data.p.size - 1
     real, evaluated_at = verify._bound_float, []
 
-    def bound_float(spec, x, L, pw):
+    def bound_float(spec, x, L):
         evaluated_at.append(x.copy())
-        return real(spec, x, L, pw)
+        return real(spec, x, L)
 
     monkeypatch.setattr(verify, "_bound_float", bound_float)
     scan, _, _, (a, b), whole, pending = _assert_triage_matches_oracle(
@@ -292,42 +292,6 @@ def test_all_blocks_decided_gives_empty_index_arrays(monkeypatch):
     assert not scan.fails
 
 
-def test_suspect_bracket_end_is_never_decided(monkeypatch):
-    # mark one rational pi bound value, and one Mertens product value,
-    # suspect where it is the first cell of a run decided whole on its
-    # bracket -- passed for prop3.10.lower, failed for prop6.1.lower: that
-    # run must then be halved, and the marked cell, alone, end up unsure
-    lo, hi = 10**6, 10**6 + 2 * 10**5
-    data = _segment(lo, hi)
-    cut = data.p.size - 1
-    real = verify._bound_float
-    for spec_id, kind in (
-        ("prop3.10.lower", BoundKind.PI_RATIONAL),
-        ("prop6.1.lower", BoundKind.PRODUCT_MERTENS),
-    ):
-        spec = lookup(spec_id)
-        assert spec.kind is kind
-        clean, clean_fails, _, runs, clean_whole, clean_pending = _assert_triage_matches_oracle(
-            monkeypatch, spec, data, 0, cut, lo, hi
-        )
-        marked = int(_whole_runs(runs, clean_pending)[-1])
-        mark_x = data.p[marked + verify._make_plan(spec, lo, hi).eval_at_succ]
-
-        def bound_float(spec, x, L, pw):
-            vals, suspect = real(spec, x, L, pw)
-            return vals, suspect | (x == mark_x)
-
-        monkeypatch.setattr(verify, "_bound_float", bound_float)
-        scan, fails, unsure, _, whole, pending = _assert_triage_matches_oracle(
-            monkeypatch, spec, data, 0, cut, lo, hi
-        )
-        monkeypatch.setattr(verify, "_bound_float", real)
-        run = np.arange(marked, marked + 8)
-        assert unsure[np.isin(unsure, run)].tolist() == [marked], spec_id
-        assert np.isin(run, pending).all() and whole == clean_whole - 8
-        assert scan.passes + fails.size == clean.passes + clean_fails.size - 1
-
-
 def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
     # push the bound far above the quantity at the first cell of one run
     # and the last cell of another, both of which pass whole when clean:
@@ -344,9 +308,8 @@ def test_bracket_reads_the_first_and_last_cell_of_each_block(monkeypatch):
     real = verify._bound_float
     mark_x = data.p[np.array(marked) + 1]  # evaluated at the successor prime
 
-    def bound_float(spec, x, L, pw):
-        vals, suspect = real(spec, x, L, pw)
-        return np.where(np.isin(x, mark_x), 1e30, vals), suspect
+    def bound_float(spec, x, L):
+        return np.where(np.isin(x, mark_x), 1e30, real(spec, x, L))
 
     monkeypatch.setattr(verify, "_bound_float", bound_float)
     _, fails, _, _, _, pending = _assert_triage_matches_oracle(

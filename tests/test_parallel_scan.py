@@ -176,9 +176,9 @@ def test_a_worker_error_keeps_its_type_and_leaves_no_process(monkeypatch, maps):
     # thm3.2.upper (pi) scans in the other worker
     real = verify._bound_float
 
-    def shifted(spec, x, L, pw):
-        vals, suspect = real(spec, x, L, pw)
-        return (np.full_like(vals, -1.0) if spec.id == "thm2.4.upper" else vals), suspect
+    def shifted(spec, x, L):
+        vals = real(spec, x, L)
+        return np.full_like(vals, -1.0) if spec.id == "thm2.4.upper" else vals
 
     monkeypatch.setattr(verify, "_bound_float", shifted)
     monkeypatch.setattr(sieve, "worker_count", lambda spans: 2)

@@ -16,6 +16,7 @@ import mpmath
 import pytest
 
 from primebounds import proofkit as pk
+from primebounds import sieve
 from primebounds.bounds import BoundKind, Verdict, eval_bound, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp, elog, ivctx, lift
 from primebounds.errors import (
@@ -646,6 +647,30 @@ def test_certified_start_past_a_dip_beyond_lo():
     assert not pk.shape_on_ray(spec, 2).holds()
     assert pk.certified_start(spec, 2, 10**6) == 6013
     assert pk.certified_start(spec, 2, 6012) is None
+
+
+GUARDED_STARTS = {
+    "cor3.3.a.upper": 67, "cor3.3.b.upper": 47, "cor3.3.c.upper": 32, "cor3.3.d.upper": 22,
+    "cor3.3.e.upper": 14, "cor3.4.upper": 93, "cor3.9.a.lower": 64, "cor3.9.b.lower": 44,
+    "cor3.9.c.lower": 30, "cor3.9.d.lower": 20, "cor3.9.e.lower": 13, "eq6.1.lower": 4,
+    "eq6.1.upper": 2, "prop3.10.lower": 2, "prop3.5.upper": 92, "prop6.1.lower": 3,
+    "prop6.1.upper": 2, "thm3.2.upper": 99, "thm3.8.lower": 91,
+}
+
+
+def test_certified_start_proves_the_cancellation_guard(monkeypatch):
+    # at 1/128 the guard D >= y/128, or body >= 1/128, holds below every
+    # rational pi and Mertens entry's monotone stretch, so it moves no start;
+    # raised to 1/2 it binds thm3.2.upper, whose D reaches y/2 between 103
+    # and 104
+    hi = sieve.LAST_PRIME
+    guarded = [s for s in registry_list() if pk._guard_polys(s)]
+    assert {s.kind for s in guarded} == {BoundKind.PI_RATIONAL, BoundKind.PRODUCT_MERTENS}
+    assert {s.id: pk.certified_start(s, 2, hi) for s in guarded} == GUARDED_STARTS
+    spec = lookup("thm3.2.upper")
+    monkeypatch.setattr(pk, "_GUARD", Fraction(1, 2))
+    assert pk.shape_on_ray(spec, 99).holds()
+    assert pk.certified_start(spec, 2, hi) == 104
 
 
 def test_certificate_polynomials_have_the_sign_of_the_derivative():

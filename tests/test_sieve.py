@@ -476,6 +476,29 @@ def test_checkpoint_keeps_last_line_and_rejects_garbage():
             sieve.read_checkpoint(io.StringIO(line + "\n"))
 
 
+_IMPOSSIBLE_EDITS = {
+    **{name + "-reversed": (name, lambda pair: pair[::-1])
+       for name in ("theta", "psi", "sum_recip", "sum_logp", "sum_log1m")},
+    "psi-narrower-than-theta": ("psi", lambda pair: pair[:1] * 2),
+    "x-0": ("x", lambda x: 0),
+    "pi-negative": ("pi", lambda pi: -3),
+    "pi-above-x": ("pi", lambda pi: 1001),
+}
+
+
+@pytest.mark.parametrize("field, edit", _IMPOSSIBLE_EDITS.values(), ids=_IMPOSSIBLE_EDITS)
+def test_checkpoint_rejects_an_impossible_state(field, edit):
+    # a pair written [hi, lo] would give a negative budget, as would a psi
+    # pair narrower than theta's to the prime powers; x < 1 or pi outside
+    # [0, x] is no state of a fold from 2
+    buf = io.StringIO()
+    sieve.write_checkpoint(pi_theta_at(1000), buf)
+    rec = json.loads(buf.getvalue())
+    rec[field] = edit(rec[field])
+    with pytest.raises(CheckpointFormatError):
+        sieve.read_checkpoint(io.StringIO(json.dumps(rec) + "\n"))
+
+
 def test_checkpoint_file_resume(tmp_path):
     path = tmp_path / "run.jsonl"
     # 1024-odd segments, so that marks fall between spans: three lines
