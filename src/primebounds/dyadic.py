@@ -11,6 +11,16 @@ ulp(v) except exactly at a binade edge where it is 2*ulp(v). Callers scale the
 budget by a per-quantity factor covering the rounding error of the routine
 that produced the terms (np.log, division, np.log1p).
 
+scaled_sum adds up one binade at a time.  A term v in [2**(e-1), 2**e) is
+m * 2**(e-53) with the integer mantissa m = bits - (e + 1021) * 2**52 in
+[2**52, 2**53), bits its IEEE encoding read as an int64.  One wrapping int64
+reduction of the encodings gives the mantissas' sum S modulo 2**64.  One
+float reduction of the terms, scaled by 2**(53-e), gives an integer within
+(n - 1) u S of S for n terms (Higham, Accuracy and Stability of Numerical
+Algorithms, 4.2); with n < 2**31 and S < 2**84 that is below 2**62, so S is
+the integer nearest it in S's class modulo 2**64.  Terms are capped below
+2**960, so the float sum cannot overflow.
+
 Checkpoints and reports write these dyadic values as exact decimals
 (to_decimal) and read them back (from_decimal).
 """
@@ -30,10 +40,9 @@ from .errors import CapacityError
 SCALE_BITS = 120
 
 _MIN_TERM = 2.0 ** (52 - SCALE_BITS)  # least term whose ulp is a whole unit
-# A band of binades [e, e + _BAND] scaled by 2**(53 - e) holds integers below
-# 2**63, the int64 range.
-_BAND = 10
-# Terms per call: the 32-bit halves of fewer than 2**31 terms sum below 2**63.
+# Fewer than 2**31 terms below 2**960 sum below 2**991, so their float sum
+# stays finite and its error below 2**62 mantissa units.
+_MAX_TERM = 2.0**960
 _MAX_TERMS = 1 << 31
 
 
@@ -44,12 +53,10 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
     of the array entries; ``budget * 2**-SCALE_BITS`` is the exact sum of the
     per-term binade units 2**(e_i - 53) described in the module docstring.
 
-    Entries must be positive, finite and >= 2**(52 - SCALE_BITS), and there
-    must be fewer than 2**31 of them; otherwise CapacityError is raised.
-    Values spanning at most 11 binades are summed in one band: scaled by a
-    power of two to int64 integers below 2**63, which two int64 reductions
-    add exactly (the high 32-bit halves, and the whole values modulo
-    2**64). Wider arrays are cut into such bands by value.
+    Entries must be positive, finite, >= 2**(52 - SCALE_BITS) and below
+    2**960, and there must be fewer than 2**31 of them; otherwise
+    CapacityError is raised.  An array that spans several binades is
+    sorted and cut at the powers of two between them.
     """
     if values.size == 0:
         return 0, 0
@@ -57,18 +64,31 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
         raise CapacityError("scaled_sum takes fewer than 2**31 terms")
     lo, hi = float(values.min()), float(values.max())
     # a NaN makes min and max NaN, which fails both comparisons
-    if not (lo >= _MIN_TERM and hi < math.inf):
-        raise CapacityError("values must be positive, finite and >= 2**%d" % (52 - SCALE_BITS))
-    total = budget = 0
+    if not (lo >= _MIN_TERM and hi < _MAX_TERM):
+        raise CapacityError("values must be >= 2**%d and < 2**960" % (52 - SCALE_BITS))
     e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
-    while e_hi - e_lo > _BAND:
-        below = values < math.ldexp(1.0, e_lo + _BAND)
-        t, b = _band_sum(values[below], e_lo, e_lo + _BAND)
-        total, budget = total + t, budget + b
-        values = values[~below]
-        e_lo = math.frexp(float(values.min()))[1]
-    t, b = _band_sum(values, e_lo, e_hi)
-    return total + t, budget + b
+    if e_lo == e_hi:
+        return _binade_sum(values, e_lo)
+    values = np.sort(values)
+    cuts = np.searchsorted(values, np.ldexp(1.0, np.arange(e_lo, e_hi))).tolist()
+    total = budget = 0
+    for e, a, b in zip(range(e_lo, e_hi + 1), [0] + cuts, cuts + [values.size]):
+        if a < b:
+            t, c = _binade_sum(values[a:b], e)
+            total, budget = total + t, budget + c
+    return total, budget
+
+
+def _binade_sum(values: np.ndarray, e: int) -> tuple[int, int]:
+    """scaled_sum of fewer than 2**31 values in [2**(e - 1), 2**e), from
+    their bits and their float sum (module docstring)."""
+    n = values.size
+    wrapped = int(np.add.reduce(values.view(np.int64))) - (n * (e + 1021) << 52)
+    near = int(math.ldexp(float(np.add.reduce(values)), 53 - e))
+    exact = near + ((wrapped - near + (1 << 63)) % (1 << 64) - (1 << 63))
+    # every term's unit is 2**(e - 53)
+    shift = e + SCALE_BITS - 53
+    return exact << shift, n << shift
 
 
 def to_decimal(num: int, k: int) -> str:
@@ -88,26 +108,3 @@ def from_decimal(s: str) -> Optional[tuple[int, int]]:
     f = Fraction(s)
     k = f.denominator.bit_length() - 1
     return (f.numerator, k) if f.denominator == 1 << k else None
-
-
-def _band_sum(values: np.ndarray, e_lo: int, e_hi: int) -> tuple[int, int]:
-    """scaled_sum of values whose frexp exponents lie in [e_lo, e_hi]."""
-    # exact: a power-of-two scaling, and each value is a multiple of
-    # 2**(e_lo - 53), so the products are integers below 2**(53 + _BAND)
-    m = np.empty(values.size, dtype=np.int64)
-    np.multiply(values, math.ldexp(1.0, 53 - e_lo), out=m, casting="unsafe")
-    # the int64 sum wraps to the exact sum modulo 2**64; with the exact sum
-    # of the high halves (each below 2**31) that fixes the sum of the low
-    # halves, which lies in [0, 2**63)
-    low64 = int(np.add.reduce(m))
-    m >>= 32
-    high = int(np.add.reduce(m)) << 32
-    exact = high + (low64 - high) % (1 << 64)
-    shift = e_lo + SCALE_BITS - 53
-    # a term of exponent e has unit 2**(e - e_lo) << shift, and
-    # 2**(e - e_lo) = 1 + 1 + 2 + ... + 2**(e - e_lo - 1): count each term
-    # once, then 2**(k - e_lo - 1) more for each edge 2**(k - 1) it reaches
-    budget = values.size
-    for k in range(e_lo + 1, e_hi + 1):
-        budget += int(np.count_nonzero(values >= math.ldexp(1.0, k - 1))) << (k - e_lo - 1)
-    return exact << shift, budget << shift

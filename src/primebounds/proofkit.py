@@ -451,19 +451,22 @@ def _series(coeffs: Sequence[Fraction]) -> Terms:
     return [(-int(p), c) for c, p in zip(coeffs[::2], coeffs[1::2])]
 
 
-# The fast lane's float64 error bound (verify._EPS) holds where the two
-# sums that can cancel far stay at least _GUARD of their leading term.
-_GUARD = Fraction(1, 128)
+# The fast lane's error bound (verify._EPS) holds where the terms of a sum
+# that can cancel far are in magnitude at most _CANCELLATION times it.
+_CANCELLATION = 2**8
 
 
 def _guard_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
-    """y^k (D - _GUARD y) for PI_RATIONAL, D its denominator, and y^k (1 +
-    series - _GUARD) for PRODUCT_MERTENS; the other kinds need none."""
+    """y^k (_CANCELLATION S - |S|), S = sum c * y^d the PI_RATIONAL
+    denominator D or the PRODUCT_MERTENS body 1 + series and |S| = sum |c| *
+    y^d the sum of its terms' magnitudes; the other kinds need none."""
     if spec.kind is BoundKind.PI_RATIONAL:
-        return (_poly(_denominator(spec.coefficients) + [(1, -_GUARD)]),)
-    if spec.kind is BoundKind.PRODUCT_MERTENS:
-        return (_poly([(0, 1 - _GUARD)] + _series(spec.coefficients)),)
-    return ()
+        terms = _denominator(spec.coefficients)
+    elif spec.kind is BoundKind.PRODUCT_MERTENS:
+        terms = [(0, 1)] + _series(spec.coefficients)
+    else:
+        return ()
+    return (_poly([(d, _CANCELLATION * c - abs(c)) for d, c in terms]),)
 
 
 def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:

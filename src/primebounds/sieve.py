@@ -20,14 +20,17 @@ already struck, and finds every other base prime's first multiple in numpy;
 the primes too large to hit a segment twice are struck by one scatter.
 Each column is struck in its own pass over the base primes, so at the
 default size the column being struck (1.4 MB) stays in a core's cache, and
-the two are then interleaved into wheel order.  The column mask and the
-interleaved mask are buffers kept per thread and reused by every segment
-the thread sieves: each thread holds two arrays of the largest segment it
-has sieved up to the default size, 2 * rows bytes each, or 5.6 MB in all.  A
-segment spans 2 * segment_odds integers: the size counts the odd numbers
-in it.  The base primes come from the same sieve: base_primes takes only
-those up to the root of its limit from a plain full-array sieve and the
-rest from sieve_segment, one default-size span at a time.
+the two are then interleaved into wheel order: the flat mask, read as
+little-endian uint16, takes column 1's bytes shifted left by 8 and then
+column 0's or-ed in, two ufunc passes in place of two strided copies.
+The column mask and the interleaved mask are buffers kept per thread and
+reused by every segment the thread sieves: each thread holds two arrays
+of the largest segment it has sieved up to the default size, 2 * rows
+bytes each, or 5.6 MB in all.  A segment spans 2 * segment_odds integers:
+the size counts the odd numbers in it.  The base primes come from the
+same sieve: base_primes takes only those up to the root of its limit from
+a plain full-array sieve and the rest from sieve_segment, one default-size
+span at a time.
 
 The four summed lanes are defined here alone: their per-prime terms
 (lane_terms), state fields and budget multipliers (LANES) and exact sums
@@ -161,6 +164,7 @@ def _presieve_pattern() -> np.ndarray:
 
 
 _PRESIEVE = _presieve_pattern()
+_FALSE = np.zeros((), dtype=bool)  # a slice takes it without converting a bool
 # Base primes per step of the vectorised offset computation.
 _OFFSET_CHUNK = 1 << 16
 
@@ -191,7 +195,9 @@ def lane_terms(lane: str, pf: np.ndarray, logs: np.ndarray, recip: np.ndarray) -
         return recip
     if lane == "logp":
         return logs / pf
-    return -np.log1p(-recip)
+    out = np.negative(recip)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
 
 
 def lane_sum(lane: str, terms: np.ndarray) -> tuple[int, int]:
@@ -283,8 +289,8 @@ def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeS
     one column stays in cache while it is struck: every base prime p clears
     its multiples p*j, j >= p, by a slice of stride p rows, or, once
     p >= rows and so hits the column at most once, by one scatter for a
-    whole chunk of primes.  Interleaved row by row into the flat mask, the
-    columns hold the wheel values in order.
+    whole chunk of primes.  Interleaved row by row into the flat mask (see
+    the module docstring), the columns hold the wheel values in order.
 
     Both masks are this thread's buffers (_masks), so a thread keeps two
     arrays of 2 * rows bytes for the largest segment it has sieved, no
@@ -320,9 +326,10 @@ def sieve_segment(lo: int, hi: int, base: Optional[np.ndarray] = None) -> PrimeS
             far = k[n:]
             col[far[far < rows]] = False
             for p, r in zip(pc[:n].tolist(), k[:n].tolist()):
-                col[r::p] = False
-    flat[0::2] = cols[0]
-    flat[1::2] = cols[1]
+                col[r::p] = _FALSE
+    pairs = flat.view("<u2")  # row k's two values, column 0 in the low byte
+    np.left_shift(cols[1].view(np.uint8), 8, out=pairs, dtype=np.uint16)
+    np.bitwise_or(pairs, cols[0].view(np.uint8), out=pairs)
     flat[: _wheel_count(lo - 1 - start)] = False  # clear the values outside [lo, hi], 1 among them
     flat[_wheel_count(hi - start) :] = False
     primes = np.flatnonzero(flat).astype(np.int64, copy=False)

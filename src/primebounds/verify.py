@@ -163,8 +163,8 @@ _BLOCK = 1 << 7
 # * bounds.shape is at most 64 float operations, each within one ulp, 2u
 #   (libm within 0.69 ulp, see the tests): 2**7 times its terms' magnitudes,
 #   which stay below 2**8 (|f| + |q|).  Only the PI_RATIONAL denominator
-#   and the Mertens body cancel far, and the fast lane starts where they
-#   are at least 2**-7 of their leading term, L or 1 (proofkit._GUARD).
+#   and the Mertens body cancel far, and the fast lane starts where their
+#   terms' magnitudes are at most 2**8 times them (proofkit._CANCELLATION).
 #   A lower envelope such as x - g cancels only where q is near g.
 # So f and q err by under (2**16 + 2**15 + 33) u, which leaves 2**17 u =
 # _EPS room for the rounding of tol and of the 106-bit enclosures.

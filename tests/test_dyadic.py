@@ -103,7 +103,7 @@ def test_exact_at_powers_of_two_and_binade_edges():
     assert dyadic.scaled_sum(vals) == reference_sum(vals) == fraction_reference(vals)
     for v in vals:
         assert dyadic.scaled_sum(np.array([v])) == fraction_reference([v])
-    # inside one band as well as across bands
+    # over five binades as well as over every one of them
     near_one = vals[(vals >= 0.25) & (vals < 8.0)]
     assert dyadic.scaled_sum(near_one) == fraction_reference(near_one)
 
@@ -122,9 +122,38 @@ def test_exact_across_more_than_eleven_binades(lo_exp, hi_exp):
 
 
 def test_exact_for_many_terms_in_one_binade():
-    # 4,206,649 terms in [1, 2): their low 32-bit halves sum past 2**53
+    # 4,206,649 terms in [1, 2): their integer mantissas sum past 2**74,
+    # wrapping 2**64 over a thousand times
     vals = np.random.default_rng(20).uniform(1.0, 2.0, 4_206_649)
     assert dyadic.scaled_sum(vals) == reference_sum(vals)
+
+
+@pytest.mark.parametrize("e", [-67, -20, 1, 40, 960])
+def test_exact_for_many_copies_of_the_largest_mantissa(e):
+    # 2**20 - 1 copies of 2**e - ulp: every term has the mantissa 2**53 - 1,
+    # so the float sum that fixes the multiple of 2**64 rounds the most
+    # (2**20 copies would add up exactly, pairwise)
+    vals = np.full((1 << 20) - 1, np.nextafter(2.0**e, 0.0))
+    assert dyadic.scaled_sum(vals) == reference_sum(vals)
+
+
+def test_exact_descending_over_every_accepted_binade():
+    # descending, so the kernel sorts it, and cut at every power of two
+    # from 2**-67 to 2**959
+    rng = np.random.default_rng(33)
+    vals = np.ldexp(rng.uniform(1.0, 2.0, 30_000), rng.integers(-68, 960, 30_000))
+    vals = np.concatenate([vals, binade_edges(), [2.0**-68, np.nextafter(2.0**960, 0.0)]])
+    vals = np.sort(vals)[::-1]
+    assert dyadic.scaled_sum(vals) == reference_sum(vals)
+
+
+def test_largest_term_is_accepted_and_the_cap_refused():
+    top = np.nextafter(2.0**960, 0.0)
+    assert dyadic.scaled_sum(np.array([top, top])) == fraction_reference([top, top])
+    for bad in (2.0**960, 2.0**1023):
+        for arr in (np.array([bad]), np.array([1.0, bad, top])):
+            with pytest.raises(CapacityError):
+                dyadic.scaled_sum(arr)
 
 
 def test_exact_for_logs_of_one_wide_segment():

@@ -137,10 +137,10 @@ def _cancellation(spec, L):
 
 @pytest.mark.parametrize("spec", GUARDED, ids=lambda s: s.id)
 def test_suspect_guards_bound_the_cancellation(spec):
-    """From its certified start, which certified_start puts where the guard
-    D >= L/128 or body >= 1/128 holds, a rational denominator's or Mertens
-    body's terms' magnitudes sum to at most 2**8 times it, the amplification
-    the derivation of verify._EPS allows, at 2,000 points to 2**53."""
+    """From its certified start, where certified_start proves it exactly, a
+    rational denominator's or Mertens body's terms' magnitudes sum to at
+    most 2**8 times it, the amplification the derivation of verify._EPS
+    allows, in float64 at 2,000 points to 2**53."""
     L = np.linspace(math.log(_start(spec)), 53 * math.log(2), 2000)
     assert _cancellation(spec, L).max() <= 2**8
 

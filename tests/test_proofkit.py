@@ -659,18 +659,19 @@ GUARDED_STARTS = {
 
 
 def test_certified_start_proves_the_cancellation_guard(monkeypatch):
-    # at 1/128 the guard D >= y/128, or body >= 1/128, holds below every
-    # rational pi and Mertens entry's monotone stretch, so it moves no start;
-    # raised to 1/2 it binds thm3.2.upper, whose D reaches y/2 between 103
-    # and 104
+    # at 2**8 the guard, that a rational pi denominator's or Mertens body's
+    # terms sum in magnitude to at most 2**8 times it, holds below every
+    # such entry's monotone stretch, so it moves no start; at 2 it binds
+    # the three entries below, whose certificates hold from their starts
     hi = sieve.LAST_PRIME
     guarded = [s for s in registry_list() if pk._guard_polys(s)]
     assert {s.kind for s in guarded} == {BoundKind.PI_RATIONAL, BoundKind.PRODUCT_MERTENS}
     assert {s.id: pk.certified_start(s, 2, hi) for s in guarded} == GUARDED_STARTS
-    spec = lookup("thm3.2.upper")
-    monkeypatch.setattr(pk, "_GUARD", Fraction(1, 2))
-    assert pk.shape_on_ray(spec, 99).holds()
-    assert pk.certified_start(spec, 2, hi) == 104
+    monkeypatch.setattr(pk, "_CANCELLATION", 2)
+    for bound_id, start in (("thm3.2.upper", 208), ("cor3.4.upper", 197), ("thm3.8.lower", 193)):
+        spec = lookup(bound_id)
+        assert pk.shape_on_ray(spec, GUARDED_STARTS[bound_id]).holds()
+        assert pk.certified_start(spec, 2, hi) == start
 
 
 def test_certificate_polynomials_have_the_sign_of_the_derivative():
