@@ -13,7 +13,8 @@ that produced the terms (np.log, division, np.log1p).
 
 scaled_sum adds up one binade at a time.  A term v in [2**(e-1), 2**e) is
 m * 2**(e-53) with the integer mantissa m = bits - (e + 1021) * 2**52 in
-[2**52, 2**53), bits its IEEE encoding read as an int64.  One wrapping int64
+[2**52, 2**53), bits its IEEE encoding read as an int64, whose exponent
+field bits >> 52 = e + 1022 picks out the binade's terms.  One wrapping int64
 reduction of the encodings gives the mantissas' sum S modulo 2**64.  One
 float reduction of the terms, scaled by 2**(53-e), gives an integer within
 (n - 1) u S of S for n terms (Higham, Accuracy and Stability of Numerical
@@ -56,7 +57,7 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
     Entries must be positive, finite, >= 2**(52 - SCALE_BITS) and below
     2**960, and there must be fewer than 2**31 of them; otherwise
     CapacityError is raised.  An array that spans several binades is
-    sorted and cut at the powers of two between them.
+    summed one binade at a time, each picked out by its exponent field.
     """
     if values.size == 0:
         return 0, 0
@@ -69,12 +70,12 @@ def scaled_sum(values: np.ndarray) -> tuple[int, int]:
     e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
     if e_lo == e_hi:
         return _binade_sum(values, e_lo)
-    values = np.sort(values)
-    cuts = np.searchsorted(values, np.ldexp(1.0, np.arange(e_lo, e_hi))).tolist()
+    exps = values.view(np.int64) >> 52  # the biased exponent, e + 1022
     total = budget = 0
-    for e, a, b in zip(range(e_lo, e_hi + 1), [0] + cuts, cuts + [values.size]):
-        if a < b:
-            t, c = _binade_sum(values[a:b], e)
+    for e in range(e_lo, e_hi + 1):
+        part = values[exps == e + 1022]
+        if part.size:
+            t, c = _binade_sum(part, e)
             total, budget = total + t, budget + c
     return total, budget
 

@@ -537,30 +537,6 @@ def accumulate(state: AccumulatorState, segment: PrimeSegment) -> AccumulatorSta
     return state.add(segment_delta(segment, sums=not state.anchored))
 
 
-def _check_run(state: AccumulatorState, hi: int, segment_odds: int) -> None:
-    """The checks of every run that takes the state on to hi."""
-    check_segment_odds(segment_odds)
-    if state.config_digest != CONFIG_DIGEST:
-        raise ChecksumMismatchError("state built under a different numeric config")
-    if hi > CAPACITY:
-        raise CapacityError("range beyond 2**53")
-
-
-def accumulate_range(
-    state: AccumulatorState,
-    hi: int,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-) -> Iterator[tuple[AccumulatorState, PrimeSegment, AccumulatorState]]:
-    """Drive the state from state.x to hi, yielding (before, segment, after)."""
-    _check_run(state, hi, segment_odds)
-    if hi <= state.x:
-        return
-    for seg in segments(max(state.x + 1, 2), hi, segment_odds):
-        after = accumulate(state, seg)
-        yield state, seg, after
-        state = after
-
-
 def worker_count(spans: int) -> int:
     """Processes to fork for that many segment spans: one per CPU in this
     process's affinity, with at least two spans each.  1 means no process
@@ -616,9 +592,10 @@ def _fold(
 ) -> AccumulatorState:
     """Add the deltas in order, appending a checkpoint line once the state
     is checkpoint_every past the last line, and one at the end unless the
-    last line already holds the end state."""
+    last line already holds the end state.  The start state counts as
+    written, so a run that adds nothing appends nothing."""
     next_mark = state.x + checkpoint_every if checkpoint_every else None
-    written = None  # the x of the last line written
+    written = state.x  # the x of the last line written
     fh = open(checkpoint_path, "a") if checkpoint_path else None
     try:
         for delta in deltas:
@@ -655,7 +632,11 @@ def pi_theta_at(
         raise InvalidRangeError("target %d below state at %d" % (x, state.x))
     if checkpoint_every is not None and checkpoint_every < 1:
         raise InvalidRangeError("checkpoint spacing must be at least 1, not %d" % checkpoint_every)
-    _check_run(state, x, segment_odds)
+    check_segment_odds(segment_odds)
+    if state.config_digest != CONFIG_DIGEST:
+        raise ChecksumMismatchError("state built under a different numeric config")
+    if x > CAPACITY:
+        raise CapacityError("range beyond 2**53")
     lo = max(state.x + 1, 2)
     spans = _spans(lo, x, segment_odds)  # lazy: never held as one list
     base_primes(math.isqrt(x))  # fill the cache before any fork

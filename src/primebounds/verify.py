@@ -85,12 +85,12 @@ So scan_claims plans every claim, folds the state up to range_lo once (on
 sieve.pi_theta_at's pool), then scans the claims in up to two groups by
 what the sieve must supply: the summed lanes need each segment's exact
 sums, the pi and gap lanes only its primes.  One rule, _carried, decides
-what the prefix's and each group's fold carries.  When sieve.worker_count
-allows two processes for the scan's segment spans and the smaller group
-holds enough work to pay for a fork (_FORK_MIN_WORK), each group streams
-its segments, confirms its fails and resolves its crossings in a forked
-process; otherwise all claims form one group here.  Either way the results
-come back in the order of the claims, identical.
+what the prefix's and each group's fold carries, and each group walks
+sieve.segments and folds its state by sieve.accumulate.  When there are two
+groups and sieve.worker_count allows two processes for the scan's segment
+spans, each group streams its segments, confirms its fails and resolves its
+crossings in a forked process; otherwise all claims form one group here.
+Either way the results come back in the order of the claims, identical.
 
 scan_claims is the one public scan entry point.
 """
@@ -172,15 +172,6 @@ _EPS = 2.0**-36
 
 # The lanes whose quantities need prime counts only, no exact sums.
 _COUNT_LANES = {"pi", "gap"}
-
-# Least work, in claims times estimated cells of the smaller claim group,
-# for which scanning the two groups in forked processes beats one process.
-# Below it the fork, the second sieve pass and the two processes' contention
-# cost more than the smaller group's cells save (measured on 2 CPUs: one
-# theta and one pi claim on [2, 5e7] lose 0.014 s of 0.33 s by forking, four
-# and four on [2, 1e8] gain 0.03 s of 0.82 s, the 22 desk claims to 1e8 gain
-# 0.3 s of 1.7 s).
-_FORK_MIN_WORK = 2 * 10**7
 
 _LANE_OF_KIND = {
     BoundKind.THETA_ENVELOPE: "theta",
@@ -865,22 +856,19 @@ def _scan_group(
     """Scan one group of planned claims over (range_lo, top]: one pool task.
 
     state is the exact state at range_lo, or None when no claim of the scan
-    needs one.  The group folds what _carried gives for its lanes, so a
-    group on the pi and gap lanes never forms its segments' sums.  The
-    reports carry no wall time.
+    needs one.  The group folds what _carried gives for its lanes, one
+    sieve.accumulate per segment before it is scanned, so a group on the pi
+    and gap lanes never forms its segments' sums and a gap-only group folds
+    nothing.  The reports carry no wall time.
     """
-    state = _carried({p.lane for p in plans}, state)
-    if state is None:
-        segs = ((None, seg, None) for seg in sieve.segments(range_lo + 1, top, segment_odds))
-    else:
-        segs = sieve.accumulate_range(state, top, segment_odds)
-
+    before = _carried({p.lane for p in plans}, state)
     scans = [_SpecScan(p) for p in plans]
     base = range_lo
-    for before, seg, _ in segs:
+    for seg in sieve.segments(range_lo + 1, top, segment_odds):
+        after = None if before is None else sieve.accumulate(before, seg)
         data = _SegmentData(before, base, seg)
         _scan_segment(scans, data)
-        base = int(data.p[-1])
+        base, before = int(data.p[-1]), after
     out = []
     for scan in scans:
         scan.confirm()
@@ -916,13 +904,12 @@ def scan_claims(
 
     Every claim is planned first, so one that cannot be planned fails
     before anything is sieved.  Claims do not depend on each other once the
-    state at range_lo is folded, which happens next.  So when
+    state at range_lo is folded, which happens next.  So when there are
+    claims on the summed lanes and claims on the pi and gap lanes, and
     sieve.worker_count gives two or more processes for the scan's segment
-    spans and the smaller group holds _FORK_MIN_WORK, the claims on the
-    summed lanes and those on the pi and gap lanes scan as two groups in
-    forked processes, and the results come back in the order of specs: the
-    same as one group in this process.  Every report carries the wall time
-    of the whole call.
+    spans, the two groups scan in forked processes, and the results come
+    back in the order of specs: the same as one group in this process.
+    Every report carries the wall time of the whole call.
     """
     t0 = time.monotonic()
     if range_lo < 2 or range_hi < range_lo:
@@ -954,10 +941,8 @@ def scan_claims(
     summed = [i for i, p in enumerate(plans) if p.lane not in _COUNT_LANES]
     counted = [i for i, p in enumerate(plans) if p.lane in _COUNT_LANES]
     groups = [g for g in (summed, counted) if g]
-    cells = (top - range_lo) / math.log(top)  # the prime number theorem's estimate
     n = 1
-    # the work first: worker_count may import multiprocessing
-    if len(groups) == 2 and min(map(len, groups)) * cells >= _FORK_MIN_WORK:
+    if len(groups) == 2:  # only then: worker_count may import multiprocessing
         n = min(sieve.worker_count(len(range(range_lo + 1, top + 1, 2 * segment_odds))), 2)
     if n < 2:
         groups = [list(range(len(specs)))]

@@ -138,8 +138,8 @@ def test_exact_for_many_copies_of_the_largest_mantissa(e):
 
 
 def test_exact_descending_over_every_accepted_binade():
-    # descending, so the kernel sorts it, and cut at every power of two
-    # from 2**-67 to 2**959
+    # descending, and the kernel picks out every binade from 2**-68 to
+    # 2**959 by its exponent field
     rng = np.random.default_rng(33)
     vals = np.ldexp(rng.uniform(1.0, 2.0, 30_000), rng.integers(-68, 960, 30_000))
     vals = np.concatenate([vals, binade_edges(), [2.0**-68, np.nextafter(2.0**960, 0.0)]])

@@ -10,8 +10,11 @@ window, where the fast lane's tolerance must decide.  The
 oracle is the same window scanned with every plan's exact_pairs set, which
 sends each cell through the exact lane.  The two reports' JSON (wall time
 zeroed) must be equal, from 10^10 to 8e15, where one ulp of a pi bound is
-2**-5.  ROADMAP item 11 extends this to the gap lane and to more heights up
-to 2**53.
+2**-5.  At 8e15 the fast lane's tolerance is wider than the walk, so a
+window at the bound goes wholly to the exact lane; two claims there are
+also anchored three tolerances off the bound, where the fast lane itself
+must decide every cell.  ROADMAP item 11 extends this to the gap lane and
+to more heights up to 2**53.
 """
 
 import json
@@ -78,3 +81,37 @@ def test_fast_lane_matches_the_exact_lane(monkeypatch, bound_id, x0, pi):
     doc = json.loads(exact)
     assert 0 < doc["failures"] < doc["checked"], "the anchor should put the window at the bound"
     assert fast == exact
+
+
+@pytest.mark.usefixtures("one_process")
+@pytest.mark.parametrize("off", [-3, 3])
+@pytest.mark.parametrize(
+    "bound_id, x0", [("thm3.2.upper", 8_000_000_000_403_958), ("thm3.8.lower", 8_000_000_000_140_891)]
+)
+def test_fast_lane_decides_three_tolerances_off_the_bound(monkeypatch, bound_id, x0, off):
+    # At 8e15 the fast lane's tol, _EPS (|bound| + |pi|), is about 6,550, so
+    # a window anchored at the bound leaves every cell unsure.  Anchored
+    # three tolerances off it, the fast lane must decide every cell itself:
+    # the exact lane sees only the 64 kept fails it confirms.
+    spec = lookup(bound_id)
+    b = eval_bound(spec, x0)
+    tol = verify._EPS * 2 * float(b.hi)
+    state = AccumulatorState.anchored_at(x0 - 1, math.floor(b.lo) + off * math.ceil(tol))
+    check_cell, checked = verify._check_cell, []
+
+    def counted(*args):
+        checked.append(args[1])
+        return check_cell(*args)
+
+    monkeypatch.setattr(verify, "_check_cell", counted)
+    fast = _report(spec, x0, state)
+    fast_checks = len(checked)
+    make_plan = verify._make_plan
+    monkeypatch.setattr(verify, "_make_plan", lambda *a: replace(make_plan(*a), exact_pairs=True))
+    exact = _report(spec, x0, state)
+    doc = json.loads(exact)
+    passing = (off > 0) == (spec.direction == "lower")
+    assert doc["failures"] == (0 if passing else doc["checked"])
+    assert fast == exact
+    assert fast_checks == (0 if passing else verify.COUNTEREXAMPLE_CAP)
+    assert len(checked) - fast_checks == doc["checked"]

@@ -1,10 +1,10 @@
 """Scans whose claim groups run in forked processes, and what crosses a fork.
 
 scan_claims scans the claims on the summed lanes and those on the pi and
-gap lanes in two forked processes when sieve.worker_count allows two and
-the smaller group holds verify._FORK_MIN_WORK.  The reports and crossings
-must be those of one process, no process may outlive a scan, and a
-worker's error must reach the caller with its type.
+gap lanes in two forked processes exactly when it has both groups and
+sieve.worker_count allows two processes for its segment spans.  The reports
+and crossings must be those of one process, no process may outlive a scan,
+and a worker's error must reach the caller with its type.
 """
 
 import contextlib
@@ -149,11 +149,9 @@ def test_worker_count_is_one_inside_a_pool_worker(monkeypatch):
 
 @needs_fork
 def test_two_processes_give_the_reports_of_one(monkeypatch, maps):
-    # the 22 desk claims on [2, 10^7], 2^18-odd segments: about twenty
-    # spans, and a fork whatever the work
+    # the 22 desk claims on [2, 10^7], 2^18-odd segments: about twenty spans
     specs = _desk_specs()
     assert len(specs) == 22
-    monkeypatch.setattr(verify, "_FORK_MIN_WORK", 0)
     runs = {}
     for n in (2, 1):
         monkeypatch.setattr(sieve, "worker_count", lambda spans, n=n: n)
@@ -182,7 +180,6 @@ def test_a_worker_error_keeps_its_type_and_leaves_no_process(monkeypatch, maps):
 
     monkeypatch.setattr(verify, "_bound_float", shifted)
     monkeypatch.setattr(sieve, "worker_count", lambda spans: 2)
-    monkeypatch.setattr(verify, "_FORK_MIN_WORK", 0)
     specs = [lookup("thm3.2.upper"), lookup("thm2.4.upper")]
     with pytest.raises(FastLaneMismatchError, match="thm2.4.upper"):
         scan_claims(specs, 2, 10**6, segment_odds=2**12)
@@ -209,25 +206,33 @@ def test_an_unplannable_claim_fails_before_anything_is_sieved(monkeypatch):
         scan_claims(specs, 10**7, 2 * 10**7)
 
 
-def test_light_scans_stay_in_one_process(monkeypatch):
-    # one theta and one pi claim on [2, 5*10^7]: six default spans, so two
-    # processes are allowed, but the smaller group is one claim over about
-    # 2.8 million cells, too little to pay for a fork.  The nine and
-    # thirteen desk claims over 5.4 million cells to 10^8 are enough.  The
-    # map stands in for the scan, so nothing is sieved.
-    ns = []
+def test_a_scan_forks_exactly_when_two_groups_get_two_processes(monkeypatch):
+    # worker_count as on two CPUs: two spans per process.  [2, 5*10^7] is six
+    # default spans and [2, 2.5*10^7] three.  The map stands in for the scan,
+    # so nothing is sieved; the prefix fold to 2 asks for its one span first.
+    ns, asked = [], []
 
     @contextlib.contextmanager
     def forked_map(n):
         ns.append(n)
         yield lambda work, items: []
 
+    def worker_count(spans):
+        asked.append(spans)
+        return max(1, min(2, spans // 2))
+
     monkeypatch.setattr(sieve, "forked_map", forked_map)
-    monkeypatch.setattr(sieve, "worker_count", lambda spans: 2 if spans >= 4 else 1)
-    scan_claims([lookup("thm2.4.upper"), lookup("prop3.6.upper")], 2, 5 * 10**7)
-    assert ns[-1] == 1
-    scan_claims(_desk_specs(), 2, 10**8)
-    assert ns[-1] == 2
+    monkeypatch.setattr(sieve, "worker_count", worker_count)
+    theta, pi = lookup("thm2.4.upper"), lookup("prop3.6.upper")
+    for specs, hi, n, spans in (
+        ([theta, pi], 5 * 10**7, 2, [1, 6]),
+        ([theta, pi], 25 * 10**6, 1, [1, 3]),
+        ([theta, lookup("thm2.4.lower")], 5 * 10**7, 1, [1]),  # one group: never asked
+    ):
+        ns.clear()
+        asked.clear()
+        scan_claims(specs, 2, hi)
+        assert (ns[-1], asked) == (n, spans), specs
 
 
 @pytest.mark.usefixtures("one_process")

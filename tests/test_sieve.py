@@ -40,7 +40,6 @@ from primebounds.errors import (
 from primebounds.sieve import (
     AccumulatorState,
     accumulate,
-    accumulate_range,
     iroot,
     next_prime,
     pi_theta_at,
@@ -539,7 +538,7 @@ def test_capacity_limits():
         sieve_segment((1 << 53) + 1, (1 << 53) + 100)
     state = AccumulatorState.anchored_at((1 << 53) - 10, 10**15)
     with pytest.raises(CapacityError):
-        list(accumulate_range(state, (1 << 53) + 5))
+        pi_theta_at((1 << 53) + 5, resume_from=state)
 
 
 @pytest.mark.parametrize("size", [3, 4, 512, 1000, 3 << 10])
@@ -547,9 +546,9 @@ def test_one_segment_size_rule(size):
     with pytest.raises(InvalidRangeError):
         list(sieve.segments(2, 1000, size))
     with pytest.raises(InvalidRangeError):
-        list(accumulate_range(pi_theta_at(100), 1000, size))
+        pi_theta_at(1000, resume_from=pi_theta_at(100), segment_odds=size)
     with pytest.raises(InvalidRangeError):  # also when there is nothing to do
-        list(accumulate_range(pi_theta_at(1000), 1000, size))
+        pi_theta_at(1000, resume_from=pi_theta_at(1000), segment_odds=size)
 
 
 def test_anchored_state_tracks_pi_only():
@@ -587,8 +586,8 @@ def test_pool_and_in_process_runs_write_the_same_bytes(monkeypatch, tmp_path):
     assert pool.pi == PI_TABLE[X] and len(pool_lines) == 10
     # the fold of accumulate over the same segments is the same state
     folded = AccumulatorState.initial()
-    for _, _, folded in accumulate_range(folded, X, SMALL):
-        pass
+    for seg in sieve.segments(2, X, SMALL):
+        folded = accumulate(folded, seg)
     assert folded == pool
     assert not multiprocessing.active_children()
 
@@ -613,6 +612,9 @@ def test_no_two_checkpoint_lines_share_an_x(monkeypatch, tmp_path, n):
     _workers(monkeypatch, n)
     path = tmp_path / "ck.jsonl"
     pi_theta_at(X, segment_odds=SMALL, checkpoint_path=str(path), checkpoint_every=1)
+    with open(path) as fh:  # a resume already at X adds no line
+        pi_theta_at(X, resume_from=sieve.read_checkpoint(fh), segment_odds=SMALL,
+                    checkpoint_path=str(path), checkpoint_every=1)
     xs = [json.loads(line)["x"] for line in path.read_text().splitlines()]
     assert len(xs) == 489 and xs[-1] == X
     assert len(set(xs)) == len(xs)
