@@ -98,8 +98,8 @@ class Enclosure:
         return cls(mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b))
 
     @classmethod
-    def from_value(cls, v: Real, prec: int = DEFAULT_PREC) -> "Enclosure":
-        return cls.from_iv(lift(ivctx(prec), v))
+    def from_value(cls, v: Real) -> "Enclosure":
+        return cls.from_iv(lift(ivctx(), v))
 
     @classmethod
     def from_dyadic(cls, lo_scaled: int, hi_scaled: int, scale_bits: int) -> "Enclosure":

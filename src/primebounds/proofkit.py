@@ -402,12 +402,12 @@ def canonical_sense(kind: BoundKind) -> str:
     return "increasing"
 
 
-def log_ray_start(x_start: Rational, prec: int = DEFAULT_PREC) -> Fraction:
-    """Exact rational lower bound on log(x_start)."""
+def log_ray_start(x_start: Rational) -> Fraction:
+    """Exact rational lower bound on log(x_start), from a 106-bit enclosure."""
     xs = as_fraction(x_start)
     if xs <= 1:
         raise InvalidRangeError("ray start must exceed 1")
-    return Fraction(*elog(xs, prec).lo_rational())
+    return Fraction(*elog(xs).lo_rational())
 
 
 Terms = Sequence[Tuple[int, Rational]]
@@ -529,16 +529,21 @@ def _shape_polys(spec: BoundSpec) -> Tuple[ExactPolynomial, ...]:
     return (_poly(f + _d(f)),)
 
 
-def _certify(
-    spec: BoundSpec,
-    x_start: Rational,
-    polys: Sequence[ExactPolynomial],
-    prec: int,
-) -> MonotonicityCertificate:
-    """Certify each of polys on [log_ray_start(x_start), infinity) in turn,
-    stopping at the first that fails."""
+def shape_on_ray(spec: BoundSpec, x_start: Rational) -> MonotonicityCertificate:
+    """Certify monotonicity of spec's comparison function for x >= x_start.
+
+    Reduces the derivative sign to ray positivity of explicit polynomials in
+    y = log x (_shape_polys) and certifies them in turn, stopping at the
+    first that fails, with exact Sturm analysis on [a, infinity), a a
+    rational lower bound for log(x_start); that ray contains log x for every
+    x >= x_start.  For rational-denominator bounds the denominator
+    polynomial is certified first.  Square-root upper envelopes are
+    certified termwise; kinds with no certificate raise
+    UnsupportedKindError.
+    """
+    polys = _shape_polys(spec)
     xs = as_fraction(x_start)
-    a = log_ray_start(xs, prec)
+    a = log_ray_start(xs)
     certs = []
     for poly in polys:
         certs.append(sturm_positive_on_ray(poly, a))
@@ -554,22 +559,6 @@ def _certify(
         certificate=certs[0] if certs else None,
         denominator_certificate=den,
     )
-
-
-def shape_on_ray(
-    spec: BoundSpec, x_start: Rational, prec: int = DEFAULT_PREC
-) -> MonotonicityCertificate:
-    """Certify monotonicity of spec's comparison function for x >= x_start.
-
-    Reduces the derivative sign to ray positivity of explicit polynomials in
-    y = log x (_shape_polys) and certifies them with exact Sturm analysis on
-    [a, infinity), a a rational lower bound for log(x_start); that ray
-    contains log x for every x >= x_start.  For rational-denominator bounds
-    the denominator polynomial is certified first.  Square-root upper
-    envelopes are certified termwise; kinds with no certificate raise
-    UnsupportedKindError.
-    """
-    return _certify(spec, x_start, _shape_polys(spec), prec)
 
 
 def least_integer(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:

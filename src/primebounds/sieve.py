@@ -383,6 +383,8 @@ def next_prime(x: int) -> int:
     """Smallest prime > x."""
     if x < 2:
         return 2
+    if x >= LAST_PRIME:
+        raise CapacityError("no prime above %d below 2**53" % x)
     window = 128
     lo = x + 1
     while True:
@@ -390,8 +392,6 @@ def next_prime(x: int) -> int:
         arr = primes_in_range(lo, hi)
         if arr.size:
             return int(arr[0])
-        if hi == CAPACITY:
-            raise CapacityError("no prime found below capacity")
         lo, window = hi + 1, window * 4
 
 
@@ -427,9 +427,10 @@ class AccumulatorState:
 
     @classmethod
     def anchored_at(cls, x: int, pi: int) -> "AccumulatorState":
-        """State with exact pi(x) supplied externally and unknown sums."""
-        if x < 2 or pi < 1:
-            raise InvalidRangeError("anchor needs x >= 2 and pi >= 1")
+        """State with exact pi(x) supplied externally and unknown sums; the
+        count rule of read_checkpoint."""
+        if x < 1 or not 0 <= pi <= x:
+            raise InvalidRangeError("anchor needs x >= 1 and 0 <= pi <= x")
         return cls(x=x, pi=pi, anchored=True)
 
     def add(self, delta: "SegmentDelta") -> "AccumulatorState":

@@ -643,7 +643,7 @@ class _SegmentData:
                     np.cumsum(values[a : a + chunk.size - 1], out=chunk[1:])
                     chunk += math.ldexp(float(self._chunk_total(lane, k)[0]), -dyadic.SCALE_BITS)
                 if lane == "log1m":
-                    out = -out
+                    np.negative(out, out=out)
             self._runs[lane] = out
         return out
 
@@ -837,9 +837,8 @@ def _carried(lanes: set[str], state: Optional[AccumulatorState]) -> Optional[Acc
     if lanes == {"gap"}:
         return None
     if lanes <= _COUNT_LANES and not state.anchored:
-        # the initial state at 1 anchors as the count at 2, pi(2) = 1; the
-        # digest stays, so a state of another numeric config is still refused
-        counts = AccumulatorState.anchored_at(max(state.x, 2), max(state.pi, 1))
+        # the digest stays, so a state of another numeric config is still refused
+        counts = AccumulatorState.anchored_at(state.x, state.pi)
         return replace(counts, config_digest=state.config_digest)
     return state
 

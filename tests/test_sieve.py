@@ -559,6 +559,15 @@ def test_anchored_state_tracks_pi_only():
     assert state.theta == state.sum_recip == Enclosure.top()
     with pytest.raises(CheckpointFormatError):
         sieve.write_checkpoint(state, io.StringIO())
+    # the initial count (1, 0) anchors too
+    assert pi_theta_at(10**4, resume_from=AccumulatorState.anchored_at(1, 0)).pi == 1229
+
+
+@pytest.mark.parametrize("x, pi", [(0, 0), (10, -1), (10, 100), (99, 500)])
+def test_anchor_takes_the_checkpoint_count_rule(x, pi):
+    # x >= 1 and 0 <= pi <= x, as read_checkpoint asks of a state line
+    with pytest.raises(InvalidRangeError):
+        AccumulatorState.anchored_at(x, pi)
 
 
 # -- range-additive accumulation: pool, in-process, shards and resume -------
@@ -706,6 +715,14 @@ def test_prime_navigation():
     assert next_prime(1) == 2
     assert next_prime(2) == 3
     assert next_prime(7919) == 7927
+    assert next_prime(sieve.LAST_PRIME - 1) == sieve.LAST_PRIME
+
+
+@pytest.mark.parametrize("x", [sieve.LAST_PRIME, (1 << 53) - 1, 1 << 53, (1 << 53) + 5])
+def test_next_prime_refuses_every_x_from_the_last_prime(x):
+    # the prime after x would lie past 2**53, outside the accepted domain
+    with pytest.raises(CapacityError):
+        next_prime(x)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=8))
