@@ -142,8 +142,6 @@ TOOL_VERSION = "primebounds " + __version__
 COUNTEREXAMPLE_CAP = 64
 # Widest certificate-free stretch the interval-cell lane will bridge.
 MAX_CELL_SPAN = 200_000
-# Pair cap for kinds that have no vectorised fast lane (li-based bounds).
-MAX_EXACT_PAIRS = 60_000
 
 # Cells per run that the fast lane first tries to decide from its two end
 # cells.  A power of two below SUM_CHUNK, so that no run straddles a rebase
@@ -166,6 +164,15 @@ _BLOCK = 1 << 7
 #   and the Mertens body cancel far, and the fast lane starts where their
 #   terms' magnitudes are at most 2**8 times them (proofkit._CANCELLATION).
 #   A lower envelope such as x - g cancels only where q is near g.
+# * o.li (_FloatOps.li) sums li's positive series gamma + log y + sum
+#   y**k / (k k!), y = log x, each term the last times y * (k / (k + 1)**2),
+#   up to the first k >= 2y + 4 with t_k <= u * total, past which the terms
+#   at least halve: n < 2**7 terms below 2**53, a tail below t_k.  The libm
+#   log's 2u * y moves li by 2u * x / li(x) < 2**7 u, term k carries 3k
+#   roundings and the sum n + 2: within 2**10 u of li(x) (40 u measured).
+#   The fast lane reads li only in upper shapes li + g, g >= 0 (no lower
+#   one is certified): 2**10 u |f|, and the few operations on top keep it
+#   within 2**15 u.
 # So f and q err by under (2**16 + 2**15 + 33) u, which leaves 2**17 u =
 # _EPS room for the rounding of tol and of the 106-bit enclosures.
 _EPS = 2.0**-36
@@ -362,6 +369,15 @@ class _FloatOps:
     def mertens(self, L, body):
         return -self.gamma - np.log(L) + np.log(body)
 
+    def li(self, x):
+        """li(x) by the positive series of analytic.li (see _EPS)."""
+        y = np.log(x)
+        total, term, k, top = self.gamma + np.log(y) + y, y, 1, 2 * np.max(y) + 4
+        while k < top or (term > 2.0**-53 * total).any():
+            term = term * y * (k / (k + 1) ** 2)
+            total, k = total + term, k + 1
+        return total
+
 
 def _bound_float(spec: BoundSpec, x: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Float64 bound values at x, L = log(x) (log-scale for the Mertens
@@ -511,40 +527,24 @@ class _Plan:
     lower: bool
     eval_at_succ: bool
     pair_start: Optional[int]  # smallest x with a shape certificate; None = cells only
-    exact_pairs: bool  # no vector lane; every pair decided by enclosures
 
 
 def _make_plan(spec: BoundSpec, lo: int, hi: int) -> _Plan:
-    lane = _LANE_OF_KIND[spec.kind]
-    lower = spec.direction == "lower"
-    eval_at_succ = lower == (proofkit.canonical_sense(spec.kind) == "increasing")
-    exact_pairs = spec.kind is BoundKind.PI_LI_SQRT
     pair_start = proofkit.certified_start(spec, lo, hi)
-    if pair_start is None:
-        if hi - lo > MAX_CELL_SPAN:
-            raise NoCertificateError(
-                "no monotonicity certificate for %s on [%d, %d] and the range "
-                "is too wide for interval-cell evaluation" % (spec.id, lo, hi)
-            )
-    elif pair_start - lo > MAX_CELL_SPAN:
+    # the stretch below the certificate runs on interval cells alone
+    uncovered = hi if pair_start is None else pair_start
+    if uncovered - lo > MAX_CELL_SPAN:
         raise NoCertificateError(
-            "certificate for %s only holds from %d; the uncovered stretch "
-            "from %d is too wide for interval-cell evaluation" % (spec.id, pair_start, lo)
+            "no monotonicity certificate for %s on [%d, %d], too wide a stretch "
+            "for interval-cell evaluation" % (spec.id, lo, uncovered)
         )
-    if exact_pairs:
-        est = int((hi - lo) / max(math.log(lo), 1.0)) + 64
-        if est > MAX_EXACT_PAIRS:
-            raise CapacityError(
-                "%s has no fast lane and [%d, %d] holds ~%d pairs (cap %d)"
-                % (spec.id, lo, hi, est, MAX_EXACT_PAIRS)
-            )
+    lower = spec.direction == "lower"
     return _Plan(
         spec=spec,
-        lane=lane,
+        lane=_LANE_OF_KIND[spec.kind],
         lower=lower,
-        eval_at_succ=eval_at_succ,
+        eval_at_succ=lower == (proofkit.canonical_sense(spec.kind) == "increasing"),
         pair_start=pair_start,
-        exact_pairs=exact_pairs,
     )
 
 
@@ -775,12 +775,9 @@ def _scan_segment(scans, data: _SegmentData):
     cut = p.size - 1  # the segment's cells; the last row is only a successor
     for scan in scans:
         plan = scan.plan
-        # exact cells: the certificate-free stretch below pair_start, or all
-        # of them for kinds without a vector lane; the float lane takes the rest
-        if plan.exact_pairs or plan.pair_start is None:
-            start = cut
-        else:
-            start = int(np.searchsorted(p[:cut], plan.pair_start, side="left"))
+        # exact cells: the certificate-free stretch below pair_start; the
+        # float lane takes the rest
+        start = cut if plan.pair_start is None else int(np.searchsorted(p[:cut], plan.pair_start))
         for i in range(start):
             _exact_cell(scan, data, i)
         if start < cut:

@@ -6,14 +6,15 @@ from a state at x0 - 1 whose lane value sits at the bound at x0: pi(x0 - 1)
 summed-lane value at the bound's midpoint, with a budget of the size the
 sieve's term budgets give (2**-50 of the value), set with
 dataclasses.replace.  The quantity then walks about the bound across the
-window, where the fast lane's tolerance must decide.  The
-oracle is the same window scanned with every plan's exact_pairs set, which
-sends each cell through the exact lane.  The two reports' JSON (wall time
-zeroed) must be equal, from 10^10 to 8e15, where one ulp of a pi bound is
-2**-5.  At 8e15 the fast lane's tolerance is wider than the walk, so a
-window at the bound goes wholly to the exact lane; two claims there are
-also anchored three tolerances off the bound, where the fast lane itself
-must decide every cell.  ROADMAP item 11 extends this to the gap lane and
+window, where the fast lane's tolerance must decide.  The oracle is the
+same window scanned with verify._EPS patched to infinity: then no run
+passes or fails whole, so each cell goes through the exact lane.  The two
+reports' JSON (wall time zeroed) must be equal, from 10^10 to 8e15, where
+one ulp of a pi bound is 2**-5; an li window at 10^10 checks the fast
+lane's li series.  At 8e15 the fast lane's tolerance is wider than the
+walk, so a window at the bound goes wholly to the exact lane; two claims
+there are also anchored three tolerances off the bound, where the fast
+lane itself must decide every cell.  ROADMAP item 11 extends this to the gap lane and
 to more heights up to 2**53.
 """
 
@@ -58,6 +59,7 @@ def _report(spec, x0, state):
         for bound_id in ("thm3.2.upper", "thm3.8.lower", "cor3.7.upper")
         for x0 in (10**10, 10**13)
     ]
+    + [("eq3.1.upper", 10**10, None)]
     + [
         # windows where a fixed absolute margin of 1e-3 went wrong: the fast
         # lane counted one failure more (737) than the exact lane in the
@@ -75,8 +77,7 @@ def test_fast_lane_matches_the_exact_lane(monkeypatch, bound_id, x0, pi):
     spec = lookup(bound_id)
     state = _state_at_bound(spec, x0, pi)
     fast = _report(spec, x0, state)
-    make_plan = verify._make_plan
-    monkeypatch.setattr(verify, "_make_plan", lambda *a: replace(make_plan(*a), exact_pairs=True))
+    monkeypatch.setattr(verify, "_EPS", math.inf)
     exact = _report(spec, x0, state)
     doc = json.loads(exact)
     assert 0 < doc["failures"] < doc["checked"], "the anchor should put the window at the bound"
@@ -106,8 +107,7 @@ def test_fast_lane_decides_three_tolerances_off_the_bound(monkeypatch, bound_id,
     monkeypatch.setattr(verify, "_check_cell", counted)
     fast = _report(spec, x0, state)
     fast_checks = len(checked)
-    make_plan = verify._make_plan
-    monkeypatch.setattr(verify, "_make_plan", lambda *a: replace(make_plan(*a), exact_pairs=True))
+    monkeypatch.setattr(verify, "_EPS", math.inf)
     exact = _report(spec, x0, state)
     doc = json.loads(exact)
     passing = (off > 0) == (spec.direction == "lower")

@@ -72,11 +72,7 @@ def _start(spec) -> int:
     return start
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [s for s in registry_list() if s.kind is not BoundKind.PI_LI_SQRT],
-    ids=lambda s: s.id,
-)
+@pytest.mark.parametrize("spec", registry_list(), ids=lambda s: s.id)
 def test_float_lane_agrees_with_eval_bound(spec):
     """_bound_float lies within 1e-12 relative of eval_bound's midpoint,
     from the certified start on for the guarded entries, where the fast
@@ -120,6 +116,19 @@ def test_libm_is_within_one_ulp():
             for g, a in zip(got(at).tolist(), at.tolist()):
                 want = exact(mpmath.mpf(a))
                 assert abs(g - want) <= mpmath.ldexp(1, mpmath.frexp(want)[1] - 53), (a, g)
+
+
+def test_float_li_is_within_its_bound():
+    """The fast lane's li series lies within 2**10 u of li(x), relative, the
+    bound verify._EPS's derivation states, at 3,000 points x from 2 to the
+    last prime below 2**53 against 200-bit mpmath, each end included."""
+    x = np.geomspace(2, sieve.LAST_PRIME, 3000)
+    assert x[0] == 2 and x[-1] == sieve.LAST_PRIME
+    got = verify._FloatOps().li(x)
+    with mpmath.workprec(200):
+        for g, a in zip(got.tolist(), x.tolist()):
+            want = mpmath.li(mpmath.mpf(a))
+            assert abs(g - want) <= 2**10 * 2.0**-53 * want, (a, g)
 
 
 def _cancellation(spec, L):

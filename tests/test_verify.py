@@ -388,12 +388,25 @@ def test_desk_plans_pair_starts_are_pinned(monkeypatch):
     assert len(calls) == len(specs)
 
 
-def test_li_bound_has_no_fast_lane_and_a_pair_cap():
-    spec = lookup("eq3.1.upper")
-    rep = _scan_one(spec, 2657, 4657)
-    assert rep.failures == 0 and rep.indeterminates == 0
-    with pytest.raises(CapacityError):
-        _scan_one(spec, 2657, 10**8)
+def test_li_bounds_scan_to_1e8_on_the_fast_lane():
+    # both certified li claims, each from its threshold: the fast lane
+    # evaluates li itself, so no cap on cells applies
+    for bound_id, checked in (("eq3.1.upper", 5_761_072), ("buethe.pi.li.upper", 5_761_455)):
+        spec = lookup(bound_id)
+        rep = _scan_one(spec, spec.threshold_x0, 10**8)
+        assert (rep.checked, rep.failures, rep.indeterminates) == (checked, 0, 0), bound_id
+
+
+def test_one_span_rule_for_the_uncovered_stretch(monkeypatch):
+    # the stretch below the certified start, or the whole range without
+    # one, may be at most MAX_CELL_SPAN wide
+    spec, lo, span = lookup("thm3.2.upper"), 10**6, verify.MAX_CELL_SPAN
+    for start, hi in ((lo + span, 10**8), (None, lo + span)):
+        monkeypatch.setattr(proofkit, "certified_start", lambda *a, start=start: start)
+        assert verify._make_plan(spec, lo, hi).pair_start == start
+        stretch = r"thm3.2.upper on \[%d, %d\]" % (lo - 1, lo + span)
+        with pytest.raises(NoCertificateError, match=stretch):
+            verify._make_plan(spec, lo - 1, hi)
 
 
 # ---------------------------------------------------------------------------
