@@ -32,12 +32,15 @@ premise eta/log^3 x of each entry, up to the paper's closing constant.
 The arithmetic o is the backend: o.const lifts an exact rational, o.lpow(L,
 k) is L**k, o.xpow(x, p) is x**p, o.log, o.exp, o.sqrt and o.pi are what
 they say, o.B and o.E are the prime-sum constants (lifted with o.const) and
-o.li is the logarithmic integral.  Two hooks hold what is not arithmetic:
-o.denominator guards the PI_RATIONAL denominator, and o.mertens(L, body)
-puts exp(-gamma)/L * body on the backend's scale.  eval_bound is the
-interval backend; verify._bound_float is the float64 one, with the product
-on the log scale, read only where proofkit.certified_start bounds the
-cancellation of the denominator and the Mertens body.
+o.li is the logarithmic integral.  One hook holds what is not arithmetic:
+o.mertens(L, body) puts exp(-gamma)/L * body on the backend's scale.
+eval_bound is the interval backend; verify._bound_float is the float64 one,
+with the product on the log scale, read only where proofkit.certified_start
+bounds the cancellation of the denominator and the Mertens body.
+
+A PI_RATIONAL bound is x/D evaluated as it stands, D its denominator: it is
+negative where D < 0, and an interval enclosure of D that straddles 0 gives
+the quotient (-inf, inf).
 """
 
 from __future__ import annotations
@@ -51,11 +54,7 @@ from fractions import Fraction
 
 from . import analytic
 from .enclosure import DEFAULT_PREC, Enclosure, ivctx, lift
-from .errors import (
-    DenominatorNonpositiveError,
-    InvalidRangeError,
-    UnknownBoundError,
-)
+from .errors import InvalidRangeError, UnknownBoundError
 
 
 class BoundKind(enum.Enum):
@@ -389,7 +388,7 @@ def _pi_rational(s, c, x, L, o):
     for i, ai in enumerate(c, start=1):
         if ai:
             den = den - o.const(ai) / o.lpow(L, i)
-    return x / o.denominator(den)
+    return x / den
 
 
 _SHAPES = {
@@ -420,8 +419,8 @@ class _IntervalOps:
     B, E = analytic.constants(28)[1:]
     lpow = staticmethod(operator.pow)
 
-    def __init__(self, ctx, spec: BoundSpec, x, prec: int):
-        self.ctx, self.spec, self.x, self.prec = ctx, spec, x, prec
+    def __init__(self, ctx, prec: int):
+        self.ctx, self.prec = ctx, prec
         self.log, self.exp, self.sqrt, self.pi = ctx.log, ctx.exp, ctx.sqrt, ctx.pi
 
     def const(self, v):
@@ -433,13 +432,6 @@ class _IntervalOps:
     def li(self, x):
         return self.const(analytic.li(x, self.prec))
 
-    def denominator(self, den):
-        if not den.a > 0:
-            raise DenominatorNonpositiveError(
-                "denominator of %s not certainly positive at x=%s" % (self.spec.id, self.x)
-            )
-        return den
-
     def mertens(self, L, body):
         return self.exp(-self.ctx.euler) / L * body
 
@@ -450,4 +442,4 @@ def eval_bound(spec: BoundSpec, x, prec: int = DEFAULT_PREC) -> Enclosure:
     xv = lift(ctx, x)
     if xv.a <= 1:
         raise InvalidRangeError("bounds evaluate for x > 1 only")
-    return Enclosure.from_iv(shape(spec, xv, ctx.log(xv), _IntervalOps(ctx, spec, x, prec)))
+    return Enclosure.from_iv(shape(spec, xv, ctx.log(xv), _IntervalOps(ctx, prec)))

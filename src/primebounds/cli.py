@@ -217,9 +217,9 @@ def _parse_x(text: str):
         val = float(text)
     except ValueError:
         raise InvalidRangeError("--x must be a number, not %r" % text) from None
-    if math.isfinite(val) and val == int(val):
-        return int(val)
-    return val
+    if not math.isfinite(val):
+        raise InvalidRangeError("--x must be a finite number")
+    return int(val) if val == int(val) else val
 
 
 def _cmd_eval(config: RunConfig) -> int:

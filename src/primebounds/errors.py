@@ -37,10 +37,6 @@ class UnsupportedKindError(PrimeBoundsError):
     """Operation is not defined for this bound kind."""
 
 
-class DenominatorNonpositiveError(PrimeBoundsError):
-    """Rational bound evaluated where its denominator is not positive."""
-
-
 class ZeroPolynomialError(PrimeBoundsError):
     """Sturm certificate requested for the zero polynomial."""
 

@@ -33,9 +33,11 @@ exactly checked cell.  It evaluates the bound over the cell as interval
 enclosures and compares them against the cell's constant quantity,
 bisecting undecided subcells.  That needs no shape information at all, so
 it covers the stretch [lo, x*) -- upper bounds dip before their stationary
-point -- and kinds whose derivative does not reduce to a polynomial, up to
-a span cap.  From x* on the bound is monotone, so the cell shrinks to the
-degenerate cell at its binding endpoint above, one point evaluation.
+point, and a rational pi bound x/D, evaluated as it stands, is negative
+where its denominator D < 0 and blows up just past D's root -- and kinds
+whose derivative does not reduce to a polynomial, up to a span cap.  From
+x* on the bound is monotone, so the cell shrinks to the degenerate cell at
+its binding endpoint above, one point evaluation.
 
 Every bound value comes from one shape definition per kind (bounds.shape)
 with two backends: eval_bound evaluates it on outward-rounded intervals for
@@ -113,7 +115,6 @@ from .bounds import BoundKind, BoundSpec, Verdict, eval_bound
 from .enclosure import DEFAULT_PREC, RETRY_PREC, Enclosure, eexp
 from .errors import (
     CapacityError,
-    DenominatorNonpositiveError,
     FastLaneMismatchError,
     InvalidRangeError,
     MismatchedStateError,
@@ -362,10 +363,6 @@ class _FloatOps:
     def xpow(x, p):
         return x ** float(p)
 
-    @staticmethod
-    def denominator(den):
-        return den
-
     def mertens(self, L, body):
         return -self.gamma - np.log(L) + np.log(body)
 
@@ -408,14 +405,6 @@ def _decide(spec: BoundSpec, lhs: Enclosure, rhs: Enclosure) -> Verdict:
     if passed:
         return Verdict.Pass
     return Verdict.Fail if failed else Verdict.Indeterminate
-
-
-def _point_denominator_bad(spec: BoundSpec, x) -> bool:
-    try:
-        eval_bound(spec, x, DEFAULT_PREC)
-    except DenominatorNonpositiveError:
-        return True
-    return False
 
 
 # Interval-cell bisection floor and evaluation budget per cell.
@@ -462,57 +451,40 @@ def _check_cell(plan: _Plan, base: int, succ: int, q):
     whole cell, as interval enclosures of integer (then dyadic) subcells,
     bisecting the undecided ones, which needs no shape information.  A
     degenerate cell [x, x] is the point x, and its bound is evaluated at the
-    integer.  Undecided at 106 bits, the cell is retried once at 212.
+    integer.  A subcell that _decide fails fails the cell at once;
+    undecided at 106 bits, the cell is retried once at 212.
 
-    Where the rational denominator is not positive there is no bound: a
-    lower bound holds there trivially, and an upper bound fails once a point
-    of the cell has it; rhs is then Enclosure.top().
+    A rational pi bound x/D is evaluated as it stands.  Where D < 0 on a
+    subcell its value is negative there, so a lower bound passes and an
+    upper bound fails; where D's enclosure straddles 0 the quotient is
+    (-inf, inf) and the subcell is split, until the part just past D's root,
+    where x/D is large, fails a lower bound.
     """
     if plan.pair_start is not None and base >= plan.pair_start:
         base = succ = succ if plan.eval_at_succ else base
-    spec, lower = plan.spec, plan.lower
+    spec = plan.spec
     for prec in (DEFAULT_PREC, RETRY_PREC):
         lhs = _enclose(plan.lane, q, prec)
         stack = [(base, succ)]
         budget = _CELL_EVAL_BUDGET
         undecided = False
-        failed = None
-        while stack:
+        while stack and budget > 0:
             a, b = stack.pop()
             budget -= 1
-            if budget < 0:
-                undecided = True
-                break
-            try:
-                rhs = eval_bound(spec, a if a == b else Enclosure(a, b), prec)
-                verdict = _decide(spec, lhs, rhs)
-            except DenominatorNonpositiveError:
-                rhs = Enclosure.top()
-                if lower:
-                    verdict = Verdict.Pass
-                elif a == b or _point_denominator_bad(spec, a) or (
-                    b < succ and _point_denominator_bad(spec, b)
-                ):
-                    verdict = Verdict.Fail
-                else:
-                    verdict = Verdict.Indeterminate  # refine the subcell
-            last_rhs = rhs
+            rhs = eval_bound(spec, a if a == b else Enclosure(a, b), prec)
+            verdict = _decide(spec, lhs, rhs)
             if verdict is Verdict.Fail:
-                failed = rhs
-                break
+                return Verdict.Fail, lhs, rhs
             if verdict is Verdict.Pass:
                 continue
             halves = _split_subcell(a, b)
             if halves is None:
                 undecided = True
-                continue
-            stack.append(halves[1])
-            stack.append(halves[0])
-        if failed is not None:
-            return Verdict.Fail, lhs, failed
-        if not undecided:
-            return Verdict.Pass, lhs, last_rhs
-    return Verdict.Indeterminate, lhs, last_rhs
+            else:
+                stack.extend(reversed(halves))
+        if not (stack or undecided):
+            return Verdict.Pass, lhs, rhs
+    return Verdict.Indeterminate, lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,7 @@ import pytest
 from primebounds import analytic, bounds, sieve, verify
 from primebounds.bounds import BoundKind, BoundSpec, Verdict
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
-from primebounds.errors import (
-    DenominatorNonpositiveError,
-    InvalidRangeError,
-    UnknownBoundError,
-)
+from primebounds.errors import InvalidRangeError, UnknownBoundError
 
 EXPECTED_IDS = {
     # theta envelopes
@@ -244,10 +240,10 @@ def test_eval_empty_rational_closed_form():
 
 
 def test_eval_denominator_nonpositive():
-    with pytest.raises(DenominatorNonpositiveError):
-        bounds.eval_bound(bounds.lookup("thm3.2.upper"), eexp(1))
-    with pytest.raises(DenominatorNonpositiveError):
-        bounds.eval_bound(bounds.lookup("prop3.5.upper"), 2)
+    # x/D is evaluated as it stands: below its denominator's root it is negative
+    zero = Enclosure.from_value(0)
+    assert bounds.eval_bound(bounds.lookup("thm3.2.upper"), eexp(1)).certainly_lt(zero)
+    assert bounds.eval_bound(bounds.lookup("prop3.5.upper"), 2).certainly_lt(zero)
 
 
 def test_eval_domain_rejection():
@@ -409,17 +405,18 @@ def test_compare_theta_envelopes_with_sieved_state():
 
 
 def test_compare_rational_denominator_failure_convention():
-    # at x = 3 the six-term denominator is negative, so there is no bound
-    # enclosure to decide on: the check at the point 3 fails the claimed
-    # upper bound and holds the lower bound trivially
+    # at x = 3 the six-term denominator is negative, so x/D is negative: the
+    # check at the point 3 fails the claimed upper bound and holds the lower
+    # bound, and the compared bound enclosure is that negative value
     st = sieve.pi_theta_at(3)
+    zero = Enclosure.from_value(0)
     for bound_id, expected in (("thm3.2.upper", Verdict.Fail), ("thm3.8.lower", Verdict.Pass)):
         spec = bounds.lookup(bound_id)
-        with pytest.raises(DenominatorNonpositiveError):
-            bounds.eval_bound(spec, 3)
+        value = bounds.eval_bound(spec, 3)
+        assert value.certainly_lt(zero)
         verdict, _, rhs = verify._check_cell(verify._make_plan(spec, 3, 3), 3, 3, st.pi)
         assert verdict is expected
-        assert rhs == Enclosure.top()
+        assert rhs == value
 
 
 def test_decide_ties_between_touching_endpoints():

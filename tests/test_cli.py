@@ -389,6 +389,18 @@ class TestEvalCommand:
         assert "thm3.2.upper(1000000)" in out
         assert "cor3.3.a.upper(1000000)" in out
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
+    def test_non_finite_x_is_refused(self, x, capsys):
+        assert main(["eval", "--bound", "thm3.2.upper", "--x", x]) == 3
+        assert "--x must be a finite number" in capsys.readouterr().err
+
+    def test_negative_below_the_denominator_root(self, capsys):
+        # x/D as it stands: the six-term denominator is negative at 3
+        assert main(["eval", "--bound", "thm3.2.upper", "--x", "3"]) == 0
+        out = capsys.readouterr().out
+        hi = out.splitlines()[0].split("[")[1].rstrip("]").split(", ")[1]
+        assert float(hi) < 0
+
 
 class TestCrossingCommand:
     def test_implied_threshold(self, capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from primebounds import dyadic, proofkit, sieve, verify
-from primebounds.bounds import Verdict, eval_bound, lookup, registry_list
+from primebounds.bounds import BoundKind, Verdict, eval_bound, lookup, registry_list
 from primebounds.enclosure import DEFAULT_PREC, Enclosure, eexp
 from primebounds.errors import (
     CapacityError,
@@ -262,6 +262,58 @@ def test_pi_rational_small_threshold_cells():
     assert rep.counterexamples[-1].x == 47
     c = _crossing(lookup("thm3.2.upper"), 10**4)
     assert c.largest_failing_x == 47 and c.implied_threshold == 49
+
+
+# the first counterexample over [2, 100] of each lower rational claim whose
+# denominator D has a root there: the cell where D turns positive, since
+# x/D is large just past the root
+FIRST_ROOT_FAILS = {
+    "cor3.9.e.lower": 5, "cor3.9.d.lower": 7, "cor3.9.c.lower": 13,
+    "cor3.9.b.lower": 19, "cor3.9.a.lower": 29, "thm3.8.lower": 43,
+}
+
+
+def test_lower_rational_fails_where_its_denominator_turns_positive():
+    ids = sorted(FIRST_ROOT_FAILS) + ["prop3.10.lower"]
+    claims = scan_claims([lookup(i) for i in ids], 2, 100, resolve_crossings=False)
+    reports = {c.report.bound_id: c.report for c in claims}
+    primes = [int(p) for p in sieve.primes_in_range(2, 100)]
+    for bound_id, x in FIRST_ROOT_FAILS.items():
+        rep = reports[bound_id]
+        assert rep.indeterminates == 0
+        assert rep.counterexamples[0].x == x, bound_id
+        # every cell below the root cell passes, as x/D is negative there
+        assert rep.passes == primes.index(x), bound_id
+    # prop3.10.lower's denominator is positive from 2
+    assert reports["prop3.10.lower"].passes == 25
+    assert reports["prop3.10.lower"].failures == 0
+
+
+def test_certificate_free_cells_have_no_false_pass():
+    # sampled oracle for the interval-cell lane: on every cell of [2, 100]
+    # below a rational pi claim's certified start, if the bound at one of
+    # 32 dyadic points inside the cell certainly fails against the cell's
+    # pi, the cell must fail
+    primes = [int(p) for p in sieve.primes_in_range(2, 101)]
+    checked = 0
+    for spec in registry_list():
+        if spec.kind is not BoundKind.PI_RATIONAL:
+            continue
+        plan = verify._make_plan(spec, 2, 100)
+        start = 101 if plan.pair_start is None else plan.pair_start
+        for pi, (base, succ) in enumerate(zip(primes, primes[1:]), start=1):
+            if base >= start:
+                break
+            lhs = Enclosure.from_value(pi)
+            samples = (base + Fraction((succ - base) * (2 * k + 1), 64) for k in range(32))
+            if any(
+                verify._decide(spec, lhs, eval_bound(spec, t, DEFAULT_PREC)) is Verdict.Fail
+                for t in samples
+            ):
+                checked += 1
+                verdict, _, _ = verify._check_cell(plan, base, succ, pi)
+                assert verdict is Verdict.Fail, (spec.id, base)
+    assert checked > 100, checked
 
 
 def test_anchored_state_pi_lane():
