@@ -65,6 +65,8 @@ class RunConfig:
         object.__setattr__(self, "bound_ids", tuple(self.bound_ids))
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise InvalidRangeError("--checkpoint-every must be at least 1")
+        if self.checkpoint_every is not None and self.checkpoint_out is None:
+            raise InvalidRangeError("--checkpoint-every needs --checkpoint-out")
         sieve.check_segment_odds(self.segment_odds)
         if self.range_lo is not None and self.range_hi is not None:
             if self.range_lo > self.range_hi:

@@ -33,11 +33,12 @@ a plain full-array sieve and the rest from sieve_segment, one default-size
 span at a time.
 
 The four summed lanes are defined here alone: their per-prime terms
-(lane_terms), state fields and budget multipliers (LANES) and exact sums
-(lane_sum).  A segment sums each SUM_CHUNK of its primes exactly once,
-building their terms one chunk at a time (PrimeSegment.sums); a segment's
-delta takes the total, and the verifier restarts its float running sums
-from these partial sums at every chunk.
+(lane_terms), budget multipliers (LANES) and exact sums (lane_sum).  A
+state or a delta carries one mapping, sums, from pp (psi - theta) and each
+lane to a scaled (value, budget); an anchored state has none.  A segment
+sums each SUM_CHUNK of its primes once, one chunk of terms at a time
+(PrimeSegment.sums); a segment's delta takes the total, and the verifier
+restarts its float running sums from these partial sums at every chunk.
 
 Per-term budgets, in binade units of the stored term (dyadic docstring):
 BUDGET_LOG for np.log outputs, BUDGET_RECIP for IEEE 1/p, BUDGET_QUOT for
@@ -56,7 +57,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -83,14 +84,10 @@ BUDGET_QUOT = 16
 # Primes per chunk of a segment's exact partial sums.
 SUM_CHUNK = 1 << 16
 
-# The summed lanes: the AccumulatorState fields of their value and budget,
-# and the budget multiplier of their per-prime terms.
-LANES = {
-    "theta": ("theta_v", "theta_b", BUDGET_LOG),
-    "recip": ("recip_v", "recip_b", BUDGET_RECIP),
-    "logp": ("logp_v", "logp_b", BUDGET_QUOT),
-    "log1m": ("log1m_v", "log1m_b", BUDGET_QUOT),
-}
+# The summed lanes and the budget multiplier of their per-prime terms.
+LANES = {"theta": BUDGET_LOG, "recip": BUDGET_RECIP, "logp": BUDGET_QUOT, "log1m": BUDGET_QUOT}
+# The sums of a state or a delta: psi - theta (pp), then the summed lanes.
+_SUMS = ("pp", *LANES)
 
 CHECKPOINT_VERSION = 1
 
@@ -203,7 +200,7 @@ def lane_terms(lane: str, pf: np.ndarray, logs: np.ndarray, recip: np.ndarray) -
 def lane_sum(lane: str, terms: np.ndarray) -> tuple[int, int]:
     """Exact scaled (value, budget) of a run of one lane's terms."""
     v, b = dyadic.scaled_sum(terms)
-    return v, b * LANES[lane][2]
+    return v, b * LANES[lane]
 
 
 @dataclass(frozen=True)
@@ -399,26 +396,17 @@ def next_prime(x: int) -> int:
 class AccumulatorState:
     """Exact prime-sum state after consuming all primes in [2, x].
 
-    Scaled integers are multiples of 2**-dyadic.SCALE_BITS; each *_b field is
-    the exact accumulated error budget for its *_v value. log1m fields store
-    the magnitude of sum log(1 - 1/p), which is a sum of positive terms.
-    Anchored states know pi exactly but carry no sum information; their sum
-    enclosures are (-inf, +inf).
+    sums maps each of _SUMS to its exact (value, budget) in units of
+    2**-dyadic.SCALE_BITS, zero by default and never negative: pp holds
+    psi - theta and log1m the magnitude of sum log(1 - 1/p).  With sums None
+    the state is anchored: pi is exact and every sum enclosure is
+    (-inf, +inf).  No code changes a state's sums in place.
     """
 
     x: int
     pi: int
-    theta_v: int = 0
-    theta_b: int = 0
-    pp_v: int = 0
-    pp_b: int = 0
-    recip_v: int = 0
-    recip_b: int = 0
-    logp_v: int = 0
-    logp_b: int = 0
-    log1m_v: int = 0
-    log1m_b: int = 0
-    anchored: bool = False
+    sums: Optional[dict[str, tuple[int, int]]] = field(
+        default_factory=lambda: dict.fromkeys(_SUMS, (0, 0)))
     config_digest: str = CONFIG_DIGEST
 
     @classmethod
@@ -427,11 +415,15 @@ class AccumulatorState:
 
     @classmethod
     def anchored_at(cls, x: int, pi: int) -> "AccumulatorState":
-        """State with exact pi(x) supplied externally and unknown sums; the
-        count rule of read_checkpoint."""
+        """State with exact pi(x) supplied externally and unknown sums.  The
+        count rule of every state read back: x >= 1 and 0 <= pi <= x."""
         if x < 1 or not 0 <= pi <= x:
-            raise InvalidRangeError("anchor needs x >= 1 and 0 <= pi <= x")
-        return cls(x=x, pi=pi, anchored=True)
+            raise InvalidRangeError("a state needs x >= 1 and 0 <= pi <= x")
+        return cls(x=x, pi=pi, sums=None)
+
+    @property
+    def anchored(self) -> bool:
+        return self.sums is None
 
     def add(self, delta: "SegmentDelta") -> "AccumulatorState":
         """The state after delta's primes, the one rule of every fold (pure).
@@ -446,38 +438,36 @@ class AccumulatorState:
             return replace(self, x=delta.hi, pi=self.pi + delta.pi)
         if delta.sums is None:
             raise MismatchedStateError("a delta without sums cannot extend a state with sums")
-        sums = {f: getattr(self, f) + delta.sums[f] for f in _SUM_FIELDS}
-        return replace(self, x=delta.hi, pi=self.pi + delta.pi, **sums)
+        sums = {k: (v + delta.sums[k][0], b + delta.sums[k][1]) for k, (v, b) in self.sums.items()}
+        return replace(self, x=delta.hi, pi=self.pi + delta.pi, sums=sums)
 
-    def lane(self, name: str) -> tuple[int, int]:
-        """Exact scaled (value, budget) of a summed lane (see LANES)."""
-        vf, bf, _ = LANES[name]
-        return getattr(self, vf), getattr(self, bf)
-
-    def _encl(self, v: int, b: int) -> Enclosure:
+    def _encl(self, *names: str, sign: int = 1) -> Enclosure:
+        """Enclosure of sign times the total of the named sums."""
         if self.anchored:
             return Enclosure.top()
+        v = sign * sum(self.sums[k][0] for k in names)
+        b = sum(self.sums[k][1] for k in names)
         return Enclosure.from_dyadic(v - b, v + b, dyadic.SCALE_BITS)
 
     @property
     def theta(self) -> Enclosure:
-        return self._encl(*self.lane("theta"))
+        return self._encl("theta")
 
     @property
     def psi(self) -> Enclosure:
-        return self._encl(self.theta_v + self.pp_v, self.theta_b + self.pp_b)
+        return self._encl("theta", "pp")
 
     @property
     def sum_recip(self) -> Enclosure:
-        return self._encl(*self.lane("recip"))
+        return self._encl("recip")
 
     @property
     def sum_logp(self) -> Enclosure:
-        return self._encl(*self.lane("logp"))
+        return self._encl("logp")
 
     @property
     def sum_log1m(self) -> Enclosure:
-        return self._encl(-self.log1m_v, self.log1m_b)
+        return self._encl("log1m", sign=-1)
 
 
 def _power_terms(lo: int, hi: int, base: np.ndarray) -> tuple[int, int]:
@@ -503,17 +493,12 @@ def _power_terms(lo: int, hi: int, base: np.ndarray) -> tuple[int, int]:
 class SegmentDelta:
     """What the primes of [lo, hi] add to an AccumulatorState, from those
     primes alone: their count pi and, unless sums is None, the exact scaled
-    amount each of _SUM_FIELDS gains."""
+    (value, budget) each of _SUMS gains."""
 
     lo: int
     hi: int
     pi: int
-    sums: Optional[dict[str, int]] = None
-
-
-# The state fields a delta's sums add to: the prime-power correction of psi
-# and the value and budget of each summed lane.
-_SUM_FIELDS = ("pp_v", "pp_b") + tuple(f for vf, bf, _ in LANES.values() for f in (vf, bf))
+    sums: Optional[dict[str, tuple[int, int]]] = None
 
 
 def segment_delta(
@@ -526,11 +511,9 @@ def segment_delta(
         return SegmentDelta(segment.lo, segment.hi, pi)
     if base is None:
         base = base_primes(math.isqrt(segment.hi))
-    pv, pb = _power_terms(segment.lo, segment.hi, base)
-    out = {"pp_v": pv, "pp_b": pb}
-    for lane, (vf, bf, _) in LANES.items():
-        out[vf], out[bf] = segment.sums[lane][-1]
-    return SegmentDelta(segment.lo, segment.hi, pi, out)
+    sums = {"pp": _power_terms(segment.lo, segment.hi, base)}
+    sums.update((lane, segment.sums[lane][-1]) for lane in LANES)
+    return SegmentDelta(segment.lo, segment.hi, pi, sums)
 
 
 def accumulate(state: AccumulatorState, segment: PrimeSegment) -> AccumulatorState:
@@ -662,25 +645,16 @@ def _dec_parse(s: str) -> int:
     return parsed[0] << (dyadic.SCALE_BITS - parsed[1])
 
 
-def _pair(v: int, b: int) -> list[str]:
-    return [dyadic.to_decimal(e, dyadic.SCALE_BITS) for e in (v - b, v + b)]
+# A checkpoint line's enclosure fields: the state properties of those names.
+_CHECKPOINT_FIELDS = ("theta", "psi", "sum_recip", "sum_logp", "sum_log1m")
 
 
 def write_checkpoint(state: AccumulatorState, fh: TextIO) -> None:
     """Append one checkpoint line for the state."""
     if state.anchored:
         raise CheckpointFormatError("anchored states cannot be checkpointed")
-    rec = {
-        "version": CHECKPOINT_VERSION,
-        "x": state.x,
-        "pi": state.pi,
-        "theta": _pair(state.theta_v, state.theta_b),
-        "psi": _pair(state.theta_v + state.pp_v, state.theta_b + state.pp_b),
-        "sum_recip": _pair(state.recip_v, state.recip_b),
-        "sum_logp": _pair(state.logp_v, state.logp_b),
-        "sum_log1m": _pair(-state.log1m_v, state.log1m_b),
-        "config_digest": state.config_digest,
-    }
+    rec = {f: list(getattr(state, f).decimal_pair()) for f in _CHECKPOINT_FIELDS}
+    rec.update(version=CHECKPOINT_VERSION, x=state.x, pi=state.pi, config_digest=state.config_digest)
     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -699,7 +673,10 @@ def _unpair(rec: dict, name: str) -> tuple[int, int]:
 def read_checkpoint(fh: TextIO) -> AccumulatorState:
     """Reconstruct the state from the last checkpoint line.
 
-    A last line that is not a checkpoint record raises CheckpointFormatError.
+    A last line that is not a checkpoint record raises CheckpointFormatError,
+    as does one whose state no fold from 2 reaches: x < 1, pi outside [0, x],
+    or a stored sum (pp = psi - theta, log1m as its magnitude) whose value or
+    budget is negative.
     """
     last = None
     for line in fh:
@@ -721,26 +698,13 @@ def read_checkpoint(fh: TextIO) -> AccumulatorState:
     for name in ("x", "pi"):
         if type(rec.get(name)) is not int:
             raise CheckpointFormatError("checkpoint field %r is not an integer" % name)
-    tv, tb = _unpair(rec, "theta")
-    sv, sb = _unpair(rec, "psi")
-    rv, rb = _unpair(rec, "sum_recip")
-    qv, qb = _unpair(rec, "sum_logp")
-    mv, mb = _unpair(rec, "sum_log1m")
-    if rec["x"] < 1 or not 0 <= rec["pi"] <= rec["x"] or sv < tv or sb < tb:
-        raise CheckpointFormatError("checkpoint needs x >= 1, 0 <= pi <= x, and psi's"
-                                    " value and budget at least theta's")
-    return AccumulatorState(
-        x=rec["x"],
-        pi=rec["pi"],
-        theta_v=tv,
-        theta_b=tb,
-        pp_v=sv - tv,
-        pp_b=sb - tb,
-        recip_v=rv,
-        recip_b=rb,
-        logp_v=qv,
-        logp_b=qb,
-        log1m_v=-mv,
-        log1m_b=mb,
-        config_digest=rec["config_digest"],
-    )
+    theta, psi, recip, logp, (mv, mb) = (_unpair(rec, f) for f in _CHECKPOINT_FIELDS)
+    pp = (psi[0] - theta[0], psi[1] - theta[1])
+    sums = {"pp": pp, "theta": theta, "recip": recip, "logp": logp, "log1m": (-mv, mb)}
+    if min(min(s) for s in sums.values()) < 0:
+        raise CheckpointFormatError("checkpoint sums need values and budgets >= 0")
+    try:
+        counts = AccumulatorState.anchored_at(rec["x"], rec["pi"])
+    except InvalidRangeError as exc:
+        raise CheckpointFormatError("checkpoint: %s" % exc) from None
+    return replace(counts, sums=sums, config_digest=rec["config_digest"])

@@ -593,7 +593,7 @@ class _SegmentData:
 
     def _chunk_total(self, lane: str, k: int) -> tuple[int, int]:
         """Exact lane total at row k * SUM_CHUNK."""
-        (v0, b0), (v, b) = self.before.lane(lane), self.seg.sums[lane][k]
+        (v0, b0), (v, b) = self.before.sums[lane], self.seg.sums[lane][k]
         return v0 + v, b0 + b
 
     def run(self, lane: str) -> np.ndarray:
@@ -802,13 +802,13 @@ def _resolve_crossing(scan: _SpecScan) -> Optional[CrossingResult]:
 def _carried(lanes: set[str], state: Optional[AccumulatorState]) -> Optional[AccumulatorState]:
     """The one rule for what a fold for claims on these lanes carries:
     nothing but the primes for gap claims alone (None), the prime count for
-    pi and gap claims (an anchored state), else the exact sums too."""
+    pi and gap claims (the state without its sums: anchored, and with its
+    digest, so a state of another numeric config is still refused), else
+    the exact sums too."""
     if lanes == {"gap"}:
         return None
-    if lanes <= _COUNT_LANES and not state.anchored:
-        # the digest stays, so a state of another numeric config is still refused
-        counts = AccumulatorState.anchored_at(state.x, state.pi)
-        return replace(counts, config_digest=state.config_digest)
+    if lanes <= _COUNT_LANES:
+        return replace(state, sums=None)
     return state
 
 

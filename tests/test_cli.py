@@ -225,6 +225,8 @@ class TestUsageErrors:
             ["proof", "--bound", "thm3.8.lower", "--segment-size", "4096"],
             ["reproduce", "--from", "5", "--to", "1000"],
             ["reproduce", "--bound", "x", "--to", "1000"],
+            # a spacing with nowhere to write its lines is refused, not ignored
+            ["sieve", "--to", "100000", "--checkpoint-every", "10000"],
         ],
     )
     def test_exit_three(self, argv, capsys, monkeypatch, tmp_path):

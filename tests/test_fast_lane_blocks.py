@@ -353,21 +353,20 @@ def test_running_sums_stay_within_their_share_of_the_tolerance(lo):
     ops = verify._FloatOps
     sizes = {"theta": base, "recip": math.log(L) + ops.B, "logp": L + ops.E}
     sizes["log1m"] = math.log(L) + ops.gamma
-    fields = {}
+    sums = {"pp": (0, 0)}
     for lane, size in sizes.items():
-        value, budget, _ = sieve.LANES[lane]
         v = int(math.ldexp(size, dyadic.SCALE_BITS))
-        fields.update({value: v, budget: v >> 50})
-    before = sieve.AccumulatorState(x=base, pi=0, **fields)
+        sums[lane] = (v, v >> 50)
+    before = sieve.AccumulatorState(x=base, pi=0, sums=sums)
     segment = sieve.PrimeSegment(base + 1, int(primes[-1]), primes[1:])
     data = verify._SegmentData(before, base, segment)
     cut = data.p.size - 1
     assert cut > sieve.SUM_CHUNK
     chunk_ends = np.arange(sieve.SUM_CHUNK - 1, cut, sieve.SUM_CHUNK)
     rows = np.union1d(np.arange(0, cut, 997), np.r_[chunk_ends, chunk_ends + 1, cut - 1])
-    for lane, (_, _, multiplier) in sieve.LANES.items():
+    for lane, multiplier in sieve.LANES.items():
         run = data.run(lane)
-        v0, b0 = before.lane(lane)
+        v0, b0 = before.sums[lane]
         for i in rows.tolist():
             v, b = data.exact(lane, i)
             exact = Fraction(v, 1 << dyadic.SCALE_BITS)

@@ -25,7 +25,7 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from primebounds import dyadic, sieve, verify
+from primebounds import dyadic, verify
 from primebounds.bounds import eval_bound, lookup
 from primebounds.sieve import AccumulatorState
 
@@ -43,8 +43,8 @@ def _state_at_bound(spec, x0, pi):
     if lane == "log1m":  # the state holds -log of the Mertens product
         mid = -mpmath.log(mid)
     v = int(mpmath.floor(mpmath.ldexp(mid, dyadic.SCALE_BITS)))
-    value, budget, _ = sieve.LANES[lane]
-    return replace(AccumulatorState(x=x0 - 1, pi=0), **{value: v, budget: v >> 50})
+    state = AccumulatorState(x=x0 - 1, pi=0)
+    return replace(state, sums={**state.sums, lane: (v, v >> 50)})
 
 
 def _report(spec, x0, state):

@@ -184,7 +184,7 @@ def test_lane_terms_stay_within_their_budgets():
         exact = {"theta": [mpmath.log(x) for x in xs], "recip": [1 / mpmath.mpf(x) for x in xs]}
         exact["logp"] = [v / x for v, x in zip(exact["theta"], xs)]
         exact["log1m"] = [-mpmath.log1p(-1 / mpmath.mpf(x)) for x in xs]
-        for lane, (_, _, budget) in sieve.LANES.items():
+        for lane, budget in sieve.LANES.items():
             terms = sieve.lane_terms(lane, pf, logs, recip)
             worst = max(_units(t, v, float(t)) for t, v in zip(terms, exact[lane]))
             assert worst <= budget, (lane, float(worst))
@@ -455,6 +455,16 @@ def test_checkpoint_roundtrip_is_bitwise():
     assert sieve.read_checkpoint(buf) == state
 
 
+def test_checkpoint_line_at_1e6_is_pinned():
+    # the bytes of a checkpoint line, pinned as the CI pins whole files
+    buf = io.StringIO()
+    sieve.write_checkpoint(pi_theta_at(10**6), buf)
+    line = buf.getvalue()
+    digest = hashlib.sha256(line.encode()).hexdigest()
+    assert digest == "f14cadfe979bd6129b369776f5c6d11a3fbac5b8deab53e6b4f2a30b6c53aa2c"
+    assert sieve.read_checkpoint(io.StringIO(line)) == pi_theta_at(10**6)
+
+
 def test_checkpoint_keeps_last_line_and_rejects_garbage():
     s1, s2 = pi_theta_at(1000), pi_theta_at(2000)
     buf = io.StringIO()
@@ -479,6 +489,11 @@ _IMPOSSIBLE_EDITS = {
     **{name + "-reversed": (name, lambda pair: pair[::-1])
        for name in ("theta", "psi", "sum_recip", "sum_logp", "sum_log1m")},
     "psi-narrower-than-theta": ("psi", lambda pair: pair[:1] * 2),
+    # every stored sum is >= 0
+    "theta-negative": ("theta", lambda pair: ["-10", "-9"]),
+    "sum_recip-negative": ("sum_recip", lambda pair: ["-2", "-1"]),
+    "sum_logp-negative": ("sum_logp", lambda pair: ["-2", "-1"]),
+    "sum_log1m-positive": ("sum_log1m", lambda pair: ["1", "2"]),
     "x-0": ("x", lambda x: 0),
     "pi-negative": ("pi", lambda pi: -3),
     "pi-above-x": ("pi", lambda pi: 1001),
@@ -488,12 +503,15 @@ _IMPOSSIBLE_EDITS = {
 @pytest.mark.parametrize("field, edit", _IMPOSSIBLE_EDITS.values(), ids=_IMPOSSIBLE_EDITS)
 def test_checkpoint_rejects_an_impossible_state(field, edit):
     # a pair written [hi, lo] would give a negative budget, as would a psi
-    # pair narrower than theta's to the prime powers; x < 1 or pi outside
-    # [0, x] is no state of a fold from 2
+    # pair narrower than theta's to the prime powers; a negative sum (log1m
+    # stored as its magnitude), x < 1 or pi outside [0, x] is no state of a
+    # fold from 2
     buf = io.StringIO()
     sieve.write_checkpoint(pi_theta_at(1000), buf)
     rec = json.loads(buf.getvalue())
     rec[field] = edit(rec[field])
+    if rec["theta"] == ["-10", "-9"]:  # psi - theta stays >= 0, so the sign rule fires
+        rec["psi"] = ["-10", "-8"]
     with pytest.raises(CheckpointFormatError):
         sieve.read_checkpoint(io.StringIO(json.dumps(rec) + "\n"))
 

@@ -662,7 +662,7 @@ def _state_quantity(lane, state, succ):
         return succ
     if lane == "pi":
         return state.pi
-    return state.lane(lane)
+    return state.sums[lane]
 
 
 def test_interval_cells_agree_with_pair_checks_from_the_certificate():
